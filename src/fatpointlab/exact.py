@@ -5,37 +5,71 @@ Two coefficient fields are supported: the rationals (via
 ``range(p)``).  All computations are exact; there is no floating point
 anywhere in this package.
 
-Rank over the rationals is computed by fraction-free (Bareiss) elimination
-on a denominator-cleared integer matrix.  A modular fast path is used as an
-accelerator: if the matrix has full rank modulo a fixed prime it has full
-rank over Q (a nonsingular minor mod p is nonsingular over Q), so the
-expensive integer elimination only runs on genuinely rank-deficient
-matrices.
+A matrix over Q is stored as integer rows with one positive denominator per
+row, cleared once at construction; over F_p its rows are residues.  Row
+scaling changes neither the rank nor the right kernel, so every rank works
+on the integer rows directly.
+
+Rank over Q is certified from modular data:
+
+1. the rank r modulo a 31-bit prime is a lower bound for the rank over Q
+   (a nonsingular minor mod p is nonsingular over Q), so a matrix of full
+   rank mod p is done;
+2. otherwise the kernel of the matrix on its smaller side (of dimension
+   min(nrows, ncols) - r if r is the rank over Q) is computed modulo a fixed
+   list of primes, combined by the Chinese remainder theorem and lifted to Q
+   by rational reconstruction (Wang 1981; Monagan, ISSAC 2004);
+3. the lifted vectors are accepted only if each one is annihilated exactly
+   over Z.  They carry the unit pattern of the reduced echelon form on the
+   free coordinates, so they are independent, and min(nrows, ncols) - r
+   independent kernel vectors bound the rank over Q above by r.
+
+Only when no certificate comes out of the prime list does fraction-free
+(Bareiss 1968) elimination decide the rank.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
+from operator import mul
 
 import numpy as np
 
-# Mersenne prime used by the modular rank accelerator.  Products of two
-# residues fit in int64, so numpy row operations are exact.
-_FAST_PRIME = 2**31 - 1
+# Primes of the modular rank and the kernel certificates, largest first.
+# Products of two residues fit in int64, so numpy row operations are exact.
+CERTIFICATE_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249,
+)
+
+# Matrices with fewer cells are eliminated mod p in pure Python, larger ones
+# in numpy, whose per-call overhead dominates below.  On a 2-vCPU Xeon VM pure
+# Python was faster up to 6 x 8 (144 vs 181 us), numpy from 8 x 10 (206 vs
+# 297 us).
+_NUMPY_MIN_CELLS = 64
+
+# The first twelve primes are a deterministic Miller-Rabin base below this
+# bound (Sorenson and Webster 2015); at or above it the test is unproven.
+PRIMALITY_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin for n < PRIMALITY_BOUND; ValueError above."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError("primality is only certified below %d" % PRIMALITY_BOUND)
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -127,15 +161,46 @@ class ScalarField:
 
 
 class ExactMatrix:
-    """A dense matrix over a ScalarField, immutable after construction."""
+    """A dense matrix over a ScalarField, immutable after construction.
+
+    Over Q the rows are kept as integers with one denominator per row;
+    ``entries`` gives back the field elements the matrix was built from.
+    """
 
     def __init__(self, field, entries):
+        rows = []
+        dens = []
+        for row in entries:
+            vals = [field.elem(x) for x in row]
+            if field.is_rational:
+                den = lcm(*(v.denominator for v in vals))
+                rows.append(tuple(v.numerator * (den // v.denominator) for v in vals))
+                dens.append(den)
+            else:
+                rows.append(tuple(vals))
+        self._init(field, rows, dens if field.is_rational else None)
+
+    @classmethod
+    def from_integer_rows(cls, field, rows):
+        """The matrix of integer rows (over F_p, of residues in range(p)),
+        taken as they are."""
+        return cls._of_rows(field, [tuple(row) for row in rows], None)
+
+    @classmethod
+    def _of_rows(cls, field, rows, dens):
+        m = cls.__new__(cls)
+        m._init(field, rows, dens)
+        return m
+
+    def _init(self, field, rows, dens):
         self.field = field
-        self.entries = tuple(tuple(field.elem(x) for x in row) for row in entries)
-        self.nrows = len(self.entries)
-        self.ncols = len(self.entries[0]) if self.entries else 0
-        if any(len(row) != self.ncols for row in self.entries):
+        self._rows = tuple(rows)
+        self._dens = dens             # None: every denominator is 1
+        self.nrows = len(self._rows)
+        self.ncols = len(self._rows[0]) if self._rows else 0
+        if any(len(row) != self.ncols for row in self._rows):
             raise ValueError("ragged rows")
+        self._entries = None
         self._rank = None
 
     @classmethod
@@ -149,64 +214,41 @@ class ExactMatrix:
     def __repr__(self):
         return "ExactMatrix(%d x %d over %r)" % (self.nrows, self.ncols, self.field)
 
+    @property
+    def entries(self):
+        if self._entries is None:
+            if not self.field.is_rational:
+                self._entries = self._rows
+            else:
+                dens = self._dens or [1] * self.nrows
+                self._entries = tuple(
+                    tuple(Fraction(x, den) for x in row) for row, den in zip(self._rows, dens)
+                )
+        return self._entries
+
     def row(self, i):
         return self.entries[i]
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
 
-    def transpose(self):
-        return ExactMatrix(self.field, [self.column(j) for j in range(self.ncols)])
-
-    def stack(self, other):
-        if other.field != self.field or other.ncols != self.ncols:
-            raise ValueError("incompatible stack")
-        return ExactMatrix(self.field, list(self.entries) + list(other.entries))
-
     def mul_vector(self, v):
         f = self.field
         out = []
-        for row in self.entries:
-            acc = f.zero()
-            for j in range(self.ncols):
-                acc = f.add(acc, f.mul(row[j], v[j]))
-            out.append(acc)
+        for i, row in enumerate(self._rows):
+            acc = sum((x * y for x, y in zip(row, v)), f.zero())
+            if f.is_rational:
+                out.append(acc / self._dens[i] if self._dens else acc)
+            else:
+                out.append(f.elem(acc))
         return tuple(out)
 
     # -- rank ----------------------------------------------------------------
 
-    def _integer_rows(self):
-        """Rows scaled to integers (rational field only); rank-preserving."""
-        out = []
-        for row in self.entries:
-            lcm = 1
-            for x in row:
-                d = x.denominator
-                lcm = lcm * d // _gcd(lcm, d)
-            out.append([int(x * lcm) for x in row])
-        return out
-
     def rank(self):
-        if self._rank is not None:
-            return self._rank
-        if self.nrows == 0 or self.ncols == 0:
-            self._rank = 0
-            return 0
-        if self.field.is_rational:
-            rows = self._integer_rows()
-            r = _rank_mod_p(rows, _FAST_PRIME)
-            if r < min(self.nrows, self.ncols):
-                # rank mod p only lower-bounds the rational rank; certify
-                # deficient matrices by fraction-free integer elimination
-                r = _bareiss_rank(rows)
-        else:
-            p = self.field.p
-            if p < 2**31:
-                r = _rank_mod_p([list(row) for row in self.entries], p)
-            else:
-                r = len(_rref([list(row) for row in self.entries], self.field)[1])
-        self._rank = r
-        return r
+        if self._rank is None:
+            self._rank = _rank(self.field, self._rows, self.ncols)
+        return self._rank
 
     def rank_of_column_subset(self, cols):
         cols = sorted(cols)
@@ -215,24 +257,24 @@ class ExactMatrix:
         for j in cols:
             if not (0 <= j < self.ncols):
                 raise IndexError("column index out of range: %r" % (j,))
-        sub = ExactMatrix(self.field, [[row[j] for j in cols] for row in self.entries])
-        return sub.rank()
+        sub = [tuple(row[j] for j in cols) for row in self._rows]
+        return ExactMatrix._of_rows(self.field, sub, self._dens).rank()
 
     def kernel_basis(self):
         """Basis of the right kernel, from the reduced row echelon form."""
+        f = self.field
         if self.ncols == 0:
             return []
         if self.nrows == 0:
             eye = []
-            f = self.field
             for j in range(self.ncols):
                 v = [f.zero()] * self.ncols
                 v[j] = f.one()
                 eye.append(tuple(v))
             return eye
-        rows = [list(r) for r in self.entries]
-        red, pivots = _rref(rows, self.field)
-        f = self.field
+        # scaling a row by its denominator leaves the reduced form unchanged
+        rows = [[f.elem(x) for x in row] for row in self._rows]
+        red, pivots = _rref(rows, f)
         pivot_set = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivot_set]
         basis = []
@@ -245,39 +287,140 @@ class ExactMatrix:
         return basis
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _rank(field, rows, ncols):
+    """Rank of integer rows over ``field`` (residue rows over F_p)."""
+    if not rows or ncols == 0:
+        return 0
+    if field.is_rational:
+        return _certified_rank(rows, ncols)
+    p = field.p
+    if p < 2**31:
+        return len(_rref_mod_p(rows, p)[1])
+    return len(_rref([list(row) for row in rows], field)[1])
 
 
-def _rank_mod_p(int_rows, p):
-    """Gaussian elimination over F_p, vectorized with numpy int64."""
-    a = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
-    nrows, ncols = a.shape
-    r = 0
+def _certified_rank(rows, ncols):
+    """Rank over Q of an integer matrix, certified as the module describes.
+
+    The matrix is put on its tall side, so the kernel to certify has
+    min(nrows, ncols) - r vectors."""
+    if len(rows) < ncols:
+        rows = list(zip(*rows))
+        ncols = len(rows[0])
+    best = None            # pivot columns of the luckiest prime so far
+    modulus = 1
+    lifts = None           # CRT residues of the kernel vectors at the pivots
+    for p in CERTIFICATE_PRIMES:
+        red, pivots = _rref_mod_p(rows, p)
+        r = len(pivots)
+        if r == ncols:
+            return r
+        # every prime gives a lower bound; a prime that loses rank, or at
+        # equal rank has later pivot columns, is unlucky
+        if best is None or (r, best) > (len(best), pivots):
+            best, modulus, lifts = pivots, 1, None
+        elif pivots != best:
+            continue
+        pivot_set = set(pivots)
+        free = [j for j in range(ncols) if j not in pivot_set]
+        residues = [[-int(red[i][j]) % p for i in range(r)] for j in free]
+        if lifts is None:
+            lifts = residues
+        else:
+            # Chinese remaindering: x = a mod modulus and x = b mod p
+            inv = pow(modulus, -1, p)
+            lifts = [[a + modulus * ((b - a) * inv % p) for a, b in zip(la, lb)]
+                     for la, lb in zip(lifts, residues)]
+        modulus *= p
+        if _kernel_certified(rows, pivots, free, lifts, modulus):
+            return r
+    return _bareiss_rank(rows)
+
+
+def _rational_reconstruction(u, m):
+    """The a/b = u mod m with |a|, b <= sqrt(m/2) (Wang), as (a, b), or None."""
+    bound = isqrt(m // 2)
+    r0, r1 = m, u % m
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _kernel_certified(rows, pivots, free, lifts, modulus):
+    """Lift each kernel vector to Q and check it exactly over Z.
+
+    The vector for free column f is 1 at f, 0 at the other free columns and
+    the lifted values at the pivot columns."""
+    for f, values in zip(free, lifts):
+        fracs = []
+        for u in values:
+            ab = _rational_reconstruction(u, modulus)
+            if ab is None:
+                return False
+            fracs.append(ab)
+        den = lcm(*(b for _, b in fracs))
+        support = [f] + [c for c, (a, _) in zip(pivots, fracs) if a]
+        coeffs = [den] + [a * (den // b) for a, b in fracs if a]
+        for row in rows:
+            if sum(map(mul, [row[j] for j in support], coeffs)):
+                return False
+    return True
+
+
+def _rref_mod_p(rows, p):
+    """Reduced row echelon form of an integer matrix mod p and its pivot
+    columns: an int64 array from numpy for large matrices, lists of ints
+    from pure Python for small ones."""
+    nrows, ncols = len(rows), len(rows[0])
+    if nrows * ncols >= _NUMPY_MIN_CELLS:
+        a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+        pivots = []
+        for c in range(ncols):
+            r = len(pivots)
+            if r == nrows:
+                break
+            nz = np.flatnonzero(a[r:, c])
+            if nz.size == 0:
+                continue
+            piv = r + int(nz[0])
+            if piv != r:
+                a[[r, piv]] = a[[piv, r]]
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+            factors = a[:, c].copy()
+            factors[r] = 0
+            hit = np.flatnonzero(factors)
+            if hit.size:
+                a[hit, c:] = (a[hit, c:] - factors[hit, None] * a[r, c:]) % p
+            pivots.append(c)
+        return a, pivots
+    a = [[x % p for x in row] for row in rows]
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
+        if piv is None:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        if r + 1 < nrows:
-            factors = a[r + 1:, c]
-            a[r + 1:] = (a[r + 1:] - factors[:, None] * a[r]) % p
-        r += 1
-    return r
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        top = a[r] = [x * inv % p for x in a[r]]
+        for i in range(nrows):
+            factor = a[i][c]
+            if factor and i != r:
+                a[i] = [(x - factor * y) % p for x, y in zip(a[i], top)]
+        pivots.append(c)
+    return a, pivots
 
 
 def _bareiss_rank(int_rows):
     """Fraction-free elimination (Bareiss); exact rank over Z (hence Q)."""
-    m = [row[:] for row in int_rows]
+    m = [list(row) for row in int_rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     prev = 1
@@ -340,15 +483,3 @@ def _rref(rows, field):
         pivots.append(c)
         r += 1
     return rows, pivots
-
-
-def rank(m):
-    return m.rank()
-
-
-def kernel_basis(m):
-    return m.kernel_basis()
-
-
-def rank_of_column_subset(m, cols):
-    return m.rank_of_column_subset(cols)

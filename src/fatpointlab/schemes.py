@@ -9,15 +9,18 @@ which that rank reaches the degree of the scheme.
 
 Vanishing conditions are written after dehomogenizing each point at its
 first nonzero coordinate, which avoids the redundancy among homogeneous
-partials coming from the Euler relation.  Over a prime field this encoding
-is faithful only when p exceeds the working degree; this is enforced.
+partials coming from the Euler relation, and each row is scaled so that
+the matrix has integer entries (see ``conditions_matrix``).  Over a prime
+field this encoding is faithful only when p exceeds the working degree;
+this is enforced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm, perm
+from operator import mul
 
 from .exact import ExactMatrix, ScalarField
 
@@ -107,56 +110,67 @@ def _proportional(field, a, b):
     return True
 
 
-def _falling_factorial(b, a):
-    out = 1
-    for i in range(a):
-        out *= b - i
-    return out
+@lru_cache(maxsize=None)
+def _exponent_columns(n, d):
+    """For each variable, its exponent in every degree-d monomial."""
+    return tuple(zip(*monomials(n, d)))
+
+
+def _integer_coords(field, coords):
+    """The point as a primitive integer vector (over F_p: its residues)."""
+    if not field.is_rational:
+        return list(coords)
+    den = lcm(*(c.denominator for c in coords))
+    ints = [c.numerator * (den // c.denominator) for c in coords]
+    g = gcd(*ints)
+    return [v // g for v in ints]
 
 
 def conditions_matrix(x, d):
-    """The derivative-conditions matrix of X in degree d.
+    """The derivative-conditions matrix of X in degree d, over Z.
 
     sum_i binom(n + m_i - 1, n) rows, binom(n + d, n) columns; the kernel is
     the degree-d part of the ideal of X and the rank is h_X(d).
+
+    Each point is scaled to a primitive integer vector c and dehomogenized
+    at its first nonzero coordinate c_piv, with affine coordinates
+    u_j = c_j / c_piv.  The row of the derivative d^alpha in the affine
+    variables, evaluated at the point, is scaled by c_piv^d, which leaves
+    rank and right kernel unchanged and makes every entry an integer: at the
+    monomial x^beta it is prod_j ff(beta_j, alpha_j) c_j^(beta_j - alpha_j)
+    over the affine j, times c_piv^(beta_piv + |alpha|), where ff(b, a) =
+    b!/(b - a)! is the falling factorial.  Over F_p the same formula is
+    reduced mod p.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
     field = x.field
-    if not field.is_rational and field.p <= d:
+    p = field.p
+    if p is not None and p <= d:
         raise ValueError("prime field too small for derivative conditions at degree %d" % d)
     n = x.n
-    mons = monomials(n, d)
+    exponents = _exponent_columns(n, d)
     rows = []
     for coords, mult in x.points:
-        pivot = next(i for i, c in enumerate(coords) if c != field.zero())
-        affine = [i for i in range(n + 1) if i != pivot]
-        inv_piv = field.inv(coords[pivot])
-        # affine coordinates u_j and their power tables up to degree d
-        powers = {}
-        for j in affine:
-            u = field.mul(coords[j], inv_piv)
-            table = [field.one()]
-            for _ in range(d):
-                table.append(field.mul(table[-1], u))
-            powers[j] = table
+        c = _integer_coords(field, coords)
+        pivot = next(i for i, v in enumerate(c) if v)
+        powers = [[pow(v, e, p) for e in range(d + mult)] for v in c]
+        # factors[j][a][b]: the factor of variable j at exponent b in a row
+        # of derivative order a in it (of total order a, at the pivot)
+        factors = [
+            [powers[j][a:a + d + 1] if j == pivot else
+             [perm(b, a) * powers[j][b - a] if b >= a else 0 for b in range(d + 1)]
+             for a in range(mult)]
+            for j in range(n + 1)
+        ]
         for alpha in _derivative_orders(n + 1, mult):
-            order = dict(zip(affine, alpha))
-            row = []
-            for beta in mons:
-                val = field.one()
-                dead = False
-                for j in affine:
-                    bj, aj = beta[j], order[j]
-                    if bj < aj:
-                        dead = True
-                        break
-                    if aj:
-                        val = field.mul(val, field.elem(_falling_factorial(bj, aj)))
-                    val = field.mul(val, powers[j][bj - aj])
-                row.append(field.zero() if dead else val)
-            rows.append(row)
-    return ExactMatrix(field, rows)
+            orders = list(alpha)
+            orders.insert(pivot, sum(alpha))
+            row = list(map(factors[0][orders[0]].__getitem__, exponents[0]))
+            for j in range(1, n + 1):
+                row = list(map(mul, row, map(factors[j][orders[j]].__getitem__, exponents[j])))
+            rows.append(tuple(v % p for v in row) if p is not None else tuple(row))
+    return ExactMatrix.from_integer_rows(field, rows)
 
 
 def hilbert_function(x, d):

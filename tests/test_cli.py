@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import fatpointlab
 
 from fatpointlab.cli import (
     EXIT_FAIL,
@@ -199,3 +204,29 @@ class TestGenKinds:
         assert code == EXIT_OK
         data = json.loads(open(out).read())
         assert data["field"] == "prime:10007"
+
+
+class TestOptimizedInterpreter:
+    def test_verify_same_under_python_O(self, tmp_path):
+        # the rank certificates are checked by explicit code, so stripping
+        # asserts must change neither the report nor the exit code
+        line = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
+        x = FatPointScheme(QQ, 2, [(p, 3) for p in line + [(3, 7, 1), (5, 2, 1)]])
+        path = write_json(tmp_path / "collinear.json", scheme_to_dict(x, seed=0, generator="test"))
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(fatpointlab.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "fatpointlab.cli", "verify", path,
+                 "--checks", "main-theorem,ctv"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            runs.append((proc.returncode, proc.stdout))
+        assert runs[0] == runs[1]
+        code, out = runs[0]
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["checks"]["main-theorem"]["reg_index"] == 8
+        assert report["passed"] == 2

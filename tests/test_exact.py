@@ -1,12 +1,23 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatpointlab.exact import ExactMatrix, ScalarField, is_prime
+from fatpointlab import exact
+from fatpointlab.exact import (
+    CERTIFICATE_PRIMES,
+    PRIMALITY_BOUND,
+    ExactMatrix,
+    ScalarField,
+    _bareiss_rank,
+    is_prime,
+)
+from fatpointlab.instances import InstanceError, field_from_descriptor
+from fatpointlab.schemes import FatPointScheme, regularity_index
 
 QQ = ScalarField.rational()
 FP = ScalarField.prime(10007)
@@ -49,6 +60,24 @@ class TestScalarField:
         assert is_prime(2) and is_prime(10007) and is_prime(2**31 - 1)
         assert not is_prime(1) and not is_prime(561)
 
+    def test_is_prime_refuses_unproven_range(self):
+        # the bound is the least strong pseudoprime to the first twelve
+        # prime bases, so Miller-Rabin with them would call it prime
+        assert not is_prime(PRIMALITY_BOUND - 2)
+        for n in (PRIMALITY_BOUND, PRIMALITY_BOUND + 2, 2**127 - 1):
+            with pytest.raises(ValueError):
+                is_prime(n)
+            with pytest.raises(ValueError):
+                ScalarField.prime(n)
+        with pytest.raises(InstanceError):
+            field_from_descriptor("prime:%d" % PRIMALITY_BOUND)
+
+    def test_certificate_primes(self):
+        assert len(set(CERTIFICATE_PRIMES)) == len(CERTIFICATE_PRIMES)
+        for p in CERTIFICATE_PRIMES:
+            # residues multiply exactly in int64
+            assert is_prime(p) and (p - 1) ** 2 < 2**63
+
     def test_parse_fraction_string(self):
         assert QQ.elem("2/3") == Fraction(2, 3)
         assert FP.elem("2/3") == 2 * pow(3, -1, 10007) % 10007
@@ -88,10 +117,9 @@ class TestRank:
     def test_transpose_invariance(self):
         rng = random.Random(6)
         for _ in range(20):
-            raw = [[rng.randint(-4, 4) for _ in range(rng.randint(1, 5))]]
             raw = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(3)]
             m = ExactMatrix(QQ, raw)
-            assert m.rank() == m.transpose().rank()
+            assert m.rank() == ExactMatrix(QQ, list(zip(*raw))).rank()
 
     def test_row_permutation_and_scaling_invariance(self):
         rng = random.Random(7)
@@ -103,6 +131,100 @@ class TestRank:
             factors = [Fraction(rng.choice([1, 2, -3])) for _ in perm]
             scaled = [[factors[i] * x for x in raw[i]] for i in perm]
             assert ExactMatrix(QQ, scaled).rank() == m.rank()
+
+
+def low_rank(rng, nrows, ncols, k, bits=4):
+    """A random nrows x ncols integer matrix of rank at most k."""
+    u = [[rng.randint(-2**bits, 2**bits) for _ in range(k)] for _ in range(nrows)]
+    v = [[rng.randint(-2**bits, 2**bits) for _ in range(ncols)] for _ in range(k)]
+    return [[sum(u[i][t] * v[t][j] for t in range(k)) for j in range(ncols)]
+            for i in range(nrows)]
+
+
+def transposed(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def no_bareiss(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("rank was not certified from modular data")
+
+    monkeypatch.setattr(exact, "_bareiss_rank", refuse)
+
+
+class TestCertifiedRank:
+    """The rank over Q from mod-p data and kernel certificates, against
+    fraction-free elimination as the oracle."""
+
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 7),
+           st.sets(st.integers(0, 6)), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_bareiss(self, nrows, ncols, k, scaled, seed):
+        rng = random.Random(seed)
+        rows = low_rank(rng, nrows, ncols, min(k, nrows, ncols))
+        # rows that are multiples of 2^31 - 1 vanish modulo the first prime
+        rows = [[x * CERTIFICATE_PRIMES[0] for x in row] if i in scaled else row
+                for i, row in enumerate(rows)]
+        for raw in (rows, transposed(rows)):
+            assert ExactMatrix(QQ, raw).rank() == _bareiss_rank(raw)
+
+    @pytest.mark.parametrize("shape", [(12, 15, 5), (15, 12, 8), (20, 9, 9), (9, 20, 2), (14, 14, 13)])
+    def test_numpy_sized(self, shape, monkeypatch):
+        nrows, ncols, k = shape
+        rows = low_rank(random.Random(nrows * ncols + k), nrows, ncols, k)
+        expected = _bareiss_rank(rows)
+        assert expected == k
+        no_bareiss(monkeypatch)
+        assert ExactMatrix(QQ, rows).rank() == expected
+        assert ExactMatrix(QQ, transposed(rows)).rank() == expected
+
+    @pytest.mark.parametrize("nrows, ncols, k", [(5, 7, 3), (7, 5, 3), (10, 12, 6)])
+    def test_unlucky_first_prime(self, nrows, ncols, k, monkeypatch):
+        rows = low_rank(random.Random(k), nrows, ncols, k)
+        assert _bareiss_rank(rows) == k
+        # only k - 1 rows survive modulo the first prime
+        p = CERTIFICATE_PRIMES[0]
+        rows = [[x * p for x in row] if i <= nrows - k else row for i, row in enumerate(rows)]
+        assert ExactMatrix(ScalarField.prime(p), rows).rank() < k
+        no_bareiss(monkeypatch)
+        assert ExactMatrix(QQ, rows).rank() == k
+        assert ExactMatrix(QQ, transposed(rows)).rank() == k
+
+    def test_kernel_lifted_from_several_primes(self, monkeypatch):
+        # kernel heights of about 100 bits need several primes by CRT
+        rows = low_rank(random.Random(4), 5, 6, 4, bits=12)
+        attempts = []
+        certify = exact._kernel_certified
+
+        def counted(*args):
+            attempts.append(args[-1])
+            return certify(*args)
+
+        monkeypatch.setattr(exact, "_kernel_certified", counted)
+        no_bareiss(monkeypatch)
+        assert ExactMatrix(QQ, rows).rank() == 4
+        assert len(attempts) > 2 and attempts[-1] == prod(CERTIFICATE_PRIMES[:len(attempts)])
+
+    def test_tall_kernel_falls_back(self, monkeypatch):
+        # kernel heights of roughly 4 x 2 x 120 bits exceed what the CRT
+        # modulus of all certificate primes can reconstruct
+        rows = low_rank(random.Random(9), 5, 6, 4, bits=120)
+        calls = []
+
+        def counted(int_rows):
+            calls.append(len(int_rows))
+            return _bareiss_rank(int_rows)
+
+        monkeypatch.setattr(exact, "_bareiss_rank", counted)
+        assert ExactMatrix(QQ, rows).rank() == 4
+        assert ExactMatrix(QQ, transposed(rows)).rank() == 4
+        assert len(calls) == 2
+
+    def test_collinear_cluster_needs_no_bareiss(self, monkeypatch):
+        no_bareiss(monkeypatch)
+        line = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
+        x = FatPointScheme(QQ, 2, [(p, 5) for p in line + [(3, 7, 1), (5, 2, 1)]])
+        assert regularity_index(x) == 14
 
 
 class TestKernel:

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fatpointlab.exact import ExactMatrix, ScalarField
 from fatpointlab.generators import (
@@ -95,6 +97,103 @@ class TestConditionsMatrix:
         xq = FatPointScheme(QQ, 2, [(p, 2) for p in pts])
         xf = FatPointScheme(f, 2, [(p, 2) for p in pts])
         for d in range(4):
+            assert hilbert_function(xq, d) == hilbert_function(xf, d)
+
+
+def dehomogenized_rows(x, d):
+    """Oracle: the conditions rows with Fraction entries, each point taken
+    in affine coordinates at its first nonzero coordinate."""
+    n = x.n
+    rows = []
+    for coords, mult in x.points:
+        pivot = next(i for i, c in enumerate(coords) if c)
+        affine = [i for i in range(n + 1) if i != pivot]
+        u = {j: Fraction(coords[j]) / coords[pivot] for j in affine}
+        for total in range(mult):
+            for alpha in monomials(n - 1, total):
+                order = dict(zip(affine, alpha))
+                row = []
+                for beta in monomials(n, d):
+                    val = Fraction(1)
+                    for j in affine:
+                        b, a = beta[j], order[j]
+                        val *= 0 if b < a else comb(b, a) * factorial(a) * u[j] ** (b - a)
+                    row.append(val)
+                rows.append(row)
+    return rows
+
+
+class TestIntegerConditionsMatrix:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_are_scaled_dehomogenized_rows(self, seed):
+        rng = random.Random(seed)
+        n = 1 + seed % 3
+        pts = []
+        while len(pts) < 3:
+            c = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n + 1))
+            try:
+                FatPointScheme(QQ, n, [(q, 1) for q in pts + [c]])
+            except ValueError:
+                continue
+            pts.append(c)
+        x = FatPointScheme(QQ, n, [(q, 1 + i) for i, q in enumerate(pts)])
+        d = 4
+        m = conditions_matrix(x, d)
+        expected = dehomogenized_rows(x, d)
+        # each block of rows is scaled by c_piv^d for the primitive integer
+        # vector c of its point
+        scales = []
+        for coords, mult in x.points:
+            den = lcm(*(c.denominator for c in coords))
+            ints = [int(c * den) for c in coords]
+            piv = next(v for v in ints if v) // gcd(*ints)
+            scales += [piv ** d] * comb(n + mult - 1, n)
+        assert [list(row) for row in m.entries] == [
+            [s * v for v in row] for s, row in zip(scales, expected)
+        ]
+        assert all(v.denominator == 1 for row in m.entries for v in row)
+
+
+@st.composite
+def integer_schemes(draw):
+    n = draw(st.integers(1, 3))
+    points = draw(st.lists(
+        st.tuples(st.lists(st.integers(-6, 6), min_size=n + 1, max_size=n + 1),
+                  st.integers(1, 3)),
+        min_size=1, max_size=4,
+    ))
+    return n, points
+
+
+class TestFieldAgreement:
+    """h_X over F_p never exceeds h_X over Q when the F_p conditions matrix
+    is the reduction of the integer one: points stay distinct mod p, their
+    dehomogenizing coordinate is a unit mod p, and p > d."""
+
+    @given(integer_schemes(), st.sampled_from([11, 13, 17, 10007]))
+    @settings(max_examples=80, deadline=None)
+    def test_prime_field_never_exceeds_rational(self, scheme, p):
+        n, points = scheme
+        fp = ScalarField.prime(p)
+        try:
+            xq = FatPointScheme(QQ, n, points)
+            xp = FatPointScheme(fp, n, points)
+        except ValueError:
+            assume(False)
+        assume(all(next(c for c in coords if c) % p for coords, _ in points))
+        r = regularity_index(xq)
+        assume(r < p)
+        for d in range(r + 1):
+            assert hilbert_function(xp, d) <= hilbert_function(xq, d)
+
+    def test_equality_at_10007_on_fixed_example(self):
+        f = ScalarField.prime(10007)
+        pts = [(1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 2, 5)]
+        xq = FatPointScheme(QQ, 2, [(p, 2) for p in pts])
+        xf = FatPointScheme(f, 2, [(p, 2) for p in pts])
+        r = regularity_index(xq)
+        assert r == regularity_index(xf)
+        for d in range(r + 1):
             assert hilbert_function(xq, d) == hilbert_function(xf, d)
 
 
