@@ -6,7 +6,7 @@ count matroid when every nonempty subset A of J satisfies
 inequality while hiding a violating subset.
 """
 
-from fatpointlab import ExactMatrix, ScalarField, VectorMatroid, count_matroid
+from fatpointlab import CountMatroid, ExactMatrix, ScalarField, VectorMatroid
 from fatpointlab.constructions import count_matroid_rank_lower_bound_check
 from fatpointlab.matroid import circuits
 
@@ -16,7 +16,7 @@ QQ = ScalarField.rational()
 base = VectorMatroid(ExactMatrix.from_columns(
     QQ, [(1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1)]
 ))
-cm = count_matroid(base, 2, 1)
+cm = CountMatroid(base, 2, 1)
 
 full = set(base.elements)
 print("|E| =", len(full), " k*rk(E) - p =", 2 * base.rank(full) - 1)

@@ -16,11 +16,10 @@ __version__ = "0.1.0"
 from .exact import ExactMatrix, ScalarField
 from .matroid import RankOracle, VectorMatroid, fat_point_vector_matroid
 from .constructions import (
-    count_matroid,
+    CountMatroid,
     count_matroid_rank_lower_bound_check,
     elementary_quotient,
     parallel_extension,
-    parallel_extension_quotient,
 )
 from .partition import (
     AvoidanceProblem,
@@ -60,11 +59,10 @@ __all__ = [
     "RankOracle",
     "VectorMatroid",
     "fat_point_vector_matroid",
-    "count_matroid",
+    "CountMatroid",
     "count_matroid_rank_lower_bound_check",
     "elementary_quotient",
     "parallel_extension",
-    "parallel_extension_quotient",
     "AvoidanceProblem",
     "InfeasibilityWitness",
     "PartitionCertificate",

@@ -46,6 +46,7 @@ from .matroid import fat_point_vector_matroid
 from .partition import (
     AvoidanceProblem,
     InfeasibilityWitness,
+    InternalError,
     avoidance_partition,
     edmonds_partition,
     verify_partition_optimality_example,
@@ -228,7 +229,8 @@ def cmd_partition(args):
             args.out, args.format,
         )
         return EXIT_INFEASIBLE
-    assert result.verify()
+    if not result.verify():
+        raise InternalError("partition certificate failed verification")
     _write_output(
         {"tool_version": __version__, "infeasible": False, **result.to_dict()},
         args.out, args.format,
@@ -340,12 +342,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses 2 for usage errors already; normalize --version/help to 0
-        raise
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InstanceError as exc:

@@ -5,24 +5,28 @@ has as circuits the minimal nonempty sets C with |C| > k*rk(C) - p.  A set
 J is therefore independent iff |A| <= k*rk(A) - p for EVERY nonempty
 A subseteq J (checking J alone is not sufficient in general: J can satisfy
 the inequality while containing a violating subset).
+
+That condition is tested in polynomial time with the augmenting-path
+partitioner: for 0 <= p < k it holds iff, for every e in J, J plus p
+parallel copies of e partitions into k independent sets of the base
+matroid (the Edmonds-Fulkerson criterion applied to the sets that contain
+e and its copies; it suffices to ask this of the elements of J up to e).
+A failed augmentation yields a violating subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .matroid import RankOracle
-
-HYPOTHESIS_CHECK_GUARD = 16
 
 
 class CountMatroid(RankOracle):
     """The matroid M(f) with f(A) = k*rk_base(A) - p, for k > p >= 0."""
 
     def __init__(self, base, k, p):
-        if k <= p:
-            raise ValueError("count matroid undefined: requires k > p")
+        if not k > p >= 0:
+            raise ValueError("count matroid undefined: requires k > p >= 0")
         self.base = base
         self.k = k
         self.p = p
@@ -30,20 +34,10 @@ class CountMatroid(RankOracle):
         super().__init__(base.elements, self._rank_greedy, labels=base.labels)
 
     def _is_f_independent(self, fs):
-        cached = self._indep_cache.get(fs)
-        if cached is not None:
-            return cached
-        k, p = self.k, self.p
-        ok = True
-        elems = sorted(fs)
-        for size in range(1, len(elems) + 1):
-            for combo in combinations(elems, size):
-                if size > k * self.base.rank(frozenset(combo)) - p:
-                    ok = False
-                    break
-            if not ok:
-                break
-        self._indep_cache[fs] = ok
+        ok = self._indep_cache.get(fs)
+        if ok is None:
+            ok = verify_count_hypothesis(self.base, self.k, self.p, ground=fs) is None
+            self._indep_cache[fs] = ok
         return ok
 
     def _rank_greedy(self, fs):
@@ -60,10 +54,6 @@ class CountMatroid(RankOracle):
         return self._is_f_independent(fs)
 
 
-def count_matroid(base, k, p):
-    return CountMatroid(base, k, p)
-
-
 @dataclass
 class RankBoundVerdict:
     holds: bool
@@ -73,16 +63,52 @@ class RankBoundVerdict:
 
 
 def verify_count_hypothesis(base, k_plus, p_plus, ground=None):
-    """Check |A| <= k_plus*rk(A) - p_plus for every nonempty A; returns a
-    violating subset or None.  Exhaustive, so guarded."""
+    """Check |A| <= k_plus*rk(A) - p_plus for every nonempty A of the ground
+    set (all of base by default); returns a violating subset or None.
+
+    Inserts the elements in ascending order into k_plus independent blocks
+    with the augmenting-path partitioner; after inserting e it also inserts
+    p_plus parallel copies of e, then takes them out again.  That succeeds
+    iff no violating subset of the elements so far contains e, and a failed
+    insertion's reached set, with each copy mapped back to e, violates.
+    """
+    from .partition import InternalError, _augment  # partition builds on this module
+
+    if p_plus < 0:
+        raise ValueError("hypothesis check requires p >= 0")
     elems = sorted(ground) if ground is not None else list(base.elements)
-    if len(elems) > HYPOTHESIS_CHECK_GUARD:
-        raise ValueError("ground set too large for exhaustive hypothesis check")
-    for size in range(1, len(elems) + 1):
-        for combo in combinations(elems, size):
-            fs = frozenset(combo)
-            if size > k_plus * base.rank(fs) - p_plus:
-                return fs
+    if not elems:
+        return None
+    whole = frozenset(elems)
+    r = base.rank(whole)  # also rejects elements outside the base matroid
+    if p_plus >= k_plus:
+        return frozenset(elems[:1])  # |{e}| = 1 > k*rk({e}) - p
+    # one rank decides most count-matroid queries: the whole set violates,
+    # or it is independent in the base matroid
+    if len(whole) > k_plus * r - p_plus:
+        return whole
+    if r == len(whole):
+        return None  # |A| = rk(A) <= k*rk(A) - p since p <= k - 1
+    ext = parallel_extension(base, [e for e in elems for _ in range(p_plus)])
+    copies = {e: [] for e in elems}
+    for c, e in ext.copy_of.items():
+        copies[e].append(c)
+    matroids = [ext] * k_plus
+    blocks = [frozenset()] * k_plus
+    assignment = {}
+    for i, e in enumerate(elems):
+        # element i starts at block i mod k: spread out, the blocks seldom
+        # span e, so its copies mostly go in without exchanges
+        for x in [e] + copies[e]:
+            reached = _augment(matroids, blocks, assignment, x, first=i % k_plus)
+            if reached is not None:
+                bad = frozenset(map(ext.copy_of.get, reached, reached))
+                if len(bad) <= k_plus * base.rank(bad) - p_plus:
+                    raise InternalError("insertion failed on a non-violating set %r" % (sorted(bad),))
+                return bad
+        for c in copies[e]:
+            j = assignment.pop(c)
+            blocks[j] = blocks[j] - {c}
     return None
 
 
@@ -92,7 +118,7 @@ def count_matroid_rank_lower_bound_check(base, k, p):
     bad = verify_count_hypothesis(base, k + 1, p + 1)
     if bad is not None:
         raise ValueError("hypothesis |A| <= (k+1)rk(A)-(p+1) fails on %r" % (sorted(bad),))
-    cm = count_matroid(base, k, p)
+    cm = CountMatroid(base, k, p)
     witness = cm.max_independent_subset()
     count_rank = len(witness)
     bound = len(base.elements) - base.full_rank() + 1
@@ -100,12 +126,15 @@ def count_matroid_rank_lower_bound_check(base, k, p):
 
 
 def elementary_quotient(ambient, ground, pivot):
-    """The matroid M/e on `ground` with rk(A) = rk_ambient(A + pivot) - 1."""
+    """The matroid on `ground` with rk(A) = rk_ambient(A + pivot) - 1.
+
+    With the pivot outside `ground` this is the contraction by the pivot;
+    with the pivot inside, it is the quotient through a parallel copy of the
+    pivot (M_{+e}/e), in which the pivot and its parallel class are loops.
+    """
     ground = frozenset(ground)
     if pivot not in ambient._element_set:
         raise ValueError("pivot not in ambient ground set")
-    if pivot in ground:
-        raise ValueError("pivot must lie outside the restricted ground set")
     if not ground <= ambient._element_set:
         raise ValueError("ground not contained in ambient ground set")
 
@@ -118,10 +147,11 @@ def elementary_quotient(ambient, ground, pivot):
 def parallel_extension(base, duplicated):
     """The parallel extension M_{+S}: tagged copies of S added in parallel.
 
-    Copies get fresh ids above max(base ids); `copy_of` maps each copy id
-    back to the duplicated base element.
+    `duplicated` may repeat an element to add several copies of it.  Copies
+    get fresh ids above max(base ids), in ascending order of the element
+    they copy; `copy_of` maps each copy id back to its base element.
     """
-    duplicated = sorted(frozenset(duplicated))
+    duplicated = sorted(duplicated)
     if not frozenset(duplicated) <= base._element_set:
         raise ValueError("duplicated set not contained in ground set")
     offset = (max(base.elements) + 1) if base.elements else 0
@@ -129,24 +159,8 @@ def parallel_extension(base, duplicated):
     elements = list(base.elements) + list(copy_of)
 
     def rank_fn(fs):
-        projected = frozenset(copy_of.get(e, e) for e in fs)
-        return base.rank(projected)
+        return base.rank(frozenset(map(copy_of.get, fs, fs)))
 
     oracle = RankOracle(elements, rank_fn, labels=dict(base.labels))
     oracle.copy_of = dict(copy_of)
     return oracle
-
-
-def parallel_extension_quotient(base, e):
-    """The composite M_{+e}/e on the base ground: rk(A) = rk_base(A + e) - 1.
-
-    Used when the avoided element already lies in the ground set; elements
-    parallel to e (including e itself) become loops.
-    """
-    if e not in base._element_set:
-        raise ValueError("element not in ground set")
-
-    def rank_fn(fs):
-        return base.rank(fs | {e}) - 1
-
-    return RankOracle(base.elements, rank_fn, labels=dict(base.labels))

@@ -15,20 +15,19 @@ contract of avoidance partitions testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
-from .constructions import (
-    count_matroid,
-    elementary_quotient,
-    parallel_extension_quotient,
-    verify_count_hypothesis,
-    HYPOTHESIS_CHECK_GUARD,
-)
+from .constructions import CountMatroid, elementary_quotient, verify_count_hypothesis
 from .matroid import independent_sets
 
 BRUTE_FORCE_GROUND_GUARD = 12
 BRUTE_FORCE_BLOCK_GUARD = 4
+
+
+class InternalError(AssertionError):
+    """A certificate or witness failed its re-check: a bug, not bad input.
+
+    Raised explicitly, so the re-checks also run under ``python -O``."""
 
 
 @dataclass
@@ -83,12 +82,18 @@ class InfeasibilityWitness:
         return {"subset": sorted(self.subset), "size": self.size, "rank_sum": self.rank_sum}
 
 
-def _augment(matroids, blocks, assignment, new_elem):
+def _augment(matroids, blocks, assignment, new_elem, first=0):
     """Try to place new_elem via a shortest augmenting path of exchanges.
 
-    Returns True on success (blocks/assignment updated); on failure the
-    reached set A satisfies |A| = 1 + sum_j |I_j  cap A| with each I_j cap A
-    spanning A in M_j, so A violates the partition criterion.
+    Blocks are tried in cyclic order from `first`.  Each reached element is
+    first offered to every other block as a free insertion, and only then
+    queues the elements it can replace (exchanges queued before a free
+    insertion would never be used, so the path is the same as with a
+    block-by-block scan).
+
+    Returns None on success (blocks/assignment updated).  On failure returns
+    the reached set A, which satisfies |A| = 1 + sum_j |I_j cap A| with each
+    I_j cap A spanning A in M_j, so A violates the partition criterion.
     """
     k = len(matroids)
     parent = {new_elem: None}
@@ -97,32 +102,37 @@ def _augment(matroids, blocks, assignment, new_elem):
     while head < len(queue):
         x = queue[head]
         head += 1
-        for j in range(k):
-            if assignment.get(x) == j:
-                continue
-            block = blocks[j]
-            if matroids[j].is_independent(block | {x}):
-                # free insertion: unwind the exchange chain back to the root
-                cur, jcur = x, j
-                while True:
-                    old = assignment.get(cur)
-                    blocks[jcur] = blocks[jcur] | {cur}
-                    assignment[cur] = jcur
-                    link = parent[cur]
-                    if link is None:
-                        break
-                    prev, jprev = link
-                    assert jprev == old
-                    blocks[jprev] = blocks[jprev] - {cur}
-                    cur, jcur = prev, jprev
-                return True
-            for y in sorted(block):
-                if y in parent:
-                    continue
-                if matroids[j].is_independent((block | {x}) - {y}):
+        own = assignment.get(x)
+        others = [j % k for j in range(first, first + k) if j % k != own]
+        for free in others:
+            if matroids[free].is_independent(blocks[free] | {x}):
+                break
+        else:
+            free = None
+        if free is not None:
+            # free insertion: unwind the exchange chain back to the root
+            cur, jcur = x, free
+            while True:
+                old = assignment.get(cur)
+                blocks[jcur] = blocks[jcur] | {cur}
+                assignment[cur] = jcur
+                link = parent[cur]
+                if link is None:
+                    break
+                prev, jprev = link
+                if jprev != old:
+                    raise InternalError("augmenting path left block %r, not %r" % (jprev, old))
+                blocks[jprev] = blocks[jprev] - {cur}
+                cur, jcur = prev, jprev
+            return None
+        # no block takes x as it is: queue the elements x can replace
+        for j in others:
+            block = blocks[j] | {x}
+            for y in sorted(blocks[j]):
+                if y not in parent and matroids[j].is_independent(block - {y}):
                     parent[y] = (x, j)
                     queue.append(y)
-    return False
+    return frozenset(parent)
 
 
 def edmonds_fulkerson_partition(matroids, ambient=None):
@@ -137,33 +147,18 @@ def edmonds_fulkerson_partition(matroids, ambient=None):
     blocks = [frozenset() for _ in matroids]
     assignment = {}
     for e in sorted(ground):
-        if not _augment(matroids, blocks, assignment, e):
-            reached = frozenset(_reached(matroids, blocks, assignment, e))
+        reached = _augment(matroids, blocks, assignment, e)
+        if reached is not None:
             witness = InfeasibilityWitness(
                 reached, len(reached), sum(m.rank(reached) for m in matroids)
             )
-            assert witness.verify(matroids), "internal error: bad infeasibility witness"
+            if not witness.verify(matroids):
+                raise InternalError("bad infeasibility witness %r" % (sorted(reached),))
             return witness
     cert = PartitionCertificate(tuple(blocks), list(matroids), ground, ambient=ambient)
-    assert cert.verify(), "internal error: augmenting path produced an invalid partition"
+    if not cert.verify():
+        raise InternalError("augmenting path produced an invalid partition")
     return cert
-
-
-def _reached(matroids, blocks, assignment, new_elem):
-    parent = {new_elem: None}
-    queue = [new_elem]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for j, m in enumerate(matroids):
-            if assignment.get(x) == j:
-                continue
-            for y in sorted(blocks[j]):
-                if y not in parent and m.is_independent((blocks[j] | {x}) - {y}):
-                    parent[y] = (x, j)
-                    queue.append(y)
-    return parent.keys()
 
 
 def edmonds_partition(m, k, ambient=None):
@@ -178,29 +173,24 @@ def inductive_split(ambient, ground, pivot, k, p, check_hypothesis=True):
     |B| <= k*rk(B) - p for every nonempty B of J.
 
     Precondition: |A| <= (k+1)*rk(A) - (p+1) for all nonempty A of ground.
-    Implemented per the two-matroid route: the quotient by the pivot
-    (elementary if the pivot is outside ground, through a parallel
-    extension otherwise) paired with the count matroid M_{k,p}.
+    Implemented per the two-matroid route: the elementary quotient by the
+    pivot (inside or outside ground) paired with the count matroid M_{k,p}.
     """
     ground = frozenset(ground)
     if not ground:
         raise ValueError("ground must be nonempty")
-    if check_hypothesis and len(ground) <= HYPOTHESIS_CHECK_GUARD:
+    if check_hypothesis:
         bad = verify_count_hypothesis(ambient, k + 1, p + 1, ground=ground)
         if bad is not None:
             raise ValueError(
                 "hypothesis |A| <= (k+1)rk(A)-(p+1) fails on %r" % (sorted(bad),)
             )
-    base = ambient.restrict(ground)
-    if pivot in ground:
-        quotient = parallel_extension_quotient(base, pivot)
-    else:
-        quotient = elementary_quotient(ambient, ground, pivot)
-    counting = count_matroid(base, k, p)
+    quotient = elementary_quotient(ambient, ground, pivot)
+    counting = CountMatroid(ambient.restrict(ground), k, p)
     result = edmonds_fulkerson_partition([quotient, counting])
     if isinstance(result, InfeasibilityWitness):
-        raise AssertionError(
-            "internal error: two-matroid partition infeasible despite hypothesis; "
+        raise InternalError(
+            "two-matroid partition infeasible despite hypothesis; "
             "witness %r" % (sorted(result.subset),)
         )
     return result.blocks[0], result.blocks[1]
@@ -214,7 +204,6 @@ class AvoidanceProblem:
     p: int
     pinned: tuple = ()
     tail: tuple = ()
-    trust_hypothesis: bool = False
 
     def __post_init__(self):
         self.ground = frozenset(self.ground)
@@ -234,15 +223,9 @@ def avoidance_partition(problem):
     """
     ambient, ground, k, p = problem.ambient, problem.ground, problem.k, problem.p
     targets = problem.pinned + problem.tail
-    if not problem.trust_hypothesis:
-        if len(ground) > HYPOTHESIS_CHECK_GUARD:
-            raise ValueError(
-                "ground set too large for exhaustive hypothesis check; "
-                "set trust_hypothesis to accept it on faith"
-            )
-        bad = verify_count_hypothesis(ambient, k, p, ground=ground)
-        if bad is not None:
-            raise ValueError("hypothesis |A| <= k*rk(A)-p fails on %r" % (sorted(bad),))
+    bad = verify_count_hypothesis(ambient, k, p, ground=ground)
+    if bad is not None:
+        raise ValueError("hypothesis |A| <= k*rk(A)-p fails on %r" % (sorted(bad),))
     blocks = []
     remaining = ground
     for j in range(p):
@@ -256,7 +239,7 @@ def avoidance_partition(problem):
     if remaining:
         tail_part = edmonds_partition(ambient.restrict(remaining), k - p)
         if isinstance(tail_part, InfeasibilityWitness):
-            raise AssertionError("internal error: residual partition infeasible")
+            raise InternalError("residual partition infeasible")
         blocks.extend(tail_part.blocks)
     else:
         blocks.extend(frozenset() for _ in range(k - p))
@@ -267,7 +250,8 @@ def avoidance_partition(problem):
         ambient=ambient,
         avoidance=tuple((targets[j], j) for j in range(p)),
     )
-    assert cert.verify(), "internal error: avoidance partition failed verification"
+    if not cert.verify():
+        raise InternalError("avoidance partition failed verification")
     return cert
 
 
@@ -312,9 +296,9 @@ def verify_partition_optimality_example(t, k, p, seed=0):
     strengthened to a single universal independent set.
 
     Builds t generic lines through the origin of a rank t-1 space with
-    k-p (parallel) vectors on each, checks |A| <= k*rk(A)-p exhaustively,
-    and confirms by exhaustive search that no independent I with at most
-    t-2 elements leaves a remainder with |B| <= (k-1)*rk(B)-p throughout.
+    k-p (parallel) vectors on each, checks |A| <= k*rk(A)-p, and confirms
+    by exhaustive search over the independent I with at most t-2 elements
+    that none leaves a remainder with |B| <= (k-1)*rk(B)-p throughout.
     """
     from .generators import generic_line_configuration
 
@@ -332,16 +316,7 @@ def verify_partition_optimality_example(t, k, p, seed=0):
     for indep in independent_sets(m):
         if not indep or len(indep) > t - 2:
             continue
-        rest = sorted(elems - indep)
-        ok = True
-        for size in range(1, len(rest) + 1):
-            for combo in combinations(rest, size):
-                if size > (k - 1) * m.rank(frozenset(combo)) - p:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if verify_count_hypothesis(m, k - 1, p, ground=elems - indep) is None:
             return OptimalityExampleVerdict(True, qualifying_set=indep,
                                             ground_size=len(m), rank=m.full_rank())
     return OptimalityExampleVerdict(True, ground_size=len(m), rank=m.full_rank())

@@ -16,7 +16,7 @@ from fatpointlab.bounds import (
     verify_main_theorem,
 )
 from fatpointlab.constructions import (
-    count_matroid,
+    CountMatroid,
     count_matroid_rank_lower_bound_check,
 )
 from fatpointlab.exact import ScalarField
@@ -45,6 +45,7 @@ from fatpointlab.schemes import (
     subscheme,
     veronese_inequality_check,
 )
+from oracles import criterion_5_instances
 
 QQ = ScalarField.rational()
 
@@ -139,9 +140,11 @@ def _avoidance_instance(rng):
 
 
 def test_criterion_4_avoidance_partition():
-    """>= 100 instances satisfying |A| <= k*rk(A) - p (checked exhaustively,
-    |E| <= 12, k <= 4, p < k): valid certificates with a_j outside cl(I_j),
-    and prefix stability for every pinned length q in {0..p}."""
+    """>= 100 instances satisfying |A| <= k*rk(A) - p (checked by the
+    partition test, which tests/test_constructions.py compares with
+    exhaustive enumeration; |E| <= 12, k <= 4, p < k): valid certificates
+    with a_j outside cl(I_j), and prefix stability for every pinned length
+    q in {0..p}."""
     rng = rng_from_seed(104)
     count = 100
     stability_checks = 0
@@ -174,36 +177,23 @@ def test_criterion_5_count_matroid():
     """Rank axioms exhaustively for |E| <= 10; the circuit size law
     |C| = k*rk(C) - p + 1; the rank estimate on >= 50 hypothesis-satisfying
     instances."""
-    rng = rng_from_seed(105)
     axioms = 0
     circuit_count = 0
-    for i in range(10):
-        size = 10 if i < 2 else rng.randint(4, 8)
-        while True:
-            base = random_vector_matroid(rng, rng.randint(2, 3), size)
-            # loop-free base: the circuit size law needs f({e}) = k - p > 0
-            if all(base.rank({e}) == 1 for e in base.elements):
-                break
-        k = rng.randint(1, 3)
-        p = rng.randint(0, k - 1)
-        cm = count_matroid(base, k, p)
-        ok, why = check_rank_axioms(cm)
-        assert ok, why
-        axioms += 1
-        for c in circuits(cm):
-            assert len(c) == k * base.rank(c) - p + 1
-            circuit_count += 1
     estimates = 0
-    while estimates < 50:
-        k = rng.randint(1, 3)
-        p = rng.randint(0, k - 1)
-        dim = rng.randint(2, 4)
-        cap = (k + 1) * dim - (p + 1)
-        size = rng.randint(dim, min(cap, 9))
-        base = generic_vectors_matroid(rng, dim, size)
-        verdict = count_matroid_rank_lower_bound_check(base, k, p)
-        assert verdict.holds, (k, p, dim, size)
-        estimates += 1
+    for kind, base, k, p in criterion_5_instances(rng_from_seed(105)):
+        if kind == "axioms":
+            cm = CountMatroid(base, k, p)
+            ok, why = check_rank_axioms(cm)
+            assert ok, why
+            axioms += 1
+            for c in circuits(cm):
+                assert len(c) == k * base.rank(c) - p + 1
+                circuit_count += 1
+        else:
+            verdict = count_matroid_rank_lower_bound_check(base, k, p)
+            assert verdict.holds, (k, p, len(base))
+            estimates += 1
+    assert axioms == 10 and estimates >= 50, (axioms, estimates)
     print(
         "PASS criterion 5: %d axiom checks, %d circuits, %d rank estimates"
         % (axioms, circuit_count, estimates)

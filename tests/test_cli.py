@@ -16,6 +16,7 @@ from fatpointlab.cli import (
     main,
 )
 from fatpointlab.exact import ScalarField
+from fatpointlab.generators import generic_vectors_matroid, rng_from_seed
 from fatpointlab.instances import (
     InstanceError,
     canonical_json,
@@ -24,6 +25,7 @@ from fatpointlab.instances import (
     scheme_to_dict,
     vectors_to_dict,
 )
+from fatpointlab.partition import PartitionCertificate
 from fatpointlab.schemes import FatPointScheme
 
 QQ = ScalarField.rational()
@@ -149,6 +151,30 @@ class TestPartitionCommand:
         data = json.loads(open(out).read())
         assert data["avoidance"] == [{"element": 0, "block": 0}]
 
+    def test_avoidance_on_18_vectors(self, tmp_path):
+        # above the old 16-element limit of the hypothesis check
+        m = generic_vectors_matroid(rng_from_seed(7), 4, 18)
+        vectors = [m.matrix.column(j) for j in range(len(m))]
+        inst = write_json(tmp_path / "v.json", vectors_to_dict(QQ, vectors))
+        out = str(tmp_path / "cert.json")
+        code = main(["partition", inst, "--mode", "avoidance", "--k", "5", "--p", "2",
+                     "--tail", "3,11", "--out", out])
+        assert code == EXIT_OK
+        data = json.loads(open(out).read())
+        cert = PartitionCertificate(
+            tuple(frozenset(b) for b in data["blocks"]), [m] * 5, frozenset(m.elements),
+            ambient=m, avoidance=tuple((a["element"], a["block"]) for a in data["avoidance"]),
+        )
+        assert cert.verify() and cert.avoidance == ((3, 0), (11, 1))
+
+    def test_avoidance_hypothesis_violation_is_usage_error(self, tmp_path, capsys):
+        d = vectors_to_dict(QQ, [(1, 1), (2, 2), (3, 3), (0, 1)])
+        inst = write_json(tmp_path / "v.json", d)
+        code = main(["partition", inst, "--mode", "avoidance", "--k", "2", "--p", "1",
+                     "--tail", "3"])
+        assert code == EXIT_USAGE
+        assert "hypothesis" in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_example_28(self, tmp_path):
@@ -206,24 +232,42 @@ class TestGenKinds:
         assert data["field"] == "prime:10007"
 
 
+def run_cli_plain_and_optimized(argv):
+    """(exit code, stdout) of `python -m fatpointlab.cli argv`, plain and under -O."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fatpointlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "fatpointlab.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        runs.append((proc.returncode, proc.stdout))
+    return runs
+
+
 class TestOptimizedInterpreter:
+    def test_avoidance_same_under_python_O(self, tmp_path):
+        # the partition re-checks raise InternalError instead of asserting
+        m = generic_vectors_matroid(rng_from_seed(8), 3, 9)
+        vectors = [m.matrix.column(j) for j in range(len(m))]
+        path = write_json(tmp_path / "v.json", vectors_to_dict(QQ, vectors))
+        runs = run_cli_plain_and_optimized(
+            ["partition", path, "--mode", "avoidance", "--k", "4", "--p", "2", "--tail", "0,5"])
+        assert runs[0] == runs[1]
+        code, out = runs[0]
+        assert code == EXIT_OK
+        assert json.loads(out)["avoidance"] == [{"element": 0, "block": 0},
+                                                {"element": 5, "block": 1}]
+
     def test_verify_same_under_python_O(self, tmp_path):
         # the rank certificates are checked by explicit code, so stripping
         # asserts must change neither the report nor the exit code
         line = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
         x = FatPointScheme(QQ, 2, [(p, 3) for p in line + [(3, 7, 1), (5, 2, 1)]])
         path = write_json(tmp_path / "collinear.json", scheme_to_dict(x, seed=0, generator="test"))
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(fatpointlab.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        runs = []
-        for flags in ([], ["-O"]):
-            proc = subprocess.run(
-                [sys.executable, *flags, "-m", "fatpointlab.cli", "verify", path,
-                 "--checks", "main-theorem,ctv"],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-            runs.append((proc.returncode, proc.stdout))
+        runs = run_cli_plain_and_optimized(["verify", path, "--checks", "main-theorem,ctv"])
         assert runs[0] == runs[1]
         code, out = runs[0]
         assert code == EXIT_OK

@@ -149,14 +149,14 @@ class TestAvoidancePartition:
 
     def test_remark_reformulation(self):
         # a_j outside cl(I_j) iff I_j independent in the quotient by a_j
-        from fatpointlab.constructions import parallel_extension_quotient
+        from fatpointlab.constructions import elementary_quotient
 
         amb = generic_vectors_matroid(rng_from_seed(34), 3, 7)
         cert = avoidance_partition(
             AvoidanceProblem(amb, amb.elements, 3, 1, tail=(amb.elements[2],))
         )
         (elem, j), = cert.avoidance
-        q = parallel_extension_quotient(amb, elem)
+        q = elementary_quotient(amb, amb.elements, elem)
         assert q.is_independent(cert.blocks[j])
 
     def test_hypothesis_violation_rejected(self):
@@ -164,11 +164,13 @@ class TestAvoidancePartition:
         with pytest.raises(ValueError):
             avoidance_partition(AvoidanceProblem(amb, amb.elements, 2, 1, tail=(0,)))
 
-    def test_large_ground_needs_trust(self):
-        cols = [(i + 1, 1, 0) for i in range(17)]
-        amb = vm(cols)
+    def test_large_ground_is_checked(self):
+        # 17 vectors in rank 2, none parallel: |A| <= 9*rk(A) holds
+        amb = vm([(i + 1, 1, 0) for i in range(17)])
+        cert = avoidance_partition(AvoidanceProblem(amb, amb.elements, 9, 0))
+        assert cert.verify()
         with pytest.raises(ValueError):
-            avoidance_partition(AvoidanceProblem(amb, amb.elements, 9, 0))
+            avoidance_partition(AvoidanceProblem(amb, amb.elements, 8, 0))  # 17 > 8*2
 
     def test_mismatched_targets_rejected(self):
         amb = vm([(1, 0), (0, 1)])
