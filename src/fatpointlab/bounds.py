@@ -16,11 +16,12 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 from math import comb
 
-from .exact import ExactMatrix
+from .exact import ExactMatrix, InternalError
 from .matroid import fat_point_vector_matroid
 from .partition import InfeasibilityWitness, edmonds_partition
 from .schemes import (
     FatPointScheme,
+    _ceil_div,
     conditions_matrix,
     hilbert_function,
     monomials,
@@ -30,10 +31,6 @@ from .schemes import (
 SEGRE_SUPPORT_GUARD = 20
 CARDINALITY_GUARD = 14
 MODIFIED_BOUND_GUARD = 12
-
-
-def _ceil_div(a, b):
-    return -(-a // b)
 
 
 @dataclass
@@ -116,8 +113,8 @@ def segre_bound(x):
             continue
         w = sum(mults[i] for i in members)
         value = _ceil_div(w - 1, dim)
-        # the floor form from the literature agrees with the ceiling form
-        assert value == (w + dim - 2) // dim
+        if value != (w + dim - 2) // dim:
+            raise InternalError("floor and ceiling forms of the Segre value disagree")
         key = (-value, dim, sorted(members))
         if best is None or key < best[0]:
             best = (key, SegreWitness(members, dim, w, value))
@@ -244,9 +241,9 @@ def separating_hypersurface(z, p_coords):
     matroid = VectorMatroid(ExactMatrix.from_columns(field, columns))
     result = edmonds_partition(matroid, big_b)
     if isinstance(result, InfeasibilityWitness):
-        raise AssertionError(
-            "internal error: partition infeasible, contradicting the Segre "
-            "criterion; witness %r" % (sorted(result.subset),)
+        raise InternalError(
+            "partition infeasible, contradicting the Segre criterion; witness %r"
+            % (sorted(result.subset),)
         )
     hyperplanes = []
     poly = {tuple([0] * (z.n + 1)): field.one()}
@@ -269,11 +266,12 @@ def separating_hypersurface(z, p_coords):
                 lin = cand
                 break
         if lin is None:
-            raise AssertionError("internal error: P lies in the span of a block")
+            raise InternalError("P lies in the span of a block")
         hyperplanes.append(tuple(lin))
         poly = _poly_mul_linear(field, poly, lin)
     cert = SeparatingCertificate(big_b, tuple(hyperplanes), poly, p_coords)
-    assert cert.verify(z), "internal error: separating certificate failed re-check"
+    if not cert.verify(z):
+        raise InternalError("separating certificate failed re-check")
     return cert
 
 
@@ -303,7 +301,7 @@ def rational_normal_curve_sharpness(mults, n):
     The corollary applies when the support points inside an attaining flat
     are in linearly general position there (curve points always are, and
     then they lie on a rational normal curve of the flat); in that case
-    r(X) = seg(X) is asserted.
+    r(X) = seg(X) is checked, and a violation raises InternalError.
     """
     from .generators import rational_normal_curve_scheme
 
@@ -321,10 +319,11 @@ def rational_normal_curve_sharpness(mults, n):
     )
     if not general:
         return SharpnessReport(False, report, "corollary hypothesis not met")
-    assert report.reg_index == report.segre, (
-        "sharpness violated on a curve configuration: r=%d seg=%d"
-        % (report.reg_index, report.segre)
-    )
+    if report.reg_index != report.segre:
+        raise InternalError(
+            "sharpness violated on a curve configuration: r=%d seg=%d"
+            % (report.reg_index, report.segre)
+        )
     report.sharp = True
     return SharpnessReport(True, report)
 
@@ -356,7 +355,8 @@ def modified_bound(x, d):
             )
             h = hilbert_function(reduced, d)
             denom = h - 1
-            assert denom > 0, "internal error: h_Y(d) = 1 with |Y| >= 2, d >= 1"
+            if denom <= 0:
+                raise InternalError("h_Y(d) = 1 with |Y| >= 2, d >= 1")
             w = sum(x.points[i][1] for i in combo)
             value = d * _ceil_div(w - 1, denom)
             key = (-value, size, combo)

@@ -22,6 +22,7 @@ from .bounds import (
     reproduce_generic_example,
     verify_main_theorem,
 )
+from .exact import InternalError
 from .generators import (
     generic_line_configuration,
     generic_points,
@@ -46,7 +47,6 @@ from .matroid import fat_point_vector_matroid
 from .partition import (
     AvoidanceProblem,
     InfeasibilityWitness,
-    InternalError,
     avoidance_partition,
     edmonds_partition,
     verify_partition_optimality_example,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .exact import InternalError
 from .matroid import RankOracle
 
 
@@ -72,7 +73,7 @@ def verify_count_hypothesis(base, k_plus, p_plus, ground=None):
     iff no violating subset of the elements so far contains e, and a failed
     insertion's reached set, with each copy mapped back to e, violates.
     """
-    from .partition import InternalError, _augment  # partition builds on this module
+    from .partition import _augment  # partition builds on this module
 
     if p_plus < 0:
         raise ValueError("hypothesis check requires p >= 0")

@@ -34,8 +34,6 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-import numpy as np
-
 # Primes of the modular rank and the kernel certificates, largest first.
 # Products of two residues fit in int64, so numpy row operations are exact.
 CERTIFICATE_PRIMES = (
@@ -47,13 +45,21 @@ CERTIFICATE_PRIMES = (
 # Matrices with fewer cells are eliminated mod p in pure Python, larger ones
 # in numpy, whose per-call overhead dominates below.  On a 2-vCPU Xeon VM pure
 # Python was faster up to 6 x 8 (144 vs 181 us), numpy from 8 x 10 (206 vs
-# 297 us).
+# 297 us).  numpy is imported on the first elimination of this size, so
+# partition commands and small ``verify`` runs never load it.
 _NUMPY_MIN_CELLS = 64
 
 # The first twelve primes are a deterministic Miller-Rabin base below this
 # bound (Sorenson and Webster 2015); at or above it the test is unproven.
 PRIMALITY_BOUND = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class InternalError(AssertionError):
+    """A certificate, witness or proven identity failed its re-check: a bug,
+    not bad input.
+
+    Raised explicitly, so the re-checks also run under ``python -O``."""
 
 
 def is_prime(n):
@@ -378,6 +384,8 @@ def _rref_mod_p(rows, p):
     from pure Python for small ones."""
     nrows, ncols = len(rows), len(rows[0])
     if nrows * ncols >= _NUMPY_MIN_CELLS:
+        import numpy as np
+
         a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
         pivots = []
         for c in range(ncols):

@@ -2,7 +2,8 @@
 
 All randomness flows through ``random.Random(seed)``; genericity is never
 assumed, it is certified post hoc by exact rank checks, with a bounded
-number of resampling attempts.
+number of resampling attempts.  When they run out, ``ValueError`` is raised:
+the parameters ask for more than the sampler can certify.
 """
 
 from __future__ import annotations
@@ -12,22 +13,13 @@ from itertools import combinations
 
 from .exact import ExactMatrix, ScalarField
 from .matroid import VectorMatroid
-from .schemes import FatPointScheme, monomials
+from .schemes import FatPointScheme, _proportional, monomials
 
 MAX_RESAMPLE_ATTEMPTS = 200
 
 
 def rng_from_seed(seed):
     return random.Random(seed)
-
-
-def _proportional(field, a, b):
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if field.mul(a[i], b[j]) != field.mul(a[j], b[i]):
-                return False
-    return True
 
 
 def random_points(rng, n, s, coord_range=9, field=None):
@@ -38,7 +30,7 @@ def random_points(rng, n, s, coord_range=9, field=None):
     while len(points) < s:
         attempts += 1
         if attempts > 100 * s + MAX_RESAMPLE_ATTEMPTS:
-            raise RuntimeError("failed to sample distinct points")
+            raise ValueError("failed to sample distinct points")
         cand = tuple(field.elem(rng.randint(0, coord_range)) for _ in range(n + 1))
         if all(c == field.zero() for c in cand):
             continue
@@ -65,7 +57,7 @@ def generic_points(rng, n, s, coord_range=9, field=None):
                 break
         if ok:
             return pts
-    raise RuntimeError("could not certify linearly general position after retries")
+    raise ValueError("could not certify linearly general position after retries")
 
 
 def random_scheme(rng, n, max_points, max_mult, field=None):
@@ -125,7 +117,7 @@ def generic_line_configuration(t, copies_per_line, seed=0, field=None):
         ):
             break
     else:
-        raise RuntimeError("could not certify generic line directions after retries")
+        raise ValueError("could not certify generic line directions after retries")
     columns = []
     labels = {}
     for i, v in enumerate(dirs):
@@ -149,7 +141,7 @@ def generic_vectors_matroid(rng, dim, count, field=None, coord_range=50):
             for c in combinations(range(count), size)
         ):
             return VectorMatroid(matrix)
-    raise RuntimeError("could not certify generic vectors after retries")
+    raise ValueError("could not certify generic vectors after retries")
 
 
 def random_vector_matroid(rng, dim, count, field=None, coord_range=4):
@@ -182,4 +174,4 @@ def five_plus_generic_scheme(rng, n, d, m, field=None):
             for b in all_pts[i + 1:]
         ):
             return FatPointScheme(field, n, [(p, m) for p in all_pts])
-    raise RuntimeError("could not place generic points distinct from the fixed five")
+    raise ValueError("could not place generic points distinct from the fixed five")

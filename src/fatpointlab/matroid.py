@@ -41,25 +41,28 @@ class RankOracle:
             raise ValueError("subset %r not contained in ground set" % (sorted(fs - self._element_set),))
         return fs
 
-    def rank(self, subset):
-        fs = self._check(subset)
+    def _rank(self, fs):
+        """Memoized rank of a frozenset already checked against the ground set."""
         r = self._cache.get(fs)
         if r is None:
             r = self._rank_fn(fs)
             self._cache[fs] = r
         return r
 
+    def rank(self, subset):
+        return self._rank(self._check(subset))
+
     def full_rank(self):
-        return self.rank(self._element_set)
+        return self._rank(self._element_set)
 
     def is_independent(self, subset):
         fs = self._check(subset)
-        return self.rank(fs) == len(fs)
+        return self._rank(fs) == len(fs)
 
     def closure(self, subset):
         fs = self._check(subset)
-        r = self.rank(fs)
-        return frozenset(e for e in self.elements if e in fs or self.rank(fs | {e}) == r)
+        r = self._rank(fs)
+        return frozenset(e for e in self.elements if e in fs or self._rank(fs | {e}) == r)
 
     def restrict(self, subset):
         fs = self._check(subset)
@@ -71,7 +74,7 @@ class RankOracle:
         indep = []
         current = frozenset()
         for e in pool:
-            if self.rank(current | {e}) == len(indep) + 1:
+            if self._rank(current | {e}) == len(indep) + 1:
                 indep.append(e)
                 current = current | {e}
         return frozenset(indep)

@@ -18,16 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import CountMatroid, elementary_quotient, verify_count_hypothesis
+from .exact import InternalError
 from .matroid import independent_sets
 
 BRUTE_FORCE_GROUND_GUARD = 12
 BRUTE_FORCE_BLOCK_GUARD = 4
-
-
-class InternalError(AssertionError):
-    """A certificate or witness failed its re-check: a bug, not bad input.
-
-    Raised explicitly, so the re-checks also run under ``python -O``."""
 
 
 @dataclass

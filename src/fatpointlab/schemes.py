@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm, perm
 from operator import mul
 
-from .exact import ExactMatrix, ScalarField
+from .exact import ExactMatrix, InternalError, ScalarField
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +198,7 @@ def regularity_index(x):
         if hilbert_function(x, d) == deg:
             return d
         d += 1
-    raise AssertionError("internal error: regularity search exceeded deg X - 1")
+    raise InternalError("regularity search exceeded deg X - 1")
 
 
 @dataclass
@@ -275,7 +275,7 @@ def ctv_decomposition_check(z, p_coords, m):
         last_nonzero = j
         j += 1
         if j > cap:
-            raise AssertionError("internal error: quotient did not vanish by deg X")
+            raise InternalError("quotient did not vanish by deg X")
     quotient_term = 1 + last_nonzero
     formula = max(m - 1, r_z, quotient_term)
     return CtvVerdict(r_direct == formula, r_direct, formula, m - 1, r_z, quotient_term)
@@ -330,8 +330,8 @@ def veronese_inequality_check(x, d):
     closed = None
     if x.n == 1:
         total = sum(x.mults)
-        # principal-ideal fact for points on a line
-        assert r == total - 1
+        if r != total - 1:
+            raise InternalError("principal-ideal fact for points on a line fails: r=%d" % r)
         mults = x.mults
         cond = all(
             d * (mults[j] + mults[k]) <= 2 * d - 2 + total

@@ -223,6 +223,14 @@ class TestGenKinds:
         data = json.loads(open(out).read())
         assert data["kind"] == "vectors" and len(data["vectors"]) == 8
 
+    def test_generator_failure_is_usage_error(self):
+        # coordinates in 0..9 cannot put 20 points of P^2 in general position
+        proc = run_python("-m", "fatpointlab.cli", "gen", "--kind", "generic", "--n", "2",
+                          "--s", "20")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: could not certify linearly general position")
+        assert "Traceback" not in proc.stderr
+
     def test_prime_field_gen(self, tmp_path):
         out = str(tmp_path / "x.json")
         code = main(["gen", "--kind", "generic", "--n", "2", "--s", "3",
@@ -232,17 +240,20 @@ class TestGenKinds:
         assert data["field"] == "prime:10007"
 
 
-def run_cli_plain_and_optimized(argv):
-    """(exit code, stdout) of `python -m fatpointlab.cli argv`, plain and under -O."""
+def run_python(*args):
+    """`python args` in a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(fatpointlab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def run_cli_plain_and_optimized(argv):
+    """(exit code, stdout) of `python -m fatpointlab.cli argv`, plain and under -O."""
     runs = []
     for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "fatpointlab.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python(*flags, "-m", "fatpointlab.cli", *argv)
         runs.append((proc.returncode, proc.stdout))
     return runs
 
@@ -274,3 +285,63 @@ class TestOptimizedInterpreter:
         report = json.loads(out)
         assert report["checks"]["main-theorem"]["reg_index"] == 8
         assert report["passed"] == 2
+
+    def test_verify_veronese_same_under_python_O(self, tmp_path):
+        # n = 1 runs the principal-ideal re-check of the veronese check and
+        # the Segre value's floor/ceiling re-check
+        x = FatPointScheme(QQ, 1, [((1, 0), 2), ((0, 1), 3), ((1, 1), 1)])
+        path = write_json(tmp_path / "line.json", scheme_to_dict(x, seed=0, generator="test"))
+        runs = run_cli_plain_and_optimized(["verify", path, "--checks", "main-theorem,veronese"])
+        assert runs[0] == runs[1]
+        code, out = runs[0]
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["checks"]["veronese"]["reg_index"] == 5
+        assert report["passed"] == 2
+
+    def test_sharpness_same_under_python_O(self):
+        runs = run_cli_plain_and_optimized(["reproduce", "4.6-sharpness"])
+        assert runs[0] == runs[1]
+        code, out = runs[0]
+        assert code == EXIT_OK
+        assert json.loads(out)["pass"] is True
+
+
+class TestNumpyLoadedOnDemand:
+    """numpy is imported on the first mod-p elimination of _NUMPY_MIN_CELLS
+    cells or more, not by importing the package."""
+
+    def run_then_report_numpy(self, code):
+        """stdout words of `code` in a fresh interpreter, then whether numpy is loaded."""
+        proc = run_python("-c", code + "\nimport sys\nprint('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_package_import(self):
+        assert self.run_then_report_numpy("import fatpointlab, fatpointlab.cli") == ["False"]
+
+    def test_avoidance_partition_command(self, tmp_path):
+        d = vectors_to_dict(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
+                                 (1, 2, 3), (1, 4, 9)])
+        path = write_json(tmp_path / "v.json", d)
+        code = (
+            "import io, contextlib\n"
+            "from fatpointlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['partition', %r, '--mode', 'avoidance', '--k', '3',"
+            " '--p', '1', '--tail', '0'])\n"
+            "print(code)" % path
+        )
+        assert self.run_then_report_numpy(code) == [str(EXIT_OK), "False"]
+
+    def test_large_rank_loads_numpy(self):
+        # 9 x 9 of rank 8: the rank mod p is deficient, so a kernel certificate is lifted
+        code = (
+            "from fatpointlab.exact import ExactMatrix, ScalarField, _NUMPY_MIN_CELLS,"
+            " _bareiss_rank\n"
+            "rows = [[(i + 1) ** j + (i * j) % 5 for j in range(9)] for i in range(8)]\n"
+            "rows.append([a + b for a, b in zip(rows[0], rows[1])])\n"
+            "m = ExactMatrix(ScalarField.rational(), rows)\n"
+            "print(9 * 9 >= _NUMPY_MIN_CELLS, m.rank(), _bareiss_rank(rows))"
+        )
+        assert self.run_then_report_numpy(code) == ["True", "8", "8", "True"]
