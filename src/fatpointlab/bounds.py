@@ -4,9 +4,10 @@ The Segre bound of X = sum m_i P_i maximizes ceil((w_L - 1)/dim L) over
 positive-dimensional linear subspaces L, where w_L is the total
 multiplicity of support points in L.  Replacing L by the span of the
 support points it contains preserves the weight and cannot increase the
-dimension, so the maximum is attained on spans of support subsets; that
-reduction makes the computation finite and is cross-checked against a
-full subset brute force in the tests.
+dimension, so the maximum is attained on spans of support subsets, that
+is, on the flats of the support points' vector matroid.  The flats come
+from ``matroid.flats_spanned_by_subsets``; the brute force over every
+support subset that cross-checks them lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
-from math import comb
 
-from .exact import ExactMatrix, InternalError
-from .matroid import fat_point_vector_matroid
+from .exact import ExactMatrix, GuardExceeded, InternalError
+from .matroid import VectorMatroid, fat_point_vector_matroid, flats_spanned_by_subsets
 from .partition import InfeasibilityWitness, edmonds_partition
 from .schemes import (
     FatPointScheme,
@@ -28,7 +28,6 @@ from .schemes import (
     regularity_index,
 )
 
-SEGRE_SUPPORT_GUARD = 20
 CARDINALITY_GUARD = 14
 MODIFIED_BOUND_GUARD = 12
 
@@ -73,44 +72,24 @@ class BoundReport:
         return out
 
 
-def _support_flats(x):
-    """Distinct support flats: for each subset of at most n+1 support
-    points, the set of all support points in its span."""
-    s = x.support_size
-    matrix = ExactMatrix.from_columns(x.field, [c for c, _ in x.points])
-    flats = {}
-    for size in range(1, min(s, x.n + 1) + 1):
-        for combo in combinations(range(s), size):
-            r = matrix.rank_of_column_subset(combo)
-            members = frozenset(
-                i for i in range(s)
-                if i in combo or matrix.rank_of_column_subset(set(combo) | {i}) == r
-            )
-            flats.setdefault(members, r)
-    return flats, matrix
-
-
 def segre_bound(x):
     """seg(X) and an attaining witness flat.
 
-    Ties are broken by smallest span dimension, then lexicographically
-    smallest point subset, so witnesses are deterministic.
+    The candidates are the flats of rank >= 2 of the support points'
+    vector matroid.  Ties are broken by smallest span dimension, then
+    lexicographically smallest point subset, so witnesses are deterministic.
     """
     s = x.support_size
     if s == 0:
         raise ValueError("scheme must have at least one point")
-    if s > SEGRE_SUPPORT_GUARD:
-        raise ValueError("support too large for exhaustive flat enumeration")
     mults = x.mults
     if s == 1:
         m = mults[0]
         return m - 1, SegreWitness(frozenset([0]), 0, m, m - 1)
+    support = VectorMatroid(ExactMatrix.from_columns(x.field, [c for c, _ in x.points]))
     best = None
-    flats, _ = _support_flats(x)
-    for members, r in flats.items():
-        dim = r - 1
-        if dim < 1:
-            continue
+    for members in flats_spanned_by_subsets(support, min_rank=2):
+        dim = support.rank(members) - 1
         w = sum(mults[i] for i in members)
         value = _ceil_div(w - 1, dim)
         if value != (w + dim - 2) // dim:
@@ -126,31 +105,6 @@ def segre_bound(x):
     return witness.value, witness
 
 
-def segre_bound_brute_force(x):
-    """Test oracle: maximize over ALL support subsets directly (no flat
-    deduplication); exponential in the support size."""
-    s = x.support_size
-    if s > 10:
-        raise ValueError("brute force limited to 10 support points")
-    if s == 1:
-        return x.mults[0] - 1
-    matrix = ExactMatrix.from_columns(x.field, [c for c, _ in x.points])
-    best = max(x.mults) - 1
-    for size in range(2, s + 1):
-        for combo in combinations(range(s), size):
-            r = matrix.rank_of_column_subset(combo)
-            dim = r - 1
-            if dim < 1:
-                continue
-            members = [
-                i for i in range(s)
-                if i in combo or matrix.rank_of_column_subset(set(combo) | {i}) == r
-            ]
-            w = sum(x.mults[i] for i in members)
-            best = max(best, _ceil_div(w - 1, dim))
-    return best
-
-
 @dataclass
 class CardinalityVerdict:
     ok: bool
@@ -162,7 +116,7 @@ def cardinality_estimate_check(z):
     """Verify |S| <= seg(Z)*(rk(S)-1) + 1 for every ground subset S of the
     fat-point vector matroid with rk(S) >= 2."""
     if sum(z.mults) > CARDINALITY_GUARD:
-        raise ValueError("scheme too large for exhaustive subset check")
+        raise GuardExceeded("scheme too large for exhaustive subset check")
     seg, _ = segre_bound(z)
     m = fat_point_vector_matroid(z)
     elems = m.elements
@@ -236,8 +190,6 @@ def separating_hypersurface(z, p_coords):
         columns.extend([coords] * mult)
     n_z = len(columns)
     columns.extend([p_coords] * big_b)
-    from .matroid import VectorMatroid
-
     matroid = VectorMatroid(ExactMatrix.from_columns(field, columns))
     result = edmonds_partition(matroid, big_b)
     if isinstance(result, InfeasibilityWitness):
@@ -344,7 +296,7 @@ def modified_bound(x, d):
     if s < 2:
         raise ValueError("modified bound needs at least two support points")
     if s > MODIFIED_BOUND_GUARD:
-        raise ValueError("support too large for subset enumeration")
+        raise GuardExceeded("support too large for subset enumeration")
     if d < 1:
         raise ValueError("degree must be >= 1")
     best = None

@@ -2,7 +2,8 @@
 partition certificates, and example reproduction.
 
 Exit codes: 0 = all checks passed; 1 = a verified failure; 2 = usage or
-parse error; 3 = some checks skipped by guards (none failed);
+parse error; 3 = some checks skipped (none failed): a size guard tripped
+(``GuardExceeded``) or a check needs two points and the scheme has one;
 4 = partition infeasible (the witness subset is emitted instead of a
 certificate).
 """
@@ -22,12 +23,11 @@ from .bounds import (
     reproduce_generic_example,
     verify_main_theorem,
 )
-from .exact import InternalError
+from .exact import GuardExceeded, InternalError
 from .generators import (
     generic_line_configuration,
     generic_points,
-    collinear_points,
-    random_points,
+    collinear_cluster_points,
     rational_normal_curve_scheme,
     rational_normal_curve_points,
     rng_from_seed,
@@ -106,12 +106,8 @@ def cmd_gen(args):
         x = FatPointScheme(field, args.n, [(p, args.mult) for p in pts])
         data = scheme_to_dict(x, seed=args.seed, generator="generic")
     elif kind == "collinear-cluster":
-        line = collinear_points(args.n, args.s, field=field)
-        extra = []
-        if args.extra:
-            pool = random_points(rng, args.n, args.s + args.extra, field=field)
-            extra = [p for p in pool if p not in line][: args.extra]
-        x = FatPointScheme(field, args.n, [(p, args.mult) for p in line + extra])
+        pts = collinear_cluster_points(rng, args.n, args.s, args.extra, field=field)
+        x = FatPointScheme(field, args.n, [(p, args.mult) for p in pts])
         data = scheme_to_dict(x, seed=args.seed, generator="collinear-cluster")
     elif kind == "rational-normal-curve":
         x = rational_normal_curve_scheme(args.n, [args.mult] * args.s, field=field)
@@ -135,9 +131,22 @@ def cmd_gen(args):
 CHECK_NAMES = ["main-theorem", "cardinality", "ctv", "veronese", "modified"]
 
 
+# checks that are not defined on a single point, and what they report there
+NEEDS_TWO_POINTS = {
+    "ctv": "ctv check needs at least two points",
+    "modified": "modified bound needs at least two support points",
+}
+
+
 def _run_checks(x, checks, d):
+    """Run the named checks; only a size-guard trip (``GuardExceeded``) or a
+    single-point scheme for a check that needs two points is reported as
+    skipped.  Any other ``ValueError`` propagates (exit 2)."""
     results = {}
     for name in checks:
+        if name in NEEDS_TWO_POINTS and x.support_size < 2:
+            results[name] = {"skipped": NEEDS_TWO_POINTS[name]}
+            continue
         try:
             if name == "main-theorem":
                 report = verify_main_theorem(x)
@@ -146,8 +155,6 @@ def _run_checks(x, checks, d):
                 verdict = cardinality_estimate_check(x)
                 results[name] = {"pass": verdict.ok, "segre": verdict.segre}
             elif name == "ctv":
-                if x.support_size < 2:
-                    raise ValueError("ctv check needs at least two points")
                 coords, mult = x.points[-1]
                 rest = FatPointScheme(x.field, x.n, list(x.points[:-1]))
                 verdict = ctv_decomposition_check(rest, coords, mult)
@@ -174,7 +181,7 @@ def _run_checks(x, checks, d):
                     "reg_index": r,
                     "witness": sorted(witness.witness_subset),
                 }
-        except ValueError as exc:
+        except GuardExceeded as exc:
             results[name] = {"skipped": str(exc)}
     return results
 

@@ -62,6 +62,11 @@ class InternalError(AssertionError):
     Raised explicitly, so the re-checks also run under ``python -O``."""
 
 
+class GuardExceeded(ValueError):
+    """An input is larger than an exhaustive enumeration's size guard (a
+    ``*_GUARD`` constant): the question was not answered, and nothing failed."""
+
+
 def is_prime(n):
     """Deterministic Miller-Rabin for n < PRIMALITY_BOUND; ValueError above."""
     if n >= PRIMALITY_BOUND:

@@ -78,6 +78,29 @@ def collinear_points(n, s, field=None):
     return pts
 
 
+def collinear_cluster_points(rng, n, s, extra, field=None):
+    """``collinear_points(n, s)`` plus ``extra`` random points off that line:
+    the first ones of a pool of s + extra random points, then more draws
+    only if the pool runs short.  Off the line means a nonzero coordinate
+    past index 1, so no extra point is proportional to one on the line."""
+    field = field or ScalarField.rational()
+
+    def off_line(p):
+        return any(c != field.zero() for c in p[2:])
+
+    pool = random_points(rng, n, s + extra, field=field) if extra else []
+    points = [p for p in pool if off_line(p)][:extra]
+    draws = 0
+    while len(points) < extra:
+        draws += 1
+        if draws > MAX_RESAMPLE_ATTEMPTS:
+            raise ValueError("could not place %d distinct points off the line" % extra)
+        (cand,) = random_points(rng, n, 1, field=field)
+        if off_line(cand) and not any(_proportional(field, cand, q) for q in points):
+            points.append(cand)
+    return collinear_points(n, s, field=field) + points
+
+
 def rational_normal_curve_points(n, s, field=None):
     """s points (1 : t : ... : t^n), t = 0..s-1, on the rational normal curve."""
     field = field or ScalarField.rational()

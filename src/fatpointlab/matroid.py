@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exact import ExactMatrix
+from .exact import ExactMatrix, GuardExceeded
 
 FLAT_ENUMERATION_GUARD = 24
 CIRCUIT_ENUMERATION_GUARD = 20
@@ -80,18 +80,10 @@ class RankOracle:
         return frozenset(indep)
 
 
-def is_independent(m, subset):
-    return m.is_independent(subset)
-
-
-def closure(m, subset):
-    return m.closure(subset)
-
-
 def circuits(m, max_size=None):
     """All inclusion-minimal dependent sets of size <= max_size (exhaustive)."""
     if len(m) > CIRCUIT_ENUMERATION_GUARD:
-        raise ValueError("ground set too large for exhaustive circuit enumeration")
+        raise GuardExceeded("ground set too large for exhaustive circuit enumeration")
     if max_size is None:
         max_size = len(m)
     found = []
@@ -121,18 +113,47 @@ def independent_sets(m, subset=None):
 
 
 def flats_spanned_by_subsets(m, min_rank=0):
-    """Distinct closures cl(S) over subsets S, with rank >= min_rank.
+    """Every flat cl(S) of rank >= min_rank, sorted by size, then elements.
 
-    Every closure equals the closure of an independent set, so it suffices
-    to close the independent sets (far fewer than all subsets).
+    Flats are generated rank by rank from cl(empty set): every flat of rank
+    r + 1 covers one of rank r, so the flats of rank r + 1 are the distinct
+    covers cl(F + q) of the rank-r flats F.  Rank queries go through the
+    oracle's memo, so a subset reached from several flats is ranked once.
     """
     if len(m) > FLAT_ENUMERATION_GUARD:
-        raise ValueError("ground set too large for exhaustive flat enumeration")
-    flats = set()
-    for indep in independent_sets(m):
-        if len(indep) >= min_rank:
-            flats.add(m.closure(indep))
-    return sorted((f for f in flats if m.rank(f) >= min_rank), key=lambda f: (len(f), sorted(f)))
+        raise GuardExceeded("ground set too large for exhaustive flat enumeration")
+    full = m.full_rank()
+    level = {m.closure(())}
+    flats = []
+    for r in range(full + 1):
+        if r >= min_rank:
+            flats.extend(level)
+        if r + 1 == full:
+            level = {frozenset(m.elements)}
+        else:
+            level = {cover for flat in level for cover in _covers(m, flat, r)}
+    return sorted(flats, key=lambda f: (len(f), sorted(f)))
+
+
+def _covers(m, flat, r):
+    """The flats of rank r + 1 that contain the rank-r flat ``flat``.
+
+    They are the closures cl(flat + q), and they partition the elements
+    outside ``flat``, so an element already in one cover is neither a new
+    q nor tested for membership again.
+    """
+    rest = [e for e in m.elements if e not in flat]
+    covers = []
+    while rest:
+        q, *others = rest
+        base = flat | {q}
+        inside = {e for e in others if m._rank(base | {e}) == r + 1}
+        cover = base | inside
+        # q lies outside the flat, so flat + q and its closure have rank r + 1
+        m._cache[cover] = r + 1
+        covers.append(cover)
+        rest = [e for e in others if e not in inside]
+    return covers
 
 
 class VectorMatroid(RankOracle):
@@ -162,26 +183,3 @@ def fat_point_vector_matroid(x):
     matrix = ExactMatrix.from_columns(x.field, columns)
     return VectorMatroid(matrix, labels=labels)
 
-
-def check_rank_axioms(m):
-    """Exhaustively verify the rank axioms (normalization, monotonicity,
-    submodularity); only sensible for small ground sets."""
-    if len(m) > 10:
-        raise ValueError("axiom check is exhaustive; |E| <= 10 required")
-    elems = m.elements
-    n = len(elems)
-    subsets = []
-    for mask in range(1 << n):
-        fs = frozenset(elems[i] for i in range(n) if mask >> i & 1)
-        subsets.append(fs)
-        r = m.rank(fs)
-        if not 0 <= r <= len(fs):
-            return False, ("R1", fs)
-    ranks = {fs: m.rank(fs) for fs in subsets}
-    for a in subsets:
-        for b in subsets:
-            if a <= b and ranks[a] > ranks[b]:
-                return False, ("R2", a, b)
-            if ranks[a & b] + ranks[a | b] > ranks[a] + ranks[b]:
-                return False, ("R3", a, b)
-    return True, None

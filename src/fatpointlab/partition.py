@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import CountMatroid, elementary_quotient, verify_count_hypothesis
-from .exact import InternalError
+from .exact import GuardExceeded, InternalError
 from .matroid import independent_sets
 
 BRUTE_FORCE_GROUND_GUARD = 12
@@ -256,7 +256,7 @@ def brute_force_partition_oracle(matroids):
     ground = sorted(matroids[0].elements)
     k = len(matroids)
     if len(ground) > BRUTE_FORCE_GROUND_GUARD or k > BRUTE_FORCE_BLOCK_GUARD:
-        raise ValueError("instance too large for brute-force enumeration")
+        raise GuardExceeded("instance too large for brute-force enumeration")
 
     def place(i, blocks):
         if i == len(ground):

@@ -1,13 +1,62 @@
 """Exhaustive test oracles and the seeded instances they are compared on.
 
 The library checks the count-matroid hypothesis with the augmenting-path
-partitioner; these oracles enumerate every subset instead (2^|E| rank
-queries), so they are for small ground sets only.
+partitioner and finds the Segre bound's flats rank by rank; these oracles
+enumerate every subset instead (2^|E| rank queries), so they are for small
+ground sets only, as is the rank-axiom check.
 """
 
 from itertools import combinations
 
+from fatpointlab.bounds import SegreWitness
+from fatpointlab.exact import ExactMatrix
 from fatpointlab.generators import generic_vectors_matroid, random_vector_matroid
+
+
+def subset_ranks(rank, elements):
+    """The rank of every subset of ``elements`` (frozenset -> rank)."""
+    return {
+        frozenset(combo): rank(frozenset(combo))
+        for size in range(len(elements) + 1)
+        for combo in combinations(elements, size)
+    }
+
+
+def closures_exhaustive(rank, elements):
+    """The distinct closures cl(S) of all subsets S: every flat."""
+    ranks = subset_ranks(rank, elements)
+    return {
+        frozenset(e for e in elements if ranks[s | {e}] == r)
+        for s, r in ranks.items()
+    }
+
+
+def segre_bound_brute_force(x):
+    """seg(X) and its witness, maximized over the spans of ALL support
+    subsets, with the library's tie-break: smallest span dimension, then the
+    lexicographically smallest point set, and a single point only when its
+    m - 1 beats every span of positive dimension."""
+    s = x.support_size
+    mults = x.mults
+    if s == 1:
+        return mults[0] - 1, SegreWitness(frozenset([0]), 0, mults[0], mults[0] - 1)
+    matrix = ExactMatrix.from_columns(x.field, [c for c, _ in x.points])
+    ranks = subset_ranks(matrix.rank_of_column_subset, range(s))
+    best = None
+    for subset, r in ranks.items():
+        if r < 2:
+            continue
+        members = frozenset(i for i in range(s) if ranks[subset | {i}] == r)
+        w = sum(mults[i] for i in members)
+        value = -(-(w - 1) // (r - 1))
+        key = (-value, r - 1, sorted(members))
+        if best is None or key < best[0]:
+            best = (key, SegreWitness(members, r - 1, w, value))
+    witness = best[1]
+    if max(mults) - 1 > witness.value:
+        i = mults.index(max(mults))
+        witness = SegreWitness(frozenset([i]), 0, mults[i], mults[i] - 1)
+    return witness.value, witness
 
 
 def count_violations_exhaustive(base, k, p, ground=None):
@@ -51,3 +100,27 @@ def criterion_5_instances(rng):
         cap = (k + 1) * dim - (p + 1)
         size = rng.randint(dim, min(cap, 9))
         yield "estimate", generic_vectors_matroid(rng, dim, size), k, p
+
+
+def check_rank_axioms(m):
+    """Exhaustively verify the rank axioms (normalization, monotonicity,
+    submodularity); only sensible for small ground sets."""
+    if len(m) > 10:
+        raise ValueError("axiom check is exhaustive; |E| <= 10 required")
+    elems = m.elements
+    n = len(elems)
+    subsets = []
+    for mask in range(1 << n):
+        fs = frozenset(elems[i] for i in range(n) if mask >> i & 1)
+        subsets.append(fs)
+        r = m.rank(fs)
+        if not 0 <= r <= len(fs):
+            return False, ("R1", fs)
+    ranks = {fs: m.rank(fs) for fs in subsets}
+    for a in subsets:
+        for b in subsets:
+            if a <= b and ranks[a] > ranks[b]:
+                return False, ("R2", a, b)
+            if ranks[a & b] + ranks[a | b] > ranks[a] + ranks[b]:
+                return False, ("R3", a, b)
+    return True, None

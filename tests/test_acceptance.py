@@ -27,7 +27,7 @@ from fatpointlab.generators import (
     random_vector_matroid,
     rng_from_seed,
 )
-from fatpointlab.matroid import check_rank_axioms, circuits
+from fatpointlab.matroid import circuits
 from fatpointlab.partition import (
     AvoidanceProblem,
     InfeasibilityWitness,
@@ -45,7 +45,7 @@ from fatpointlab.schemes import (
     subscheme,
     veronese_inequality_check,
 )
-from oracles import criterion_5_instances
+from oracles import check_rank_axioms, criterion_5_instances
 
 QQ = ScalarField.rational()
 

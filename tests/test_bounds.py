@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatpointlab.bounds import (
     cardinality_estimate_check,
@@ -6,19 +8,46 @@ from fatpointlab.bounds import (
     rational_normal_curve_sharpness,
     reproduce_generic_example,
     segre_bound,
-    segre_bound_brute_force,
     separating_hypersurface,
     verify_main_theorem,
 )
-from fatpointlab.exact import ScalarField
+from fatpointlab.exact import GuardExceeded, ScalarField
 from fatpointlab.generators import (
     collinear_points,
+    generic_points,
     random_scheme,
     rng_from_seed,
 )
-from fatpointlab.schemes import FatPointScheme, regularity_index
+from fatpointlab.schemes import FatPointScheme, _proportional, regularity_index
+from oracles import segre_bound_brute_force
 
 QQ = ScalarField.rational()
+FP = ScalarField.prime(10007)
+
+
+@st.composite
+def segre_schemes(draw):
+    """A scheme with n <= 3 and 1 <= s <= 8 over Q or F_10007, often with a
+    forced collinear or coplanar cluster (combinations of two or three base
+    vectors) and with zero coordinates."""
+    n = draw(st.integers(1, 3))
+    field = draw(st.sampled_from([QQ, FP]))
+    size = draw(st.integers(1, 8))
+    vector = st.tuples(*[st.integers(-3, 3)] * (n + 1))
+    base = draw(st.lists(vector, min_size=2, max_size=3))
+    combos = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(base)), max_size=6))
+    candidates = [tuple(sum(c * v[i] for c, v in zip(coeffs, base)) for i in range(n + 1))
+                  for coeffs in combos]
+    candidates += draw(st.lists(vector, max_size=8))
+    points = []
+    for cand in draw(st.permutations(candidates)):
+        p = tuple(field.elem(c) for c in cand)
+        if len(points) < size and any(p) and not any(_proportional(field, p, q) for q in points):
+            points.append(p)
+    if not points:
+        points.append(tuple([field.one()] + [field.zero()] * n))
+    mults = draw(st.lists(st.integers(1, 4), min_size=len(points), max_size=len(points)))
+    return FatPointScheme(field, n, list(zip(points, mults)))
 
 
 class TestSegreBound:
@@ -60,8 +89,24 @@ class TestSegreBound:
         rng = rng_from_seed(52)
         for _ in range(40):
             x = random_scheme(rng, rng.randint(1, 3), 6, 3)
-            seg, _ = segre_bound(x)
-            assert seg == segre_bound_brute_force(x)
+            assert segre_bound(x) == segre_bound_brute_force(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(segre_schemes())
+    def test_witness_agrees_with_brute_force(self, x):
+        assert segre_bound(x) == segre_bound_brute_force(x)
+
+    def test_twenty_points_in_the_plane(self):
+        x = FatPointScheme(QQ, 2, [(p, 1) for p in generic_points(rng_from_seed(58), 2, 20, coord_range=1000)])
+        seg, witness = segre_bound(x)
+        assert seg == 10 and witness.span_dim == 2 and witness.weight == 20
+
+    def test_guard_is_the_flat_enumeration_guard(self):
+        x = FatPointScheme(QQ, 2, [(p, 1) for p in collinear_points(2, 24)])
+        assert segre_bound(x)[0] == 23
+        x = FatPointScheme(QQ, 2, [(p, 1) for p in collinear_points(2, 25)])
+        with pytest.raises(GuardExceeded):
+            segre_bound(x)
 
     def test_ceiling_floor_identity(self):
         # ceil((w-1)/k) == (w+k-2)//k for all small k, w
@@ -88,7 +133,7 @@ class TestCardinalityEstimate:
 
     def test_guard(self):
         x = FatPointScheme(QQ, 2, [(p, 3) for p in collinear_points(2, 5)])
-        with pytest.raises(ValueError):
+        with pytest.raises(GuardExceeded):
             cardinality_estimate_check(x)
 
 
@@ -203,6 +248,11 @@ class TestModifiedBound:
                 mod, _ = modified_bound(x, d)
                 assert r <= mod
             done += 1
+
+    def test_guard(self):
+        x = FatPointScheme(QQ, 2, [(p, 1) for p in collinear_points(2, 13)])
+        with pytest.raises(GuardExceeded):
+            modified_bound(x, 1)
 
     def test_validation(self):
         single = FatPointScheme(QQ, 2, [((1, 0, 0), 2)])

@@ -16,7 +16,12 @@ from fatpointlab.cli import (
     main,
 )
 from fatpointlab.exact import ScalarField
-from fatpointlab.generators import generic_vectors_matroid, rng_from_seed
+from fatpointlab.generators import (
+    collinear_points,
+    generic_vectors_matroid,
+    random_points,
+    rng_from_seed,
+)
 from fatpointlab.instances import (
     InstanceError,
     canonical_json,
@@ -86,6 +91,25 @@ class TestGenVerify:
         data = json.loads(open(report).read())
         assert "skipped" in data["checks"]["cardinality"]
         assert data["checks"]["main-theorem"]["pass"] is True
+
+    def test_single_point_skips_two_point_checks(self, tmp_path):
+        x = FatPointScheme(QQ, 2, [((1, 2, 3), 2)])
+        inst = write_json(tmp_path / "one.json", scheme_to_dict(x))
+        report = str(tmp_path / "report.json")
+        assert main(["verify", inst, "--out", report]) == EXIT_SKIPPED
+        data = json.loads(open(report).read())
+        assert data["failed"] == 0 and data["skipped"] == 2
+        assert set(data["checks"]["ctv"]) == set(data["checks"]["modified"]) == {"skipped"}
+
+    def test_invalid_input_is_not_skipped(self, tmp_path):
+        # derivative conditions of order 3 at degree >= 5 need p > 5: a
+        # precondition violation, reported as an error instead of a skip
+        x = FatPointScheme(ScalarField.prime(5), 2, [((1, 0, 0), 4), ((0, 1, 0), 4)])
+        inst = write_json(tmp_path / "f5.json", scheme_to_dict(x))
+        proc = run_python("-m", "fatpointlab.cli", "verify", inst, "--checks", "main-theorem")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: prime field too small")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_verify_all_default_checks(self, tmp_path):
         x = FatPointScheme(QQ, 2, [((1, 0, 0), 2), ((0, 1, 0), 1), ((1, 1, 1), 1)])
@@ -230,6 +254,36 @@ class TestGenKinds:
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.startswith("error: could not certify linearly general position")
         assert "Traceback" not in proc.stderr
+
+    def test_collinear_cluster_extras_are_off_the_line(self, tmp_path, capsys):
+        # the former rule (the first three pool points that are not equal
+        # tuples of a line point) is recomputed below; on the 29 seeds where
+        # it already gave points off the line the file must not change
+        changed = []
+        for seed in range(41):
+            out = tmp_path / ("%d.json" % seed)
+            code = main(["gen", "--kind", "collinear-cluster", "--n", "2", "--s", "4",
+                         "--extra", "3", "--seed", str(seed), "--out", str(out)])
+            assert code == EXIT_OK, capsys.readouterr().err
+            x = scheme_from_dict(json.loads(out.read_text()))
+            line = collinear_points(2, 4)
+            assert x.support_size == 7 and [c for c, _ in x.points[:4]] == line
+            assert all(c[2] != 0 for c, _ in x.points[4:])
+            pool = random_points(rng_from_seed(seed), 2, 7)
+            earlier = [p for p in pool if p not in line][:3]
+            if len(earlier) == 3 and all(p[2] != 0 for p in earlier):
+                expected = FatPointScheme(QQ, 2, [(p, 1) for p in line + earlier])
+                assert out.read_text() == canonical_json(
+                    scheme_to_dict(expected, seed=seed, generator="collinear-cluster"))
+            else:
+                changed.append(seed)
+        assert changed == [0, 6, 8, 10, 22, 23, 25, 26, 31, 34, 36, 39]
+
+    def test_collinear_cluster_extras_need_a_plane(self, capsys):
+        code = main(["gen", "--kind", "collinear-cluster", "--n", "1", "--s", "3",
+                     "--extra", "1"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: could not place 1 distinct points off the line")
 
     def test_prime_field_gen(self, tmp_path):
         out = str(tmp_path / "x.json")

@@ -15,8 +15,13 @@ from fatpointlab.generators import (
     random_vector_matroid,
     rng_from_seed,
 )
-from fatpointlab.matroid import VectorMatroid, check_rank_axioms, circuits
-from oracles import count_independent_exhaustive, count_violations_exhaustive, criterion_5_instances
+from fatpointlab.matroid import VectorMatroid, circuits
+from oracles import (
+    check_rank_axioms,
+    count_independent_exhaustive,
+    count_violations_exhaustive,
+    criterion_5_instances,
+)
 
 QQ = ScalarField.rational()
 

@@ -1,19 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fatpointlab.exact import ExactMatrix, ScalarField
-from fatpointlab.generators import random_vector_matroid, rng_from_seed
+from fatpointlab.exact import ExactMatrix, GuardExceeded, ScalarField
+from fatpointlab.generators import generic_points, random_vector_matroid, rng_from_seed
 from fatpointlab.matroid import (
     RankOracle,
     VectorMatroid,
-    check_rank_axioms,
     circuits,
     fat_point_vector_matroid,
     flats_spanned_by_subsets,
     independent_sets,
 )
 from fatpointlab.schemes import FatPointScheme
+from oracles import check_rank_axioms, closures_exhaustive
 
 QQ = ScalarField.rational()
 FP = ScalarField.prime(10007)
@@ -75,7 +77,7 @@ class TestCircuits:
 
     def test_guard(self):
         m = RankOracle(range(25), lambda fs: min(len(fs), 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(GuardExceeded):
             circuits(m)
 
 
@@ -101,8 +103,38 @@ class TestFlats:
 
     def test_guard(self):
         m = RankOracle(range(25), lambda fs: min(len(fs), 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(GuardExceeded):
             flats_spanned_by_subsets(m)
+
+    def test_rank_queries_on_twenty_generic_points(self):
+        # the rank-by-rank enumeration asks 1,351 distinct subset ranks here;
+        # closing every subset of at most three points asked 24,530
+        matrix = ExactMatrix.from_columns(QQ, generic_points(rng_from_seed(12), 2, 20, coord_range=1000))
+        queries = []
+
+        def rank(fs):
+            queries.append(fs)
+            return matrix.rank_of_column_subset(fs)
+
+        m = RankOracle(range(20), rank)
+        flats = flats_spanned_by_subsets(m, min_rank=2)
+        assert len(queries) == len(set(queries)) <= 3000
+        assert len(flats) == 190 + 1 and flats[-1] == frozenset(range(20))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda dim: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=8)),
+        st.lists(st.integers(0, 7), max_size=3),
+        st.integers(0, 4),
+    )
+    def test_equals_exhaustive_closure(self, cols, repeat, min_rank):
+        # zero columns are loops; repeated columns, negated, are parallel
+        cols = cols + [tuple(-c for c in cols[i % len(cols)]) for i in repeat]
+        m = vm(QQ, cols)
+        expected = sorted((f for f in closures_exhaustive(m.rank, m.elements) if m.rank(f) >= min_rank),
+                          key=lambda f: (len(f), sorted(f)))
+        assert flats_spanned_by_subsets(vm(QQ, cols), min_rank) == expected
 
 
 class TestIndependentSets:

@@ -1,6 +1,6 @@
 import pytest
 
-from fatpointlab.exact import ExactMatrix, ScalarField
+from fatpointlab.exact import ExactMatrix, GuardExceeded, ScalarField
 from fatpointlab.generators import (
     generic_vectors_matroid,
     random_vector_matroid,
@@ -87,10 +87,10 @@ class TestEdmondsFulkerson:
 class TestBruteForceOracle:
     def test_guards(self):
         big = vm([(1, 0)] * 13)
-        with pytest.raises(ValueError):
+        with pytest.raises(GuardExceeded):
             brute_force_partition_oracle([big])
         small = vm([(1, 0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(GuardExceeded):
             brute_force_partition_oracle([small] * 5)
 
 
