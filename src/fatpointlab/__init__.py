@@ -26,7 +26,6 @@ from .partition import (
     InfeasibilityWitness,
     PartitionCertificate,
     avoidance_partition,
-    brute_force_partition_oracle,
     edmonds_fulkerson_partition,
     edmonds_partition,
     inductive_split,
@@ -67,7 +66,6 @@ __all__ = [
     "InfeasibilityWitness",
     "PartitionCertificate",
     "avoidance_partition",
-    "brute_force_partition_oracle",
     "edmonds_fulkerson_partition",
     "edmonds_partition",
     "inductive_split",

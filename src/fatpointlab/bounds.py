@@ -8,6 +8,12 @@ dimension, so the maximum is attained on spans of support subsets, that
 is, on the flats of the support points' vector matroid.  The flats come
 from ``matroid.flats_spanned_by_subsets``; the brute force over every
 support subset that cross-checks them lives in ``tests/oracles.py``.
+
+The cardinality estimate |S| <= seg*(rk S - 1) + 1 is a count-matroid
+condition: a worst-case S holds every copy of each point it meets, so with
+T = S - copies(P_i) it reads |T| <= seg*rk_{M/P_i}(T) - (m_i - 1), which
+the augmenting-path partitioner tests per point (``tests/oracles.py`` keeps
+the exhaustive loop over all subsets).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 
+from .constructions import elementary_quotient, verify_count_hypothesis
 from .exact import ExactMatrix, GuardExceeded, InternalError
 from .matroid import VectorMatroid, fat_point_vector_matroid, flats_spanned_by_subsets
 from .partition import InfeasibilityWitness, edmonds_partition
@@ -28,7 +35,6 @@ from .schemes import (
     regularity_index,
 )
 
-CARDINALITY_GUARD = 14
 MODIFIED_BOUND_GUARD = 12
 
 
@@ -73,12 +79,18 @@ class BoundReport:
 
 
 def segre_bound(x):
-    """seg(X) and an attaining witness flat.
+    """seg(X) and an attaining witness flat, computed once per scheme.
 
     The candidates are the flats of rank >= 2 of the support points'
     vector matroid.  Ties are broken by smallest span dimension, then
     lexicographically smallest point subset, so witnesses are deterministic.
     """
+    if x._segre is None:
+        x._segre = _segre_bound(x)
+    return x._segre
+
+
+def _segre_bound(x):
     s = x.support_size
     if s == 0:
         raise ValueError("scheme must have at least one point")
@@ -114,18 +126,26 @@ class CardinalityVerdict:
 
 def cardinality_estimate_check(z):
     """Verify |S| <= seg(Z)*(rk(S)-1) + 1 for every ground subset S of the
-    fat-point vector matroid with rk(S) >= 2."""
-    if sum(z.mults) > CARDINALITY_GUARD:
-        raise GuardExceeded("scheme too large for exhaustive subset check")
+    fat-point vector matroid with rk(S) >= 2.
+
+    Per support point P_i this is the count hypothesis with k = seg and
+    p = m_i - 1 on the contraction M/P_i of the other points' copies (see
+    the module docstring); a violating T there gives S = T + copies(P_i).
+    """
     seg, _ = segre_bound(z)
     m = fat_point_vector_matroid(z)
-    elems = m.elements
-    for size in range(2, len(elems) + 1):
-        for combo in combinations(elems, size):
-            fs = frozenset(combo)
-            r = m.rank(fs)
-            if r >= 2 and size > seg * (r - 1) + 1:
-                return CardinalityVerdict(False, seg, fs)
+    copies = [set() for _ in z.points]
+    for e, (i, _) in m.labels.items():
+        copies[i].add(e)
+    for own in map(frozenset, copies):
+        quotient = elementary_quotient(m, frozenset(m.elements) - own, min(own))
+        bad = verify_count_hypothesis(quotient, seg, len(own) - 1)
+        if bad is not None:
+            subset = bad | own
+            r = m.rank(subset)
+            if r < 2 or len(subset) <= seg * (r - 1) + 1:
+                raise InternalError("cardinality witness %r does not violate" % (sorted(subset),))
+            return CardinalityVerdict(False, seg, subset)
     return CardinalityVerdict(True, seg)
 
 

@@ -3,9 +3,10 @@ partition certificates, and example reproduction.
 
 Exit codes: 0 = all checks passed; 1 = a verified failure; 2 = usage or
 parse error; 3 = some checks skipped (none failed): a size guard tripped
-(``GuardExceeded``) or a check needs two points and the scheme has one;
-4 = partition infeasible (the witness subset is emitted instead of a
-certificate).
+(``GuardExceeded``: the Segre bound's flat enumeration, which main-theorem
+and cardinality need, past 24 support points, or the modified bound past
+12) or a check needs two points and the scheme has one; 4 = partition
+infeasible (the witness subset is emitted instead of a certificate).
 """
 
 from __future__ import annotations

@@ -164,9 +164,6 @@ class ScalarField:
             return Fraction(1) / a
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def to_str(self, a):
         return str(a)
 

@@ -18,11 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import CountMatroid, elementary_quotient, verify_count_hypothesis
-from .exact import GuardExceeded, InternalError
+from .exact import InternalError
 from .matroid import independent_sets
-
-BRUTE_FORCE_GROUND_GUARD = 12
-BRUTE_FORCE_BLOCK_GUARD = 4
 
 
 @dataclass
@@ -248,30 +245,6 @@ def avoidance_partition(problem):
     if not cert.verify():
         raise InternalError("avoidance partition failed verification")
     return cert
-
-
-def brute_force_partition_oracle(matroids):
-    """Exhaustive test oracle: does an assignment into independent blocks
-    exist?  Exponential; guarded to desk scale."""
-    ground = sorted(matroids[0].elements)
-    k = len(matroids)
-    if len(ground) > BRUTE_FORCE_GROUND_GUARD or k > BRUTE_FORCE_BLOCK_GUARD:
-        raise GuardExceeded("instance too large for brute-force enumeration")
-
-    def place(i, blocks):
-        if i == len(ground):
-            return True
-        e = ground[i]
-        for j in range(k):
-            cand = blocks[j] | {e}
-            if matroids[j].is_independent(cand):
-                blocks[j] = cand
-                if place(i + 1, blocks):
-                    return True
-                blocks[j] = cand - {e}
-        return False
-
-    return place(0, [frozenset() for _ in range(k)])
 
 
 @dataclass

@@ -74,6 +74,7 @@ class FatPointScheme:
                     raise ValueError("points must be pairwise distinct in projective space")
         self.points = tuple(cleaned)
         self._hilbert_cache = {}
+        self._segre = None  # (seg, witness), filled by bounds.segre_bound
 
     @property
     def support_size(self):

@@ -1,15 +1,17 @@
 """Exhaustive test oracles and the seeded instances they are compared on.
 
-The library checks the count-matroid hypothesis with the augmenting-path
-partitioner and finds the Segre bound's flats rank by rank; these oracles
-enumerate every subset instead (2^|E| rank queries), so they are for small
-ground sets only, as is the rank-axiom check.
+The library checks the count-matroid hypothesis and the cardinality
+estimate with the augmenting-path partitioner, finds the Segre bound's
+flats rank by rank and partitions by augmenting paths; these oracles
+enumerate every subset or every assignment instead (2^|E| rank queries, or
+k^|E| placements), so they are for small ground sets only, as is the
+rank-axiom check.
 """
 
 from itertools import combinations
 
 from fatpointlab.bounds import SegreWitness
-from fatpointlab.exact import ExactMatrix
+from fatpointlab.exact import ExactMatrix, GuardExceeded
 from fatpointlab.generators import generic_vectors_matroid, random_vector_matroid
 
 
@@ -59,6 +61,26 @@ def segre_bound_brute_force(x):
     return witness.value, witness
 
 
+def cardinality_violation_exhaustive(m, seg):
+    """The first ground subset S of a fat-point vector matroid m, smallest
+    first, with rk(S) >= 2 and |S| > seg*(rk(S)-1) + 1, or None.
+
+    Copies of a point are parallel, so the rank of S is computed once per
+    set of points that S meets (the point index is labels[e][0]).
+    """
+    point = {e: m.labels[e][0] for e in m.elements}
+    ranks = {}
+    for size in range(2, len(m.elements) + 1):
+        for combo in combinations(m.elements, size):
+            met = frozenset(map(point.get, combo))
+            r = ranks.get(met)
+            if r is None:
+                r = ranks[met] = m.rank(frozenset(combo))
+            if r >= 2 and size > seg * (r - 1) + 1:
+                return frozenset(combo)
+    return None
+
+
 def count_violations_exhaustive(base, k, p, ground=None):
     """Every nonempty A of the ground set with |A| > k*rk(A) - p, smallest first."""
     elems = sorted(ground) if ground is not None else list(base.elements)
@@ -73,6 +95,34 @@ def count_violations_exhaustive(base, k, p, ground=None):
 def count_independent_exhaustive(base, k, p, subset):
     """Independence in the count matroid M(k*rk - p), by enumeration."""
     return not count_violations_exhaustive(base, k, p, ground=subset)
+
+
+BRUTE_FORCE_GROUND_GUARD = 12
+BRUTE_FORCE_BLOCK_GUARD = 4
+
+
+def brute_force_partition_oracle(matroids):
+    """Does an assignment of the common ground set into blocks independent
+    in the respective matroids exist?  Exponential; guarded to desk scale."""
+    ground = sorted(matroids[0].elements)
+    k = len(matroids)
+    if len(ground) > BRUTE_FORCE_GROUND_GUARD or k > BRUTE_FORCE_BLOCK_GUARD:
+        raise GuardExceeded("instance too large for brute-force enumeration")
+
+    def place(i, blocks):
+        if i == len(ground):
+            return True
+        e = ground[i]
+        for j in range(k):
+            cand = blocks[j] | {e}
+            if matroids[j].is_independent(cand):
+                blocks[j] = cand
+                if place(i + 1, blocks):
+                    return True
+                blocks[j] = cand - {e}
+        return False
+
+    return place(0, [frozenset() for _ in range(k)])
 
 
 def criterion_5_instances(rng):

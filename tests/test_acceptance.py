@@ -33,7 +33,6 @@ from fatpointlab.partition import (
     InfeasibilityWitness,
     PartitionCertificate,
     avoidance_partition,
-    brute_force_partition_oracle,
     edmonds_fulkerson_partition,
     verify_partition_optimality_example,
 )
@@ -45,7 +44,7 @@ from fatpointlab.schemes import (
     subscheme,
     veronese_inequality_check,
 )
-from oracles import check_rank_axioms, criterion_5_instances
+from oracles import brute_force_partition_oracle, check_rank_axioms, criterion_5_instances
 
 QQ = ScalarField.rational()
 

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatpointlab.bounds import (
+    CardinalityVerdict,
     cardinality_estimate_check,
     modified_bound,
     rational_normal_curve_sharpness,
@@ -18,18 +21,20 @@ from fatpointlab.generators import (
     random_scheme,
     rng_from_seed,
 )
+from fatpointlab.matroid import fat_point_vector_matroid
 from fatpointlab.schemes import FatPointScheme, _proportional, regularity_index
-from oracles import segre_bound_brute_force
+from oracles import cardinality_violation_exhaustive, segre_bound_brute_force
 
 QQ = ScalarField.rational()
 FP = ScalarField.prime(10007)
 
 
 @st.composite
-def segre_schemes(draw):
+def segre_schemes(draw, max_copies=None):
     """A scheme with n <= 3 and 1 <= s <= 8 over Q or F_10007, often with a
     forced collinear or coplanar cluster (combinations of two or three base
-    vectors) and with zero coordinates."""
+    vectors) and with zero coordinates; with ``max_copies``, the last points
+    are dropped until the multiplicities sum to at most that."""
     n = draw(st.integers(1, 3))
     field = draw(st.sampled_from([QQ, FP]))
     size = draw(st.integers(1, 8))
@@ -47,6 +52,9 @@ def segre_schemes(draw):
     if not points:
         points.append(tuple([field.one()] + [field.zero()] * n))
     mults = draw(st.lists(st.integers(1, 4), min_size=len(points), max_size=len(points)))
+    while max_copies is not None and sum(mults) > max_copies:
+        mults.pop()
+        points.pop()
     return FatPointScheme(field, n, list(zip(points, mults)))
 
 
@@ -131,10 +139,28 @@ class TestCardinalityEstimate:
             assert cardinality_estimate_check(x).ok
             done += 1
 
-    def test_guard(self):
+    def test_large_scheme_is_checked(self):
+        # 15 and 32 ground elements: far beyond an exhaustive subset loop
         x = FatPointScheme(QQ, 2, [(p, 3) for p in collinear_points(2, 5)])
-        with pytest.raises(GuardExceeded):
-            cardinality_estimate_check(x)
+        assert cardinality_estimate_check(x) == CardinalityVerdict(True, 14)
+        x = FatPointScheme(QQ, 3, [(p, 4) for p in generic_points(rng_from_seed(3), 3, 8)])
+        assert cardinality_estimate_check(x).ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(segre_schemes(max_copies=14))
+    def test_agrees_with_exhaustive_oracle(self, x):
+        # the negative control lowers seg by one, so the estimate often fails
+        seg = segre_bound(x)[0]
+        m = fat_point_vector_matroid(x)
+        for value in (seg, seg - 1):
+            with mock.patch("fatpointlab.bounds.segre_bound", return_value=(value, None)):
+                verdict = cardinality_estimate_check(x)
+            expected = cardinality_violation_exhaustive(m, value)
+            assert verdict.ok == (expected is None)
+            if not verdict.ok:
+                subset = verdict.violating_subset
+                r = m.rank(subset)
+                assert r >= 2 and len(subset) > value * (r - 1) + 1
 
 
 class TestMainTheorem:

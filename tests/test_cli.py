@@ -7,6 +7,7 @@ import pytest
 
 import fatpointlab
 
+from fatpointlab import bounds
 from fatpointlab.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -80,17 +81,45 @@ class TestGenVerify:
         assert data["failed"] == 0 and data["passed"] == 2
 
     def test_verify_skips_guarded_checks(self, tmp_path):
-        # total multiplicity 15 trips the cardinality guard; nothing fails
+        # 13 support points trip the modified bound's subset guard; nothing fails
+        x = FatPointScheme(QQ, 2, [(p, 1) for p in collinear_points(2, 13)])
+        inst = write_json(tmp_path / "big.json", scheme_to_dict(x))
+        report = str(tmp_path / "report.json")
+        code = main(["verify", inst, "--checks", "main-theorem,modified",
+                     "--out", report])
+        assert code == EXIT_SKIPPED
+        data = json.loads(open(report).read())
+        assert "skipped" in data["checks"]["modified"]
+        assert data["checks"]["main-theorem"]["pass"] is True
+
+    def test_verify_cardinality_on_15_copies(self, tmp_path):
+        # total multiplicity 15 once tripped a size guard; it is checked now
         pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
         x = FatPointScheme(QQ, 2, [(p, 3) for p in pts])
         inst = write_json(tmp_path / "big.json", scheme_to_dict(x))
         report = str(tmp_path / "report.json")
         code = main(["verify", inst, "--checks", "main-theorem,cardinality",
                      "--out", report])
-        assert code == EXIT_SKIPPED
+        assert code == EXIT_OK
         data = json.loads(open(report).read())
-        assert "skipped" in data["checks"]["cardinality"]
+        assert data["checks"]["cardinality"] == {"pass": True, "segre": 7}
         assert data["checks"]["main-theorem"]["pass"] is True
+
+    def test_verify_enumerates_flats_once(self, tmp_path, monkeypatch):
+        # main-theorem and cardinality share the scheme's Segre bound
+        calls = []
+        enumerate_flats = bounds.flats_spanned_by_subsets
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_flats(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "flats_spanned_by_subsets", counting)
+        pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
+        x = FatPointScheme(QQ, 2, [(p, 2) for p in pts])
+        inst = write_json(tmp_path / "x.json", scheme_to_dict(x))
+        assert main(["verify", inst, "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_single_point_skips_two_point_checks(self, tmp_path):
         x = FatPointScheme(QQ, 2, [((1, 2, 3), 2)])
@@ -352,6 +381,17 @@ class TestOptimizedInterpreter:
         report = json.loads(out)
         assert report["checks"]["veronese"]["reg_index"] == 5
         assert report["passed"] == 2
+
+    def test_verify_cardinality_same_under_python_O(self, tmp_path):
+        # five collinear triple points: 15 copies, checked through the
+        # partitioner, whose witnesses are re-checked by explicit code
+        x = FatPointScheme(QQ, 2, [(p, 3) for p in collinear_points(2, 5)])
+        path = write_json(tmp_path / "line.json", scheme_to_dict(x, seed=0, generator="test"))
+        runs = run_cli_plain_and_optimized(["verify", path, "--checks", "cardinality"])
+        assert runs[0] == runs[1]
+        code, out = runs[0]
+        assert code == EXIT_OK
+        assert json.loads(out)["checks"]["cardinality"] == {"pass": True, "segre": 14}
 
     def test_sharpness_same_under_python_O(self):
         runs = run_cli_plain_and_optimized(["reproduce", "4.6-sharpness"])

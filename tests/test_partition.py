@@ -12,12 +12,12 @@ from fatpointlab.partition import (
     InfeasibilityWitness,
     PartitionCertificate,
     avoidance_partition,
-    brute_force_partition_oracle,
     edmonds_fulkerson_partition,
     edmonds_partition,
     inductive_split,
     verify_partition_optimality_example,
 )
+from oracles import brute_force_partition_oracle
 
 QQ = ScalarField.rational()
 
