@@ -220,15 +220,9 @@ def separating_hypersurface(z, p_coords):
     hyperplanes = []
     poly = {tuple([0] * (z.n + 1)): field.one()}
     for block in result.blocks:
-        vectors = [columns[i] for i in sorted(block) if i < n_z]
-        if vectors:
-            kernel = ExactMatrix(field, vectors).kernel_basis()
-        else:
-            kernel = []
-            for j in range(z.n + 1):
-                v = [field.zero()] * (z.n + 1)
-                v[j] = field.one()
-                kernel.append(tuple(v))
+        # a block holding only P: every hyperplane, the kernel of a zero row
+        vectors = [columns[i] for i in sorted(block) if i < n_z] or [[0] * (z.n + 1)]
+        kernel = ExactMatrix(field, vectors).kernel_basis()
         lin = None
         for cand in kernel:
             pairing = sum(

@@ -52,7 +52,12 @@ from .partition import (
     edmonds_partition,
     verify_partition_optimality_example,
 )
-from .schemes import FatPointScheme, ctv_decomposition_check, veronese_inequality_check
+from .schemes import (
+    FatPointScheme,
+    ctv_decomposition_check,
+    regularity_index,
+    veronese_inequality_check,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -173,8 +178,6 @@ def _run_checks(x, checks, d):
                 }
             elif name == "modified":
                 value, witness = modified_bound(x, d)
-                from .schemes import regularity_index
-
                 r = regularity_index(x)
                 results[name] = {
                     "pass": r <= value,

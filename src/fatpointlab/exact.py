@@ -46,7 +46,8 @@ CERTIFICATE_PRIMES = (
 # in numpy, whose per-call overhead dominates below.  On a 2-vCPU Xeon VM pure
 # Python was faster up to 6 x 8 (144 vs 181 us), numpy from 8 x 10 (206 vs
 # 297 us).  numpy is imported on the first elimination of this size, so
-# partition commands and small ``verify`` runs never load it.
+# partition commands and small ``verify`` runs never load it.  Primes from
+# 2^31 on always take pure Python: their residue products overflow int64.
 _NUMPY_MIN_CELLS = 64
 
 # The first twelve primes are a deterministic Miller-Rabin base below this
@@ -269,28 +270,21 @@ class ExactMatrix:
         return ExactMatrix._of_rows(self.field, sub, self._dens).rank()
 
     def kernel_basis(self):
-        """Basis of the right kernel, from the reduced row echelon form."""
+        """Basis of the right kernel, one vector per free column of the
+        reduced row echelon form, with ``int``/``Fraction`` entries."""
         f = self.field
         if self.ncols == 0:
             return []
-        if self.nrows == 0:
-            eye = []
-            for j in range(self.ncols):
-                v = [f.zero()] * self.ncols
-                v[j] = f.one()
-                eye.append(tuple(v))
-            return eye
         # scaling a row by its denominator leaves the reduced form unchanged
-        rows = [[f.elem(x) for x in row] for row in self._rows]
-        red, pivots = _rref(rows, f)
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
+        red, pivots = _rref([[f.elem(x) for x in row] for row in self._rows], f)
         basis = []
-        for j in free:
+        for j in range(self.ncols):
+            if j in pivots:
+                continue
             v = [f.zero()] * self.ncols
             v[j] = f.one()
-            for i, pc in enumerate(pivots):
-                v[pc] = f.neg(red[i][j])
+            for row, pc in zip(red, pivots):
+                v[pc] = f.neg(row[j])
             basis.append(tuple(v))
         return basis
 
@@ -301,10 +295,7 @@ def _rank(field, rows, ncols):
         return 0
     if field.is_rational:
         return _certified_rank(rows, ncols)
-    p = field.p
-    if p < 2**31:
-        return len(_rref_mod_p(rows, p)[1])
-    return len(_rref([list(row) for row in rows], field)[1])
+    return len(_rref_mod_p(rows, field.p)[1])
 
 
 def _certified_rank(rows, ncols):
@@ -382,10 +373,10 @@ def _kernel_certified(rows, pivots, free, lifts, modulus):
 
 def _rref_mod_p(rows, p):
     """Reduced row echelon form of an integer matrix mod p and its pivot
-    columns: an int64 array from numpy for large matrices, lists of ints
-    from pure Python for small ones."""
+    columns: an int64 array from numpy for large matrices when p < 2^31 (so
+    products of residues fit), lists of ints from pure Python otherwise."""
     nrows, ncols = len(rows), len(rows[0])
-    if nrows * ncols >= _NUMPY_MIN_CELLS:
+    if nrows * ncols >= _NUMPY_MIN_CELLS and p < 2**31:
         import numpy as np
 
         a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
@@ -465,31 +456,20 @@ def _bareiss_rank(int_rows):
 
 
 def _rref(rows, field):
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    """In-place reduced row echelon form of rows of field elements; returns
+    (rows, pivot columns)."""
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != field.zero():
-                piv = i
-                break
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != field.zero():
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(rows[i][j], field.mul(factor, rows[r][j]))
-                    for j in range(ncols)
-                ]
+        top = rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i, row in enumerate(rows):
+            factor = row[c]
+            if factor and i != r:
+                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(row, top)]
         pivots.append(c)
-        r += 1
     return rows, pivots

@@ -1,18 +1,23 @@
-"""Exhaustive test oracles and the seeded instances they are compared on.
+"""Exhaustive and independent test oracles, and the seeded instances they
+are compared on.
 
 The library checks the count-matroid hypothesis and the cardinality
 estimate with the augmenting-path partitioner, finds the Segre bound's
 flats rank by rank and partitions by augmenting paths; these oracles
 enumerate every subset or every assignment instead (2^|E| rank queries, or
 k^|E| placements), so they are for small ground sets only, as is the
-rank-axiom check.
+rank-axiom check.  The add-one-point quotient term, which the library reads
+off Hilbert functions, is computed here from kernels of conditions
+matrices.
 """
 
 from itertools import combinations
+from math import comb
 
 from fatpointlab.bounds import SegreWitness
 from fatpointlab.exact import ExactMatrix, GuardExceeded
 from fatpointlab.generators import generic_vectors_matroid, random_vector_matroid
+from fatpointlab.schemes import FatPointScheme, conditions_matrix
 
 
 def subset_ranks(rank, elements):
@@ -79,6 +84,19 @@ def cardinality_violation_exhaustive(m, seg):
             if r >= 2 and size > seg * (r - 1) + 1:
                 return frozenset(combo)
     return None
+
+
+def ctv_quotient_term_by_kernels(z, p_coords, m):
+    """1 + reg R/(I_Z + I_P^m): the first degree j at which I_Z + I_P^m
+    fills R_j.  Its degree-j part is spanned by the kernels of the
+    conditions matrices of Z and of mP, so the union of the two kernel
+    bases is ranked degree by degree."""
+    fat_p = FatPointScheme(z.field, z.n, [(p_coords, m)])
+    for j in range(z.degree() + fat_p.degree() + 1):
+        vectors = conditions_matrix(z, j).kernel_basis() + conditions_matrix(fat_p, j).kernel_basis()
+        if vectors and ExactMatrix(z.field, vectors).rank() == comb(z.n + j, z.n):
+            return j
+    raise AssertionError("quotient did not vanish by deg Z + deg mP")
 
 
 def count_violations_exhaustive(base, k, p, ground=None):

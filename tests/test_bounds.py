@@ -220,6 +220,14 @@ class TestSeparatingHypersurface:
         with pytest.raises(ValueError):
             separating_hypersurface(z, (3, 0, 0))
 
+    def test_non_point_rejected(self):
+        z = FatPointScheme(QQ, 2, [((1, 0, 0), 1)])
+        with pytest.raises(ValueError, match="invalid projective point"):
+            separating_hypersurface(z, (0, 0, 0))
+        for coords in [(1, 0), (1, 0, 0, 1)]:
+            with pytest.raises(ValueError, match="wrong number of coordinates"):
+                separating_hypersurface(z, coords)
+
     def test_random_certificates(self):
         rng = rng_from_seed(55)
         done = 0

@@ -14,6 +14,7 @@ from fatpointlab.generators import (
     rng_from_seed,
 )
 from fatpointlab.schemes import (
+    CtvVerdict,
     FatPointScheme,
     conditions_matrix,
     ctv_decomposition_check,
@@ -25,6 +26,7 @@ from fatpointlab.schemes import (
     veronese_inequality_check,
     veronese_lift,
 )
+from oracles import ctv_quotient_term_by_kernels
 
 QQ = ScalarField.rational()
 
@@ -54,6 +56,14 @@ class TestSchemeConstruction:
         x = simple(2, [(1, 2, 3)])
         assert x.contains_point((2, 4, 6))
         assert not x.contains_point((1, 0, 0))
+
+    def test_contains_point_rejects_non_points(self):
+        x = simple(2, [(1, 0, 0)])
+        with pytest.raises(ValueError, match="invalid projective point"):
+            x.contains_point((0, 0, 0))
+        for coords in [(1, 0), (1, 0, 0, 1)]:
+            with pytest.raises(ValueError, match="wrong number of coordinates"):
+                x.contains_point(coords)
 
 
 class TestMonomials:
@@ -309,7 +319,46 @@ class TestSubscheme:
             assert regularity_index(z) <= regularity_index(x)
 
 
+@st.composite
+def ctv_instances(draw):
+    """(Z, P, m) over Q or F_10007 with n <= 3, at most four points and
+    multiplicities <= 3.  Each point is either free or a combination of two
+    base vectors, so collinear clusters (with P on or off the line) occur."""
+    field = draw(st.sampled_from([QQ, ScalarField.prime(10007)]))
+    n = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+    a, b = draw(vector), draw(vector)
+    on_line = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda w: [w[0] * x + w[1] * y for x, y in zip(a, b)])
+    points = draw(st.lists(st.tuples(st.one_of(on_line, vector), st.integers(1, 3)),
+                           min_size=2, max_size=4))
+    try:
+        x = FatPointScheme(field, n, points)
+    except ValueError:
+        assume(False)
+    (p, m), rest = x.points[-1], x.points[:-1]
+    return FatPointScheme(field, n, list(rest)), p, m
+
+
 class TestCtv:
+    @given(ctv_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_kernel_oracle(self, instance):
+        z, p, m = instance
+        r = regularity_index(z.with_point(p, m))
+        r_z = regularity_index(z)
+        q = ctv_quotient_term_by_kernels(z, p, m)
+        formula = max(m - 1, r_z, q)
+        expected = CtvVerdict(r == formula, r, formula, m - 1, r_z, q)
+        assert ctv_decomposition_check(z, p, m) == expected
+
+    def test_rejects_non_points(self):
+        z = FatPointScheme(QQ, 2, [((1, 0, 0), 1)])
+        with pytest.raises(ValueError, match="invalid projective point"):
+            ctv_decomposition_check(z, (0, 0, 0), 1)
+        with pytest.raises(ValueError, match="wrong number of coordinates"):
+            ctv_decomposition_check(z, (1, 0), 1)
+
     def test_basic_identity(self):
         z = FatPointScheme(QQ, 2, [((1, 0, 0), 1), ((0, 1, 0), 1)])
         verdict = ctv_decomposition_check(z, (0, 0, 1), 2)
