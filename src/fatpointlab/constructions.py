@@ -145,6 +145,23 @@ def elementary_quotient(ambient, ground, pivot):
     return RankOracle(ground, rank_fn, labels={e: ambient.labels[e] for e in ground if e in ambient.labels})
 
 
+class ParallelExtension(RankOracle):
+    """A parallel extension of ``base`` (see ``parallel_extension``).
+
+    A copy behaves as its element, so a subset is ranked by mapping each
+    copy back through ``copy_of`` and asking the base oracle; its memo
+    serves every extension of it, and the extension keeps none of its own.
+    """
+
+    def __init__(self, base, copy_of):
+        self.base = base
+        self.copy_of = copy_of
+        super().__init__(list(base.elements) + list(copy_of), None, labels=base.labels)
+
+    def _rank(self, fs):
+        return self.base._rank(frozenset(map(self.copy_of.get, fs, fs)))
+
+
 def parallel_extension(base, duplicated):
     """The parallel extension M_{+S}: tagged copies of S added in parallel.
 
@@ -156,12 +173,4 @@ def parallel_extension(base, duplicated):
     if not frozenset(duplicated) <= base._element_set:
         raise ValueError("duplicated set not contained in ground set")
     offset = (max(base.elements) + 1) if base.elements else 0
-    copy_of = {offset + i: e for i, e in enumerate(duplicated)}
-    elements = list(base.elements) + list(copy_of)
-
-    def rank_fn(fs):
-        return base.rank(frozenset(map(copy_of.get, fs, fs)))
-
-    oracle = RankOracle(elements, rank_fn, labels=dict(base.labels))
-    oracle.copy_of = dict(copy_of)
-    return oracle
+    return ParallelExtension(base, {offset + i: e for i, e in enumerate(duplicated)})

@@ -25,7 +25,9 @@ Rank over Q is certified from modular data:
    independent kernel vectors bound the rank over Q above by r.
 
 Only when no certificate comes out of the prime list does fraction-free
-(Bareiss 1968) elimination decide the rank.
+(Bareiss 1968) elimination decide the rank.  Step 1 alone is
+``rank_lower_bound``, for callers that need a certificate only when the
+rank is full; its reduction is reused by a later ``rank``.
 """
 
 from __future__ import annotations
@@ -211,6 +213,7 @@ class ExactMatrix:
             raise ValueError("ragged rows")
         self._entries = None
         self._rank = None
+        self._first = None            # see _first_reduction
 
     @classmethod
     def from_columns(cls, field, columns):
@@ -256,8 +259,38 @@ class ExactMatrix:
 
     def rank(self):
         if self._rank is None:
-            self._rank = _rank(self.field, self._rows, self.ncols)
+            if not self.nrows or not self.ncols:
+                self._rank = 0
+            elif self.field.is_rational:
+                self._rank = _certified_rank(*self._first_reduction())
+            else:
+                self._rank = len(_rref_mod_p(self._rows, self.field.p)[1])
+            self._first = None
         return self._rank
+
+    def rank_lower_bound(self):
+        """Over Q the rank modulo ``CERTIFICATE_PRIMES[0]``: a lower bound
+        for ``rank``, which it certifies when it is min(nrows, ncols).  Over
+        F_p the rank itself.
+
+        The reduction is kept, so a later ``rank`` call does not repeat it.
+        """
+        if self._rank is not None or not (self.field.is_rational and self.nrows and self.ncols):
+            return self.rank()
+        r = len(self._first_reduction()[2])
+        if r == min(self.nrows, self.ncols):
+            self._rank, self._first = r, None
+        return r
+
+    def _first_reduction(self):
+        """(rows on the tall side, their reduced form and pivot columns
+        modulo the first certificate prime), computed once."""
+        if self._first is None:
+            rows = self._rows
+            if len(rows) < self.ncols:
+                rows = list(zip(*rows))
+            self._first = (rows,) + tuple(_rref_mod_p(rows, CERTIFICATE_PRIMES[0]))
+        return self._first
 
     def rank_of_column_subset(self, cols):
         cols = sorted(cols)
@@ -289,28 +322,17 @@ class ExactMatrix:
         return basis
 
 
-def _rank(field, rows, ncols):
-    """Rank of integer rows over ``field`` (residue rows over F_p)."""
-    if not rows or ncols == 0:
-        return 0
-    if field.is_rational:
-        return _certified_rank(rows, ncols)
-    return len(_rref_mod_p(rows, field.p)[1])
-
-
-def _certified_rank(rows, ncols):
-    """Rank over Q of an integer matrix, certified as the module describes.
-
-    The matrix is put on its tall side, so the kernel to certify has
-    min(nrows, ncols) - r vectors."""
-    if len(rows) < ncols:
-        rows = list(zip(*rows))
-        ncols = len(rows[0])
+def _certified_rank(rows, first_red, first_pivots):
+    """Rank over Q of an integer matrix with at least as many rows as
+    columns, certified as the module describes, so the kernel to certify
+    has ncols - r vectors.  ``first_red`` and ``first_pivots`` are its
+    reduction modulo the first certificate prime."""
+    ncols = len(rows[0])
     best = None            # pivot columns of the luckiest prime so far
     modulus = 1
     lifts = None           # CRT residues of the kernel vectors at the pivots
-    for p in CERTIFICATE_PRIMES:
-        red, pivots = _rref_mod_p(rows, p)
+    for k, p in enumerate(CERTIFICATE_PRIMES):
+        red, pivots = _rref_mod_p(rows, p) if k else (first_red, first_pivots)
         r = len(pivots)
         if r == ncols:
             return r

@@ -157,12 +157,18 @@ def _covers(m, flat, r):
 
 
 class VectorMatroid(RankOracle):
-    """The matroid of the columns of an exact matrix; rank = column rank."""
+    """The matroid of the columns of an exact matrix; rank = column rank.
+
+    A single column is a loop iff it is zero, so the singleton ranks are
+    put in the memo without elimination.
+    """
 
     def __init__(self, matrix, labels=None):
         self.matrix = matrix
         self.field = matrix.field
         super().__init__(range(matrix.ncols), lambda fs: matrix.rank_of_column_subset(fs), labels=labels)
+        for j in self.elements:
+            self._cache[frozenset([j])] = int(any(row[j] for row in matrix._rows))
 
 
 def fat_point_vector_matroid(x):

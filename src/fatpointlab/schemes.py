@@ -5,7 +5,9 @@ Its degree-d Hilbert function is the rank of the derivative-conditions
 matrix: one row per vanishing condition (point, derivative multi-index of
 order below the multiplicity), one column per degree-d monomial in a fixed
 degree-lexicographic order.  The regularity index is the least degree at
-which that rank reaches the degree of the scheme.
+which that rank reaches the degree of the scheme.  It is found at its
+boundary (see ``regularity_index``): one rank modulo a prime per degree
+from a lower bound up, then one certified deficiency one degree below.
 
 Vanishing conditions are written after dehomogenizing each point at its
 first nonzero coordinate, which avoids the redundancy among homogeneous
@@ -29,6 +31,7 @@ from math import comb, gcd, lcm, perm
 from operator import mul
 
 from .exact import ExactMatrix, InternalError, ScalarField
+from .matroid import VectorMatroid, _covers
 
 
 @lru_cache(maxsize=None)
@@ -75,8 +78,11 @@ class FatPointScheme:
                 if _proportional(field, cleaned[i][0], cleaned[j][0]):
                     raise ValueError("points must be pairwise distinct in projective space")
         self.points = tuple(cleaned)
-        self._hilbert_cache = {}
-        self._segre = None  # (seg, witness), filled by bounds.segre_bound
+        self._hilbert_cache = {}  # certified values of h_X
+        self._conditions = {}     # conditions matrices whose rank is not certified yet
+        self._reg = None          # r(X), filled by regularity_index
+        self._support = None      # see support_matroid
+        self._segre = None        # (seg, witness), filled by bounds.segre_bound
 
     @property
     def support_size(self):
@@ -188,32 +194,112 @@ def conditions_matrix(x, d):
     return ExactMatrix.from_integer_rows(field, rows)
 
 
+def support_matroid(x):
+    """The vector matroid of the support points (no copies), built once per
+    scheme, so the regularity search and the Segre bound share its ranks."""
+    if x._support is None:
+        x._support = VectorMatroid(ExactMatrix.from_columns(x.field, [c for c, _ in x.points]))
+    return x._support
+
+
+def heaviest_line_weight(x):
+    """The largest total multiplicity w_L of the support points on a line L.
+
+    w_L - 1 is a lower bound for r(X), at least max m_i - 1: X meets L in a
+    scheme of degree w_L on a P^1, which needs degree w_L - 1.  The lines
+    through two support points are the rank-2 flats of the support
+    matroid, so they are the covers of its singletons (no point is zero
+    and no two are proportional, so every singleton is a flat).
+    """
+    m = support_matroid(x)
+    mults = x.mults
+    if m.full_rank() <= 2:
+        return sum(mults)  # the support lies on one line
+    return max(sum(mults[e] for e in cover)
+               for i in m.elements for cover in _covers(m, frozenset([i]), 1))
+
+
+def _monomial_floor(x):
+    """The first degree with at least deg X monomials."""
+    d = 0
+    while comb(x.n + d, x.n) < x.degree():
+        d += 1
+    return d
+
+
+def _conditions(x, d):
+    """The conditions matrix in degree d, built once per scheme and kept
+    until its rank is certified."""
+    m = x._conditions.get(d)
+    if m is None:
+        m = x._conditions[d] = conditions_matrix(x, d)
+    return m
+
+
 def hilbert_function(x, d):
-    """h_X(d) = dim [R/I_X]_d = rank of the conditions matrix."""
+    """h_X(d) = dim [R/I_X]_d = rank of the conditions matrix, and deg X
+    from a certified r(X) on.  Only certified values are cached."""
     h = x._hilbert_cache.get(d)
     if h is None:
-        h = conditions_matrix(x, d).rank()
-        x._hilbert_cache[d] = h
+        if x._reg is not None and d >= x._reg:
+            return x.degree()
+        h = x._hilbert_cache[d] = _conditions(x, d).rank()
+        del x._conditions[d]
     return h
 
 
-def regularity_index(x):
-    """Least d with h_X(d) = deg X, by ascending search.
-
-    Degrees with fewer monomials than deg X are skipped (the rank cannot be
-    full there).  The search must terminate by d = deg X - 1, the classical
-    bound for zero-dimensional schemes; exceeding it is an internal error.
-    """
+def _full_at(x, d):
+    """Whether h_X(d) = deg X, from the rank modulo the first certificate
+    prime (the rank itself over F_p).  A full rank is certified and cached;
+    a deficient one over Q is only a lower bound and is not."""
     deg = x.degree()
-    d = 0
-    while comb(x.n + d, x.n) < deg:
-        d += 1
-    limit = max(0, deg - 1)
-    while d <= limit:
-        if hilbert_function(x, d) == deg:
-            return d
-        d += 1
-    raise InternalError("regularity search exceeded deg X - 1")
+    if d not in x._hilbert_cache:
+        m = _conditions(x, d)
+        if m.rank_lower_bound() < deg:
+            return False
+        del x._conditions[d]
+        x._hilbert_cache[d] = deg
+    return x._hilbert_cache[d] == deg
+
+
+def regularity_index(x):
+    """Least d with h_X(d) = deg X, by a search at its boundary; memoized.
+
+    h_X is monotone, so two facts fix r: h_X(r) = deg X and
+    h_X(r - 1) < deg X.  The rank of the conditions matrix does not change
+    over the algebraic closure of the field, and there a linear form
+    missing every support point is a nonzerodivisor on R/I_X, so
+    multiplying by it embeds degree d into degree d + 1: full at d means
+    full above d.  Over F_p this needs p > d, which ``conditions_matrix``
+    enforces; the ideal of X itself does not depend on the derivative
+    encoding.
+
+    The search climbs from the largest of the monomial floor and the lower
+    bound w_L - 1 of ``heaviest_line_weight``, with one rank modulo a prime
+    per degree: a lower bound over Q that certifies a full rank, the exact
+    rank over F_p.  At the first full degree d it certifies h_X(d - 1)
+    (no certificate is needed below the monomial floor, where the rank
+    cannot be full), and steps down while that is full too: after an
+    unlucky prime took the climb past r, or if the start was above r.  So
+    correctness depends on no bound.  Over F_p the start is capped at
+    p - 1, so a field too small for r(X) is reported at the degree where
+    an ascending search meets it first.  The climb must end by
+    d = deg X - 1, the classical bound; exceeding it is an internal error.
+    """
+    if x._reg is None:
+        floor = _monomial_floor(x)
+        d = max(floor, heaviest_line_weight(x) - 1)
+        if x.field.p is not None:
+            d = max(floor, min(d, x.field.p - 1))
+        limit = max(0, x.degree() - 1)
+        while not _full_at(x, d):
+            d += 1
+            if d > limit:
+                raise InternalError("regularity search exceeded deg X - 1")
+        while d > floor and hilbert_function(x, d - 1) == x.degree():
+            d -= 1
+        x._reg = d
+    return x._reg
 
 
 @dataclass

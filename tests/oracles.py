@@ -8,7 +8,8 @@ enumerate every subset or every assignment instead (2^|E| rank queries, or
 k^|E| placements), so they are for small ground sets only, as is the
 rank-axiom check.  The add-one-point quotient term, which the library reads
 off Hilbert functions, is computed here from kernels of conditions
-matrices.
+matrices, and the regularity index, which the library certifies at its
+boundary, by ranking every degree from the monomial floor up.
 """
 
 from itertools import combinations
@@ -97,6 +98,27 @@ def ctv_quotient_term_by_kernels(z, p_coords, m):
         if vectors and ExactMatrix(z.field, vectors).rank() == comb(z.n + j, z.n):
             return j
     raise AssertionError("quotient did not vanish by deg Z + deg mP")
+
+
+def regularity_index_ascending(x):
+    """The least d with h_X(d) = deg X, ranking a fresh conditions matrix
+    in every degree from the first with deg X monomials up; a prime field
+    too small for some degree on the way raises ValueError there."""
+    deg = x.degree()
+    d = 0
+    while comb(x.n + d, x.n) < deg:
+        d += 1
+    while d < deg:
+        if conditions_matrix(x, d).rank() == deg:
+            return d
+        d += 1
+    raise AssertionError("regularity search exceeded deg X - 1")
+
+
+def hilbert_profile_ascending(x):
+    """{d: h_X(d)} for d = 0 .. r(X), every value from a fresh matrix."""
+    r = regularity_index_ascending(x)
+    return {d: conditions_matrix(x, d).rank() for d in range(r + 1)}
 
 
 def count_violations_exhaustive(base, k, p, ground=None):

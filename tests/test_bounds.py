@@ -14,7 +14,7 @@ from fatpointlab.bounds import (
     separating_hypersurface,
     verify_main_theorem,
 )
-from fatpointlab.exact import GuardExceeded, ScalarField
+from fatpointlab.exact import ExactMatrix, GuardExceeded, ScalarField
 from fatpointlab.generators import (
     collinear_points,
     generic_points,
@@ -108,6 +108,19 @@ class TestSegreBound:
         x = FatPointScheme(QQ, 2, [(p, 1) for p in generic_points(rng_from_seed(58), 2, 20, coord_range=1000)])
         seg, witness = segre_bound(x)
         assert seg == 10 and witness.span_dim == 2 and witness.weight == 20
+
+    def test_shares_the_support_ranks_with_the_regularity_search(self, monkeypatch):
+        ranked = []
+        rank_of_columns = ExactMatrix.rank_of_column_subset
+
+        def counted(matrix, cols):
+            ranked.append(tuple(sorted(cols)))  # only support matrices here
+            return rank_of_columns(matrix, cols)
+
+        monkeypatch.setattr(ExactMatrix, "rank_of_column_subset", counted)
+        x = FatPointScheme(QQ, 2, [(p, 2) for p in collinear_points(2, 3) + [(3, 7, 1), (5, 2, 1)]])
+        verify_main_theorem(x)
+        assert ranked and len(ranked) == len(set(ranked))
 
     def test_guard_is_the_flat_enumeration_guard(self):
         x = FatPointScheme(QQ, 2, [(p, 1) for p in collinear_points(2, 24)])

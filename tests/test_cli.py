@@ -137,7 +137,9 @@ class TestGenVerify:
         inst = write_json(tmp_path / "f5.json", scheme_to_dict(x))
         proc = run_python("-m", "fatpointlab.cli", "verify", inst, "--checks", "main-theorem")
         assert proc.returncode == EXIT_USAGE
-        assert proc.stderr.startswith("error: prime field too small")
+        # the degree an ascending search meets first, although the search
+        # starts at the line bound 7
+        assert proc.stderr == "error: prime field too small for derivative conditions at degree 5\n"
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_verify_all_default_checks(self, tmp_path):

@@ -237,6 +237,12 @@ class TestParallelExtension:
         with pytest.raises(ValueError):
             parallel_extension(vm([(1,)]), {5})
 
+    def test_ranks_go_to_the_base_memo(self):
+        base = vm([(1, 0), (0, 1), (1, 1)])
+        ext = parallel_extension(base, [0, 2])  # copies 3 of 0 and 4 of 2
+        assert ext.rank({0, 3, 4}) == 2
+        assert ext._cache == {} and base._cache[frozenset({0, 2})] == 2
+
     def test_repeated_elements_get_several_copies(self):
         base = vm([(1, 0), (0, 1)])
         ext = parallel_extension(base, [1, 0, 1])

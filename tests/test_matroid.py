@@ -121,6 +121,23 @@ class TestFlats:
         assert len(queries) == len(set(queries)) <= 3000
         assert len(flats) == 190 + 1 and flats[-1] == frozenset(range(20))
 
+    def test_singleton_ranks_need_no_elimination(self, monkeypatch):
+        # a column is a loop iff it is zero, so cl(empty set) asks no
+        # one-column rank
+        points = generic_points(rng_from_seed(12), 2, 20, coord_range=1000)
+        widths = []
+        ranked = ExactMatrix.rank_of_column_subset
+
+        def counted(matrix, cols):
+            widths.append(len(cols))
+            return ranked(matrix, cols)
+
+        monkeypatch.setattr(ExactMatrix, "rank_of_column_subset", counted)
+        assert len(flats_spanned_by_subsets(vm(QQ, points), min_rank=2)) == 191
+        m = vm(FP, [(0, 0), (1, 2)])
+        assert m.closure(()) == {0} and m.rank({1}) == 1
+        assert widths and 1 not in widths
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(1, 3).flatmap(lambda dim: st.lists(

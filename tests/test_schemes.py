@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fatpointlab import exact, schemes
 from fatpointlab.exact import ExactMatrix, ScalarField
 from fatpointlab.generators import (
     collinear_points,
@@ -26,7 +27,11 @@ from fatpointlab.schemes import (
     veronese_inequality_check,
     veronese_lift,
 )
-from oracles import ctv_quotient_term_by_kernels
+from oracles import (
+    ctv_quotient_term_by_kernels,
+    hilbert_profile_ascending,
+    regularity_index_ascending,
+)
 
 QQ = ScalarField.rational()
 
@@ -286,6 +291,140 @@ class TestRegularityIndex:
         prof = hilbert_profile(x)
         assert prof.reg_index == 2 and prof.degree == 3
         assert prof.values == {0: 1, 1: 2, 2: 3}
+
+
+@st.composite
+def regularity_instances(draw):
+    """A scheme over Q, F_7 or F_10007 with n <= 3, at most five points and
+    multiplicities <= 3 (<= 5 on P^1).  Each point is either free or a
+    combination of two base vectors, so collinear clusters occur."""
+    field = draw(st.sampled_from([QQ, ScalarField.prime(7), ScalarField.prime(10007)]))
+    n = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+    a, b = draw(vector), draw(vector)
+    on_line = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda w: [w[0] * x + w[1] * y for x, y in zip(a, b)])
+    points = draw(st.lists(st.tuples(st.one_of(on_line, vector), st.integers(1, 5 if n == 1 else 3)),
+                           min_size=1, max_size=5))
+    try:
+        return FatPointScheme(field, n, points)
+    except ValueError:
+        assume(False)
+
+
+# three points on a line and one or two off it
+LINE = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
+
+
+def count_conditions_matrices(monkeypatch):
+    """The degrees of the conditions matrices built from now on, in order."""
+    built = []
+    build = schemes.conditions_matrix
+
+    def counted(x, d):
+        built.append(d)
+        return build(x, d)
+
+    monkeypatch.setattr(schemes, "conditions_matrix", counted)
+    return built
+
+
+class TestBoundarySearch:
+    """The boundary search against the ascending one, and its forced paths."""
+
+    @given(regularity_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_ascending_oracle(self, x):
+        try:
+            expected = hilbert_profile_ascending(x)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                hilbert_profile(x)
+            assert str(info.value) == str(exc)
+            return
+        profile = hilbert_profile(x)
+        assert (profile.reg_index, profile.values) == (max(expected), expected)
+
+    def test_start_above_r_steps_down(self, monkeypatch):
+        x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
+        r = regularity_index_ascending(x)
+        assert r - 1 >= 6  # above the monomial floor, so r - 1 is certified
+        monkeypatch.setattr(schemes, "heaviest_line_weight", lambda y: r + 3)
+        built = count_conditions_matrices(monkeypatch)
+        assert regularity_index(x) == r
+        assert built == [r + 2, r + 1, r, r - 1]
+        assert hilbert_profile(x).values == hilbert_profile_ascending(x)
+
+    def test_unlucky_first_prime_at_r(self, monkeypatch):
+        x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
+        r = regularity_index_ascending(x)
+        cols_at_r = comb(2 + r, 2)
+        lower_bound = ExactMatrix.rank_lower_bound
+
+        def unlucky(m):
+            # the first prime loses one rank on the degree-r matrix
+            return m.nrows - 1 if m.ncols == cols_at_r else lower_bound(m)
+
+        monkeypatch.setattr(ExactMatrix, "rank_lower_bound", unlucky)
+        built = count_conditions_matrices(monkeypatch)
+        assert regularity_index(x) == r
+        # climbed past r, then certified h(r) full and h(r - 1) deficient
+        assert built == [r, r + 1, r - 1]
+        assert hilbert_function(x, r) == x.degree()
+
+    def test_sharp_cluster_builds_two_matrices(self, monkeypatch):
+        x = FatPointScheme(QQ, 2, [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
+        schemes.heaviest_line_weight(x)  # rank the support points first
+        built = count_conditions_matrices(monkeypatch)
+        certified = []
+        certify = exact._certified_rank
+
+        def counted(rows, *first):
+            r = certify(rows, *first)
+            certified.append(r < len(rows[0]))
+            return r
+
+        monkeypatch.setattr(exact, "_certified_rank", counted)
+        assert regularity_index(x) == 14
+        assert built == [14, 13]
+        assert certified == [True]  # one certified rank, and it is deficient
+
+    def test_hilbert_values_above_r_build_nothing(self, monkeypatch):
+        x = FatPointScheme(QQ, 2, [(p, 2) for p in LINE + [(3, 7, 1)]])
+        r = regularity_index(x)
+        built = count_conditions_matrices(monkeypatch)
+        assert [hilbert_function(x, d) for d in range(r, r + 4)] == [x.degree()] * 4
+        assert built == []
+
+    def test_ctv_builds_no_matrix_of_z_above_r(self, monkeypatch):
+        built = []
+        build = schemes.conditions_matrix
+
+        def counted(x, d):
+            built.append((x, d))
+            return build(x, d)
+
+        monkeypatch.setattr(schemes, "conditions_matrix", counted)
+        rng = rng_from_seed(7)
+        done = 0
+        while done < 20:
+            z = random_scheme(rng, rng.randint(1, 3), 4, 3)
+            cand = tuple(rng.randint(0, 5) for _ in range(z.n + 1))
+            if not any(cand) or z.contains_point(cand):
+                continue
+            ctv_decomposition_check(z, cand, rng.randint(1, 3))
+            r_z = regularity_index(z)
+            assert all(d <= r_z for y, d in built if y is z)
+            built.clear()
+            done += 1
+
+    def test_too_small_field_reported_at_the_ascending_degree(self):
+        # the search would start at the line bound 7, but an ascending one
+        # meets p = 5 first at the monomial floor 5
+        x = FatPointScheme(ScalarField.prime(5), 2, [((1, 0, 0), 4), ((0, 1, 0), 4)])
+        with pytest.raises(ValueError, match="^prime field too small for derivative "
+                                             "conditions at degree 5$"):
+            regularity_index(x)
 
 
 class TestSubscheme:
