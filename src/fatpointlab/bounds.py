@@ -33,7 +33,6 @@ from .schemes import (
     hilbert_function,
     monomials,
     regularity_index,
-    support_matroid,
 )
 
 MODIFIED_BOUND_GUARD = 12
@@ -99,7 +98,7 @@ def _segre_bound(x):
     if s == 1:
         m = mults[0]
         return m - 1, SegreWitness(frozenset([0]), 0, m, m - 1)
-    support = support_matroid(x)
+    support = VectorMatroid(ExactMatrix.from_columns(x.field, [c for c, _ in x.points]))
     best = None
     for members in flats_spanned_by_subsets(support, min_rank=2):
         dim = support.rank(members) - 1

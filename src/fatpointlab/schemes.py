@@ -31,7 +31,6 @@ from math import comb, gcd, lcm, perm
 from operator import mul
 
 from .exact import ExactMatrix, InternalError, ScalarField
-from .matroid import VectorMatroid, _covers
 
 
 @lru_cache(maxsize=None)
@@ -79,9 +78,8 @@ class FatPointScheme:
                     raise ValueError("points must be pairwise distinct in projective space")
         self.points = tuple(cleaned)
         self._hilbert_cache = {}  # certified values of h_X
-        self._conditions = {}     # conditions matrices whose rank is not certified yet
+        self._conditions = {}     # the running search's matrices, rank not certified yet
         self._reg = None          # r(X), filled by regularity_index
-        self._support = None      # see support_matroid
         self._segre = None        # (seg, witness), filled by bounds.segre_bound
 
     @property
@@ -194,12 +192,17 @@ def conditions_matrix(x, d):
     return ExactMatrix.from_integer_rows(field, rows)
 
 
-def support_matroid(x):
-    """The vector matroid of the support points (no copies), built once per
-    scheme, so the regularity search and the Segre bound share its ranks."""
-    if x._support is None:
-        x._support = VectorMatroid(ExactMatrix.from_columns(x.field, [c for c, _ in x.points]))
-    return x._support
+def _normalized(v, p):
+    """The nonzero integer vector v up to scale: primitive with its first
+    nonzero entry positive (over F_p: reduced, with that entry 1)."""
+    if p is not None:
+        v = [c % p for c in v]
+        inv = pow(next(c for c in v if c), -1, p)
+        return tuple(c * inv % p for c in v)
+    g = gcd(*v)
+    if next(c for c in v if c) < 0:
+        g = -g
+    return tuple(c // g for c in v)
 
 
 def heaviest_line_weight(x):
@@ -207,29 +210,32 @@ def heaviest_line_weight(x):
 
     w_L - 1 is a lower bound for r(X), at least max m_i - 1: X meets L in a
     scheme of degree w_L on a P^1, which needs degree w_L - 1.  The lines
-    through two support points are the rank-2 flats of the support
-    matroid, so they are the covers of its singletons (no point is zero
-    and no two are proportional, so every singleton is a flat).
+    through a support point a are told apart by where they meet the
+    hyperplane x_t = 0, for a coordinate with a_t != 0: the line through a
+    and b meets it at a_t b - b_t a.  So each of the s(s - 1)/2 pairs costs
+    O(n) integer steps and no rank; each line is weighed from its first
+    point on.
     """
-    m = support_matroid(x)
     mults = x.mults
-    if m.full_rank() <= 2:
+    if x.n == 1 or len(mults) <= 2:
         return sum(mults)  # the support lies on one line
-    return max(sum(mults[e] for e in cover)
-               for i in m.elements for cover in _covers(m, frozenset([i]), 1))
-
-
-def _monomial_floor(x):
-    """The first degree with at least deg X monomials."""
-    d = 0
-    while comb(x.n + d, x.n) < x.degree():
-        d += 1
-    return d
+    p = x.field.p
+    coords = [_integer_coords(x.field, c) for c, _ in x.points]
+    best = 0
+    for i, a in enumerate(coords[:-1]):
+        t = next(k for k, v in enumerate(a) if v)
+        later = {}  # line through a -> weight of its points after a
+        for j in range(i + 1, len(coords)):
+            b = coords[j]
+            key = _normalized([a[t] * bk - b[t] * ak for ak, bk in zip(a, b)], p)
+            later[key] = later.get(key, 0) + mults[j]
+        best = max(best, mults[i] + max(later.values()))
+    return best
 
 
 def _conditions(x, d):
-    """The conditions matrix in degree d, built once per scheme and kept
-    until its rank is certified."""
+    """The conditions matrix in degree d, kept until its rank is certified
+    or the regularity search ends, so the search builds each degree once."""
     m = x._conditions.get(d)
     if m is None:
         m = x._conditions[d] = conditions_matrix(x, d)
@@ -277,28 +283,43 @@ def regularity_index(x):
     The search climbs from the largest of the monomial floor and the lower
     bound w_L - 1 of ``heaviest_line_weight``, with one rank modulo a prime
     per degree: a lower bound over Q that certifies a full rank, the exact
-    rank over F_p.  At the first full degree d it certifies h_X(d - 1)
-    (no certificate is needed below the monomial floor, where the rank
-    cannot be full), and steps down while that is full too: after an
-    unlucky prime took the climb past r, or if the start was above r.  So
+    rank over F_p.  The line search runs only when the line bound can move
+    the start two degrees or more above the floor (the total multiplicity
+    minus 1 can; one degree up builds the same matrices, since d - 1 is
+    certified anyway) and its s(s - 1)/2 pair keys are at most deg X, the
+    row count of every conditions matrix the search builds, which keeps it
+    a small part of building even one of them.  Otherwise (many light
+    points, generic simple points among them) the climb starts at the
+    floor.
+
+    At the first full degree d the search certifies h_X(d - 1) (no
+    certificate is needed below the monomial floor, where the rank cannot
+    be full), and steps down while that is full too: after an unlucky
+    prime took the climb past r, or if the start was above r.  So
     correctness depends on no bound.  Over F_p the start is capped at
     p - 1, so a field too small for r(X) is reported at the degree where
     an ascending search meets it first.  The climb must end by
     d = deg X - 1, the classical bound; exceeding it is an internal error.
     """
     if x._reg is None:
-        floor = _monomial_floor(x)
-        d = max(floor, heaviest_line_weight(x) - 1)
+        deg = x.degree()
+        floor = 0  # the first degree with at least deg X monomials
+        while comb(x.n + floor, x.n) < deg:
+            floor += 1
+        d = floor
+        s = x.support_size
+        if sum(x.mults) - 1 >= floor + 2 and s * (s - 1) // 2 <= deg:
+            d = max(floor, heaviest_line_weight(x) - 1)
         if x.field.p is not None:
             d = max(floor, min(d, x.field.p - 1))
-        limit = max(0, x.degree() - 1)
         while not _full_at(x, d):
             d += 1
-            if d > limit:
+            if d > max(0, deg - 1):
                 raise InternalError("regularity search exceeded deg X - 1")
-        while d > floor and hilbert_function(x, d - 1) == x.degree():
+        while d > floor and hilbert_function(x, d - 1) == deg:
             d -= 1
         x._reg = d
+        x._conditions.clear()  # the climb's deficient degrees below d - 1
     return x._reg
 
 

@@ -8,8 +8,10 @@ enumerate every subset or every assignment instead (2^|E| rank queries, or
 k^|E| placements), so they are for small ground sets only, as is the
 rank-axiom check.  The add-one-point quotient term, which the library reads
 off Hilbert functions, is computed here from kernels of conditions
-matrices, and the regularity index, which the library certifies at its
-boundary, by ranking every degree from the monomial floor up.
+matrices, the regularity index, which the library certifies at its
+boundary, by ranking every degree from the monomial floor up, and the
+heaviest line, which the library finds by grouping pair keys, by ranking
+every triple of support points.
 """
 
 from itertools import combinations
@@ -113,6 +115,19 @@ def regularity_index_ascending(x):
             return d
         d += 1
     raise AssertionError("regularity search exceeded deg X - 1")
+
+
+def heaviest_line_weight_by_ranks(x):
+    """The largest total multiplicity of the support points on a line:
+    the line through points i and j holds the k with rank {i, j, k} = 2."""
+    mults = x.mults
+    if len(mults) == 1:
+        return mults[0]
+    matrix = ExactMatrix.from_columns(x.field, [c for c, _ in x.points])
+    return max(
+        sum(mults[k] for k in range(len(mults)) if matrix.rank_of_column_subset({i, j, k}) == 2)
+        for i, j in combinations(range(len(mults)), 2)
+    )
 
 
 def hilbert_profile_ascending(x):

@@ -109,7 +109,7 @@ class TestSegreBound:
         seg, witness = segre_bound(x)
         assert seg == 10 and witness.span_dim == 2 and witness.weight == 20
 
-    def test_shares_the_support_ranks_with_the_regularity_search(self, monkeypatch):
+    def test_ranks_each_support_subset_once(self, monkeypatch):
         ranked = []
         rank_of_columns = ExactMatrix.rank_of_column_subset
 

@@ -29,6 +29,7 @@ from fatpointlab.schemes import (
 )
 from oracles import (
     ctv_quotient_term_by_kernels,
+    heaviest_line_weight_by_ranks,
     hilbert_profile_ascending,
     regularity_index_ascending,
 )
@@ -345,6 +346,40 @@ class TestBoundarySearch:
         profile = hilbert_profile(x)
         assert (profile.reg_index, profile.values) == (max(expected), expected)
 
+    @given(regularity_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_heaviest_line_matches_rank_oracle(self, x):
+        assert schemes.heaviest_line_weight(x) == heaviest_line_weight_by_ranks(x)
+
+    def test_heaviest_line_over_a_prime_field(self):
+        # the keys of (1, 1, 0) and (1, 2, 0) seen from (1, 0, 0) differ by a unit
+        x = FatPointScheme(ScalarField.prime(7), 2, [(p, 2) for p in LINE + [(3, 5, 1)]])
+        assert schemes.heaviest_line_weight(x) == 6 == heaviest_line_weight_by_ranks(x)
+
+    def test_line_search_ranks_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the line search built or ranked a matrix")
+
+        points = collinear_points(2, 12) + generic_points(rng_from_seed(5), 2, 28, coord_range=1000)
+        x = FatPointScheme(QQ, 2, [(p, 1) for p in points])
+        monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+        assert schemes.heaviest_line_weight(x) == 12
+
+    def test_line_search_skipped_where_it_cannot_pay(self, monkeypatch):
+        def refuse(y):
+            raise AssertionError("line search run")
+
+        monkeypatch.setattr(schemes, "heaviest_line_weight", refuse)
+        # one fat point: its line bound m - 1 never exceeds the floor
+        assert regularity_index(FatPointScheme(QQ, 2, [((1, 0, 0), 4)])) == 3
+        # 8 collinear simple points and one off the line: 36 pairs > deg 9,
+        # so the climb starts at the floor 3
+        x = simple(2, collinear_points(2, 8) + [(3, 7, 1)])
+        built = count_conditions_matrices(monkeypatch)
+        assert regularity_index(x) == 7 == regularity_index_ascending(x)
+        assert built == [3, 4, 5, 6, 7]  # h(6) is certified on the climb's matrix
+        assert x._conditions == {}  # the climb's deficient matrices are dropped
+
     def test_start_above_r_steps_down(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
         r = regularity_index_ascending(x)
@@ -374,7 +409,6 @@ class TestBoundarySearch:
 
     def test_sharp_cluster_builds_two_matrices(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
-        schemes.heaviest_line_weight(x)  # rank the support points first
         built = count_conditions_matrices(monkeypatch)
         certified = []
         certify = exact._certified_rank
