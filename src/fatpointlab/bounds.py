@@ -24,7 +24,12 @@ from itertools import combinations
 
 from .constructions import elementary_quotient, verify_count_hypothesis
 from .exact import ExactMatrix, GuardExceeded, InternalError
-from .matroid import VectorMatroid, fat_point_vector_matroid, flats_spanned_by_subsets
+from .matroid import (
+    VectorMatroid,
+    fat_point_vector_matroid,
+    flats_spanned_by_subsets,
+    in_general_position,
+)
 from .partition import InfeasibilityWitness, edmonds_partition
 from .schemes import (
     FatPointScheme,
@@ -276,14 +281,8 @@ def rational_normal_curve_sharpness(mults, n):
     witness = report.witness
     if witness.span_dim < 1:
         return SharpnessReport(False, report, "attained only by a single point")
-    matrix = ExactMatrix.from_columns(x.field, [c for c, _ in x.points])
-    members = sorted(witness.flat)
-    general = all(
-        matrix.rank_of_column_subset(c) == min(len(c), witness.span_dim + 1)
-        for size in range(1, min(len(members), witness.span_dim + 1) + 1)
-        for c in combinations(members, size)
-    )
-    if not general:
+    support = VectorMatroid(ExactMatrix.from_columns(x.field, [c for c, _ in x.points]))
+    if not in_general_position(support, sorted(witness.flat), witness.span_dim + 1):
         return SharpnessReport(False, report, "corollary hypothesis not met")
     if report.reg_index != report.segre:
         raise InternalError(

@@ -220,8 +220,9 @@ class ExactMatrix:
         cols = [tuple(c) for c in columns]
         if not cols:
             raise ValueError("need at least one column")
-        n = len(cols[0])
-        return cls(field, [[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        if not cols[0] or any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("columns must be nonempty and of equal length")
+        return cls(field, list(zip(*cols)))
 
     def __repr__(self):
         return "ExactMatrix(%d x %d over %r)" % (self.nrows, self.ncols, self.field)
@@ -237,9 +238,6 @@ class ExactMatrix:
                     tuple(Fraction(x, den) for x in row) for row, den in zip(self._rows, dens)
                 )
         return self._entries
-
-    def row(self, i):
-        return self.entries[i]
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)

@@ -9,11 +9,10 @@ the parameters ask for more than the sampler can certify.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 from .exact import ExactMatrix, ScalarField
-from .matroid import VectorMatroid
-from .schemes import FatPointScheme, _proportional, monomials
+from .matroid import VectorMatroid, in_general_position
+from .schemes import FatPointScheme, _point_key, monomials
 
 MAX_RESAMPLE_ATTEMPTS = 200
 
@@ -26,6 +25,7 @@ def random_points(rng, n, s, coord_range=9, field=None):
     """s pairwise distinct projective points with small integer coordinates."""
     field = field or ScalarField.rational()
     points = []
+    keys = set()
     attempts = 0
     while len(points) < s:
         attempts += 1
@@ -34,8 +34,10 @@ def random_points(rng, n, s, coord_range=9, field=None):
         cand = tuple(field.elem(rng.randint(0, coord_range)) for _ in range(n + 1))
         if all(c == field.zero() for c in cand):
             continue
-        if any(_proportional(field, cand, q) for q in points):
+        key = _point_key(field, cand)
+        if key in keys:
             continue
+        keys.add(key)
         points.append(cand)
     return points
 
@@ -46,16 +48,8 @@ def generic_points(rng, n, s, coord_range=9, field=None):
     field = field or ScalarField.rational()
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
         pts = random_points(rng, n, s, coord_range=coord_range, field=field)
-        matrix = ExactMatrix.from_columns(field, pts)
-        ok = True
-        for size in range(2, min(s, n + 1) + 1):
-            for combo in combinations(range(s), size):
-                if matrix.rank_of_column_subset(combo) != size:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        m = VectorMatroid(ExactMatrix.from_columns(field, pts))
+        if in_general_position(m, m.elements, n + 1):
             return pts
     raise ValueError("could not certify linearly general position after retries")
 
@@ -90,13 +84,16 @@ def collinear_cluster_points(rng, n, s, extra, field=None):
 
     pool = random_points(rng, n, s + extra, field=field) if extra else []
     points = [p for p in pool if off_line(p)][:extra]
+    keys = {_point_key(field, p) for p in points}
     draws = 0
     while len(points) < extra:
         draws += 1
         if draws > MAX_RESAMPLE_ATTEMPTS:
             raise ValueError("could not place %d distinct points off the line" % extra)
         (cand,) = random_points(rng, n, 1, field=field)
-        if off_line(cand) and not any(_proportional(field, cand, q) for q in points):
+        key = _point_key(field, cand)
+        if off_line(cand) and key not in keys:
+            keys.add(key)
             points.append(cand)
     return collinear_points(n, s, field=field) + points
 
@@ -132,12 +129,8 @@ def generic_line_configuration(t, copies_per_line, seed=0, field=None):
     dim = t - 1
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
         dirs = [tuple(field.elem(rng.randint(1, 50)) for _ in range(dim)) for _ in range(t)]
-        matrix = ExactMatrix.from_columns(field, dirs)
-        if all(
-            matrix.rank_of_column_subset(c) == size
-            for size in range(1, min(t, dim) + 1)
-            for c in combinations(range(t), size)
-        ):
+        m = VectorMatroid(ExactMatrix.from_columns(field, dirs))
+        if in_general_position(m, m.elements, dim):
             break
     else:
         raise ValueError("could not certify generic line directions after retries")
@@ -157,13 +150,9 @@ def generic_vectors_matroid(rng, dim, count, field=None, coord_range=50):
     field = field or ScalarField.rational()
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
         cols = [tuple(field.elem(rng.randint(1, coord_range)) for _ in range(dim)) for _ in range(count)]
-        matrix = ExactMatrix.from_columns(field, cols)
-        if all(
-            matrix.rank_of_column_subset(c) == size
-            for size in range(1, dim + 1)
-            for c in combinations(range(count), size)
-        ):
-            return VectorMatroid(matrix)
+        m = VectorMatroid(ExactMatrix.from_columns(field, cols))
+        if in_general_position(m, m.elements, dim):
+            return m
     raise ValueError("could not certify generic vectors after retries")
 
 
@@ -191,10 +180,6 @@ def five_plus_generic_scheme(rng, n, d, m, field=None):
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
         gen = generic_points(rng, n, extra, field=field)
         all_pts = fixed + gen
-        if all(
-            not _proportional(field, a, b)
-            for i, a in enumerate(all_pts)
-            for b in all_pts[i + 1:]
-        ):
+        if len({_point_key(field, p) for p in all_pts}) == len(all_pts):
             return FatPointScheme(field, n, [(p, m) for p in all_pts])
     raise ValueError("could not place generic points distinct from the fixed five")

@@ -92,9 +92,10 @@ def vector_matroid_from_dict(data):
         vectors = [tuple(field.elem(c) for c in v) for v in data["vectors"]]
         if not vectors:
             raise InstanceError("empty vector list")
+        matrix = ExactMatrix.from_columns(field, vectors)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InstanceError("malformed vector instance: %s" % exc)
-    return VectorMatroid(ExactMatrix.from_columns(field, vectors))
+    return VectorMatroid(matrix)
 
 
 def load_instance(path):

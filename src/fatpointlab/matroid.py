@@ -97,6 +97,15 @@ def circuits(m, max_size=None):
     return found
 
 
+def in_general_position(m, elements, k):
+    """Whether every subset of at most k of ``elements`` is independent.
+
+    A subset of an independent set is independent, so only the subsets of
+    size min(k, |elements|) are ranked."""
+    size = min(k, len(elements))
+    return all(m.is_independent(c) for c in combinations(elements, size))
+
+
 def independent_sets(m, subset=None):
     """All independent subsets, grown depth-first by ascending element id."""
     pool = m.elements if subset is None else sorted(subset)
@@ -181,8 +190,6 @@ def fat_point_vector_matroid(x):
     columns = []
     labels = {}
     for i, (coords, mult) in enumerate(x.points):
-        if all(c == x.field.zero() for c in coords):
-            raise ValueError("invalid projective point")
         for copy in range(mult):
             labels[len(columns)] = (i, copy)
             columns.append(coords)

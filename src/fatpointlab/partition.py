@@ -127,7 +127,7 @@ def _augment(matroids, blocks, assignment, new_elem, first=0):
     return frozenset(parent)
 
 
-def edmonds_fulkerson_partition(matroids, ambient=None):
+def edmonds_fulkerson_partition(matroids):
     """Partition the common ground set into blocks independent per matroid,
     or return an InfeasibilityWitness."""
     if not matroids:
@@ -147,17 +147,17 @@ def edmonds_fulkerson_partition(matroids, ambient=None):
             if not witness.verify(matroids):
                 raise InternalError("bad infeasibility witness %r" % (sorted(reached),))
             return witness
-    cert = PartitionCertificate(tuple(blocks), list(matroids), ground, ambient=ambient)
+    cert = PartitionCertificate(tuple(blocks), list(matroids), ground)
     if not cert.verify():
         raise InternalError("augmenting path produced an invalid partition")
     return cert
 
 
-def edmonds_partition(m, k, ambient=None):
+def edmonds_partition(m, k):
     """Partition into k sets independent in a single matroid."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return edmonds_fulkerson_partition([m] * k, ambient=ambient)
+    return edmonds_fulkerson_partition([m] * k)
 
 
 def inductive_split(ambient, ground, pivot, k, p, check_hypothesis=True):

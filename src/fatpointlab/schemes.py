@@ -7,7 +7,14 @@ order below the multiplicity), one column per degree-d monomial in a fixed
 degree-lexicographic order.  The regularity index is the least degree at
 which that rank reaches the degree of the scheme.  It is found at its
 boundary (see ``regularity_index``): one rank modulo a prime per degree
-from a lower bound up, then one certified deficiency one degree below.
+from a lower bound up, then one certified deficiency one degree below.  The
+search keeps the one matrix it may still certify to itself; the scheme
+holds only certified Hilbert values and r(X).
+
+Points are told apart by one projective normal form (``_point_key``): the
+primitive integer vector with first nonzero entry positive over Q, the
+vector scaled to first nonzero entry 1 over F_p.  Distinctness, membership
+and the generators' resampling all compare these keys.
 
 Vanishing conditions are written after dehomogenizing each point at its
 first nonzero coordinate, which avoids the redundancy among homogeneous
@@ -30,7 +37,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm, perm
 from operator import mul
 
-from .exact import ExactMatrix, InternalError, ScalarField
+from .exact import ExactMatrix, InternalError
 
 
 @lru_cache(maxsize=None)
@@ -72,13 +79,10 @@ class FatPointScheme:
             if not (isinstance(mult, int) and mult >= 1):
                 raise ValueError("multiplicity must be a positive integer")
             cleaned.append((coords, mult))
-        for i in range(len(cleaned)):
-            for j in range(i + 1, len(cleaned)):
-                if _proportional(field, cleaned[i][0], cleaned[j][0]):
-                    raise ValueError("points must be pairwise distinct in projective space")
+        if len({_point_key(field, c) for c, _ in cleaned}) < len(cleaned):
+            raise ValueError("points must be pairwise distinct in projective space")
         self.points = tuple(cleaned)
         self._hilbert_cache = {}  # certified values of h_X
-        self._conditions = {}     # the running search's matrices, rank not certified yet
         self._reg = None          # r(X), filled by regularity_index
         self._segre = None        # (seg, witness), filled by bounds.segre_bound
 
@@ -107,8 +111,8 @@ class FatPointScheme:
     def contains_point(self, coords):
         """Whether the point of P^n with these coordinates is in the support;
         ValueError if they are not a point of P^n."""
-        coords = _projective_point(self.field, self.n, coords)
-        return any(_proportional(self.field, coords, c) for c, _ in self.points)
+        key = _point_key(self.field, _projective_point(self.field, self.n, coords))
+        return any(_point_key(self.field, c) == key for c, _ in self.points)
 
 
 def _projective_point(field, n, coords):
@@ -121,12 +125,12 @@ def _projective_point(field, n, coords):
     return coords
 
 
-def _proportional(field, a, b):
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if field.mul(a[i], b[j]) != field.mul(a[j], b[i]):
-                return False
-    return True
+def _point_key(field, coords):
+    """The projective normal form of a point: equal keys, same point.
+
+    Over Q the primitive integer vector with first nonzero entry positive,
+    over F_p the residues scaled to first nonzero entry 1."""
+    return _normalized(_integer_coords(field, coords), field.p)
 
 
 @lru_cache(maxsize=None)
@@ -233,15 +237,6 @@ def heaviest_line_weight(x):
     return best
 
 
-def _conditions(x, d):
-    """The conditions matrix in degree d, kept until its rank is certified
-    or the regularity search ends, so the search builds each degree once."""
-    m = x._conditions.get(d)
-    if m is None:
-        m = x._conditions[d] = conditions_matrix(x, d)
-    return m
-
-
 def hilbert_function(x, d):
     """h_X(d) = dim [R/I_X]_d = rank of the conditions matrix, and deg X
     from a certified r(X) on.  Only certified values are cached."""
@@ -249,23 +244,8 @@ def hilbert_function(x, d):
     if h is None:
         if x._reg is not None and d >= x._reg:
             return x.degree()
-        h = x._hilbert_cache[d] = _conditions(x, d).rank()
-        del x._conditions[d]
+        h = x._hilbert_cache[d] = conditions_matrix(x, d).rank()
     return h
-
-
-def _full_at(x, d):
-    """Whether h_X(d) = deg X, from the rank modulo the first certificate
-    prime (the rank itself over F_p).  A full rank is certified and cached;
-    a deficient one over Q is only a lower bound and is not."""
-    deg = x.degree()
-    if d not in x._hilbert_cache:
-        m = _conditions(x, d)
-        if m.rank_lower_bound() < deg:
-            return False
-        del x._conditions[d]
-        x._hilbert_cache[d] = deg
-    return x._hilbert_cache[d] == deg
 
 
 def regularity_index(x):
@@ -296,10 +276,14 @@ def regularity_index(x):
     certificate is needed below the monomial floor, where the rank cannot
     be full), and steps down while that is full too: after an unlucky
     prime took the climb past r, or if the start was above r.  So
-    correctness depends on no bound.  Over F_p the start is capped at
-    p - 1, so a field too small for r(X) is reported at the degree where
-    an ascending search meets it first.  The climb must end by
-    d = deg X - 1, the classical bound; exceeding it is an internal error.
+    correctness depends on no bound.  The climb keeps its last deficient
+    matrix in a local variable, so certifying h_X(d - 1) reuses it and its
+    reduction modulo the first prime; a degree already in the scheme's
+    cache of certified values is read from there, not built.  Over F_p
+    the start is capped at p - 1, so a field too small for r(X) is
+    reported at the degree where an ascending search meets it first.  The
+    climb must end by d = deg X - 1, the classical bound; exceeding it is
+    an internal error.
     """
     if x._reg is None:
         deg = x.degree()
@@ -312,14 +296,27 @@ def regularity_index(x):
             d = max(floor, heaviest_line_weight(x) - 1)
         if x.field.p is not None:
             d = max(floor, min(d, x.field.p - 1))
-        while not _full_at(x, d):
+        cache = x._hilbert_cache
+        below = None  # the climb's matrix in degree d - 1, deficient mod p
+        while True:
+            if d in cache:
+                if cache[d] == deg:
+                    break
+                below = None
+            else:
+                m = conditions_matrix(x, d)
+                if m.rank_lower_bound() == deg:
+                    cache[d] = deg
+                    break
+                below = m
             d += 1
             if d > max(0, deg - 1):
                 raise InternalError("regularity search exceeded deg X - 1")
+        if below is not None:
+            cache[d - 1] = below.rank()
         while d > floor and hilbert_function(x, d - 1) == deg:
             d -= 1
         x._reg = d
-        x._conditions.clear()  # the climb's deficient degrees below d - 1
     return x._reg
 
 

@@ -11,7 +11,10 @@ off Hilbert functions, is computed here from kernels of conditions
 matrices, the regularity index, which the library certifies at its
 boundary, by ranking every degree from the monomial floor up, and the
 heaviest line, which the library finds by grouping pair keys, by ranking
-every triple of support points.
+every triple of support points.  Two points are compared by their 2 x 2
+minors, which the library replaces by one projective normal form, and
+general position is checked at every subset size, where the library ranks
+the largest size only.
 """
 
 from itertools import combinations
@@ -21,6 +24,25 @@ from fatpointlab.bounds import SegreWitness
 from fatpointlab.exact import ExactMatrix, GuardExceeded
 from fatpointlab.generators import generic_vectors_matroid, random_vector_matroid
 from fatpointlab.schemes import FatPointScheme, conditions_matrix
+
+
+def proportional(field, a, b):
+    """Whether the coordinate vectors a and b name the same projective
+    point: every 2 x 2 minor a_i b_j - a_j b_i vanishes."""
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            if field.mul(a[i], b[j]) != field.mul(a[j], b[i]):
+                return False
+    return True
+
+
+def general_position_exhaustive(m, elements, k):
+    """Whether every subset of ``elements`` of each size 0..k is independent."""
+    return all(
+        m.rank(frozenset(combo)) == size
+        for size in range(k + 1)
+        for combo in combinations(elements, size)
+    )
 
 
 def subset_ranks(rank, elements):

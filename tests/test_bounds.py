@@ -22,8 +22,8 @@ from fatpointlab.generators import (
     rng_from_seed,
 )
 from fatpointlab.matroid import fat_point_vector_matroid
-from fatpointlab.schemes import FatPointScheme, _proportional, regularity_index
-from oracles import cardinality_violation_exhaustive, segre_bound_brute_force
+from fatpointlab.schemes import FatPointScheme, regularity_index
+from oracles import cardinality_violation_exhaustive, proportional, segre_bound_brute_force
 
 QQ = ScalarField.rational()
 FP = ScalarField.prime(10007)
@@ -47,7 +47,7 @@ def segre_schemes(draw, max_copies=None):
     points = []
     for cand in draw(st.permutations(candidates)):
         p = tuple(field.elem(c) for c in cand)
-        if len(points) < size and any(p) and not any(_proportional(field, p, q) for q in points):
+        if len(points) < size and any(p) and not any(proportional(field, p, q) for q in points):
             points.append(p)
     if not points:
         points.append(tuple([field.one()] + [field.zero()] * n))

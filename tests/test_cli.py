@@ -195,6 +195,17 @@ class TestPartitionCommand:
         data = json.loads(open(out).read())
         assert data["infeasible"] is True and data["subset"] == [0, 1, 2]
 
+    @pytest.mark.parametrize("vectors", [[["1", "2"], ["3"]], [["1"], ["2", "3"]], [[], []]],
+                             ids=["short-last", "short-first", "empty"])
+    def test_ragged_vectors_are_usage_errors(self, tmp_path, vectors):
+        data = {"kind": "vectors", "field": "rational", "dim": 2, "vectors": vectors}
+        inst = write_json(tmp_path / "v.json", data)
+        proc = run_python("-m", "fatpointlab.cli", "partition", inst, "--k", "1")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == ("error: malformed vector instance: columns must be nonempty "
+                               "and of equal length\n")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
     def test_avoidance_mode(self, tmp_path):
         d = vectors_to_dict(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
                                  (1, 2, 3), (1, 4, 9)])

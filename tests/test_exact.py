@@ -291,6 +291,11 @@ class TestColumnSubset:
         with pytest.raises(IndexError):
             ExactMatrix(QQ, [[1]]).rank_of_column_subset([3])
 
+    @pytest.mark.parametrize("columns", [[(1, 2), (3,)], [(1,), (2, 3)], [(), ()]])
+    def test_ragged_or_empty_columns_rejected(self, columns):
+        with pytest.raises(ValueError, match="columns must be nonempty and of equal length"):
+            ExactMatrix.from_columns(QQ, columns)
+
 
 def test_rank_plus_kernel_dimension():
     rng = random.Random(8)

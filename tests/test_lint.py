@@ -18,3 +18,25 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_imports_are_used():
+    # every name a module imports at top level is referenced in it; the
+    # package's __init__ imports only to re-export
+    paths = sorted(pathlib.Path(fatpointlab.__file__).parent.rglob("*.py"))
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

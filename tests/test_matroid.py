@@ -12,10 +12,11 @@ from fatpointlab.matroid import (
     circuits,
     fat_point_vector_matroid,
     flats_spanned_by_subsets,
+    in_general_position,
     independent_sets,
 )
 from fatpointlab.schemes import FatPointScheme
-from oracles import check_rank_axioms, closures_exhaustive
+from oracles import check_rank_axioms, closures_exhaustive, general_position_exhaustive
 
 QQ = ScalarField.rational()
 FP = ScalarField.prime(10007)
@@ -152,6 +153,32 @@ class TestFlats:
         expected = sorted((f for f in closures_exhaustive(m.rank, m.elements) if m.rank(f) >= min_rank),
                           key=lambda f: (len(f), sorted(f)))
         assert flats_spanned_by_subsets(vm(QQ, cols), min_rank) == expected
+
+
+@st.composite
+def general_position_instances(draw):
+    """(matroid, elements, k): a vector matroid over Q or F_10007 with
+    loops (zero columns) and parallel classes (scaled copies of a column),
+    a subset of its elements in some order, and k in 1..4."""
+    field = draw(st.sampled_from([QQ, FP]))
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * dim)
+    columns = []
+    for v in draw(st.lists(vector, min_size=1, max_size=6)):
+        for scale in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+            columns.append(tuple(scale * c for c in v))
+    columns += [(0,) * dim] * draw(st.integers(0, 2))
+    m = vm(field, draw(st.permutations(columns)))
+    elements = draw(st.lists(st.sampled_from(m.elements), unique=True, max_size=7))
+    return m, elements, draw(st.integers(1, 4))
+
+
+class TestGeneralPosition:
+    @given(general_position_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_every_subset_size(self, instance):
+        m, elements, k = instance
+        assert in_general_position(m, elements, k) == general_position_exhaustive(m, elements, k)
 
 
 class TestIndependentSets:

@@ -31,6 +31,7 @@ from oracles import (
     ctv_quotient_term_by_kernels,
     heaviest_line_weight_by_ranks,
     hilbert_profile_ascending,
+    proportional,
     regularity_index_ascending,
 )
 
@@ -70,6 +71,39 @@ class TestSchemeConstruction:
         for coords in [(1, 0), (1, 0, 0, 1)]:
             with pytest.raises(ValueError, match="wrong number of coordinates"):
                 x.contains_point(coords)
+
+
+@st.composite
+def point_pairs(draw):
+    """(field, a, b): two nonzero coordinate vectors over Q, F_7 or F_10007
+    with fractional, negative and zero entries; b is often a copy of a
+    scaled by a nonzero fraction, which may be negative."""
+    field = draw(st.sampled_from([QQ, ScalarField.prime(7), ScalarField.prime(10007)]))
+    n = draw(st.integers(1, 3))
+    entry = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+    vector = st.lists(entry, min_size=n + 1, max_size=n + 1)
+    a = tuple(map(field.elem, draw(vector)))
+    if draw(st.booleans()):
+        scale = field.elem(draw(entry))
+        b = tuple(field.mul(scale, c) for c in a)
+    else:
+        b = tuple(map(field.elem, draw(vector)))
+    assume(any(a) and any(b))  # over F_7 a nonzero entry such as 7/4 reduces to 0
+    return field, a, b
+
+
+class TestPointKey:
+    @given(point_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_keys_iff_proportional(self, pair):
+        field, a, b = pair
+        key = schemes._point_key(field, a)
+        assert (key == schemes._point_key(field, b)) == proportional(field, a, b)
+        first = next(c for c in key if c)
+        if field.is_rational:
+            assert all(isinstance(c, int) for c in key) and first > 0 and gcd(*key) == 1
+        else:
+            assert first == 1 and all(0 <= c < field.p for c in key)
 
 
 class TestMonomials:
@@ -378,7 +412,6 @@ class TestBoundarySearch:
         built = count_conditions_matrices(monkeypatch)
         assert regularity_index(x) == 7 == regularity_index_ascending(x)
         assert built == [3, 4, 5, 6, 7]  # h(6) is certified on the climb's matrix
-        assert x._conditions == {}  # the climb's deficient matrices are dropped
 
     def test_start_above_r_steps_down(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
