@@ -10,7 +10,10 @@ row, cleared once at construction; over F_p its rows are residues.  Row
 scaling changes neither the rank nor the right kernel, so every rank works
 on the integer rows directly.
 
-Rank over Q is certified from modular data:
+Rank over Q has one size split, ``_NUMPY_MIN_CELLS``.  Below it,
+fraction-free (Bareiss 1968) elimination over Z gives the exact rank, which
+on matrices this small costs less than any modular certificate.  From it on,
+the rank is certified from modular data:
 
 1. the rank r modulo a 31-bit prime is a lower bound for the rank over Q
    (a nonsingular minor mod p is nonsingular over Q), so a matrix of full
@@ -24,10 +27,11 @@ Rank over Q is certified from modular data:
    free coordinates, so they are independent, and min(nrows, ncols) - r
    independent kernel vectors bound the rank over Q above by r.
 
-Only when no certificate comes out of the prime list does fraction-free
-(Bareiss 1968) elimination decide the rank.  Step 1 alone is
-``rank_lower_bound``, for callers that need a certificate only when the
-rank is full; its reduction is reused by a later ``rank``.
+Only when no certificate comes out of the prime list does Bareiss
+elimination decide a large rank too.  Step 1 alone is ``rank_lower_bound``,
+for callers that need a certificate only when the rank is full; its
+reduction is reused by a later ``rank``.  ``_rank_of_rows`` picks the route
+for every rank, also for the column subsets a vector matroid asks about.
 """
 
 from __future__ import annotations
@@ -44,12 +48,14 @@ CERTIFICATE_PRIMES = (
     2147483353, 2147483323, 2147483269, 2147483249,
 )
 
-# Matrices with fewer cells are eliminated mod p in pure Python, larger ones
-# in numpy, whose per-call overhead dominates below.  On a 2-vCPU Xeon VM pure
-# Python was faster up to 6 x 8 (144 vs 181 us), numpy from 8 x 10 (206 vs
-# 297 us).  numpy is imported on the first elimination of this size, so
-# partition commands and small ``verify`` runs never load it.  Primes from
-# 2^31 on always take pure Python: their residue products overflow int64.
+# The one size split of exact rank.  Over Q, matrices with fewer cells take
+# exact Bareiss elimination; larger ones the modular certificate, whose
+# eliminations mod p run in numpy.  numpy's per-call overhead dominates below:
+# on a 2-vCPU Xeon VM pure Python mod p was faster up to 6 x 8 (144 vs
+# 181 us), numpy from 8 x 10 (206 vs 297 us).  numpy is imported on the first
+# elimination of this size, so partition commands and small ``verify`` runs
+# never load it.  Over F_p, smaller matrices, and primes from 2^31 on (their
+# residue products overflow int64), are eliminated in pure Python.
 _NUMPY_MIN_CELLS = 64
 
 # The first twelve primes are a deterministic Miller-Rabin base below this
@@ -195,12 +201,12 @@ class ExactMatrix:
     def from_integer_rows(cls, field, rows):
         """The matrix of integer rows (over F_p, of residues in range(p)),
         taken as they are."""
-        return cls._of_rows(field, [tuple(row) for row in rows], None)
+        return cls._of_rows(field, [tuple(row) for row in rows])
 
     @classmethod
-    def _of_rows(cls, field, rows, dens):
+    def _of_rows(cls, field, rows):
         m = cls.__new__(cls)
-        m._init(field, rows, dens)
+        m._init(field, rows, None)
         return m
 
     def _init(self, field, rows, dens):
@@ -214,6 +220,7 @@ class ExactMatrix:
         self._entries = None
         self._rank = None
         self._first = None            # see _first_reduction
+        self._cols = None             # column tuples, for column subsets
 
     @classmethod
     def from_columns(cls, field, columns):
@@ -259,46 +266,46 @@ class ExactMatrix:
         if self._rank is None:
             if not self.nrows or not self.ncols:
                 self._rank = 0
-            elif self.field.is_rational:
-                self._rank = _certified_rank(*self._first_reduction())
             else:
-                self._rank = len(_rref_mod_p(self._rows, self.field.p)[1])
+                self._rank = _rank_of_rows(self._rows, self.field.p, self._first)
             self._first = None
         return self._rank
 
     def rank_lower_bound(self):
         """Over Q the rank modulo ``CERTIFICATE_PRIMES[0]``: a lower bound
-        for ``rank``, which it certifies when it is min(nrows, ncols).  Over
-        F_p the rank itself.
+        for ``rank``, which it certifies when it is min(nrows, ncols).
+        Below ``_NUMPY_MIN_CELLS`` cells, and over F_p, the rank itself.
 
         The reduction is kept, so a later ``rank`` call does not repeat it.
         """
-        if self._rank is not None or not (self.field.is_rational and self.nrows and self.ncols):
-            return self.rank()
-        r = len(self._first_reduction()[2])
-        if r == min(self.nrows, self.ncols):
-            self._rank, self._first = r, None
-        return r
+        if (self._rank is None and self.field.is_rational
+                and self.nrows * self.ncols >= _NUMPY_MIN_CELLS):
+            r = len(self._first_reduction()[2])
+            if r < min(self.nrows, self.ncols):
+                return r
+            self._rank = r
+            self._first = None
+        return self.rank()
 
     def _first_reduction(self):
         """(rows on the tall side, their reduced form and pivot columns
         modulo the first certificate prime), computed once."""
         if self._first is None:
-            rows = self._rows
-            if len(rows) < self.ncols:
-                rows = list(zip(*rows))
-            self._first = (rows,) + tuple(_rref_mod_p(rows, CERTIFICATE_PRIMES[0]))
+            self._first = _tall_reduction(self._rows)
         return self._first
 
     def rank_of_column_subset(self, cols):
+        """Rank of the chosen columns, as the rank of the rows they form:
+        no matrix is built per query."""
         cols = sorted(cols)
         if not cols:
             return 0
         for j in cols:
             if not (0 <= j < self.ncols):
                 raise IndexError("column index out of range: %r" % (j,))
-        sub = [tuple(row[j] for j in cols) for row in self._rows]
-        return ExactMatrix._of_rows(self.field, sub, self._dens).rank()
+        if self._cols is None:
+            self._cols = tuple(zip(*self._rows))
+        return _rank_of_rows([self._cols[j] for j in cols], self.field.p)
 
     def kernel_basis(self):
         """Basis of the right kernel, one vector per free column of the
@@ -318,6 +325,27 @@ class ExactMatrix:
                 v[pc] = f.neg(row[j])
             basis.append(tuple(v))
         return basis
+
+
+def _rank_of_rows(rows, p, first=None):
+    """Rank of nonempty integer rows by the route the field and size pick:
+    over F_p (``p`` given) their rank mod p; over Q exact Bareiss
+    elimination below ``_NUMPY_MIN_CELLS`` cells, the modular certificate
+    from there, starting from ``first`` (``_tall_reduction`` of the rows)
+    when it is given."""
+    if p is not None:
+        return len(_rref_mod_p(rows, p)[1])
+    if len(rows) * len(rows[0]) < _NUMPY_MIN_CELLS:
+        return _bareiss_rank(rows)
+    return _certified_rank(*(first or _tall_reduction(rows)))
+
+
+def _tall_reduction(rows):
+    """(the rows, or their transpose if it has more rows, with its reduced
+    form and pivot columns modulo the first certificate prime)."""
+    if len(rows) < len(rows[0]):
+        rows = list(zip(*rows))
+    return (rows,) + tuple(_rref_mod_p(rows, CERTIFICATE_PRIMES[0]))
 
 
 def _certified_rank(rows, first_red, first_pivots):
@@ -394,7 +422,9 @@ def _kernel_certified(rows, pivots, free, lifts, modulus):
 def _rref_mod_p(rows, p):
     """Reduced row echelon form of an integer matrix mod p and its pivot
     columns: an int64 array from numpy for large matrices when p < 2^31 (so
-    products of residues fit), lists of ints from pure Python otherwise."""
+    products of residues fit), lists of ints from pure Python otherwise.
+    Rational ranks below ``_NUMPY_MIN_CELLS`` take Bareiss elimination, so
+    the pure-Python branch serves F_p, and primes from 2^31 on, only."""
     nrows, ncols = len(rows), len(rows[0])
     if nrows * ncols >= _NUMPY_MIN_CELLS and p < 2**31:
         import numpy as np

@@ -124,6 +124,11 @@ def generic_line_configuration(t, copies_per_line, seed=0, field=None):
     Genericity is certified: every subset of at most t-1 of the line
     directions is linearly independent.
     """
+    if t < 2:
+        raise ValueError("generic_line_configuration needs t >= 2 lines, got t = %d" % t)
+    if copies_per_line < 1:
+        raise ValueError("generic_line_configuration needs copies_per_line >= 1, got %d"
+                         % copies_per_line)
     field = field or ScalarField.rational()
     rng = rng_from_seed(seed)
     dim = t - 1

@@ -55,13 +55,22 @@ def scheme_to_dict(x, seed=None, generator=None):
     return out
 
 
+def _listed(value, what):
+    """``value`` if it is a JSON list.  A string is iterable too, and would
+    otherwise be read character by character."""
+    if not isinstance(value, list):
+        raise InstanceError("%s must be a list, got %r" % (what, value))
+    return value
+
+
 def scheme_from_dict(data):
     try:
         field = field_from_descriptor(data["field"])
         n = int(data["ambient_dim"])
         points = [
-            (tuple(field.elem(c) for c in entry["coords"]), int(entry["mult"]))
-            for entry in data["points"]
+            (tuple(field.elem(c) for c in _listed(entry["coords"], "coords of point %d" % i)),
+             int(entry["mult"]))
+            for i, entry in enumerate(_listed(data["points"], "points"))
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InstanceError("malformed scheme instance: %s" % exc)
@@ -89,7 +98,8 @@ def vectors_to_dict(field, vectors, seed=None, generator=None, **extras):
 def vector_matroid_from_dict(data):
     try:
         field = field_from_descriptor(data["field"])
-        vectors = [tuple(field.elem(c) for c in v) for v in data["vectors"]]
+        vectors = [tuple(field.elem(c) for c in _listed(v, "vector %d" % i))
+                   for i, v in enumerate(_listed(data["vectors"], "vectors"))]
         if not vectors:
             raise InstanceError("empty vector list")
         matrix = ExactMatrix.from_columns(field, vectors)

@@ -168,8 +168,12 @@ def _covers(m, flat, r):
 class VectorMatroid(RankOracle):
     """The matroid of the columns of an exact matrix; rank = column rank.
 
-    A single column is a loop iff it is zero, so the singleton ranks are
-    put in the memo without elimination.
+    A rank query ranks the chosen columns of the matrix as rows
+    (``ExactMatrix.rank_of_column_subset``), without building a matrix;
+    over Q the small ones, which are nearly all, by exact fraction-free
+    elimination rather than a modular certificate.  A single column is a
+    loop iff it is zero, so the singleton ranks are put in the memo
+    without elimination.
     """
 
     def __init__(self, matrix, labels=None):

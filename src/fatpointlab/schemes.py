@@ -262,9 +262,10 @@ def regularity_index(x):
 
     The search climbs from the largest of the monomial floor and the lower
     bound w_L - 1 of ``heaviest_line_weight``, with one rank modulo a prime
-    per degree: a lower bound over Q that certifies a full rank, the exact
-    rank over F_p.  The line search runs only when the line bound can move
-    the start two degrees or more above the floor (the total multiplicity
+    per degree: a lower bound over Q that certifies a full rank (below 64
+    cells, the exact rank), the exact rank over F_p.  The line search runs
+    only when the line bound can move the start two degrees or more above
+    the floor (the total multiplicity
     minus 1 can; one degree up builds the same matrices, since d - 1 is
     certified anyway) and its s(s - 1)/2 pair keys are at most deg X, the
     row count of every conditions matrix the search builds, which keeps it

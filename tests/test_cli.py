@@ -65,6 +65,16 @@ class TestInstances:
             scheme_from_dict({"field": "rational", "ambient_dim": 2, "points": [
                 {"coords": ["0", "0", "0"], "mult": 1}]})
 
+    def test_scheme_point_written_as_string_is_usage_error(self, tmp_path):
+        data = {"kind": "scheme", "field": "rational", "ambient_dim": 1,
+                "points": [{"coords": "12", "mult": 1}]}
+        inst = write_json(tmp_path / "x.json", data)
+        proc = run_python("-m", "fatpointlab.cli", "verify", inst)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == ("error: malformed scheme instance: coords of point 0 "
+                               "must be a list, got '12'\n")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
 
 class TestGenVerify:
     def test_round_trip_and_determinism(self, tmp_path):
@@ -206,6 +216,19 @@ class TestPartitionCommand:
                                "and of equal length\n")
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
+    @pytest.mark.parametrize("vectors, message", [
+        ([["1", "2"], "34"], "vector 1 must be a list, got '34'"),
+        ("12", "vectors must be a list, got '12'"),
+    ], ids=["string-vector", "string-list"])
+    def test_string_vectors_are_usage_errors(self, tmp_path, vectors, message):
+        # a string is iterable, but its characters are no coordinates
+        data = {"kind": "vectors", "field": "rational", "vectors": vectors}
+        inst = write_json(tmp_path / "v.json", data)
+        proc = run_python("-m", "fatpointlab.cli", "partition", inst, "--k", "1")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: malformed vector instance: %s\n" % message
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
     def test_avoidance_mode(self, tmp_path):
         d = vectors_to_dict(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
                                  (1, 2, 3), (1, 4, 9)])
@@ -288,6 +311,17 @@ class TestGenKinds:
         assert code == EXIT_OK
         data = json.loads(open(out).read())
         assert data["kind"] == "vectors" and len(data["vectors"]) == 8
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--t", "0"], "needs t >= 2 lines, got t = 0"),
+        (["--t", "1"], "needs t >= 2 lines, got t = 1"),
+        (["--k", "2", "--p", "2"], "needs copies_per_line >= 1, got 0"),
+    ], ids=["t0", "t1", "no-copies"])
+    def test_example_28_parameters_are_checked(self, argv, message):
+        proc = run_python("-m", "fatpointlab.cli", "gen", "--kind", "example-2.8", *argv)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: generic_line_configuration %s\n" % message
+        assert proc.stdout == ""
 
     def test_generator_failure_is_usage_error(self):
         # coordinates in 0..9 cannot put 20 points of P^2 in general position

@@ -17,6 +17,7 @@ from fatpointlab.exact import (
     is_prime,
 )
 from fatpointlab.instances import InstanceError, field_from_descriptor
+from fatpointlab.matroid import VectorMatroid
 from fatpointlab.schemes import FatPointScheme, regularity_index
 
 QQ = ScalarField.rational()
@@ -35,14 +36,17 @@ def naive_det(rows):
 
 
 def minor_rank(m):
-    """Independent oracle: largest size of a nonzero square minor."""
+    """Independent oracle: largest size of a nonzero square minor (over F_p,
+    of a minor of the residues that is nonzero mod p)."""
+    p = m.field.p
     entries = [[Fraction(x) for x in row] for row in m.entries]
     best = 0
     for size in range(1, min(m.nrows, m.ncols) + 1):
         for rsel in combinations(range(m.nrows), size):
             for csel in combinations(range(m.ncols), size):
                 sub = [[entries[i][j] for j in csel] for i in rsel]
-                if naive_det(sub) != 0:
+                det = naive_det(sub)
+                if (det if p is None else det % p) != 0:
                     best = size
                     break
             else:
@@ -145,6 +149,12 @@ def transposed(rows):
     return [list(col) for col in zip(*rows)]
 
 
+def certified_rank(rows):
+    """The rank over Q of integer rows by the modular certificate, which
+    ``rank`` uses only from ``_NUMPY_MIN_CELLS`` cells on."""
+    return exact._certified_rank(*ExactMatrix(QQ, rows)._first_reduction())
+
+
 def no_bareiss(monkeypatch):
     def refuse(rows):
         raise AssertionError("rank was not certified from modular data")
@@ -166,7 +176,7 @@ class TestCertifiedRank:
         rows = [[x * CERTIFICATE_PRIMES[0] for x in row] if i in scaled else row
                 for i, row in enumerate(rows)]
         for raw in (rows, transposed(rows)):
-            assert ExactMatrix(QQ, raw).rank() == _bareiss_rank(raw)
+            assert certified_rank(raw) == _bareiss_rank(raw)
 
     @pytest.mark.parametrize("shape", [(12, 15, 5), (15, 12, 8), (20, 9, 9), (9, 20, 2), (14, 14, 13)])
     def test_numpy_sized(self, shape, monkeypatch):
@@ -187,8 +197,8 @@ class TestCertifiedRank:
         rows = [[x * p for x in row] if i <= nrows - k else row for i, row in enumerate(rows)]
         assert ExactMatrix(ScalarField.prime(p), rows).rank() < k
         no_bareiss(monkeypatch)
-        assert ExactMatrix(QQ, rows).rank() == k
-        assert ExactMatrix(QQ, transposed(rows)).rank() == k
+        assert certified_rank(rows) == k
+        assert certified_rank(transposed(rows)) == k
 
     def test_kernel_lifted_from_several_primes(self, monkeypatch):
         # kernel heights of about 100 bits need several primes by CRT
@@ -202,7 +212,7 @@ class TestCertifiedRank:
 
         monkeypatch.setattr(exact, "_kernel_certified", counted)
         no_bareiss(monkeypatch)
-        assert ExactMatrix(QQ, rows).rank() == 4
+        assert certified_rank(rows) == 4
         assert len(attempts) > 2 and attempts[-1] == prod(CERTIFICATE_PRIMES[:len(attempts)])
 
     def test_tall_kernel_falls_back(self, monkeypatch):
@@ -216,8 +226,8 @@ class TestCertifiedRank:
             return _bareiss_rank(int_rows)
 
         monkeypatch.setattr(exact, "_bareiss_rank", counted)
-        assert ExactMatrix(QQ, rows).rank() == 4
-        assert ExactMatrix(QQ, transposed(rows)).rank() == 4
+        assert certified_rank(rows) == 4
+        assert certified_rank(transposed(rows)) == 4
         assert len(calls) == 2
 
     def test_collinear_cluster_needs_no_bareiss(self, monkeypatch):
@@ -295,6 +305,92 @@ class TestColumnSubset:
     def test_ragged_or_empty_columns_rejected(self, columns):
         with pytest.raises(ValueError, match="columns must be nonempty and of equal length"):
             ExactMatrix.from_columns(QQ, columns)
+
+
+def refuse(what):
+    def refused(*args):
+        raise AssertionError("%s was called" % what)
+
+    return refused
+
+
+F7 = ScalarField.prime(7)
+# integers, fractions with denominators prime to 7, and many zeros
+ENTRIES = st.one_of(st.integers(-3, 3), st.just(0),
+                    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([2, 3, 5])))
+
+
+@st.composite
+def column_configurations(draw):
+    """Columns of one length with zero and parallel columns among them,
+    and a nonempty subset of their indices."""
+    dim = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "parallel"]))
+        if kind == "zero":
+            columns.append((0,) * dim)
+        elif kind == "parallel" and columns:
+            scale = draw(st.sampled_from([Fraction(-1), Fraction(2), Fraction(3, 2)]))
+            columns.append(tuple(scale * x for x in draw(st.sampled_from(columns))))
+        else:
+            columns.append(tuple(draw(st.lists(ENTRIES, min_size=dim, max_size=dim))))
+    subsets = draw(st.lists(st.sets(st.integers(0, len(columns) - 1), min_size=1),
+                            min_size=1, max_size=4))
+    return columns, subsets
+
+
+class TestSmallRankRoute:
+    """Below ``_NUMPY_MIN_CELLS`` cells a rank over Q is exact Bareiss
+    elimination, from that size on the modular certificate."""
+
+    def test_vector_matroid_queries_build_no_matrix_and_reduce_nothing(self, monkeypatch):
+        columns = [(1, 0, "1/2"), (2, 0, 1), (0, 1, 0), (1, 1, "1/2"), (0, 0, 0), (3, "1/3", 1)]
+        m = VectorMatroid(ExactMatrix.from_columns(QQ, columns))
+        monkeypatch.setattr(exact, "_rref_mod_p", refuse("_rref_mod_p"))
+        monkeypatch.setattr(ExactMatrix, "_of_rows", classmethod(refuse("ExactMatrix._of_rows")))
+        for size in range(1, 7):
+            for subset in combinations(m.elements, size):
+                sub = ExactMatrix.from_columns(QQ, [columns[j] for j in subset])
+                assert m.rank(subset) == minor_rank(sub)
+        assert m.full_rank() == 3 and m.rank([0, 1, 2, 3, 4]) == 2
+
+    @pytest.mark.parametrize("shape, route", [((7, 9), "bareiss"), ((9, 7), "bareiss"),
+                                              ((8, 8), "certified")])
+    def test_rank_on_each_side_of_the_split(self, shape, route, monkeypatch):
+        nrows, ncols = shape
+        rows = low_rank(random.Random(nrows * ncols), nrows, ncols, 5)
+        assert _bareiss_rank(rows) == 5
+        assert (nrows * ncols < exact._NUMPY_MIN_CELLS) == (route == "bareiss")
+        if route == "bareiss":
+            monkeypatch.setattr(exact, "_certified_rank", refuse("_certified_rank"))
+            monkeypatch.setattr(exact, "_rref_mod_p", refuse("_rref_mod_p"))
+        else:
+            no_bareiss(monkeypatch)
+        assert ExactMatrix(QQ, rows).rank() == 5
+        assert ExactMatrix(QQ, rows).rank_lower_bound() == 5
+
+    @pytest.mark.parametrize("nrows, route", [(9, "bareiss"), (8, "certified")])
+    def test_column_subset_on_each_side_of_the_split(self, nrows, route, monkeypatch):
+        # 7 of 9 rows' columns make 63 cells, 8 of 8 rows' columns 64
+        ncols = 16 - nrows
+        rows = low_rank(random.Random(nrows), nrows, 10, 6)
+        m = ExactMatrix(QQ, rows)
+        expected = _bareiss_rank([row[:ncols] for row in rows])
+        if route == "bareiss":
+            monkeypatch.setattr(exact, "_certified_rank", refuse("_certified_rank"))
+        else:
+            no_bareiss(monkeypatch)
+        assert m.rank_of_column_subset(range(ncols)) == expected == 6
+
+    @given(column_configurations(), st.sampled_from([QQ, F7]))
+    @settings(max_examples=150, deadline=None)
+    def test_column_subset_agrees_with_minor_search(self, configuration, field):
+        columns, subsets = configuration
+        m = ExactMatrix.from_columns(field, columns)
+        for subset in subsets:
+            sub = ExactMatrix.from_columns(field, [columns[j] for j in sorted(subset)])
+            assert m.rank_of_column_subset(subset) == minor_rank(sub)
 
 
 def test_rank_plus_kernel_dimension():
