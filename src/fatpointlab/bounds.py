@@ -96,14 +96,11 @@ def segre_bound(x):
 
 
 def _segre_bound(x):
-    s = x.support_size
-    if s == 0:
-        raise ValueError("scheme must have at least one point")
     mults = x.mults
-    if s == 1:
+    if x.support_size == 1:
         m = mults[0]
         return m - 1, SegreWitness(frozenset([0]), 0, m, m - 1)
-    support = VectorMatroid(ExactMatrix.from_columns(x.field, [c for c, _ in x.points]))
+    support = VectorMatroid(ExactMatrix.from_columns(x.field, x.keys))
     best = None
     for members in flats_spanned_by_subsets(support, min_rank=2):
         dim = support.rank(members) - 1
@@ -167,7 +164,7 @@ class SeparatingCertificate:
         field = z.field
         coeffs = [self.poly.get(mon, field.zero()) for mon in monomials(z.n, self.degree)]
         conds = conditions_matrix(z, self.degree)
-        if any(v != field.zero() for v in conds.mul_vector(coeffs)):
+        if any(conds.mul_vector(coeffs)):
             return False
         return _poly_eval(field, self.poly, self.point) != field.zero()
 
@@ -200,9 +197,9 @@ def separating_hypersurface(z, p_coords):
     """The add-one-point certificate: B = seg(Z+P) hyperplanes whose product
     vanishes on Z to the required orders but not at P.
 
-    Construction: partition the columns of A_Z plus B copies of P into B
-    independent sets, then pass a hyperplane through the non-P part of each
-    block, chosen to miss P.
+    Construction: partition the columns of A_Z plus B copies of P, each
+    point as its key, into B independent sets, then pass a hyperplane
+    through the non-P part of each block, chosen to miss P.
     """
     field = z.field
     p_coords = tuple(field.elem(c) for c in p_coords)
@@ -211,10 +208,10 @@ def separating_hypersurface(z, p_coords):
     extended = z.with_point(p_coords, 1)
     big_b, _ = segre_bound(extended)
     columns = []
-    for coords, mult in z.points:
-        columns.extend([coords] * mult)
+    for key, mult in zip(z.keys, z.mults):
+        columns.extend([key] * mult)
     n_z = len(columns)
-    columns.extend([p_coords] * big_b)
+    columns.extend([extended.keys[-1]] * big_b)
     matroid = VectorMatroid(ExactMatrix.from_columns(field, columns))
     result = edmonds_partition(matroid, big_b)
     if isinstance(result, InfeasibilityWitness):
@@ -281,7 +278,7 @@ def rational_normal_curve_sharpness(mults, n):
     witness = report.witness
     if witness.span_dim < 1:
         return SharpnessReport(False, report, "attained only by a single point")
-    support = VectorMatroid(ExactMatrix.from_columns(x.field, [c for c, _ in x.points]))
+    support = VectorMatroid(ExactMatrix.from_columns(x.field, x.keys))
     if not in_general_position(support, sorted(witness.flat), witness.span_dim + 1):
         return SharpnessReport(False, report, "corollary hypothesis not met")
     if report.reg_index != report.segre:

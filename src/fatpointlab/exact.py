@@ -5,10 +5,13 @@ Two coefficient fields are supported: the rationals (via
 ``range(p)``).  All computations are exact; there is no floating point
 anywhere in this package.
 
-A matrix over Q is stored as integer rows with one positive denominator per
-row, cleared once at construction; over F_p its rows are residues.  Row
-scaling changes neither the rank nor the right kernel, so every rank works
-on the integer rows directly.
+Rationals are cleared to integers in one place, ``integer_vector``: over Q
+a vector is scaled by the lcm of its denominators, over F_p it becomes its
+residues.  A matrix keeps integer rows and nothing else.  Its constructor
+clears each row, which changes neither the rank nor the right kernel;
+``from_columns`` clears each column, which keeps the matroid of the
+columns.  So every rank works on the integer rows directly, and
+``entries``, ``column`` and ``mul_vector`` hand back integers.
 
 Rank over Q has one size split, ``_NUMPY_MIN_CELLS``.  Below it,
 fraction-free (Bareiss 1968) elimination over Z gives the exact rank, which
@@ -177,88 +180,81 @@ class ScalarField:
         return str(a)
 
 
+def integer_vector(field, values):
+    """The values cleared to integers, as a tuple.
+
+    Over Q they are scaled by the lcm of their denominators, a positive
+    multiple, and ints pass through as they are; over F_p they become their
+    residues in range(p)."""
+    if field.p is not None:
+        return tuple(map(field.elem, values))
+    vals = [v if type(v) is int else field.elem(v) for v in values]
+    den = lcm(*(v.denominator for v in vals))
+    return tuple(v.numerator * (den // v.denominator) for v in vals)
+
+
 class ExactMatrix:
     """A dense matrix over a ScalarField, immutable after construction.
 
-    Over Q the rows are kept as integers with one denominator per row;
-    ``entries`` gives back the field elements the matrix was built from.
+    It holds integer rows only (over F_p, residues): ``entries`` gives them,
+    ``column(j)`` the integer column, and ``mul_vector`` their product with
+    a vector, zero exactly where the product with the given rows is.
     """
 
-    def __init__(self, field, entries):
-        rows = []
-        dens = []
-        for row in entries:
-            vals = [field.elem(x) for x in row]
-            if field.is_rational:
-                den = lcm(*(v.denominator for v in vals))
-                rows.append(tuple(v.numerator * (den // v.denominator) for v in vals))
-                dens.append(den)
-            else:
-                rows.append(tuple(vals))
-        self._init(field, rows, dens if field.is_rational else None)
+    def __init__(self, field, rows):
+        self._init(field, [integer_vector(field, row) for row in rows])
 
     @classmethod
     def from_integer_rows(cls, field, rows):
         """The matrix of integer rows (over F_p, of residues in range(p)),
         taken as they are."""
-        return cls._of_rows(field, [tuple(row) for row in rows])
-
-    @classmethod
-    def _of_rows(cls, field, rows):
         m = cls.__new__(cls)
-        m._init(field, rows, None)
+        m._init(field, [tuple(row) for row in rows])
         return m
 
-    def _init(self, field, rows, dens):
+    def _init(self, field, rows):
         self.field = field
         self._rows = tuple(rows)
-        self._dens = dens             # None: every denominator is 1
         self.nrows = len(self._rows)
         self.ncols = len(self._rows[0]) if self._rows else 0
         if any(len(row) != self.ncols for row in self._rows):
             raise ValueError("ragged rows")
-        self._entries = None
         self._rank = None
         self._first = None            # see _first_reduction
-        self._cols = None             # column tuples, for column subsets
+        self._cols = None             # column tuples, see _columns
 
     @classmethod
     def from_columns(cls, field, columns):
-        cols = [tuple(c) for c in columns]
+        """The matrix with these columns, each cleared on its own: over Q
+        every column is a positive multiple of the given one."""
+        cols = [integer_vector(field, c) for c in columns]
         if not cols:
             raise ValueError("need at least one column")
         if not cols[0] or any(len(c) != len(cols[0]) for c in cols):
             raise ValueError("columns must be nonempty and of equal length")
-        return cls(field, list(zip(*cols)))
+        m = cls(field, list(zip(*cols)))
+        m._cols = tuple(cols)
+        return m
 
     def __repr__(self):
         return "ExactMatrix(%d x %d over %r)" % (self.nrows, self.ncols, self.field)
 
     @property
     def entries(self):
-        if self._entries is None:
-            if not self.field.is_rational:
-                self._entries = self._rows
-            else:
-                dens = self._dens or [1] * self.nrows
-                self._entries = tuple(
-                    tuple(Fraction(x, den) for x in row) for row, den in zip(self._rows, dens)
-                )
-        return self._entries
+        return self._rows
+
+    def _columns(self):
+        if self._cols is None:
+            self._cols = tuple(zip(*self._rows))
+        return self._cols
 
     def column(self, j):
-        return tuple(row[j] for row in self.entries)
+        return self._columns()[j]
 
     def mul_vector(self, v):
-        f = self.field
-        out = []
-        for i, row in enumerate(self._rows):
-            acc = sum((x * y for x, y in zip(row, v)), f.zero())
-            if f.is_rational:
-                out.append(acc / self._dens[i] if self._dens else acc)
-            else:
-                out.append(f.elem(acc))
-        return tuple(out)
+        p = self.field.p
+        out = [sum(map(mul, row, v)) for row in self._rows]
+        return tuple(out) if p is None else tuple(x % p for x in out)
 
     # -- rank ----------------------------------------------------------------
 
@@ -303,9 +299,8 @@ class ExactMatrix:
         for j in cols:
             if not (0 <= j < self.ncols):
                 raise IndexError("column index out of range: %r" % (j,))
-        if self._cols is None:
-            self._cols = tuple(zip(*self._rows))
-        return _rank_of_rows([self._cols[j] for j in cols], self.field.p)
+        columns = self._columns()
+        return _rank_of_rows([columns[j] for j in cols], self.field.p)
 
     def kernel_basis(self):
         """Basis of the right kernel, one vector per free column of the
@@ -313,7 +308,7 @@ class ExactMatrix:
         f = self.field
         if self.ncols == 0:
             return []
-        # scaling a row by its denominator leaves the reduced form unchanged
+        # clearing scaled each row, which leaves the reduced form unchanged
         red, pivots = _rref([[f.elem(x) for x in row] for row in self._rows], f)
         basis = []
         for j in range(self.ncols):

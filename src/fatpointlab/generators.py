@@ -173,14 +173,15 @@ def random_vector_matroid(rng, dim, count, field=None, coord_range=4):
 
 def five_plus_generic_scheme(rng, n, d, m, field=None):
     """Support = five fixed points plus binom(d+n, n) certified-generic
-    points, every point with multiplicity m."""
+    points, every point with multiplicity m.  The five fixed points lie in
+    P^2, padded with zeros, so n >= 2."""
+    if n < 2:
+        raise ValueError("five_plus_generic_scheme needs n >= 2, got n = %d" % n)
     field = field or ScalarField.rational()
     fixed = [
         (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),
     ]
-    if n != 2:
-        fixed = [tuple(list(p) + [0] * (n - 2)) for p in fixed]
-    fixed = [tuple(field.elem(c) for c in p) for p in fixed]
+    fixed = [tuple(field.elem(c) for c in p + (0,) * (n - 2)) for p in fixed]
     extra = len(monomials(n, d))
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
         gen = generic_points(rng, n, extra, field=field)

@@ -181,22 +181,21 @@ class VectorMatroid(RankOracle):
         self.field = matrix.field
         super().__init__(range(matrix.ncols), lambda fs: matrix.rank_of_column_subset(fs), labels=labels)
         for j in self.elements:
-            self._cache[frozenset([j])] = int(any(row[j] for row in matrix._rows))
+            self._cache[frozenset([j])] = int(any(matrix.column(j)))
 
 
 def fat_point_vector_matroid(x):
-    """The vector matroid of a fat point scheme: m_i parallel copies of P_i.
+    """The vector matroid of a fat point scheme: m_i parallel copies of the
+    key of P_i.
 
     Ground element ids are consecutive; labels record (point index, copy).
     """
-    if not x.points:
-        raise ValueError("scheme must have at least one point")
     columns = []
     labels = {}
-    for i, (coords, mult) in enumerate(x.points):
+    for i, (key, mult) in enumerate(zip(x.keys, x.mults)):
         for copy in range(mult):
             labels[len(columns)] = (i, copy)
-            columns.append(coords)
+            columns.append(key)
     matrix = ExactMatrix.from_columns(x.field, columns)
     return VectorMatroid(matrix, labels=labels)
 

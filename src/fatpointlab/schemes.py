@@ -11,10 +11,13 @@ from a lower bound up, then one certified deficiency one degree below.  The
 search keeps the one matrix it may still certify to itself; the scheme
 holds only certified Hilbert values and r(X).
 
-Points are told apart by one projective normal form (``_point_key``): the
-primitive integer vector with first nonzero entry positive over Q, the
-vector scaled to first nonzero entry 1 over F_p.  Distinctness, membership
-and the generators' resampling all compare these keys.
+Each point is cleared to integers once, to its projective normal form
+(``_point_key``): the primitive integer vector with first nonzero entry
+positive over Q, the vector scaled to first nonzero entry 1 over F_p.  A
+scheme keeps these keys (``keys``) next to the given coordinates, which
+serve serialization and derived schemes only.  Distinctness, membership,
+the conditions matrices, the line search, the support matroids and the
+generators' resampling all read the keys.
 
 Vanishing conditions are written after dehomogenizing each point at its
 first nonzero coordinate, which avoids the redundancy among homogeneous
@@ -34,10 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd, lcm, perm
+from math import comb, gcd, perm
 from operator import mul
 
-from .exact import ExactMatrix, InternalError
+from .exact import ExactMatrix, InternalError, integer_vector
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +69,11 @@ def _derivative_orders(nvars, below):
 
 
 class FatPointScheme:
-    """X = sum m_i P_i: distinct projective points with multiplicities."""
+    """X = sum m_i P_i: distinct projective points with multiplicities.
+
+    ``points`` holds the (coordinates, multiplicity) pairs as given, as
+    field elements; ``keys`` the projective normal form of each point.
+    """
 
     def __init__(self, field, ambient_dim, points):
         if ambient_dim < 1:
@@ -79,7 +86,10 @@ class FatPointScheme:
             if not (isinstance(mult, int) and mult >= 1):
                 raise ValueError("multiplicity must be a positive integer")
             cleaned.append((coords, mult))
-        if len({_point_key(field, c) for c, _ in cleaned}) < len(cleaned):
+        if not cleaned:
+            raise ValueError("scheme must have at least one point")
+        self.keys = tuple(_point_key(field, c) for c, _ in cleaned)
+        if len(set(self.keys)) < len(cleaned):
             raise ValueError("points must be pairwise distinct in projective space")
         self.points = tuple(cleaned)
         self._hilbert_cache = {}  # certified values of h_X
@@ -111,8 +121,7 @@ class FatPointScheme:
     def contains_point(self, coords):
         """Whether the point of P^n with these coordinates is in the support;
         ValueError if they are not a point of P^n."""
-        key = _point_key(self.field, _projective_point(self.field, self.n, coords))
-        return any(_point_key(self.field, c) == key for c, _ in self.points)
+        return _point_key(self.field, _projective_point(self.field, self.n, coords)) in self.keys
 
 
 def _projective_point(field, n, coords):
@@ -130,7 +139,7 @@ def _point_key(field, coords):
 
     Over Q the primitive integer vector with first nonzero entry positive,
     over F_p the residues scaled to first nonzero entry 1."""
-    return _normalized(_integer_coords(field, coords), field.p)
+    return _normalized(integer_vector(field, coords), field.p)
 
 
 @lru_cache(maxsize=None)
@@ -139,31 +148,21 @@ def _exponent_columns(n, d):
     return tuple(zip(*monomials(n, d)))
 
 
-def _integer_coords(field, coords):
-    """The point as a primitive integer vector (over F_p: its residues)."""
-    if not field.is_rational:
-        return list(coords)
-    den = lcm(*(c.denominator for c in coords))
-    ints = [c.numerator * (den // c.denominator) for c in coords]
-    g = gcd(*ints)
-    return [v // g for v in ints]
-
-
 def conditions_matrix(x, d):
     """The derivative-conditions matrix of X in degree d, over Z.
 
     sum_i binom(n + m_i - 1, n) rows, binom(n + d, n) columns; the kernel is
     the degree-d part of the ideal of X and the rank is h_X(d).
 
-    Each point is scaled to a primitive integer vector c and dehomogenized
-    at its first nonzero coordinate c_piv, with affine coordinates
-    u_j = c_j / c_piv.  The row of the derivative d^alpha in the affine
-    variables, evaluated at the point, is scaled by c_piv^d, which leaves
-    rank and right kernel unchanged and makes every entry an integer: at the
-    monomial x^beta it is prod_j ff(beta_j, alpha_j) c_j^(beta_j - alpha_j)
-    over the affine j, times c_piv^(beta_piv + |alpha|), where ff(b, a) =
-    b!/(b - a)! is the falling factorial.  Over F_p the same formula is
-    reduced mod p.
+    Each point is taken as its key c (see ``_point_key``) and
+    dehomogenized at its first nonzero coordinate c_piv (1 over F_p), with
+    affine coordinates u_j = c_j / c_piv.  The row of the derivative
+    d^alpha in the affine variables, evaluated at the point, is scaled by
+    c_piv^d, which leaves rank and right kernel unchanged and makes every
+    entry an integer: at the monomial x^beta it is
+    prod_j ff(beta_j, alpha_j) c_j^(beta_j - alpha_j) over the affine j,
+    times c_piv^(beta_piv + |alpha|), where ff(b, a) = b!/(b - a)! is the
+    falling factorial.  Over F_p the same formula is reduced mod p.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
@@ -174,8 +173,7 @@ def conditions_matrix(x, d):
     n = x.n
     exponents = _exponent_columns(n, d)
     rows = []
-    for coords, mult in x.points:
-        c = _integer_coords(field, coords)
+    for c, mult in zip(x.keys, x.mults):
         pivot = next(i for i, v in enumerate(c) if v)
         powers = [[pow(v, e, p) for e in range(d + mult)] for v in c]
         # factors[j][a][b]: the factor of variable j at exponent b in a row
@@ -224,13 +222,13 @@ def heaviest_line_weight(x):
     if x.n == 1 or len(mults) <= 2:
         return sum(mults)  # the support lies on one line
     p = x.field.p
-    coords = [_integer_coords(x.field, c) for c, _ in x.points]
+    keys = x.keys
     best = 0
-    for i, a in enumerate(coords[:-1]):
+    for i, a in enumerate(keys[:-1]):
         t = next(k for k, v in enumerate(a) if v)
         later = {}  # line through a -> weight of its points after a
-        for j in range(i + 1, len(coords)):
-            b = coords[j]
+        for j in range(i + 1, len(keys)):
+            b = keys[j]
             key = _normalized([a[t] * bk - b[t] * ak for ak, bk in zip(a, b)], p)
             later[key] = later.get(key, 0) + mults[j]
         best = max(best, mults[i] + max(later.values()))
@@ -344,8 +342,6 @@ def subscheme(x, new_mults):
             raise ValueError("new multiplicity must satisfy 0 <= new <= old")
         if nm > 0:
             pts.append((coords, nm))
-    if not pts:
-        raise ValueError("subscheme must be nonempty")
     return FatPointScheme(x.field, x.n, pts)
 
 

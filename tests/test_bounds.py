@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fatpointlab import exact, schemes
 from fatpointlab.bounds import (
     CardinalityVerdict,
     cardinality_estimate_check,
@@ -201,6 +202,35 @@ class TestMainTheorem:
         assert d1 == d2
         assert "timings" not in d1
         assert "timings" in verify_main_theorem(x).to_dict(include_timings=True)
+
+
+class TestPointsClearedOnce:
+    def test_queries_do_not_clear_the_points_again(self, monkeypatch):
+        # every point has a fractional coordinate, so clearing its given
+        # coordinates shows as a call on a non-integer vector
+        points = [("1/2", 0, 0), ("1/2", "1/2", 0), ("1/2", "3/2", 0),
+                  ("2/3", "1/3", "1/3"), ("5/2", "1/7", 1)]
+        x = FatPointScheme(QQ, 2, [(p, 2) for p in points])
+        cleared = []
+
+        def recorded(clear):
+            def recording(field, values):
+                values = tuple(values)
+                cleared.append(values)
+                return clear(field, values)
+
+            return recording
+
+        for module in (exact, schemes):
+            monkeypatch.setattr(module, "integer_vector", recorded(module.integer_vector))
+        assert regularity_index(x) == 5
+        assert segre_bound(x)[0] == 5
+        assert cardinality_estimate_check(x).ok
+        assert cleared and all(type(v) is int for values in cleared for v in values)
+        cleared.clear()
+        queries = [("1/4", "3/4", 0), ("1/4", 0, "1/3")]
+        assert x.contains_point(queries[0]) and not x.contains_point(queries[1])
+        assert cleared == [tuple(map(QQ.elem, q)) for q in queries]
 
 
 class TestSharpness:

@@ -152,6 +152,14 @@ class TestGenVerify:
         assert proc.stderr == "error: prime field too small for derivative conditions at degree 5\n"
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
+    def test_scheme_without_points_is_usage_error(self, tmp_path):
+        data = {"kind": "scheme", "field": "rational", "ambient_dim": 2, "points": []}
+        inst = write_json(tmp_path / "empty.json", data)
+        proc = run_python("-m", "fatpointlab.cli", "verify", inst, "--checks", "veronese")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: scheme must have at least one point\n"
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
     def test_verify_all_default_checks(self, tmp_path):
         x = FatPointScheme(QQ, 2, [((1, 0, 0), 2), ((0, 1, 0), 1), ((1, 1, 1), 1)])
         inst = write_json(tmp_path / "x.json", scheme_to_dict(x))
@@ -322,6 +330,18 @@ class TestGenKinds:
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr == "error: generic_line_configuration %s\n" % message
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "rational-normal-curve", "--s", "0"], "scheme must have at least one point"),
+        (["--kind", "collinear-cluster", "--s", "0"], "scheme must have at least one point"),
+        (["--kind", "example-5.6-scaled", "--n", "1"],
+         "five_plus_generic_scheme needs n >= 2, got n = 1"),
+    ], ids=["curve-s0", "cluster-s0", "example-5.6-n1"])
+    def test_unplaceable_parameters_are_usage_errors(self, argv, message):
+        proc = run_python("-m", "fatpointlab.cli", "gen", *argv)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: %s\n" % message
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_generator_failure_is_usage_error(self):
         # coordinates in 0..9 cannot put 20 points of P^2 in general position

@@ -38,12 +38,17 @@ def naive_det(rows):
 def minor_rank(m):
     """Independent oracle: largest size of a nonzero square minor (over F_p,
     of a minor of the residues that is nonzero mod p)."""
-    p = m.field.p
-    entries = [[Fraction(x) for x in row] for row in m.entries]
+    return rows_minor_rank(m.entries, m.field.p)
+
+
+def rows_minor_rank(rows, p=None):
+    """``minor_rank`` of rows of rationals (over F_p, of residues)."""
+    entries = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(entries), len(entries[0])
     best = 0
-    for size in range(1, min(m.nrows, m.ncols) + 1):
-        for rsel in combinations(range(m.nrows), size):
-            for csel in combinations(range(m.ncols), size):
+    for size in range(1, min(nrows, ncols) + 1):
+        for rsel in combinations(range(nrows), size):
+            for csel in combinations(range(ncols), size):
                 sub = [[entries[i][j] for j in csel] for i in rsel]
                 det = naive_det(sub)
                 if (det if p is None else det % p) != 0:
@@ -347,12 +352,16 @@ class TestSmallRankRoute:
     def test_vector_matroid_queries_build_no_matrix_and_reduce_nothing(self, monkeypatch):
         columns = [(1, 0, "1/2"), (2, 0, 1), (0, 1, 0), (1, 1, "1/2"), (0, 0, 0), (3, "1/3", 1)]
         m = VectorMatroid(ExactMatrix.from_columns(QQ, columns))
+        expected = {
+            subset: minor_rank(ExactMatrix.from_columns(QQ, [columns[j] for j in subset]))
+            for size in range(1, 7) for subset in combinations(m.elements, size)
+        }
         monkeypatch.setattr(exact, "_rref_mod_p", refuse("_rref_mod_p"))
-        monkeypatch.setattr(ExactMatrix, "_of_rows", classmethod(refuse("ExactMatrix._of_rows")))
-        for size in range(1, 7):
-            for subset in combinations(m.elements, size):
-                sub = ExactMatrix.from_columns(QQ, [columns[j] for j in subset])
-                assert m.rank(subset) == minor_rank(sub)
+        monkeypatch.setattr(ExactMatrix, "__init__", refuse("ExactMatrix.__init__"))
+        monkeypatch.setattr(ExactMatrix, "from_integer_rows",
+                            classmethod(refuse("ExactMatrix.from_integer_rows")))
+        for subset, rank in expected.items():
+            assert m.rank(subset) == rank
         assert m.full_rank() == 3 and m.rank([0, 1, 2, 3, 4]) == 2
 
     @pytest.mark.parametrize("shape, route", [((7, 9), "bareiss"), ((9, 7), "bareiss"),
@@ -391,6 +400,42 @@ class TestSmallRankRoute:
         for subset in subsets:
             sub = ExactMatrix.from_columns(field, [columns[j] for j in sorted(subset)])
             assert m.rank_of_column_subset(subset) == minor_rank(sub)
+
+
+class TestIntegerRepresentation:
+    """Rationals are cleared to integers once: a matrix holds, and hands
+    back, integers only, with the ranks and kernels of the given rows."""
+
+    @given(st.sampled_from([QQ, F7, FP]),
+           st.integers(1, 4).flatmap(lambda ncols: st.lists(
+               st.lists(ENTRIES, min_size=ncols, max_size=ncols), min_size=1, max_size=4)))
+    @settings(max_examples=150, deadline=None)
+    def test_one_integer_representation(self, field, raw):
+        values = [[field.elem(x) for x in row] for row in raw]
+        by_rows = ExactMatrix(field, raw)
+        by_columns = ExactMatrix.from_columns(field, raw)
+        for m in (by_rows, by_columns):
+            assert all(type(x) is int for row in m.entries for x in row)
+            assert all(type(x) is int for j in range(m.ncols) for x in m.column(j))
+        for j, vector in enumerate(values):
+            column = by_columns.column(j)
+            if not field.is_rational:
+                assert column == tuple(vector)
+            elif any(vector):
+                i = next(i for i, x in enumerate(vector) if x)
+                scale = Fraction(column[i]) / vector[i]
+                assert scale.denominator == 1 and scale > 0
+                assert column == tuple(scale * x for x in vector)
+            else:
+                assert not any(column)
+        rank = rows_minor_rank(values, field.p)
+        assert by_rows.rank() == by_columns.rank() == rank
+        basis = by_rows.kernel_basis()
+        assert len(basis) == by_rows.ncols - rank
+        for v in basis:
+            for row in values:
+                total = sum(x * y for x, y in zip(row, v))
+                assert (total if field.is_rational else total % field.p) == 0
 
 
 def test_rank_plus_kernel_dimension():

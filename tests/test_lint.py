@@ -20,6 +20,21 @@ def test_library_has_no_assert():
     assert found == []
 
 
+def test_only_exact_imports_fractions():
+    # rationals are cleared to integers in exact.py; every other module
+    # computes with integers and leaves Fractions to it
+    paths = sorted(pathlib.Path(fatpointlab.__file__).parent.rglob("*.py"))
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in paths
+        if path.name != "exact.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+    ]
+    assert found == []
+
+
 def test_library_imports_are_used():
     # every name a module imports at top level is referenced in it; the
     # package's __init__ imports only to re-export

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -46,6 +46,10 @@ class TestSchemeConstruction:
     def test_degree_formula(self):
         x = FatPointScheme(QQ, 2, [((1, 0, 0), 2), ((0, 1, 0), 3)])
         assert x.degree() == comb(3, 2) + comb(4, 2)  # 3 + 6
+
+    def test_rejects_empty_point_list(self):
+        with pytest.raises(ValueError, match="^scheme must have at least one point$"):
+            FatPointScheme(QQ, 2, [])
 
     def test_rejects_zero_point(self):
         with pytest.raises(ValueError):
@@ -104,6 +108,15 @@ class TestPointKey:
             assert all(isinstance(c, int) for c in key) and first > 0 and gcd(*key) == 1
         else:
             assert first == 1 and all(0 <= c < field.p for c in key)
+
+    @given(point_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_scheme_keeps_each_points_key(self, pair):
+        field, a, b = pair
+        assume(not proportional(field, a, b))
+        x = FatPointScheme(field, len(a) - 1, [(a, 1), (b, 2)])
+        assert [c for c, _ in x.points] == [a, b]
+        assert x.keys == tuple(schemes._point_key(field, c) for c, _ in x.points)
 
 
 class TestMonomials:
@@ -190,13 +203,10 @@ class TestIntegerConditionsMatrix:
         d = 4
         m = conditions_matrix(x, d)
         expected = dehomogenized_rows(x, d)
-        # each block of rows is scaled by c_piv^d for the primitive integer
-        # vector c of its point
+        # each block of rows is scaled by c_piv^d for the key c of its point
         scales = []
-        for coords, mult in x.points:
-            den = lcm(*(c.denominator for c in coords))
-            ints = [int(c * den) for c in coords]
-            piv = next(v for v in ints if v) // gcd(*ints)
+        for key, mult in zip(x.keys, x.mults):
+            piv = next(v for v in key if v)
             scales += [piv ** d] * comb(n + mult - 1, n)
         assert [list(row) for row in m.entries] == [
             [s * v for v in row] for s, row in zip(scales, expected)
@@ -509,7 +519,7 @@ class TestSubscheme:
         x = FatPointScheme(QQ, 2, [((1, 0, 0), 2)])
         with pytest.raises(ValueError):
             subscheme(x, (3,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^scheme must have at least one point$"):
             subscheme(x, (0,))
         with pytest.raises(ValueError):
             subscheme(x, (1, 1))
