@@ -18,9 +18,10 @@ the exhaustive loop over all subsets).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
+from math import prod
+from operator import mul
 
 from .constructions import elementary_quotient, verify_count_hypothesis
 from .exact import ExactMatrix, GuardExceeded, InternalError
@@ -62,10 +63,9 @@ class BoundReport:
     verdict: bool
     sharp: bool
     modified: dict = dataclass_field(default_factory=dict)
-    timings: dict = dataclass_field(default_factory=dict)
 
-    def to_dict(self, include_timings=False):
-        out = {
+    def to_dict(self):
+        return {
             "reg_index": self.reg_index,
             "segre": self.segre,
             "witness": {
@@ -78,9 +78,6 @@ class BoundReport:
             "sharp": self.sharp,
             "modified": {str(d): v for d, v in sorted(self.modified.items())},
         }
-        if include_timings:
-            out["timings"] = dict(self.timings)
-        return out
 
 
 def segre_bound(x):
@@ -161,36 +158,29 @@ class SeparatingCertificate:
     point: tuple
 
     def verify(self, z):
-        field = z.field
-        coeffs = [self.poly.get(mon, field.zero()) for mon in monomials(z.n, self.degree)]
+        coeffs = [self.poly.get(mon, 0) for mon in monomials(z.n, self.degree)]
         conds = conditions_matrix(z, self.degree)
         if any(conds.mul_vector(coeffs)):
             return False
-        return _poly_eval(field, self.poly, self.point) != field.zero()
+        return _poly_eval(z.field, self.poly, self.point) != 0
 
 
 def _poly_mul_linear(field, poly, lin):
     out = {}
     for expo, coeff in poly.items():
         for j, c in enumerate(lin):
-            if c == field.zero():
+            if not c:
                 continue
             new = list(expo)
             new[j] += 1
             key = tuple(new)
-            out[key] = field.add(out.get(key, field.zero()), field.mul(coeff, c))
-    return {k: v for k, v in out.items() if v != field.zero()}
+            out[key] = out.get(key, 0) + coeff * c
+    out = {k: field.elem(v) for k, v in out.items()}
+    return {k: v for k, v in out.items() if v}
 
 
 def _poly_eval(field, poly, coords):
-    total = field.zero()
-    for expo, coeff in poly.items():
-        val = coeff
-        for j, e in enumerate(expo):
-            for _ in range(e):
-                val = field.mul(val, coords[j])
-        total = field.add(total, val)
-    return total
+    return field.elem(sum(coeff * prod(map(pow, coords, expo)) for expo, coeff in poly.items()))
 
 
 def separating_hypersurface(z, p_coords):
@@ -227,10 +217,7 @@ def separating_hypersurface(z, p_coords):
         kernel = ExactMatrix(field, vectors).kernel_basis()
         lin = None
         for cand in kernel:
-            pairing = sum(
-                (field.mul(cand[j], p_coords[j]) for j in range(z.n + 1)), field.zero()
-            )
-            if pairing != field.zero():
+            if field.elem(sum(map(mul, cand, p_coords))):
                 lin = cand
                 break
         if lin is None:
@@ -245,14 +232,9 @@ def separating_hypersurface(z, p_coords):
 
 def verify_main_theorem(x):
     """Compute r(X) and seg(X) independently and package the comparison."""
-    timings = {}
-    t0 = time.perf_counter()
     r = regularity_index(x)
-    timings["reg_index"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
     seg, witness = segre_bound(x)
-    timings["segre"] = time.perf_counter() - t0
-    return BoundReport(r, seg, witness, r <= seg, r == seg, timings=timings)
+    return BoundReport(r, seg, witness, r <= seg, r == seg)
 
 
 @dataclass

@@ -5,18 +5,27 @@ Two coefficient fields are supported: the rationals (via
 ``range(p)``).  All computations are exact; there is no floating point
 anywhere in this package.
 
-Rationals are cleared to integers in one place, ``integer_vector``: over Q
-a vector is scaled by the lcm of its denominators, over F_p it becomes its
-residues.  A matrix keeps integer rows and nothing else.  Its constructor
-clears each row, which changes neither the rank nor the right kernel;
-``from_columns`` clears each column, which keeps the matroid of the
-columns.  So every rank works on the integer rows directly, and
-``entries``, ``column`` and ``mul_vector`` hand back integers.
+Field elements (``ScalarField.elem``) appear only where input is parsed;
+the library does no arithmetic on them.  Rationals are cleared to integers
+in one place, ``integer_vector``: over Q a vector is scaled by the lcm of
+its denominators, over F_p it becomes its residues.  A matrix keeps integer
+rows and nothing else.  Its constructor clears each row, which changes
+neither the rank nor the right kernel; ``from_columns`` clears each column,
+which keeps the matroid of the columns.  So every rank works on the integer
+rows directly, and ``entries``, ``column`` and ``mul_vector`` hand back
+integers.
 
-Rank over Q has one size split, ``_NUMPY_MIN_CELLS``.  Below it,
-fraction-free (Bareiss 1968) elimination over Z gives the exact rank, which
-on matrices this small costs less than any modular certificate.  From it on,
-the rank is certified from modular data:
+There are two eliminations: Gauss-Jordan modulo a prime
+(``_rref_mod_p``) and fraction-free (Bareiss 1968) elimination over Z
+(``_bareiss_echelon``).  Rank and kernel share them.  Over F_p both come
+from the reduced form mod p.  Over Q the rank is the pivot count of the
+fraction-free echelon, or certified as below, and the kernel basis is
+back-substituted on that echelon.
+
+Rank over Q has one size split, ``_NUMPY_MIN_CELLS``.  Below it, the
+fraction-free echelon gives the exact rank, which on matrices this small
+costs less than any modular certificate.  From it on, the rank is certified
+from modular data:
 
 1. the rank r modulo a 31-bit prime is a lower bound for the rank over Q
    (a nonsingular minor mod p is nonsingular over Q), so a matrix of full
@@ -30,10 +39,10 @@ the rank is certified from modular data:
    free coordinates, so they are independent, and min(nrows, ncols) - r
    independent kernel vectors bound the rank over Q above by r.
 
-Only when no certificate comes out of the prime list does Bareiss
-elimination decide a large rank too.  Step 1 alone is ``rank_lower_bound``,
-for callers that need a certificate only when the rank is full; its
-reduction is reused by a later ``rank``.  ``_rank_of_rows`` picks the route
+Only when no certificate comes out of the prime list does the
+fraction-free echelon decide a large rank too.  Step 1 alone is
+``rank_lower_bound``, for callers that need a certificate only when the rank
+is full; its reduction is reused by a later ``rank``.  ``_rank_of_rows`` picks the route
 for every rank, also for the column subsets a vector matroid asks about.
 """
 
@@ -52,7 +61,7 @@ CERTIFICATE_PRIMES = (
 )
 
 # The one size split of exact rank.  Over Q, matrices with fewer cells take
-# exact Bareiss elimination; larger ones the modular certificate, whose
+# the fraction-free echelon; larger ones the modular certificate, whose
 # eliminations mod p run in numpy.  numpy's per-call overhead dominates below:
 # on a 2-vCPU Xeon VM pure Python mod p was faster up to 6 x 8 (144 vs
 # 181 us), numpy from 8 x 10 (206 vs 297 us).  numpy is imported on the first
@@ -156,28 +165,6 @@ class ScalarField:
 
     def one(self):
         return Fraction(1) if self.p is None else 1
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else a * b % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a):
-        if self.p is None:
-            return Fraction(1) / a
-        return pow(a, -1, self.p)
-
-    def to_str(self, a):
-        return str(a)
 
 
 def integer_vector(field, values):
@@ -303,35 +290,47 @@ class ExactMatrix:
         return _rank_of_rows([columns[j] for j in cols], self.field.p)
 
     def kernel_basis(self):
-        """Basis of the right kernel, one vector per free column of the
-        reduced row echelon form, with ``int``/``Fraction`` entries."""
+        """Basis of the right kernel, one vector per free column of the row
+        echelon form: 1 there, 0 at the other free columns.  This is the
+        unique basis read off the reduced row echelon form.
+
+        Over Q the pivot entries come from back-substitution on the
+        fraction-free echelon, as ``Fraction``s; over F_p they are read off
+        the reduced form mod p, as ``int``s."""
         f = self.field
         if self.ncols == 0:
             return []
-        # clearing scaled each row, which leaves the reduced form unchanged
-        red, pivots = _rref([[f.elem(x) for x in row] for row in self._rows], f)
+        if f.p is None:
+            echelon, pivots = _bareiss_echelon(self._rows)
+        else:
+            echelon, pivots = _rref_mod_p(self._rows, f.p)
+        pivot_rows = list(zip(echelon, pivots))
         basis = []
         for j in range(self.ncols):
             if j in pivots:
                 continue
             v = [f.zero()] * self.ncols
             v[j] = f.one()
-            for row, pc in zip(red, pivots):
-                v[pc] = f.neg(row[j])
+            if f.p is None:
+                for row, pc in reversed(pivot_rows):
+                    v[pc] = Fraction(-sum(map(mul, row[pc + 1:], v[pc + 1:])), row[pc])
+            else:
+                for row, pc in pivot_rows:
+                    v[pc] = -int(row[j]) % f.p
             basis.append(tuple(v))
         return basis
 
 
 def _rank_of_rows(rows, p, first=None):
     """Rank of nonempty integer rows by the route the field and size pick:
-    over F_p (``p`` given) their rank mod p; over Q exact Bareiss
-    elimination below ``_NUMPY_MIN_CELLS`` cells, the modular certificate
+    over F_p (``p`` given) their rank mod p; over Q the fraction-free
+    echelon below ``_NUMPY_MIN_CELLS`` cells, the modular certificate
     from there, starting from ``first`` (``_tall_reduction`` of the rows)
     when it is given."""
     if p is not None:
         return len(_rref_mod_p(rows, p)[1])
     if len(rows) * len(rows[0]) < _NUMPY_MIN_CELLS:
-        return _bareiss_rank(rows)
+        return len(_bareiss_echelon(rows)[1])
     return _certified_rank(*(first or _tall_reduction(rows)))
 
 
@@ -376,7 +375,7 @@ def _certified_rank(rows, first_red, first_pivots):
         modulus *= p
         if _kernel_certified(rows, pivots, free, lifts, modulus):
             return r
-    return _bareiss_rank(rows)
+    return len(_bareiss_echelon(rows)[1])
 
 
 def _rational_reconstruction(u, m):
@@ -418,8 +417,9 @@ def _rref_mod_p(rows, p):
     """Reduced row echelon form of an integer matrix mod p and its pivot
     columns: an int64 array from numpy for large matrices when p < 2^31 (so
     products of residues fit), lists of ints from pure Python otherwise.
-    Rational ranks below ``_NUMPY_MIN_CELLS`` take Bareiss elimination, so
-    the pure-Python branch serves F_p, and primes from 2^31 on, only."""
+    Rational ranks below ``_NUMPY_MIN_CELLS`` take the fraction-free
+    echelon, so the pure-Python branch serves F_p, and primes from 2^31 on,
+    only."""
     nrows, ncols = len(rows), len(rows[0])
     if nrows * ncols >= _NUMPY_MIN_CELLS and p < 2**31:
         import numpy as np
@@ -464,14 +464,19 @@ def _rref_mod_p(rows, p):
     return a, pivots
 
 
-def _bareiss_rank(int_rows):
-    """Fraction-free elimination (Bareiss); exact rank over Z (hence Q)."""
+def _bareiss_echelon(int_rows):
+    """Fraction-free (Bareiss 1968) row echelon form of nonempty integer
+    rows: (the rows, echelon first and zero below, their pivot columns).
+
+    Every division is exact, so the rows stay integers with the row space
+    of the given ones over Q; the rank is the number of pivots."""
     m = [list(row) for row in int_rows]
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    ncols = len(m[0])
     prev = 1
-    r = 0
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         piv = None
@@ -496,25 +501,5 @@ def _bareiss_rank(int_rows):
                 for j in range(c + 1, ncols):
                     ri[j] = (pv * ri[j]) // prev
         prev = pv
-        r += 1
-    return r
-
-
-def _rref(rows, field):
-    """In-place reduced row echelon form of rows of field elements; returns
-    (rows, pivot columns)."""
-    pivots = []
-    for c in range(len(rows[0])):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        top = rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i, row in enumerate(rows):
-            factor = row[c]
-            if factor and i != r:
-                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(row, top)]
         pivots.append(c)
-    return rows, pivots
+    return m, pivots

@@ -103,11 +103,7 @@ def rational_normal_curve_points(n, s, field=None):
     field = field or ScalarField.rational()
     pts = []
     for t in range(s):
-        te = field.elem(t)
-        coords = [field.one()]
-        for _ in range(n):
-            coords.append(field.mul(coords[-1], te))
-        pts.append(tuple(coords))
+        pts.append(tuple(field.elem(t ** k) for k in range(n + 1)))
     return pts
 
 
@@ -143,9 +139,8 @@ def generic_line_configuration(t, copies_per_line, seed=0, field=None):
     labels = {}
     for i, v in enumerate(dirs):
         for j in range(copies_per_line):
-            scale = field.elem(j + 1)
             labels[len(columns)] = ("line %d" % i, j)
-            columns.append(tuple(field.mul(scale, c) for c in v))
+            columns.append(tuple(field.elem((j + 1) * c) for c in v))
     return VectorMatroid(ExactMatrix.from_columns(field, columns), labels=labels)
 
 

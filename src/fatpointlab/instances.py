@@ -3,7 +3,8 @@
 Two flavors: "scheme" (a fat point scheme) and "vectors" (a plain vector
 configuration, for partition experiments whose elements may be parallel
 and therefore cannot be distinct projective points).  All numbers are
-serialized as strings so exact rationals survive the round trip.
+serialized as strings so exact rationals survive the round trip; reading
+takes strings and integers, and refuses JSON floats and booleans.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def scheme_to_dict(x, seed=None, generator=None):
         "field": field_descriptor(x.field),
         "ambient_dim": x.n,
         "points": [
-            {"coords": [x.field.to_str(c) for c in coords], "mult": mult}
+            {"coords": [str(c) for c in coords], "mult": mult}
             for coords, mult in x.points
         ],
     }
@@ -63,13 +64,27 @@ def _listed(value, what):
     return value
 
 
+def _number(value, what):
+    """``value`` if it is a JSON string or integer.  A JSON float is rounded
+    in binary (``1e400`` reads as infinity) and a boolean is a Python int,
+    so both would be coerced without a word."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise InstanceError("%s must be an integer or a string, got %r" % (what, value))
+    return value
+
+
+def _coords(field, values, owner):
+    return tuple(field.elem(_number(c, "coordinate %d of %s" % (j, owner)))
+                 for j, c in enumerate(values))
+
+
 def scheme_from_dict(data):
     try:
         field = field_from_descriptor(data["field"])
-        n = int(data["ambient_dim"])
+        n = int(_number(data["ambient_dim"], "ambient_dim"))
         points = [
-            (tuple(field.elem(c) for c in _listed(entry["coords"], "coords of point %d" % i)),
-             int(entry["mult"]))
+            (_coords(field, _listed(entry["coords"], "coords of point %d" % i), "point %d" % i),
+             int(_number(entry["mult"], "mult of point %d" % i)))
             for i, entry in enumerate(_listed(data["points"], "points"))
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -85,7 +100,7 @@ def vectors_to_dict(field, vectors, seed=None, generator=None, **extras):
         "kind": "vectors",
         "field": field_descriptor(field),
         "dim": len(vectors[0]),
-        "vectors": [[field.to_str(c) for c in v] for v in vectors],
+        "vectors": [[str(c) for c in v] for v in vectors],
     }
     if seed is not None:
         out["seed"] = seed
@@ -98,7 +113,7 @@ def vectors_to_dict(field, vectors, seed=None, generator=None, **extras):
 def vector_matroid_from_dict(data):
     try:
         field = field_from_descriptor(data["field"])
-        vectors = [tuple(field.elem(c) for c in _listed(v, "vector %d" % i))
+        vectors = [_coords(field, _listed(v, "vector %d" % i), "vector %d" % i)
                    for i, v in enumerate(_listed(data["vectors"], "vectors"))]
         if not vectors:
             raise InstanceError("empty vector list")

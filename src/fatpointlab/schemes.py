@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd, perm
+from math import comb, gcd, perm, prod
 from operator import mul
 
 from .exact import ExactMatrix, InternalError, integer_vector
@@ -397,14 +397,8 @@ def veronese_lift(x, d):
     big_n = len(mons) - 1
     pts = []
     for coords, mult in x.points:
-        image = []
-        for beta in mons:
-            val = field.one()
-            for j, e in enumerate(beta):
-                for _ in range(e):
-                    val = field.mul(val, coords[j])
-            image.append(val)
-        pts.append((tuple(image), mult))
+        image = tuple(field.elem(prod(map(pow, coords, beta))) for beta in mons)
+        pts.append((image, mult))
     # the Veronese map is injective, so the constructor's distinctness
     # check doubles as the injectivity assertion
     return FatPointScheme(field, big_n, pts)

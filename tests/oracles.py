@@ -14,7 +14,9 @@ heaviest line, which the library finds by grouping pair keys, by ranking
 every triple of support points.  Two points are compared by their 2 x 2
 minors, which the library replaces by one projective normal form, and
 general position is checked at every subset size, where the library ranks
-the largest size only.
+the largest size only.  A kernel basis, which the library back-substitutes
+on a fraction-free integer echelon, is read here off the reduced row
+echelon form of the field elements, by Gauss-Jordan elimination.
 """
 
 from itertools import combinations
@@ -31,9 +33,46 @@ def proportional(field, a, b):
     point: every 2 x 2 minor a_i b_j - a_j b_i vanishes."""
     for i in range(len(a)):
         for j in range(i + 1, len(a)):
-            if field.mul(a[i], b[j]) != field.mul(a[j], b[i]):
+            if field.elem(a[i] * b[j]) != field.elem(a[j] * b[i]):
                 return False
     return True
+
+
+def rref(rows, field):
+    """In-place reduced row echelon form of rows of field elements, by
+    Gauss-Jordan elimination; returns (rows, pivot columns)."""
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c] if field.is_rational else pow(rows[r][c], -1, field.p)
+        top = rows[r] = [field.elem(inv * x) for x in rows[r]]
+        for i, row in enumerate(rows):
+            factor = row[c]
+            if factor and i != r:
+                rows[i] = [field.elem(x - factor * y) for x, y in zip(row, top)]
+        pivots.append(c)
+    return rows, pivots
+
+
+def rref_kernel_basis(field, rows):
+    """The right kernel of rows of field elements, one vector per free
+    column of ``rref``: 1 there, 0 at the other free columns."""
+    ncols = len(rows[0])
+    red, pivots = rref([list(row) for row in rows], field)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [field.zero()] * ncols
+        v[j] = field.one()
+        for row, pc in zip(red, pivots):
+            v[pc] = field.elem(-row[j])
+        basis.append(tuple(v))
+    return basis
 
 
 def general_position_exhaustive(m, elements, k):

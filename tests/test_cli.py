@@ -75,6 +75,53 @@ class TestInstances:
                                "must be a list, got '12'\n")
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
+    @pytest.mark.parametrize("field", ["rational", "prime:101"])
+    @pytest.mark.parametrize("coords, mult, dim, message", [
+        ('[1e400, "0", "1"]', '2', '2', "coordinate 0 of point 0 must be an integer or a "
+                                        "string, got inf"),
+        ('["1", 0.5, "1"]', '2', '2', "coordinate 1 of point 0 must be an integer or a "
+                                      "string, got 0.5"),
+        ('["1", "0", "1"]', '2.7', '2', "mult of point 0 must be an integer or a string, "
+                                        "got 2.7"),
+        ('["1", "0", "1"]', 'true', '2', "mult of point 0 must be an integer or a string, "
+                                         "got True"),
+        ('["1", "0", "1"]', '2', '2.9', "ambient_dim must be an integer or a string, got 2.9"),
+    ], ids=["inf-coordinate", "float-coordinate", "float-mult", "bool-mult", "float-dim"])
+    def test_scheme_floats_and_booleans_are_usage_errors(self, tmp_path, field, coords, mult,
+                                                         dim, message):
+        # JSON floats are rounded in binary (1e400 reads as inf) and booleans
+        # are ints in Python: refused, never coerced
+        path = tmp_path / "x.json"
+        path.write_text('{"kind": "scheme", "field": "%s", "ambient_dim": %s, "points": '
+                        '[{"coords": %s, "mult": %s}]}' % (field, dim, coords, mult))
+        proc = run_python("-m", "fatpointlab.cli", "verify", str(path))
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: malformed scheme instance: %s\n" % message
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize("field", ["rational", "prime:101"])
+    @pytest.mark.parametrize("vectors, message", [
+        ('[["1", "2"], ["3", 1e400]]', "coordinate 1 of vector 1 must be an integer or a "
+                                       "string, got inf"),
+        ('[[true, "2"], ["3", "4"]]', "coordinate 0 of vector 0 must be an integer or a "
+                                      "string, got True"),
+    ], ids=["inf-coordinate", "bool-coordinate"])
+    def test_vectors_floats_and_booleans_are_usage_errors(self, tmp_path, field, vectors,
+                                                          message):
+        path = tmp_path / "v.json"
+        path.write_text('{"kind": "vectors", "field": "%s", "dim": 2, "vectors": %s}'
+                        % (field, vectors))
+        proc = run_python("-m", "fatpointlab.cli", "partition", str(path), "--k", "1")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: malformed vector instance: %s\n" % message
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    def test_strings_and_integers_are_read(self):
+        x = scheme_from_dict({"field": "prime:101", "ambient_dim": "2", "points": [
+            {"coords": [1, "1/2", "0"], "mult": "2"}, {"coords": ["0", 1, 0], "mult": 3}]})
+        assert x.n == 2 and x.mults == (2, 3)
+        assert x.points[0][0] == (1, 51, 0)
+
 
 class TestGenVerify:
     def test_round_trip_and_determinism(self, tmp_path):
@@ -499,10 +546,10 @@ class TestNumpyLoadedOnDemand:
         # 9 x 9 of rank 8: the rank mod p is deficient, so a kernel certificate is lifted
         code = (
             "from fatpointlab.exact import ExactMatrix, ScalarField, _NUMPY_MIN_CELLS,"
-            " _bareiss_rank\n"
+            " _bareiss_echelon\n"
             "rows = [[(i + 1) ** j + (i * j) % 5 for j in range(9)] for i in range(8)]\n"
             "rows.append([a + b for a, b in zip(rows[0], rows[1])])\n"
             "m = ExactMatrix(ScalarField.rational(), rows)\n"
-            "print(9 * 9 >= _NUMPY_MIN_CELLS, m.rank(), _bareiss_rank(rows))"
+            "print(9 * 9 >= _NUMPY_MIN_CELLS, m.rank(), len(_bareiss_echelon(rows)[1]))"
         )
         assert self.run_then_report_numpy(code) == ["True", "8", "8", "True"]

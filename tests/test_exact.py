@@ -13,12 +13,13 @@ from fatpointlab.exact import (
     PRIMALITY_BOUND,
     ExactMatrix,
     ScalarField,
-    _bareiss_rank,
+    _bareiss_echelon,
     is_prime,
 )
 from fatpointlab.instances import InstanceError, field_from_descriptor
 from fatpointlab.matroid import VectorMatroid
 from fatpointlab.schemes import FatPointScheme, regularity_index
+from oracles import rref_kernel_basis
 
 QQ = ScalarField.rational()
 FP = ScalarField.prime(10007)
@@ -91,12 +92,6 @@ class TestScalarField:
         assert QQ.elem("2/3") == Fraction(2, 3)
         assert FP.elem("2/3") == 2 * pow(3, -1, 10007) % 10007
 
-    def test_prime_arithmetic(self):
-        f = ScalarField.prime(7)
-        assert f.add(5, 4) == 2
-        assert f.mul(3, 5) == 1
-        assert f.inv(3) == 5
-
 
 class TestRank:
     def test_identity(self):
@@ -150,6 +145,12 @@ def low_rank(rng, nrows, ncols, k, bits=4):
             for i in range(nrows)]
 
 
+def bareiss_rank(rows):
+    """The rank over Q of integer rows: the fraction-free echelon's pivot
+    count."""
+    return len(_bareiss_echelon(rows)[1])
+
+
 def transposed(rows):
     return [list(col) for col in zip(*rows)]
 
@@ -164,7 +165,7 @@ def no_bareiss(monkeypatch):
     def refuse(rows):
         raise AssertionError("rank was not certified from modular data")
 
-    monkeypatch.setattr(exact, "_bareiss_rank", refuse)
+    monkeypatch.setattr(exact, "_bareiss_echelon", refuse)
 
 
 class TestCertifiedRank:
@@ -181,13 +182,13 @@ class TestCertifiedRank:
         rows = [[x * CERTIFICATE_PRIMES[0] for x in row] if i in scaled else row
                 for i, row in enumerate(rows)]
         for raw in (rows, transposed(rows)):
-            assert certified_rank(raw) == _bareiss_rank(raw)
+            assert certified_rank(raw) == bareiss_rank(raw)
 
     @pytest.mark.parametrize("shape", [(12, 15, 5), (15, 12, 8), (20, 9, 9), (9, 20, 2), (14, 14, 13)])
     def test_numpy_sized(self, shape, monkeypatch):
         nrows, ncols, k = shape
         rows = low_rank(random.Random(nrows * ncols + k), nrows, ncols, k)
-        expected = _bareiss_rank(rows)
+        expected = bareiss_rank(rows)
         assert expected == k
         no_bareiss(monkeypatch)
         assert ExactMatrix(QQ, rows).rank() == expected
@@ -196,7 +197,7 @@ class TestCertifiedRank:
     @pytest.mark.parametrize("nrows, ncols, k", [(5, 7, 3), (7, 5, 3), (10, 12, 6)])
     def test_unlucky_first_prime(self, nrows, ncols, k, monkeypatch):
         rows = low_rank(random.Random(k), nrows, ncols, k)
-        assert _bareiss_rank(rows) == k
+        assert bareiss_rank(rows) == k
         # only k - 1 rows survive modulo the first prime
         p = CERTIFICATE_PRIMES[0]
         rows = [[x * p for x in row] if i <= nrows - k else row for i, row in enumerate(rows)]
@@ -228,9 +229,9 @@ class TestCertifiedRank:
 
         def counted(int_rows):
             calls.append(len(int_rows))
-            return _bareiss_rank(int_rows)
+            return _bareiss_echelon(int_rows)
 
-        monkeypatch.setattr(exact, "_bareiss_rank", counted)
+        monkeypatch.setattr(exact, "_bareiss_echelon", counted)
         assert certified_rank(rows) == 4
         assert certified_rank(transposed(rows)) == 4
         assert len(calls) == 2
@@ -345,6 +346,59 @@ def column_configurations(draw):
     return columns, subsets
 
 
+@st.composite
+def kernel_cases(draw):
+    """(field, rows) over Q, F_7 or F_10007: fractional entries, zero rows
+    and rows combined from earlier ones; sometimes 8 or 9 x 9, at least
+    ``_NUMPY_MIN_CELLS`` cells."""
+    field = draw(st.sampled_from([QQ, F7, FP]))
+    if draw(st.booleans()):
+        nrows, ncols = draw(st.integers(8, 9)), 9
+    else:
+        nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "dependent" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(ENTRIES), draw(ENTRIES)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)))
+    return field, rows
+
+
+def assert_kernel_matches_rref(field, raw):
+    basis = ExactMatrix(field, raw).kernel_basis()
+    expected = rref_kernel_basis(field, [[field.elem(x) for x in row] for row in raw])
+    assert basis == expected
+    assert [list(map(str, v)) for v in basis] == [list(map(str, v)) for v in expected]
+
+
+class TestKernelAgainstGaussJordan:
+    """The kernel basis, back-substituted on the fraction-free echelon over
+    Q and read off the reduced form mod p over F_p, is the one Gauss-Jordan
+    elimination on field elements gives, entry for entry."""
+
+    @given(kernel_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_rref(self, case):
+        assert_kernel_matches_rref(*case)
+
+    @pytest.mark.parametrize("field", [F7, FP])
+    def test_numpy_sized_prime_field(self, field):
+        rows = low_rank(random.Random(field.p), 9, 9, 5)
+        rows[3] = [0] * 9
+        rows[6] = [Fraction(x, 3) for x in rows[6]]
+        assert len(rows) * len(rows[0]) >= exact._NUMPY_MIN_CELLS
+        # the reduced form mod p comes from numpy's branch
+        reduced, _ = exact._rref_mod_p(ExactMatrix(field, rows).entries, field.p)
+        assert type(reduced).__module__ == "numpy"
+        assert_kernel_matches_rref(field, rows)
+
+
 class TestSmallRankRoute:
     """Below ``_NUMPY_MIN_CELLS`` cells a rank over Q is exact Bareiss
     elimination, from that size on the modular certificate."""
@@ -369,7 +423,7 @@ class TestSmallRankRoute:
     def test_rank_on_each_side_of_the_split(self, shape, route, monkeypatch):
         nrows, ncols = shape
         rows = low_rank(random.Random(nrows * ncols), nrows, ncols, 5)
-        assert _bareiss_rank(rows) == 5
+        assert bareiss_rank(rows) == 5
         assert (nrows * ncols < exact._NUMPY_MIN_CELLS) == (route == "bareiss")
         if route == "bareiss":
             monkeypatch.setattr(exact, "_certified_rank", refuse("_certified_rank"))
@@ -385,7 +439,7 @@ class TestSmallRankRoute:
         ncols = 16 - nrows
         rows = low_rank(random.Random(nrows), nrows, 10, 6)
         m = ExactMatrix(QQ, rows)
-        expected = _bareiss_rank([row[:ncols] for row in rows])
+        expected = bareiss_rank([row[:ncols] for row in rows])
         if route == "bareiss":
             monkeypatch.setattr(exact, "_certified_rank", refuse("_certified_rank"))
         else:

@@ -89,7 +89,7 @@ def point_pairs(draw):
     a = tuple(map(field.elem, draw(vector)))
     if draw(st.booleans()):
         scale = field.elem(draw(entry))
-        b = tuple(field.mul(scale, c) for c in a)
+        b = tuple(field.elem(scale * c) for c in a)
     else:
         b = tuple(map(field.elem, draw(vector)))
     assume(any(a) and any(b))  # over F_7 a nonzero entry such as 7/4 reduces to 0
