@@ -33,7 +33,6 @@ from .matroid import (
 )
 from .partition import InfeasibilityWitness, edmonds_partition
 from .schemes import (
-    FatPointScheme,
     _ceil_div,
     conditions_matrix,
     hilbert_function,
@@ -294,10 +293,7 @@ def modified_bound(x, d):
     best = None
     for size in range(2, s + 1):
         for combo in combinations(range(s), size):
-            reduced = FatPointScheme(
-                x.field, x.n, [(x.points[i][0], 1) for i in combo]
-            )
-            h = hilbert_function(reduced, d)
+            h = hilbert_function(x._part([int(i in combo) for i in range(s)]), d)
             denom = h - 1
             if denom <= 0:
                 raise InternalError("h_Y(d) = 1 with |Y| >= 2, d >= 1")

@@ -16,9 +16,11 @@ rows directly, and ``entries``, ``column`` and ``mul_vector`` hand back
 integers.
 
 There are two eliminations: Gauss-Jordan modulo a prime
-(``_rref_mod_p``) and fraction-free (Bareiss 1968) elimination over Z
-(``_bareiss_echelon``).  Rank and kernel share them.  Over F_p both come
-from the reduced form mod p.  Over Q the rank is the pivot count of the
+(``_rref_mod_p``, which also takes a numpy array of residues as it is, so
+a caller that builds its matrix mod p skips the integer rows) and
+fraction-free (Bareiss 1968) elimination over Z (``_bareiss_echelon``).
+Rank and kernel share them.  Over F_p both come from the reduced form mod
+p.  Over Q the rank is the pivot count of the
 fraction-free echelon, or certified as below, and the kernel basis is
 back-substituted on that echelon.
 
@@ -40,10 +42,10 @@ from modular data:
    independent kernel vectors bound the rank over Q above by r.
 
 Only when no certificate comes out of the prime list does the
-fraction-free echelon decide a large rank too.  Step 1 alone is
-``rank_lower_bound``, for callers that need a certificate only when the rank
-is full; its reduction is reused by a later ``rank``.  ``_rank_of_rows`` picks the route
-for every rank, also for the column subsets a vector matroid asks about.
+fraction-free echelon decide a large rank too.  A caller that has done step
+1 on residues hands its reduction to ``rank``, which starts from it.
+``_rank_of_rows`` picks the route for every rank, also for the column
+subsets a vector matroid asks about.
 """
 
 from __future__ import annotations
@@ -207,7 +209,6 @@ class ExactMatrix:
         if any(len(row) != self.ncols for row in self._rows):
             raise ValueError("ragged rows")
         self._rank = None
-        self._first = None            # see _first_reduction
         self._cols = None             # column tuples, see _columns
 
     @classmethod
@@ -245,37 +246,16 @@ class ExactMatrix:
 
     # -- rank ----------------------------------------------------------------
 
-    def rank(self):
+    def rank(self, first=None):
+        """The rank, computed once.  Over Q the certificate starts from
+        ``first``, when given: ``_rref_mod_p`` of ``_tall`` of the rows
+        modulo ``CERTIFICATE_PRIMES[0]``."""
         if self._rank is None:
             if not self.nrows or not self.ncols:
                 self._rank = 0
             else:
-                self._rank = _rank_of_rows(self._rows, self.field.p, self._first)
-            self._first = None
+                self._rank = _rank_of_rows(self._rows, self.field.p, first)
         return self._rank
-
-    def rank_lower_bound(self):
-        """Over Q the rank modulo ``CERTIFICATE_PRIMES[0]``: a lower bound
-        for ``rank``, which it certifies when it is min(nrows, ncols).
-        Below ``_NUMPY_MIN_CELLS`` cells, and over F_p, the rank itself.
-
-        The reduction is kept, so a later ``rank`` call does not repeat it.
-        """
-        if (self._rank is None and self.field.is_rational
-                and self.nrows * self.ncols >= _NUMPY_MIN_CELLS):
-            r = len(self._first_reduction()[2])
-            if r < min(self.nrows, self.ncols):
-                return r
-            self._rank = r
-            self._first = None
-        return self.rank()
-
-    def _first_reduction(self):
-        """(rows on the tall side, their reduced form and pivot columns
-        modulo the first certificate prime), computed once."""
-        if self._first is None:
-            self._first = _tall_reduction(self._rows)
-        return self._first
 
     def rank_of_column_subset(self, cols):
         """Rank of the chosen columns, as the rank of the rows they form:
@@ -325,21 +305,19 @@ def _rank_of_rows(rows, p, first=None):
     """Rank of nonempty integer rows by the route the field and size pick:
     over F_p (``p`` given) their rank mod p; over Q the fraction-free
     echelon below ``_NUMPY_MIN_CELLS`` cells, the modular certificate
-    from there, starting from ``first`` (``_tall_reduction`` of the rows)
-    when it is given."""
+    from there, starting from ``first`` (the reduction of ``_tall`` of the
+    rows modulo the first certificate prime) when it is given."""
     if p is not None:
         return len(_rref_mod_p(rows, p)[1])
     if len(rows) * len(rows[0]) < _NUMPY_MIN_CELLS:
         return len(_bareiss_echelon(rows)[1])
-    return _certified_rank(*(first or _tall_reduction(rows)))
+    rows = _tall(rows)
+    return _certified_rank(rows, *(first or _rref_mod_p(rows, CERTIFICATE_PRIMES[0])))
 
 
-def _tall_reduction(rows):
-    """(the rows, or their transpose if it has more rows, with its reduced
-    form and pivot columns modulo the first certificate prime)."""
-    if len(rows) < len(rows[0]):
-        rows = list(zip(*rows))
-    return (rows,) + tuple(_rref_mod_p(rows, CERTIFICATE_PRIMES[0]))
+def _tall(rows):
+    """The rows, or their transpose if it has more rows."""
+    return list(zip(*rows)) if len(rows) < len(rows[0]) else rows
 
 
 def _certified_rank(rows, first_red, first_pivots):
@@ -417,6 +395,8 @@ def _rref_mod_p(rows, p):
     """Reduced row echelon form of an integer matrix mod p and its pivot
     columns: an int64 array from numpy for large matrices when p < 2^31 (so
     products of residues fit), lists of ints from pure Python otherwise.
+    There an int64 array of residues in range(p) is taken as it is and
+    reduced in place; other rows are reduced mod p entry by entry first.
     Rational ranks below ``_NUMPY_MIN_CELLS`` take the fraction-free
     echelon, so the pure-Python branch serves F_p, and primes from 2^31 on,
     only."""
@@ -424,24 +404,30 @@ def _rref_mod_p(rows, p):
     if nrows * ncols >= _NUMPY_MIN_CELLS and p < 2**31:
         import numpy as np
 
-        a = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+        a = rows if isinstance(rows, np.ndarray) else np.array(
+            [[x % p for x in row] for row in rows], dtype=np.int64)
         pivots = []
         for c in range(ncols):
             r = len(pivots)
             if r == nrows:
                 break
-            nz = np.flatnonzero(a[r:, c])
-            if nz.size == 0:
+            (nz,) = a[r:, c].nonzero()
+            if not nz.size:
                 continue
             piv = r + int(nz[0])
             if piv != r:
                 a[[r, piv]] = a[[piv, r]]
-            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+            top = a[r, c:]
+            top *= pow(int(top[0]), -1, p)
+            top %= p
             factors = a[:, c].copy()
             factors[r] = 0
-            hit = np.flatnonzero(factors)
+            (hit,) = factors.nonzero()
             if hit.size:
-                a[hit, c:] = (a[hit, c:] - factors[hit, None] * a[r, c:]) % p
+                block = a[hit, c:]
+                block -= factors[hit, None] * top
+                block %= p
+                a[hit, c:] = block
             pivots.append(c)
         return a, pivots
     a = [[x % p for x in row] for row in rows]

@@ -8,8 +8,11 @@ degree-lexicographic order.  The regularity index is the least degree at
 which that rank reaches the degree of the scheme.  It is found at its
 boundary (see ``regularity_index``): one rank modulo a prime per degree
 from a lower bound up, then one certified deficiency one degree below.  The
-search keeps the one matrix it may still certify to itself; the scheme
-holds only certified Hilbert values and r(X).
+climb builds its matrices as residues in numpy (``_conditions_residues``),
+exact integer rows (``conditions_matrix``) only where a certificate reads
+them, from the same factor tables (``_factor_tables``).  The search keeps
+the one reduction it may still certify to itself; the scheme holds only
+certified Hilbert values and r(X).
 
 Each point is cleared to integers once, to its projective normal form
 (``_point_key``): the primitive integer vector with first nonzero entry
@@ -40,7 +43,8 @@ from functools import lru_cache
 from math import comb, gcd, perm, prod
 from operator import mul
 
-from .exact import ExactMatrix, InternalError, integer_vector
+from .exact import (_NUMPY_MIN_CELLS, CERTIFICATE_PRIMES, ExactMatrix, InternalError,
+                    _rref_mod_p, integer_vector)
 
 
 @lru_cache(maxsize=None)
@@ -86,15 +90,31 @@ class FatPointScheme:
             if not (isinstance(mult, int) and mult >= 1):
                 raise ValueError("multiplicity must be a positive integer")
             cleaned.append((coords, mult))
-        if not cleaned:
-            raise ValueError("scheme must have at least one point")
-        self.keys = tuple(_point_key(field, c) for c, _ in cleaned)
-        if len(set(self.keys)) < len(cleaned):
+        keys = tuple(_point_key(field, c) for c, _ in cleaned)
+        if len(set(keys)) < len(cleaned):
             raise ValueError("points must be pairwise distinct in projective space")
-        self.points = tuple(cleaned)
+        self._init(field, ambient_dim, cleaned, keys)
+
+    def _init(self, field, n, points, keys):
+        if not points:
+            raise ValueError("scheme must have at least one point")
+        self.field = field
+        self.n = n
+        self.points = tuple(points)
+        self.keys = keys
         self._hilbert_cache = {}  # certified values of h_X
         self._reg = None          # r(X), filled by regularity_index
         self._segre = None        # (seg, witness), filled by bounds.segre_bound
+
+    def _part(self, mults):
+        """The scheme on these points with new multiplicities, a point
+        dropped at 0.  The points keep their coordinates and keys, so none
+        is cleared again."""
+        kept = [i for i, m in enumerate(mults) if m]
+        part = FatPointScheme.__new__(FatPointScheme)
+        part._init(self.field, self.n, [(self.points[i][0], mults[i]) for i in kept],
+                   tuple(self.keys[i] for i in kept))
+        return part
 
     @property
     def support_size(self):
@@ -113,10 +133,6 @@ class FatPointScheme:
     def with_point(self, coords, mult):
         """The scheme X + mult*P for a new point P."""
         return FatPointScheme(self.field, self.n, list(self.points) + [(coords, mult)])
-
-    def reduced(self):
-        """The underlying reduced scheme (all multiplicities 1)."""
-        return FatPointScheme(self.field, self.n, [(c, 1) for c, _ in self.points])
 
     def contains_point(self, coords):
         """Whether the point of P^n with these coordinates is in the support;
@@ -162,36 +178,75 @@ def conditions_matrix(x, d):
     entry an integer: at the monomial x^beta it is
     prod_j ff(beta_j, alpha_j) c_j^(beta_j - alpha_j) over the affine j,
     times c_piv^(beta_piv + |alpha|), where ff(b, a) = b!/(b - a)! is the
-    falling factorial.  Over F_p the same formula is reduced mod p.
+    falling factorial.  Over F_p the same formula is reduced mod p.  The
+    factors come from ``_factor_tables``.
     """
+    p = x.field.p
+    exponents = _exponent_columns(x.n, d)
+    rows = []
+    for orders, factors in _factor_tables(x, d, p):
+        for order in orders:
+            row = list(map(factors[0][order[0]].__getitem__, exponents[0]))
+            for j in range(1, x.n + 1):
+                row = list(map(mul, row, map(factors[j][order[j]].__getitem__, exponents[j])))
+            rows.append(tuple(v % p for v in row) if p is not None else tuple(row))
+    return ExactMatrix.from_integer_rows(x.field, rows)
+
+
+@lru_cache(maxsize=None)
+def _falling_factorials(d, a):
+    """ff(b, a) = b!/(b - a)! for b = a .. d."""
+    return tuple(perm(b, a) for b in range(a, d + 1))
+
+
+def _factor_tables(x, d, q):
+    """Per point of X, the factors of its rows of the conditions matrix in
+    degree d, reduced mod q (over Z if q is None): (orders, factors), where
+    orders[k][j] is the derivative order of the point's k-th row in the
+    variable j (the total order at the pivot) and factors[j][a][b] is the
+    factor of variable j at exponent b in a row of order a in it."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    field = x.field
-    p = field.p
+    p = x.field.p
     if p is not None and p <= d:
         raise ValueError("prime field too small for derivative conditions at degree %d" % d)
-    n = x.n
-    exponents = _exponent_columns(n, d)
-    rows = []
     for c, mult in zip(x.keys, x.mults):
         pivot = next(i for i, v in enumerate(c) if v)
-        powers = [[pow(v, e, p) for e in range(d + mult)] for v in c]
-        # factors[j][a][b]: the factor of variable j at exponent b in a row
-        # of derivative order a in it (of total order a, at the pivot)
+        powers = [[pow(v, e, q) for e in range(d + mult)] for v in c]
         factors = [
             [powers[j][a:a + d + 1] if j == pivot else
-             [perm(b, a) * powers[j][b - a] if b >= a else 0 for b in range(d + 1)]
+             [0] * min(a, d + 1) + list(map(mul, _falling_factorials(d, a), powers[j]))
              for a in range(mult)]
-            for j in range(n + 1)
+            for j in range(x.n + 1)
         ]
-        for alpha in _derivative_orders(n + 1, mult):
-            orders = list(alpha)
-            orders.insert(pivot, sum(alpha))
-            row = list(map(factors[0][orders[0]].__getitem__, exponents[0]))
-            for j in range(1, n + 1):
-                row = list(map(mul, row, map(factors[j][orders[j]].__getitem__, exponents[j])))
-            rows.append(tuple(v % p for v in row) if p is not None else tuple(row))
-    return ExactMatrix.from_integer_rows(field, rows)
+        if q is not None:
+            factors = [[[v % q for v in f] for f in fj] for fj in factors]
+        yield [alpha[:pivot] + (sum(alpha),) + alpha[pivot:]
+               for alpha in _derivative_orders(x.n + 1, mult)], factors
+
+
+def _conditions_residues(x, d, q):
+    """The conditions matrix in degree d modulo a prime q < 2^31 as an
+    int64 numpy array, in the orientation of ``exact._tall``: per variable
+    one gather from every point's factor tables, at each row's order and
+    each column's exponent, multiplied mod q."""
+    import numpy as np
+
+    tables = [[] for _ in range(x.n + 1)]  # per variable, every point's factors
+    index = []                             # per row, its factors in each table
+    for orders, factors in _factor_tables(x, d, q):
+        base = [len(t) for t in tables]
+        index.extend([b + o for b, o in zip(base, order)] for order in orders)
+        for t, f in zip(tables, factors):
+            t.extend(f)
+    exponents = _exponent_columns(x.n, d)
+    transpose = len(index) < len(exponents[0])
+    a = None
+    for t, rows, cols in zip(tables, zip(*index), exponents):
+        t = np.array(t, dtype=np.int64)
+        g = t.T[list(cols)][:, rows] if transpose else t[list(rows)][:, cols]
+        a = g if a is None else a * g % q
+    return a
 
 
 def _normalized(v, p):
@@ -237,13 +292,35 @@ def heaviest_line_weight(x):
 
 def hilbert_function(x, d):
     """h_X(d) = dim [R/I_X]_d = rank of the conditions matrix, and deg X
-    from a certified r(X) on.  Only certified values are cached."""
+    from a certified r(X) on.  Only certified values are cached.  The rank
+    is read off residues (``_rank_bound``); exact rows are built only where
+    a certificate reads them."""
     h = x._hilbert_cache.get(d)
     if h is None:
         if x._reg is not None and d >= x._reg:
             return x.degree()
-        h = x._hilbert_cache[d] = conditions_matrix(x, d).rank()
+        h, first = _rank_bound(x, d)
+        if first is not None:
+            h = conditions_matrix(x, d).rank(first=first)
+        x._hilbert_cache[d] = h
     return h
+
+
+def _rank_bound(x, d):
+    """(r, first) for the conditions matrix in degree d: its rank r, or
+    over Q a deficient rank mod q and ``first``, the reduction a
+    certificate on exact rows starts from.  From ``_NUMPY_MIN_CELLS`` cells
+    and for q < 2^31 (the first certificate prime, or p) it is reduced as
+    residues mod q; a full rank mod q is full over Q.  Other matrices are
+    ranked on exact rows, which also raise the errors of bad degrees."""
+    p = x.field.p
+    q = CERTIFICATE_PRIMES[0] if p is None else p
+    if d < 0 or q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS:
+        return conditions_matrix(x, d).rank(), None
+    red, pivots = _rref_mod_p(_conditions_residues(x, d, q), q)
+    if p is not None or len(pivots) == red.shape[1]:
+        return len(pivots), None
+    return len(pivots), (red, pivots)
 
 
 def regularity_index(x):
@@ -259,27 +336,26 @@ def regularity_index(x):
     encoding.
 
     The search climbs from the largest of the monomial floor and the lower
-    bound w_L - 1 of ``heaviest_line_weight``, with one rank modulo a prime
-    per degree: a lower bound over Q that certifies a full rank (below 64
-    cells, the exact rank), the exact rank over F_p.  The line search runs
-    only when the line bound can move the start two degrees or more above
-    the floor (the total multiplicity
-    minus 1 can; one degree up builds the same matrices, since d - 1 is
-    certified anyway) and its s(s - 1)/2 pair keys are at most deg X, the
-    row count of every conditions matrix the search builds, which keeps it
-    a small part of building even one of them.  Otherwise (many light
-    points, generic simple points among them) the climb starts at the
-    floor.
+    bound w_L - 1 of ``heaviest_line_weight``, one ``_rank_bound`` per
+    degree: residues modulo a prime, whose rank certifies a full rank over
+    Q and is the rank over F_p (below 64 cells, the exact rank).  The line
+    search runs only when the line bound can move the start two degrees or
+    more above the floor (the total multiplicity minus 1 can; one degree
+    up builds the same matrices, since d - 1 is certified anyway) and its
+    s(s - 1)/2 pair keys are at most deg X, the row count of every
+    conditions matrix the search builds, which keeps it a small part of
+    building even one of them.  Otherwise (many light points, generic
+    simple points among them) the climb starts at the floor.
 
     At the first full degree d the search certifies h_X(d - 1) (no
     certificate is needed below the monomial floor, where the rank cannot
     be full), and steps down while that is full too: after an unlucky
     prime took the climb past r, or if the start was above r.  So
-    correctness depends on no bound.  The climb keeps its last deficient
-    matrix in a local variable, so certifying h_X(d - 1) reuses it and its
-    reduction modulo the first prime; a degree already in the scheme's
-    cache of certified values is read from there, not built.  Over F_p
-    the start is capped at p - 1, so a field too small for r(X) is
+    correctness depends on no bound.  Exact rows are built only for these
+    certificates: the climb keeps its last deficient residue reduction, so
+    certifying h_X(d - 1) over Q starts from it.  A degree already in the
+    scheme's cache of certified values is read from there, not built.
+    Over F_p the start is capped at p - 1, so a field too small for r(X) is
     reported at the degree where an ascending search meets it first.  The
     climb must end by d = deg X - 1, the classical bound; exceeding it is
     an internal error.
@@ -296,23 +372,22 @@ def regularity_index(x):
         if x.field.p is not None:
             d = max(floor, min(d, x.field.p - 1))
         cache = x._hilbert_cache
-        below = None  # the climb's matrix in degree d - 1, deficient mod p
+        below = None  # the reduction in degree d - 1 if it awaits a certificate
         while True:
             if d in cache:
-                if cache[d] == deg:
-                    break
-                below = None
+                h, first = cache[d], None
             else:
-                m = conditions_matrix(x, d)
-                if m.rank_lower_bound() == deg:
-                    cache[d] = deg
-                    break
-                below = m
+                h, first = _rank_bound(x, d)
+                if first is None:
+                    cache[d] = h
+            if h == deg:
+                break
+            below = first
             d += 1
             if d > max(0, deg - 1):
                 raise InternalError("regularity search exceeded deg X - 1")
         if below is not None:
-            cache[d - 1] = below.rank()
+            cache[d - 1] = conditions_matrix(x, d - 1).rank(first=below)
         while d > floor and hilbert_function(x, d - 1) == deg:
             d -= 1
         x._reg = d
@@ -336,13 +411,10 @@ def subscheme(x, new_mults):
     points reduced to 0 are dropped."""
     if len(new_mults) != x.support_size:
         raise ValueError("need one multiplicity per point")
-    pts = []
-    for (coords, mult), nm in zip(x.points, new_mults):
+    for mult, nm in zip(x.mults, new_mults):
         if not (isinstance(nm, int) and 0 <= nm <= mult):
             raise ValueError("new multiplicity must satisfy 0 <= new <= old")
-        if nm > 0:
-            pts.append((coords, nm))
-    return FatPointScheme(x.field, x.n, pts)
+    return x._part(new_mults)
 
 
 @dataclass

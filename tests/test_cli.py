@@ -542,6 +542,21 @@ class TestNumpyLoadedOnDemand:
         )
         assert self.run_then_report_numpy(code) == [str(EXIT_OK), "False"]
 
+    def test_verify_with_small_conditions_matrices(self, tmp_path):
+        # three simple points of P^2: every check's conditions matrices,
+        # also those of the Veronese lift and the modified bound's subsets,
+        # have fewer than _NUMPY_MIN_CELLS cells
+        x = FatPointScheme(QQ, 2, [((1, 0, 0), 1), ((0, 1, 0), 1), ((1, 1, 1), 1)])
+        path = write_json(tmp_path / "x.json", scheme_to_dict(x))
+        code = (
+            "import io, contextlib\n"
+            "from fatpointlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', %r])\n"
+            "print(code)" % path
+        )
+        assert self.run_then_report_numpy(code) == [str(EXIT_OK), "False"]
+
     def test_large_rank_loads_numpy(self):
         # 9 x 9 of rank 8: the rank mod p is deficient, so a kernel certificate is lifted
         code = (

@@ -158,7 +158,8 @@ def transposed(rows):
 def certified_rank(rows):
     """The rank over Q of integer rows by the modular certificate, which
     ``rank`` uses only from ``_NUMPY_MIN_CELLS`` cells on."""
-    return exact._certified_rank(*ExactMatrix(QQ, rows)._first_reduction())
+    tall = exact._tall(rows)
+    return exact._certified_rank(tall, *exact._rref_mod_p(tall, CERTIFICATE_PRIMES[0]))
 
 
 def no_bareiss(monkeypatch):
@@ -220,6 +221,22 @@ class TestCertifiedRank:
         no_bareiss(monkeypatch)
         assert certified_rank(rows) == 4
         assert len(attempts) > 2 and attempts[-1] == prod(CERTIFICATE_PRIMES[:len(attempts)])
+
+    def test_certificate_starts_from_a_given_reduction(self, monkeypatch):
+        rows = low_rank(random.Random(5), 12, 15, 5)
+        tall = exact._tall(rows)
+        first = exact._rref_mod_p(tall, CERTIFICATE_PRIMES[0])
+        primes = []
+        reduce = exact._rref_mod_p
+
+        def counted(rows, p):
+            primes.append(p)
+            return reduce(rows, p)
+
+        monkeypatch.setattr(exact, "_rref_mod_p", counted)
+        no_bareiss(monkeypatch)
+        assert ExactMatrix(QQ, rows).rank(first=first) == 5
+        assert CERTIFICATE_PRIMES[0] not in primes
 
     def test_tall_kernel_falls_back(self, monkeypatch):
         # kernel heights of roughly 4 x 2 x 120 bits exceed what the CRT
@@ -431,7 +448,7 @@ class TestSmallRankRoute:
         else:
             no_bareiss(monkeypatch)
         assert ExactMatrix(QQ, rows).rank() == 5
-        assert ExactMatrix(QQ, rows).rank_lower_bound() == 5
+        assert ExactMatrix(QQ, transposed(rows)).rank() == 5
 
     @pytest.mark.parametrize("nrows, route", [(9, "bareiss"), (8, "certified")])
     def test_column_subset_on_each_side_of_the_split(self, nrows, route, monkeypatch):

@@ -55,3 +55,21 @@ def test_library_imports_are_used():
         unused += ["%s:%d %s" % (path.name, line, name)
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_numpy_imported_inside_functions_only():
+    # numpy is imported on the first elimination or residue build that
+    # needs it, so a process that never meets one does not load it
+    paths = sorted(pathlib.Path(fatpointlab.__file__).parent.rglob("*.py"))
+    top, inside = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        nested = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"):
+                (inside if id(node) in nested else top).append("%s:%d" % (path.name, node.lineno))
+    assert inside  # the check sees the lazy imports
+    assert top == []

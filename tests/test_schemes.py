@@ -214,6 +214,69 @@ class TestIntegerConditionsMatrix:
         assert all(v.denominator == 1 for row in m.entries for v in row)
 
 
+def prime_above(d):
+    p = d + 1
+    while not exact.is_prime(p):
+        p += 1
+    return p
+
+
+@st.composite
+def residue_cases(draw):
+    """(X, d) with X over Q or over F_p, p the least prime above d: points
+    of P^n, each with its pivot at a drawn coordinate, zeros before it and
+    zeros among the later ones, and multiplicities 1..5.  Half the cases
+    have fewer than ``_NUMPY_MIN_CELLS`` cells (n <= 2, d <= 2, at most
+    three points, multiplicities <= 2 off P^1), half at least that many."""
+    small = draw(st.booleans())
+    n = draw(st.integers(1, 2 if small else 3))
+    d = draw(st.integers(0, 2) if small else st.integers(3, 9))
+    field = draw(st.sampled_from([QQ, ScalarField.prime(prime_above(d))]))
+    coord = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**4, 10**4))
+    points, keys = [], set()
+    for _ in range(draw(st.integers(1, 3 if small else 4))):
+        pivot = draw(st.integers(0, n))
+        lead = draw(st.integers(1, 10**4)) * draw(st.sampled_from([1, -1]))
+        coords = [0] * pivot + [lead] + draw(st.lists(coord, min_size=n - pivot, max_size=n - pivot))
+        mult = draw(st.integers(1, 5 if n == 1 or not small else 2))
+        elems = [field.elem(c) for c in coords]
+        if any(elems) and schemes._point_key(field, elems) not in keys:
+            keys.add(schemes._point_key(field, elems))
+            points.append((coords, mult))
+    assume(points)
+    x = FatPointScheme(field, n, points)
+    assume((x.degree() * comb(n + d, n) < exact._NUMPY_MIN_CELLS) == small)
+    return x, d
+
+
+class TestConditionsResidues:
+    """The climb's residue builder against the exact rows."""
+
+    @given(residue_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_exact_rows_mod_q(self, case):
+        x, d = case
+        q = exact.CERTIFICATE_PRIMES[0] if x.field.p is None else x.field.p
+        a = schemes._conditions_residues(x, d, q)
+        assert str(a.dtype) == "int64"
+        rows = exact._tall(conditions_matrix(x, d).entries)
+        assert a.tolist() == [[v % q for v in row] for row in rows]
+
+    @given(residue_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_regularity_matches_ascending_oracle(self, case):
+        x, _ = case
+        try:
+            expected = hilbert_profile_ascending(x)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                regularity_index(x)
+            assert str(info.value) == str(exc)
+            return
+        assert regularity_index(x) == max(expected)
+        assert hilbert_profile(x).values == expected
+
+
 @st.composite
 def integer_schemes(draw):
     n = draw(st.integers(1, 3))
@@ -362,16 +425,36 @@ LINE = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
 
 
 def count_conditions_matrices(monkeypatch):
-    """The degrees of the conditions matrices built from now on, in order."""
-    built = []
-    build = schemes.conditions_matrix
+    """The degrees of the conditions matrices built from now on, in order:
+    as exact integer rows, and as residues modulo a prime."""
+    built = {"exact": [], "residues": []}
+    build_rows, build_residues = schemes.conditions_matrix, schemes._conditions_residues
 
-    def counted(x, d):
-        built.append(d)
-        return build(x, d)
+    def rows(x, d):
+        built["exact"].append(d)
+        return build_rows(x, d)
 
-    monkeypatch.setattr(schemes, "conditions_matrix", counted)
+    def residues(x, d, q):
+        built["residues"].append(d)
+        return build_residues(x, d, q)
+
+    monkeypatch.setattr(schemes, "conditions_matrix", rows)
+    monkeypatch.setattr(schemes, "_conditions_residues", residues)
     return built
+
+
+def count_reductions(monkeypatch):
+    """The primes of the reductions mod p from now on, in order."""
+    primes = []
+    reduce = exact._rref_mod_p
+
+    def counted(rows, p):
+        primes.append(p)
+        return reduce(rows, p)
+
+    monkeypatch.setattr(exact, "_rref_mod_p", counted)
+    monkeypatch.setattr(schemes, "_rref_mod_p", counted)
+    return primes
 
 
 class TestBoundarySearch:
@@ -420,8 +503,12 @@ class TestBoundarySearch:
         # so the climb starts at the floor 3
         x = simple(2, collinear_points(2, 8) + [(3, 7, 1)])
         built = count_conditions_matrices(monkeypatch)
-        assert regularity_index(x) == 7 == regularity_index_ascending(x)
-        assert built == [3, 4, 5, 6, 7]  # h(6) is certified on the climb's matrix
+        primes = count_reductions(monkeypatch)
+        assert regularity_index(x) == 7
+        # h(6) is certified on exact rows, from the climb's reduction
+        assert built == {"residues": [3, 4, 5, 6, 7], "exact": [6]}
+        assert primes.count(exact.CERTIFICATE_PRIMES[0]) == 5
+        assert regularity_index_ascending(x) == 7
 
     def test_start_above_r_steps_down(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
@@ -430,24 +517,27 @@ class TestBoundarySearch:
         monkeypatch.setattr(schemes, "heaviest_line_weight", lambda y: r + 3)
         built = count_conditions_matrices(monkeypatch)
         assert regularity_index(x) == r
-        assert built == [r + 2, r + 1, r, r - 1]
+        assert built == {"residues": [r + 2, r + 1, r, r - 1], "exact": [r - 1]}
         assert hilbert_profile(x).values == hilbert_profile_ascending(x)
 
     def test_unlucky_first_prime_at_r(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
         r = regularity_index_ascending(x)
-        cols_at_r = comb(2 + r, 2)
-        lower_bound = ExactMatrix.rank_lower_bound
-
-        def unlucky(m):
-            # the first prime loses one rank on the degree-r matrix
-            return m.nrows - 1 if m.ncols == cols_at_r else lower_bound(m)
-
-        monkeypatch.setattr(ExactMatrix, "rank_lower_bound", unlucky)
         built = count_conditions_matrices(monkeypatch)
+        build_residues = schemes._conditions_residues
+
+        def unlucky(y, d, q):
+            # the first prime loses one rank on the degree-r matrix: one
+            # condition (a column of the tall residues) vanishes mod q
+            a = build_residues(y, d, q)
+            if d == r:
+                a[:, 0] = 0
+            return a
+
+        monkeypatch.setattr(schemes, "_conditions_residues", unlucky)
         assert regularity_index(x) == r
         # climbed past r, then certified h(r) full and h(r - 1) deficient
-        assert built == [r, r + 1, r - 1]
+        assert built == {"residues": [r, r + 1, r - 1], "exact": [r, r - 1]}
         assert hilbert_function(x, r) == x.degree()
 
     def test_sharp_cluster_builds_two_matrices(self, monkeypatch):
@@ -462,26 +552,34 @@ class TestBoundarySearch:
             return r
 
         monkeypatch.setattr(exact, "_certified_rank", counted)
+        primes = count_reductions(monkeypatch)
         assert regularity_index(x) == 14
-        assert built == [14, 13]
+        assert built == {"residues": [14, 13], "exact": [13]}
         assert certified == [True]  # one certified rank, and it is deficient
+        # the certificate starts from the climb's reduction at 13
+        assert primes.count(exact.CERTIFICATE_PRIMES[0]) == 2
 
     def test_hilbert_values_above_r_build_nothing(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 2) for p in LINE + [(3, 7, 1)]])
         r = regularity_index(x)
         built = count_conditions_matrices(monkeypatch)
         assert [hilbert_function(x, d) for d in range(r, r + 4)] == [x.degree()] * 4
-        assert built == []
+        assert built == {"residues": [], "exact": []}
 
     def test_ctv_builds_no_matrix_of_z_above_r(self, monkeypatch):
         built = []
-        build = schemes.conditions_matrix
+        build_rows, build_residues = schemes.conditions_matrix, schemes._conditions_residues
 
-        def counted(x, d):
+        def rows(x, d):
             built.append((x, d))
-            return build(x, d)
+            return build_rows(x, d)
 
-        monkeypatch.setattr(schemes, "conditions_matrix", counted)
+        def residues(x, d, q):
+            built.append((x, d))
+            return build_residues(x, d, q)
+
+        monkeypatch.setattr(schemes, "conditions_matrix", rows)
+        monkeypatch.setattr(schemes, "_conditions_residues", residues)
         rng = rng_from_seed(7)
         done = 0
         while done < 20:
