@@ -22,7 +22,10 @@ fraction-free (Bareiss 1968) elimination over Z (``_bareiss_echelon``).
 Rank and kernel share them.  Over F_p both come from the reduced form mod
 p.  Over Q the rank is the pivot count of the
 fraction-free echelon, or certified as below, and the kernel basis is
-back-substituted on that echelon.
+back-substituted on that echelon.  A reduction mod p of some rows extends
+to the rank of more rows through a Schur complement
+(``_extend_rank_mod_p``), so a caller can read the rank of a block of rows
+and of the whole from one elimination.
 
 Rank over Q has one size split, ``_NUMPY_MIN_CELLS``.  Below it, the
 fraction-free echelon gives the exact rank, which on matrices this small
@@ -398,8 +401,9 @@ def _rref_mod_p(rows, p):
     There an int64 array of residues in range(p) is taken as it is and
     reduced in place; other rows are reduced mod p entry by entry first.
     Rational ranks below ``_NUMPY_MIN_CELLS`` take the fraction-free
-    echelon, so the pure-Python branch serves F_p, and primes from 2^31 on,
-    only."""
+    echelon, so the pure-Python branch serves F_p, primes from 2^31 on, and
+    small blocks of a residue array (a prefix of its rows, or the Schur
+    complement of ``_extend_rank_mod_p``), which it takes as Python ints."""
     nrows, ncols = len(rows), len(rows[0])
     if nrows * ncols >= _NUMPY_MIN_CELLS and p < 2**31:
         import numpy as np
@@ -430,6 +434,8 @@ def _rref_mod_p(rows, p):
                 a[hit, c:] = block
             pivots.append(c)
         return a, pivots
+    if hasattr(rows, "tolist"):  # numpy scalars do not take pow(x, -1, p)
+        rows = rows.tolist()
     a = [[x % p for x in row] for row in rows]
     pivots = []
     for c in range(ncols):
@@ -448,6 +454,35 @@ def _rref_mod_p(rows, p):
                 a[i] = [(x - factor * y) % p for x, y in zip(a[i], top)]
         pivots.append(c)
     return a, pivots
+
+
+def _extend_rank_mod_p(red, pivots, rows, p):
+    """Rank mod p of a matrix stacked on more rows, from the reduction
+    (red, pivots) of the matrix by ``_rref_mod_p`` and the rows, an int64
+    array of residues in range(p) with p < 2^31.
+
+    The r pivot rows of the reduced form eliminate their pivot columns from
+    the new rows E; what is left is the Schur complement
+    E[:, free] - E[:, pivots] red[:r, free] mod p, and the stacked rank is
+    r plus its rank.  The product runs as int64 matmuls on the 16-bit limbs
+    of red: every term is below 2^31 * 2^16, so a sum of fewer than 2^16
+    terms fits, and more columns than that are refused."""
+    import numpy as np
+
+    ncols = rows.shape[1]
+    if ncols >= 2**16:
+        raise OverflowError("the Schur extension needs fewer than 2^16 columns, got %d" % ncols)
+    r = len(pivots)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    if not free or not len(rows):
+        return r
+    top = np.asarray(red, dtype=np.int64)[:r][:, free]
+    lead = rows[:, pivots]
+    low = lead @ (top & 0xFFFF) % p
+    high = lead @ (top >> 16) % p
+    schur = (rows[:, free] - low - (high << 16) % p) % p
+    return r + len(_rref_mod_p(schur, p)[1])
 
 
 def _bareiss_echelon(int_rows):

@@ -9,10 +9,13 @@ which that rank reaches the degree of the scheme.  It is found at its
 boundary (see ``regularity_index``): one rank modulo a prime per degree
 from a lower bound up, then one certified deficiency one degree below.  The
 climb builds its matrices as residues in numpy (``_conditions_residues``),
-exact integer rows (``conditions_matrix``) only where a certificate reads
-them, from the same factor tables (``_factor_tables``).  The search keeps
-the one reduction it may still certify to itself; the scheme holds only
-certified Hilbert values and r(X).
+exact integer rows (``conditions_matrix``, ``_multiples_matrix``) only
+where a certificate reads them, from the same factor tables
+(``_factor_tables``).  Where a coordinate x_j vanishes at no support point,
+one residue matrix per degree d gives both h_X(d - 1), from its rows at the
+multiples of x_j, and h_X(d) (``_split_ranks``).  The search keeps the one
+reduction it may still certify to itself; the scheme holds only certified
+Hilbert values and r(X).
 
 Each point is cleared to integers once, to its projective normal form
 (``_point_key``): the primitive integer vector with first nonzero entry
@@ -39,12 +42,12 @@ form h_mP(j) = binom(n + min(j, m-1), n) (see ``ctv_decomposition_check``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, gcd, perm, prod
 from operator import mul
 
 from .exact import (_NUMPY_MIN_CELLS, CERTIFICATE_PRIMES, ExactMatrix, InternalError,
-                    _rref_mod_p, integer_vector)
+                    _extend_rank_mod_p, _rref_mod_p, integer_vector)
 
 
 @lru_cache(maxsize=None)
@@ -181,8 +184,14 @@ def conditions_matrix(x, d):
     falling factorial.  Over F_p the same formula is reduced mod p.  The
     factors come from ``_factor_tables``.
     """
+    return ExactMatrix.from_integer_rows(x.field, _integer_rows(x, d, _exponent_columns(x.n, d)))
+
+
+def _integer_rows(x, d, exponents):
+    """The rows of the conditions matrix in degree d restricted to some
+    monomials, as integers (over F_p, residues): ``exponents`` gives, per
+    variable, its exponent in each of them."""
     p = x.field.p
-    exponents = _exponent_columns(x.n, d)
     rows = []
     for orders, factors in _factor_tables(x, d, p):
         for order in orders:
@@ -190,7 +199,28 @@ def conditions_matrix(x, d):
             for j in range(1, x.n + 1):
                 row = list(map(mul, row, map(factors[j][order[j]].__getitem__, exponents[j])))
             rows.append(tuple(v % p for v in row) if p is not None else tuple(row))
-    return ExactMatrix.from_integer_rows(x.field, rows)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _multiples(n, d, j):
+    """The positions of the degree-d monomials divisible by x_j, in order,
+    and of the others.  x_j m runs through the first list as m runs
+    through ``monomials(n, d - 1)``: the monomial order is multiplicative.
+    For j = 0 the first list is the first binom(n + d - 1, n) positions."""
+    mons = monomials(n, d)
+    return ([i for i, beta in enumerate(mons) if beta[j]],
+            [i for i, beta in enumerate(mons) if not beta[j]])
+
+
+def _multiples_matrix(x, d, j):
+    """The exact rows of the tall conditions matrix in degree d at the
+    multiples of x_j: one row per monomial x_j m, one column per condition.
+    If x_j vanishes at no support point its rank is h_X(d - 1) (see
+    ``_split_ranks``)."""
+    divisible, _ = _multiples(x.n, d, j)
+    exponents = [[e[i] for i in divisible] for e in _exponent_columns(x.n, d)]
+    return ExactMatrix.from_integer_rows(x.field, zip(*_integer_rows(x, d, exponents)))
 
 
 @lru_cache(maxsize=None)
@@ -292,9 +322,11 @@ def heaviest_line_weight(x):
 
 def hilbert_function(x, d):
     """h_X(d) = dim [R/I_X]_d = rank of the conditions matrix, and deg X
-    from a certified r(X) on.  Only certified values are cached.  The rank
-    is read off residues (``_rank_bound``); exact rows are built only where
-    a certificate reads them."""
+    from a certified r(X) on.  Only certified values are cached; after
+    ``regularity_index`` they include h_X(r) and h_X(r - 1), which the
+    climb mostly reads off one matrix in degree r.  Other ranks are read off
+    residues (``_rank_bound``); exact rows are built only where a
+    certificate reads them."""
     h = x._hilbert_cache.get(d)
     if h is None:
         if x._reg is not None and d >= x._reg:
@@ -306,21 +338,55 @@ def hilbert_function(x, d):
     return h
 
 
+def _residue_prime(x, d):
+    """The prime q the conditions matrix in degree d is reduced modulo as
+    residues: the first certificate prime over Q, p over F_p.  None where it
+    is ranked on exact rows instead: below ``_NUMPY_MIN_CELLS`` cells, for
+    q >= 2^31, and at negative degrees, whose exact rows raise the error."""
+    q = CERTIFICATE_PRIMES[0] if x.field.p is None else x.field.p
+    if d < 0 or q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS:
+        return None
+    return q
+
+
 def _rank_bound(x, d):
     """(r, first) for the conditions matrix in degree d: its rank r, or
     over Q a deficient rank mod q and ``first``, the reduction a
-    certificate on exact rows starts from.  From ``_NUMPY_MIN_CELLS`` cells
-    and for q < 2^31 (the first certificate prime, or p) it is reduced as
-    residues mod q; a full rank mod q is full over Q.  Other matrices are
-    ranked on exact rows, which also raise the errors of bad degrees."""
-    p = x.field.p
-    q = CERTIFICATE_PRIMES[0] if p is None else p
-    if d < 0 or q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS:
+    certificate on exact rows starts from.  Where ``_residue_prime`` gives
+    a prime q, the matrix is reduced as residues mod q, and a full rank mod
+    q is full over Q; other matrices are ranked on exact rows."""
+    q = _residue_prime(x, d)
+    if q is None:
         return conditions_matrix(x, d).rank(), None
     red, pivots = _rref_mod_p(_conditions_residues(x, d, q), q)
-    if p is not None or len(pivots) == red.shape[1]:
+    if x.field.p is not None or len(pivots) == red.shape[1]:
         return len(pivots), None
     return len(pivots), (red, pivots)
+
+
+def _unit_coordinate(x):
+    """The first j with x_j nonzero at every support point, or None."""
+    return next((j for j, column in enumerate(zip(*x.keys)) if all(column)), None)
+
+
+def _split_ranks(x, d, j, q):
+    """(h, low, first): the ranks mod q of the tall degree-d residues and of
+    their rows at the multiples of x_j, and the reduction ``first`` of those
+    rows.  The tall orientation has one row per monomial when d is above the
+    monomial floor.
+
+    Multiplying by x_j maps the degree-(d - 1) forms onto the span of those
+    monomials, and a form f x_j is in I_X exactly when f is, if x_j
+    vanishes at no support point: then x_j is a nonzerodivisor on R/I_X.
+    So the rows have rank h_X(d - 1) over the field of X.  They are reduced
+    first; ``_extend_rank_mod_p`` adds the other rows through a Schur
+    complement, for the whole rank.  Over F_p both ranks are exact; over Q
+    they are lower bounds, ``first`` the start of the certificate of
+    ``_multiples_matrix``."""
+    divisible, rest = _multiples(x.n, d, j)
+    a = _conditions_residues(x, d, q)
+    red, pivots = _rref_mod_p(a[divisible], q)
+    return _extend_rank_mod_p(red, pivots, a[rest], q), len(pivots), (red, pivots)
 
 
 def regularity_index(x):
@@ -336,25 +402,34 @@ def regularity_index(x):
     encoding.
 
     The search climbs from the largest of the monomial floor and the lower
-    bound w_L - 1 of ``heaviest_line_weight``, one ``_rank_bound`` per
-    degree: residues modulo a prime, whose rank certifies a full rank over
-    Q and is the rank over F_p (below 64 cells, the exact rank).  The line
-    search runs only when the line bound can move the start two degrees or
-    more above the floor (the total multiplicity minus 1 can; one degree
-    up builds the same matrices, since d - 1 is certified anyway) and its
-    s(s - 1)/2 pair keys are at most deg X, the row count of every
+    bound w_L - 1 of ``heaviest_line_weight``, one residue matrix per
+    degree: its rank modulo a prime certifies a full rank over Q and is the
+    rank over F_p (below 64 cells, exact rows give the exact rank).  The
+    line search runs only when the line bound can move the start two
+    degrees or more above the floor (the total multiplicity minus 1 can;
+    one degree up would spare only the floor's matrix, the smallest one)
+    and its s(s - 1)/2 pair keys are at most deg X, the row count of every
     conditions matrix the search builds, which keeps it a small part of
     building even one of them.  Otherwise (many light points, generic
     simple points among them) the climb starts at the floor.
 
     At the first full degree d the search certifies h_X(d - 1) (no
-    certificate is needed below the monomial floor, where the rank cannot
-    be full), and steps down while that is full too: after an unlucky
-    prime took the climb past r, or if the start was above r.  So
-    correctness depends on no bound.  Exact rows are built only for these
-    certificates: the climb keeps its last deficient residue reduction, so
-    certifying h_X(d - 1) over Q starts from it.  A degree already in the
-    scheme's cache of certified values is read from there, not built.
+    certificate is needed at or below the monomial floor, where the rank in
+    degree d - 1 cannot be full), and steps down while that is full too:
+    after an unlucky prime took the climb past r, or if the start was above
+    r.  So correctness depends on no bound.  Above the floor, if some
+    coordinate x_j vanishes at no support point (the first such j), each
+    degree d is ranked by ``_split_ranks``: the rows of the degree-d
+    residues at the multiples of x_j first, which have rank h_X(d - 1), then
+    the rest by a Schur extension.  So h_X(d - 1) comes from the same
+    matrix: over F_p as it is, over Q full mod q or certified on the exact
+    rows at the multiples of x_j (``_multiples_matrix``), starting from the
+    reduction of their residues.  Where every coordinate vanishes at some
+    support point, and at the floor, a degree is ranked whole
+    (``_rank_bound``), and a deficient reduction of it is kept for the
+    certificate if the next degree is full.  Exact rows are built only for
+    these certificates.  A degree already in the scheme's cache of
+    certified values is read from there, not built.
     Over F_p the start is capped at p - 1, so a field too small for r(X) is
     reported at the degree where an ascending search meets it first.  The
     climb must end by d = deg X - 1, the classical bound; exceeding it is
@@ -369,25 +444,37 @@ def regularity_index(x):
         s = x.support_size
         if sum(x.mults) - 1 >= floor + 2 and s * (s - 1) // 2 <= deg:
             d = max(floor, heaviest_line_weight(x) - 1)
-        if x.field.p is not None:
-            d = max(floor, min(d, x.field.p - 1))
+        p = x.field.p
+        if p is not None:
+            d = max(floor, min(d, p - 1))
         cache = x._hilbert_cache
-        below = None  # the reduction in degree d - 1 if it awaits a certificate
+        pending = None  # (e, rows in degree e, their reduction) awaiting a certificate
         while True:
+            q = _residue_prime(x, d) if d > floor else None
+            unit = _unit_coordinate(x) if q is not None else None
             if d in cache:
-                h, first = cache[d], None
+                h = cache[d]
+            elif unit is not None:
+                h, low, first = _split_ranks(x, d, unit, q)
+                if p is not None or h == deg:
+                    cache[d] = h
+                if p is not None or low == deg:
+                    cache[d - 1], pending = low, None
+                else:
+                    pending = (d - 1, partial(_multiples_matrix, x, d, unit), first)
             else:
                 h, first = _rank_bound(x, d)
                 if first is None:
                     cache[d] = h
+                else:
+                    pending = (d, partial(conditions_matrix, x, d), first)
             if h == deg:
                 break
-            below = first
             d += 1
             if d > max(0, deg - 1):
                 raise InternalError("regularity search exceeded deg X - 1")
-        if below is not None:
-            cache[d - 1] = conditions_matrix(x, d - 1).rank(first=below)
+        if pending is not None and pending[0] == d - 1:
+            cache[d - 1] = pending[1]().rank(first=pending[2])
         while d > floor and hilbert_function(x, d - 1) == deg:
             d -= 1
         x._reg = d

@@ -515,3 +515,57 @@ def test_rank_plus_kernel_dimension():
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = ExactMatrix(QQ, [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)])
         assert m.rank() + len(m.kernel_basis()) == nc
+
+
+@st.composite
+def stacked_residues(draw):
+    """(top, rows, q): int64 residue arrays with a common column count,
+    entries in [q - 3, q), the edge of the limb products, and up to three
+    columns copied from others, so the stacked rank may fall short."""
+    import numpy as np
+
+    q = draw(st.sampled_from([CERTIFICATE_PRIMES[0], 2147483629, 10007]))
+    ncols = draw(st.integers(1, 10))
+    entry = st.integers(q - 3, q - 1)
+    top = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=14))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=0, max_size=6))
+    stacked = np.array(top + rows, dtype=np.int64).reshape(len(top) + len(rows), ncols)
+    for _ in range(draw(st.integers(0, min(3, ncols - 1)))):
+        src, dst = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
+        stacked[:, dst] = stacked[:, src]
+    return stacked[:len(top)], stacked[len(top):], q
+
+
+class TestResidueArrays:
+    """Eliminations of int64 residue arrays on both sides of the numpy
+    split, and the Schur extension of a reduction by more rows."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (8, 8), (12, 6)])
+    def test_rref_of_an_int64_array(self, shape):
+        import numpy as np
+
+        rows = low_rank(random.Random(shape[0]), *shape, 2)
+        rows = [[x % 10007 for x in row] for row in rows]
+        red, pivots = exact._rref_mod_p(np.array(rows, dtype=np.int64), 10007)
+        expected_red, expected_pivots = exact._rref_mod_p(rows, 10007)
+        assert pivots == expected_pivots
+        assert [list(map(int, row)) for row in red] == [list(row) for row in expected_red]
+        numpy_sized = shape[0] * shape[1] >= exact._NUMPY_MIN_CELLS
+        assert (type(red).__module__ == "numpy") == numpy_sized
+
+    @given(stacked_residues())
+    @settings(max_examples=150, deadline=None)
+    def test_schur_extension_matches_the_stacked_reduction(self, case):
+        import numpy as np
+
+        top, rows, q = case
+        expected = len(exact._rref_mod_p(np.concatenate([top, rows]), q)[1])
+        red, pivots = exact._rref_mod_p(top.copy(), q)
+        assert exact._extend_rank_mod_p(red, pivots, rows, q) == expected
+
+    def test_schur_extension_refuses_2_16_columns(self):
+        import numpy as np
+
+        rows = np.zeros((1, 2**16), dtype=np.int64)
+        with pytest.raises(OverflowError, match="fewer than 2\\^16 columns"):
+            exact._extend_rank_mod_p([[0] * 2**16], [], rows, CERTIFICATE_PRIMES[0])

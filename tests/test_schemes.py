@@ -278,6 +278,47 @@ class TestConditionsResidues:
 
 
 @st.composite
+def split_cases(draw):
+    """X over Q, F_10007 or F_2147483629 (the largest prime under 2^31 the
+    residue route takes) with points as in ``residue_cases`` and
+    multiplicities 1..3, and some coordinate vanishing at no point."""
+    field = draw(st.sampled_from([QQ, ScalarField.prime(10007), ScalarField.prime(2147483629)]))
+    n = draw(st.integers(1, 3))
+    coord = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**4, 10**4))
+    points, keys = [], set()
+    for _ in range(draw(st.integers(1, 4))):
+        pivot = draw(st.integers(0, n))
+        lead = draw(st.integers(1, 10**4)) * draw(st.sampled_from([1, -1]))
+        coords = [0] * pivot + [lead] + draw(st.lists(coord, min_size=n - pivot, max_size=n - pivot))
+        elems = [field.elem(c) for c in coords]
+        if any(elems) and schemes._point_key(field, elems) not in keys:
+            keys.add(schemes._point_key(field, elems))
+            points.append((coords, draw(st.integers(1, 3))))
+    assume(points)
+    x = FatPointScheme(field, n, points)
+    assume(any(all(c[j] for c in x.keys) for j in range(n + 1)))
+    return x
+
+
+class TestSplitRanks:
+    """One residue matrix gives two Hilbert values: its rows at the
+    multiples of a coordinate vanishing at no support point have rank
+    h_X(d - 1), and with the other rows, by the Schur extension, h_X(d)."""
+
+    @given(split_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_ranks_are_those_of_two_degrees(self, x):
+        q = exact.CERTIFICATE_PRIMES[0] if x.field.p is None else x.field.p
+        floor = next(d for d in range(x.degree()) if comb(x.n + d, x.n) >= x.degree())
+        for d in range(floor + 1, floor + 4):
+            for j in range(x.n + 1):
+                if all(c[j] for c in x.keys):
+                    h, low, _ = schemes._split_ranks(x, d, j, q)
+                    assert low == schemes._rank_bound(x, d - 1)[0]
+                    assert h == schemes._rank_bound(x, d)[0]
+
+
+@st.composite
 def integer_schemes(draw):
     n = draw(st.integers(1, 3))
     points = draw(st.lists(
@@ -293,7 +334,7 @@ class TestFieldAgreement:
     is the reduction of the integer one: points stay distinct mod p, their
     dehomogenizing coordinate is a unit mod p, and p > d."""
 
-    @given(integer_schemes(), st.sampled_from([11, 13, 17, 10007]))
+    @given(integer_schemes(), st.sampled_from([11, 13, 17, 10007, 2147483629]))
     @settings(max_examples=80, deadline=None)
     def test_prime_field_never_exceeds_rational(self, scheme, p):
         n, points = scheme
@@ -308,6 +349,12 @@ class TestFieldAgreement:
         assume(r < p)
         for d in range(r + 1):
             assert hilbert_function(xp, d) <= hilbert_function(xq, d)
+        try:
+            rp = regularity_index(xp)
+        except ValueError as exc:  # the climb over F_p met p first, so r(X_p) >= p > r
+            assert str(exc).startswith("prime field too small")
+            rp = p
+        assert rp >= r
 
     def test_equality_at_10007_on_fixed_example(self):
         f = ScalarField.prime(10007)
@@ -426,35 +473,47 @@ LINE = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
 
 def count_conditions_matrices(monkeypatch):
     """The degrees of the conditions matrices built from now on, in order:
-    as exact integer rows, and as residues modulo a prime."""
+    as exact integer rows (all of them, or the rows at the multiples of a
+    coordinate), and as residues modulo a prime."""
     built = {"exact": [], "residues": []}
     build_rows, build_residues = schemes.conditions_matrix, schemes._conditions_residues
+    build_multiples = schemes._multiples_matrix
 
     def rows(x, d):
         built["exact"].append(d)
         return build_rows(x, d)
+
+    def multiples(x, d, j):
+        built["exact"].append(d)
+        return build_multiples(x, d, j)
 
     def residues(x, d, q):
         built["residues"].append(d)
         return build_residues(x, d, q)
 
     monkeypatch.setattr(schemes, "conditions_matrix", rows)
+    monkeypatch.setattr(schemes, "_multiples_matrix", multiples)
     monkeypatch.setattr(schemes, "_conditions_residues", residues)
     return built
 
 
 def count_reductions(monkeypatch):
-    """The primes of the reductions mod p from now on, in order."""
-    primes = []
+    """The reductions mod p from now on, in order, as (p, row count)."""
+    reductions = []
     reduce = exact._rref_mod_p
 
     def counted(rows, p):
-        primes.append(p)
+        reductions.append((p, len(rows)))
         return reduce(rows, p)
 
     monkeypatch.setattr(exact, "_rref_mod_p", counted)
     monkeypatch.setattr(schemes, "_rref_mod_p", counted)
-    return primes
+    return reductions
+
+
+def first_prime_rows(reductions):
+    """The row counts of the reductions modulo the first certificate prime."""
+    return [rows for p, rows in reductions if p == exact.CERTIFICATE_PRIMES[0]]
 
 
 class TestBoundarySearch:
@@ -503,11 +562,15 @@ class TestBoundarySearch:
         # so the climb starts at the floor 3
         x = simple(2, collinear_points(2, 8) + [(3, 7, 1)])
         built = count_conditions_matrices(monkeypatch)
-        primes = count_reductions(monkeypatch)
+        reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == 7
-        # h(6) is certified on exact rows, from the climb's reduction
-        assert built == {"residues": [3, 4, 5, 6, 7], "exact": [6]}
-        assert primes.count(exact.CERTIFICATE_PRIMES[0]) == 5
+        # h(6) is certified on the exact x_0-rows of the degree-7 matrix,
+        # from the climb's reduction of them
+        assert built == {"residues": [3, 4, 5, 6, 7], "exact": [7]}
+        # the floor's 10 x 9 matrix whole; above it per degree the x_0-rows
+        # (as many as the monomials one degree below) and the Schur block
+        # of the other n + d - 1 choose n - 1 rows
+        assert first_prime_rows(reductions) == [10, 10, 5, 15, 6, 21, 7, 28, 8]
         assert regularity_index_ascending(x) == 7
 
     def test_start_above_r_steps_down(self, monkeypatch):
@@ -517,7 +580,8 @@ class TestBoundarySearch:
         monkeypatch.setattr(schemes, "heaviest_line_weight", lambda y: r + 3)
         built = count_conditions_matrices(monkeypatch)
         assert regularity_index(x) == r
-        assert built == {"residues": [r + 2, r + 1, r, r - 1], "exact": [r - 1]}
+        # the x_0-rows of the degree-(r + 2) matrix certify h(r + 1) full
+        assert built == {"residues": [r + 2, r, r - 1], "exact": [r - 1]}
         assert hilbert_profile(x).values == hilbert_profile_ascending(x)
 
     def test_unlucky_first_prime_at_r(self, monkeypatch):
@@ -536,11 +600,12 @@ class TestBoundarySearch:
 
         monkeypatch.setattr(schemes, "_conditions_residues", unlucky)
         assert regularity_index(x) == r
-        # climbed past r, then certified h(r) full and h(r - 1) deficient
-        assert built == {"residues": [r, r + 1, r - 1], "exact": [r, r - 1]}
+        # climbed past r, where the x_0-rows of the degree-(r + 1) residues
+        # show h(r) full mod q, so full; then certified h(r - 1) deficient
+        assert built == {"residues": [r, r + 1, r - 1], "exact": [r - 1]}
         assert hilbert_function(x, r) == x.degree()
 
-    def test_sharp_cluster_builds_two_matrices(self, monkeypatch):
+    def test_sharp_cluster_builds_one_residue_matrix(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
         built = count_conditions_matrices(monkeypatch)
         certified = []
@@ -552,12 +617,59 @@ class TestBoundarySearch:
             return r
 
         monkeypatch.setattr(exact, "_certified_rank", counted)
-        primes = count_reductions(monkeypatch)
+        reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == 14
-        assert built == {"residues": [14, 13], "exact": [13]}
+        # h(13) is certified on the exact x_0-rows of the degree-14 matrix
+        assert built == {"residues": [14], "exact": [14]}
         assert certified == [True]  # one certified rank, and it is deficient
-        # the certificate starts from the climb's reduction at 13
-        assert primes.count(exact.CERTIFICATE_PRIMES[0]) == 2
+        # one reduction of the 105 x_0-rows, which the certificate starts
+        # from, and the Schur block of the other 15
+        assert first_prime_rows(reductions) == [105, 15]
+        assert x._hilbert_cache == {13: 74, 14: 75}
+
+    def test_unit_coordinate_past_x0(self, monkeypatch):
+        # x_0 vanishes at (0, 1, 0), x_1 at no point
+        x = FatPointScheme(QQ, 2, [(p, 3) for p in [(0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 7, 1)]])
+        built = count_conditions_matrices(monkeypatch)
+        reductions = count_reductions(monkeypatch)
+        units = []
+        split = schemes._split_ranks
+
+        def recorded(y, d, j, q):
+            units.append(j)
+            return split(y, d, j, q)
+
+        monkeypatch.setattr(schemes, "_split_ranks", recorded)
+        assert regularity_index(x) == 8
+        assert units == [1]
+        assert built == {"residues": [8], "exact": [8]}
+        assert first_prime_rows(reductions) == [36, 9]
+        assert regularity_index_ascending(x) == 8
+
+    def test_every_coordinate_vanishing_keeps_the_whole_climb(self, monkeypatch):
+        # each coordinate vanishes at one of the coordinate points, so every
+        # degree is reduced whole and h(r - 1) certified on its own matrix
+        x = FatPointScheme(QQ, 2, [(p, 3) for p in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]])
+        built = count_conditions_matrices(monkeypatch)
+        assert regularity_index(x) == 8
+        assert built == {"residues": [8, 7], "exact": [7]}
+        # from the floor 6 the climb keeps its reduction at 7 for the certificate
+        y = FatPointScheme(QQ, 2, [(p, 3) for p in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]])
+        monkeypatch.setattr(schemes, "heaviest_line_weight", lambda z: 0)
+        built = count_conditions_matrices(monkeypatch)
+        reductions = count_reductions(monkeypatch)
+        assert regularity_index(y) == 8
+        assert built == {"residues": [6, 7, 8], "exact": [7]}
+        assert first_prime_rows(reductions) == [28, 36, 45]
+        assert hilbert_profile(y).values == hilbert_profile_ascending(y)
+
+    def test_prime_field_split_needs_no_certificate(self, monkeypatch):
+        x = FatPointScheme(ScalarField.prime(10007), 2,
+                           [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
+        built = count_conditions_matrices(monkeypatch)
+        assert regularity_index(x) == 14
+        assert built == {"residues": [14], "exact": []}
+        assert x._hilbert_cache == {13: 74, 14: 75}
 
     def test_hilbert_values_above_r_build_nothing(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 2) for p in LINE + [(3, 7, 1)]])
