@@ -15,22 +15,23 @@ which keeps the matroid of the columns.  So every rank works on the integer
 rows directly, and ``entries``, ``column`` and ``mul_vector`` hand back
 integers.
 
-There are two eliminations: Gauss-Jordan modulo a prime
-(``_rref_mod_p``, which also takes a numpy array of residues as it is, so
-a caller that builds its matrix mod p skips the integer rows) and
-fraction-free (Bareiss 1968) elimination over Z (``_bareiss_echelon``).
-Rank and kernel share them.  Over F_p both come from the reduced form mod
-p.  Over Q the rank is the pivot count of the
-fraction-free echelon, or certified as below, and the kernel basis is
-back-substituted on that echelon.  A reduction mod p of some rows extends
-to the rank of more rows through a Schur complement
-(``_extend_rank_mod_p``), so a caller can read the rank of a block of rows
-and of the whole from one elimination.
+There are two eliminations, with one size split between them for both
+fields, ``_NUMPY_MIN_CELLS``.  Below it, fraction-free (Bareiss 1968)
+elimination, ``_bareiss_echelon``, gives the exact rank: over Q on the
+integer rows, over F_p on their residues.  On matrices this small it costs
+less than numpy's per-call overhead or any modular certificate.  From it
+on, Gauss-Jordan elimination mod p runs in numpy (``_rref_mod_p``: int64
+below 2^31, Python ints from there).  It gives the rank over F_p, and over
+Q the first step of the certificate below.  ``_rref_mod_p`` also takes a
+numpy array of residues as it is, so a caller that builds its matrix mod p
+skips the integer rows.  A reduction mod p of some rows extends to the rank
+of more rows through a Schur complement (``_extend_rank_mod_p``), so a
+caller reads the rank of a block of rows and of the whole from one
+elimination.  The kernel basis is back-substituted on the fraction-free
+echelon over either field.
 
-Rank over Q has one size split, ``_NUMPY_MIN_CELLS``.  Below it, the
-fraction-free echelon gives the exact rank, which on matrices this small
-costs less than any modular certificate.  From it on, the rank is certified
-from modular data:
+From ``_NUMPY_MIN_CELLS`` cells on, the rank over Q is certified from
+modular data:
 
 1. the rank r modulo a 31-bit prime is a lower bound for the rank over Q
    (a nonsingular minor mod p is nonsingular over Q), so a matrix of full
@@ -65,14 +66,13 @@ CERTIFICATE_PRIMES = (
     2147483353, 2147483323, 2147483269, 2147483249,
 )
 
-# The one size split of exact rank.  Over Q, matrices with fewer cells take
-# the fraction-free echelon; larger ones the modular certificate, whose
-# eliminations mod p run in numpy.  numpy's per-call overhead dominates below:
-# on a 2-vCPU Xeon VM pure Python mod p was faster up to 6 x 8 (144 vs
-# 181 us), numpy from 8 x 10 (206 vs 297 us).  numpy is imported on the first
-# elimination of this size, so partition commands and small ``verify`` runs
-# never load it.  Over F_p, smaller matrices, and primes from 2^31 on (their
-# residue products overflow int64), are eliminated in pure Python.
+# The one size split of exact rank, over Q and F_p.  Matrices with fewer
+# cells take the fraction-free echelon; larger ones numpy's elimination mod p
+# (over Q inside the modular certificate).  numpy's per-call overhead
+# dominates below: on a 2-vCPU Xeon VM pure Python mod p was faster up to
+# 6 x 8 (144 vs 181 us), numpy from 8 x 10 (206 vs 297 us).  numpy is
+# imported on the first elimination of this size, so partition commands and
+# small ``verify`` runs never load it.
 _NUMPY_MIN_CELLS = 64
 
 # The first twelve primes are a deterministic Miller-Rabin base below this
@@ -277,16 +277,14 @@ class ExactMatrix:
         echelon form: 1 there, 0 at the other free columns.  This is the
         unique basis read off the reduced row echelon form.
 
-        Over Q the pivot entries come from back-substitution on the
-        fraction-free echelon, as ``Fraction``s; over F_p they are read off
-        the reduced form mod p, as ``int``s."""
+        The pivot entries come from back-substitution on the fraction-free
+        echelon: over Q as ``Fraction``s, over F_p as ``int``s, dividing by
+        a pivot through its inverse mod p."""
         f = self.field
+        p = f.p
         if self.ncols == 0:
             return []
-        if f.p is None:
-            echelon, pivots = _bareiss_echelon(self._rows)
-        else:
-            echelon, pivots = _rref_mod_p(self._rows, f.p)
+        echelon, pivots = _bareiss_echelon(self._rows, p)
         pivot_rows = list(zip(echelon, pivots))
         basis = []
         for j in range(self.ncols):
@@ -294,26 +292,24 @@ class ExactMatrix:
                 continue
             v = [f.zero()] * self.ncols
             v[j] = f.one()
-            if f.p is None:
-                for row, pc in reversed(pivot_rows):
-                    v[pc] = Fraction(-sum(map(mul, row[pc + 1:], v[pc + 1:])), row[pc])
-            else:
-                for row, pc in pivot_rows:
-                    v[pc] = -int(row[j]) % f.p
+            for row, pc in reversed(pivot_rows):
+                s = -sum(map(mul, row[pc + 1:], v[pc + 1:]))
+                v[pc] = Fraction(s, row[pc]) if p is None else s * pow(row[pc], -1, p) % p
             basis.append(tuple(v))
         return basis
 
 
 def _rank_of_rows(rows, p, first=None):
-    """Rank of nonempty integer rows by the route the field and size pick:
-    over F_p (``p`` given) their rank mod p; over Q the fraction-free
-    echelon below ``_NUMPY_MIN_CELLS`` cells, the modular certificate
-    from there, starting from ``first`` (the reduction of ``_tall`` of the
-    rows modulo the first certificate prime) when it is given."""
+    """Rank of nonempty integer rows by the route the size and field pick:
+    the fraction-free echelon below ``_NUMPY_MIN_CELLS`` cells (over F_p,
+    ``p`` given, mod p); from there over F_p the rank of ``_rref_mod_p``,
+    over Q the modular certificate, starting from ``first`` (the reduction
+    of ``_tall`` of the rows modulo the first certificate prime) when it is
+    given."""
+    if len(rows) * len(rows[0]) < _NUMPY_MIN_CELLS:
+        return len(_bareiss_echelon(rows, p)[1])
     if p is not None:
         return len(_rref_mod_p(rows, p)[1])
-    if len(rows) * len(rows[0]) < _NUMPY_MIN_CELLS:
-        return len(_bareiss_echelon(rows)[1])
     rows = _tall(rows)
     return _certified_rank(rows, *(first or _rref_mod_p(rows, CERTIFICATE_PRIMES[0])))
 
@@ -395,63 +391,41 @@ def _kernel_certified(rows, pivots, free, lifts, modulus):
 
 
 def _rref_mod_p(rows, p):
-    """Reduced row echelon form of an integer matrix mod p and its pivot
-    columns: an int64 array from numpy for large matrices when p < 2^31 (so
-    products of residues fit), lists of ints from pure Python otherwise.
-    There an int64 array of residues in range(p) is taken as it is and
-    reduced in place; other rows are reduced mod p entry by entry first.
-    Rational ranks below ``_NUMPY_MIN_CELLS`` take the fraction-free
-    echelon, so the pure-Python branch serves F_p, primes from 2^31 on, and
-    small blocks of a residue array (a prefix of its rows, or the Schur
-    complement of ``_extend_rank_mod_p``), which it takes as Python ints."""
-    nrows, ncols = len(rows), len(rows[0])
-    if nrows * ncols >= _NUMPY_MIN_CELLS and p < 2**31:
-        import numpy as np
+    """Reduced row echelon form mod p of an integer matrix and its pivot
+    columns, as a numpy array: int64 when p < 2^31, so products of residues
+    fit, Python ints in a ``dtype=object`` array from 2^31 on.  An int64
+    array of residues in range(p) is taken as it is and reduced in place;
+    other rows are reduced mod p entry by entry first.  Ranks below
+    ``_NUMPY_MIN_CELLS`` cells take the fraction-free echelon, so this runs
+    on matrices of that size, and on the blocks of a residue array that
+    ``_extend_rank_mod_p`` and the regularity climb reduce."""
+    import numpy as np
 
-        a = rows if isinstance(rows, np.ndarray) else np.array(
-            [[x % p for x in row] for row in rows], dtype=np.int64)
-        pivots = []
-        for c in range(ncols):
-            r = len(pivots)
-            if r == nrows:
-                break
-            (nz,) = a[r:, c].nonzero()
-            if not nz.size:
-                continue
-            piv = r + int(nz[0])
-            if piv != r:
-                a[[r, piv]] = a[[piv, r]]
-            top = a[r, c:]
-            top *= pow(int(top[0]), -1, p)
-            top %= p
-            factors = a[:, c].copy()
-            factors[r] = 0
-            (hit,) = factors.nonzero()
-            if hit.size:
-                block = a[hit, c:]
-                block -= factors[hit, None] * top
-                block %= p
-                a[hit, c:] = block
-            pivots.append(c)
-        return a, pivots
-    if hasattr(rows, "tolist"):  # numpy scalars do not take pow(x, -1, p)
-        rows = rows.tolist()
-    a = [[x % p for x in row] for row in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    a = rows if isinstance(rows, np.ndarray) else np.array(
+        [[x % p for x in row] for row in rows], dtype=np.int64 if p < 2**31 else object)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
+        (nz,) = a[r:, c].nonzero()
+        if not nz.size:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        top = a[r] = [x * inv % p for x in a[r]]
-        for i in range(nrows):
-            factor = a[i][c]
-            if factor and i != r:
-                a[i] = [(x - factor * y) % p for x, y in zip(a[i], top)]
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        top = a[r, c:]
+        top *= pow(int(top[0]), -1, p)
+        top %= p
+        factors = a[:, c].copy()
+        factors[r] = 0
+        (hit,) = factors.nonzero()
+        if hit.size:
+            block = a[hit, c:]
+            block -= factors[hit, None] * top
+            block %= p
+            a[hit, c:] = block
         pivots.append(c)
     return a, pivots
 
@@ -485,13 +459,18 @@ def _extend_rank_mod_p(red, pivots, rows, p):
     return r + len(_rref_mod_p(schur, p)[1])
 
 
-def _bareiss_echelon(int_rows):
+def _bareiss_echelon(int_rows, p=None):
     """Fraction-free (Bareiss 1968) row echelon form of nonempty integer
     rows: (the rows, echelon first and zero below, their pivot columns).
 
-    Every division is exact, so the rows stay integers with the row space
-    of the given ones over Q; the rank is the number of pivots."""
-    m = [list(row) for row in int_rows]
+    Over Q every division is exact, so the rows stay integers with the row
+    space of the given ones; over F_p (``p`` given) the rows are reduced mod
+    p and no division is needed, since each step only scales a row by the
+    unit pivot before subtracting.  The rank is the number of pivots."""
+    if p is None:
+        m = [list(row) for row in int_rows]
+    else:
+        m = [[x % p for x in row] for row in int_rows]
     nrows = len(m)
     ncols = len(m[0])
     prev = 1
@@ -515,10 +494,14 @@ def _bareiss_echelon(int_rows):
             ri = m[i]
             vi = ri[c]
             if vi:
-                for j in range(c + 1, ncols):
-                    ri[j] = (pv * ri[j] - vi * pr[j]) // prev
+                if p is None:
+                    for j in range(c + 1, ncols):
+                        ri[j] = (pv * ri[j] - vi * pr[j]) // prev
+                else:
+                    for j in range(c + 1, ncols):
+                        ri[j] = (pv * ri[j] - vi * pr[j]) % p
                 ri[c] = 0
-            else:
+            elif p is None:
                 for j in range(c + 1, ncols):
                     ri[j] = (pv * ri[j]) // prev
         prev = pv

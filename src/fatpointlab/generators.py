@@ -15,6 +15,9 @@ from .matroid import VectorMatroid, in_general_position
 from .schemes import FatPointScheme, _point_key, monomials
 
 MAX_RESAMPLE_ATTEMPTS = 200
+# Rounds of generic_points after the given coordinate range, each at ten
+# times the range of the one before.
+_RANGE_WIDENINGS = 2
 
 
 def rng_from_seed(seed):
@@ -44,13 +47,24 @@ def random_points(rng, n, s, coord_range=9, field=None):
 
 def generic_points(rng, n, s, coord_range=9, field=None):
     """Points certified to be in linearly general position: every subset of
-    at most n+1 points spans a subspace of maximal dimension."""
+    at most n+1 points spans a subspace of maximal dimension.
+
+    Coordinates are drawn from 0..coord_range.  If no draw certifies after
+    ``MAX_RESAMPLE_ATTEMPTS``, or the range has too few points, the range
+    grows tenfold (by default 0..9, then 0..99, then 0..999)."""
+    if s < 1:
+        raise ValueError("generic_points needs s >= 1 points, got s = %d" % s)
     field = field or ScalarField.rational()
-    for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        pts = random_points(rng, n, s, coord_range=coord_range, field=field)
-        m = VectorMatroid(ExactMatrix.from_columns(field, pts))
-        if in_general_position(m, m.elements, n + 1):
-            return pts
+    for _ in range(_RANGE_WIDENINGS + 1):
+        for _ in range(MAX_RESAMPLE_ATTEMPTS):
+            try:
+                pts = random_points(rng, n, s, coord_range=coord_range, field=field)
+            except ValueError:  # fewer than s distinct points drawn at this range
+                break
+            m = VectorMatroid(ExactMatrix.from_columns(field, pts))
+            if in_general_position(m, m.elements, n + 1):
+                return pts
+        coord_range = 10 * (coord_range + 1) - 1
     raise ValueError("could not certify linearly general position after retries")
 
 
@@ -172,6 +186,8 @@ def five_plus_generic_scheme(rng, n, d, m, field=None):
     P^2, padded with zeros, so n >= 2."""
     if n < 2:
         raise ValueError("five_plus_generic_scheme needs n >= 2, got n = %d" % n)
+    if d < 0:
+        raise ValueError("five_plus_generic_scheme needs d >= 0, got d = %d" % d)
     field = field or ScalarField.rational()
     fixed = [
         (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),

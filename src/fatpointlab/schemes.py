@@ -13,9 +13,8 @@ exact integer rows (``conditions_matrix``, ``_multiples_matrix``) only
 where a certificate reads them, from the same factor tables
 (``_factor_tables``).  Where a coordinate x_j vanishes at no support point,
 one residue matrix per degree d gives both h_X(d - 1), from its rows at the
-multiples of x_j, and h_X(d) (``_split_ranks``).  The search keeps the one
-reduction it may still certify to itself; the scheme holds only certified
-Hilbert values and r(X).
+multiples of x_j, and h_X(d) (``_split_ranks``).  The scheme holds only
+certified Hilbert values and r(X).
 
 Each point is cleared to integers once, to its projective normal form
 (``_point_key``): the primitive integer vector with first nonzero entry
@@ -42,7 +41,7 @@ form h_mP(j) = binom(n + min(j, m-1), n) (see ``ctv_decomposition_check``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, gcd, perm, prod
 from operator import mul
 
@@ -424,12 +423,12 @@ def regularity_index(x):
     the rest by a Schur extension.  So h_X(d - 1) comes from the same
     matrix: over F_p as it is, over Q full mod q or certified on the exact
     rows at the multiples of x_j (``_multiples_matrix``), starting from the
-    reduction of their residues.  Where every coordinate vanishes at some
-    support point, and at the floor, a degree is ranked whole
-    (``_rank_bound``), and a deficient reduction of it is kept for the
-    certificate if the next degree is full.  Exact rows are built only for
-    these certificates.  A degree already in the scheme's cache of
-    certified values is read from there, not built.
+    reduction of their residues, in the step where h_X(d) is full.  Where
+    every coordinate vanishes at some support point, and at the floor, a
+    degree is ranked whole (``_rank_bound``) and cached only if certified;
+    the step-down certifies h_X(d - 1) through ``hilbert_function``.  Exact
+    rows are built only for these certificates.  A degree already in the
+    scheme's cache of certified values is read from there, not built.
     Over F_p the start is capped at p - 1, so a field too small for r(X) is
     reported at the degree where an ascending search meets it first.  The
     climb must end by d = deg X - 1, the classical bound; exceeding it is
@@ -448,7 +447,6 @@ def regularity_index(x):
         if p is not None:
             d = max(floor, min(d, p - 1))
         cache = x._hilbert_cache
-        pending = None  # (e, rows in degree e, their reduction) awaiting a certificate
         while True:
             q = _residue_prime(x, d) if d > floor else None
             unit = _unit_coordinate(x) if q is not None else None
@@ -456,25 +454,21 @@ def regularity_index(x):
                 h = cache[d]
             elif unit is not None:
                 h, low, first = _split_ranks(x, d, unit, q)
-                if p is not None or h == deg:
+                if p is not None:
+                    cache[d], cache[d - 1] = h, low
+                elif h == deg:
                     cache[d] = h
-                if p is not None or low == deg:
-                    cache[d - 1], pending = low, None
-                else:
-                    pending = (d - 1, partial(_multiples_matrix, x, d, unit), first)
+                    cache[d - 1] = low if low == deg else (
+                        _multiples_matrix(x, d, unit).rank(first=first))
             else:
                 h, first = _rank_bound(x, d)
                 if first is None:
                     cache[d] = h
-                else:
-                    pending = (d, partial(conditions_matrix, x, d), first)
             if h == deg:
                 break
             d += 1
             if d > max(0, deg - 1):
                 raise InternalError("regularity search exceeded deg X - 1")
-        if pending is not None and pending[0] == d - 1:
-            cache[d - 1] = pending[1]().rank(first=pending[2])
         while d > floor and hilbert_function(x, d - 1) == deg:
             d -= 1
         x._reg = d

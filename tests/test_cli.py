@@ -16,7 +16,7 @@ from fatpointlab.cli import (
     EXIT_USAGE,
     main,
 )
-from fatpointlab.exact import ScalarField
+from fatpointlab.exact import ExactMatrix, ScalarField
 from fatpointlab.generators import (
     collinear_points,
     generic_vectors_matroid,
@@ -31,6 +31,7 @@ from fatpointlab.instances import (
     scheme_to_dict,
     vectors_to_dict,
 )
+from fatpointlab.matroid import VectorMatroid, in_general_position
 from fatpointlab.partition import PartitionCertificate
 from fatpointlab.schemes import FatPointScheme
 
@@ -383,7 +384,10 @@ class TestGenKinds:
         (["--kind", "collinear-cluster", "--s", "0"], "scheme must have at least one point"),
         (["--kind", "example-5.6-scaled", "--n", "1"],
          "five_plus_generic_scheme needs n >= 2, got n = 1"),
-    ], ids=["curve-s0", "cluster-s0", "example-5.6-n1"])
+        (["--kind", "generic", "--s", "0"], "generic_points needs s >= 1 points, got s = 0"),
+        (["--kind", "example-5.6-scaled", "--d", "-1"],
+         "five_plus_generic_scheme needs d >= 0, got d = -1"),
+    ], ids=["curve-s0", "cluster-s0", "example-5.6-n1", "generic-s0", "example-5.6-d-1"])
     def test_unplaceable_parameters_are_usage_errors(self, argv, message):
         proc = run_python("-m", "fatpointlab.cli", "gen", *argv)
         assert proc.returncode == EXIT_USAGE
@@ -391,12 +395,28 @@ class TestGenKinds:
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
     def test_generator_failure_is_usage_error(self):
-        # coordinates in 0..9 cannot put 20 points of P^2 in general position
+        # an arc of P^2 over F_7 has at most 8 points, so 9 points are never
+        # in general position, at any coordinate range
         proc = run_python("-m", "fatpointlab.cli", "gen", "--kind", "generic", "--n", "2",
-                          "--s", "20")
+                          "--s", "9", "--field", "prime:7")
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.startswith("error: could not certify linearly general position")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("n, s", [(2, 20), (1, 70)])
+    def test_generic_points_widen_their_range(self, n, s, tmp_path):
+        # coordinates in 0..9 cannot put 20 points of P^2 in general
+        # position, nor give 70 distinct points of P^1; the sampler goes on
+        # at 0..99
+        out = tmp_path / "x.json"
+        code = main(["gen", "--kind", "generic", "--n", str(n), "--s", str(s),
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        x = scheme_from_dict(json.loads(out.read_text()))
+        assert x.support_size == s
+        assert max(max(map(int, key)) for key in x.keys) > 9
+        m = VectorMatroid(ExactMatrix.from_columns(x.field, x.keys))
+        assert in_general_position(m, m.elements, n + 1)
 
     def test_collinear_cluster_extras_are_off_the_line(self, tmp_path, capsys):
         # the former rule (the first three pool points that are not equal

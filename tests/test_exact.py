@@ -19,10 +19,11 @@ from fatpointlab.exact import (
 from fatpointlab.instances import InstanceError, field_from_descriptor
 from fatpointlab.matroid import VectorMatroid
 from fatpointlab.schemes import FatPointScheme, regularity_index
-from oracles import rref_kernel_basis
+from oracles import rref, rref_kernel_basis
 
 QQ = ScalarField.rational()
 FP = ScalarField.prime(10007)
+F61 = ScalarField.prime(2**61 - 1)
 
 
 def naive_det(rows):
@@ -289,8 +290,8 @@ class TestKernel:
 
 
 class TestLargePrime:
-    """Over F_p with p >= 2^31 products of residues overflow int64, so rank
-    and kernel stay in Python ints, also on matrices of numpy size."""
+    """Over F_p with p >= 2^31 products of residues overflow int64, so the
+    elimination of numpy size runs on Python ints in an object array."""
 
     P = 2**61 - 1
 
@@ -303,6 +304,7 @@ class TestLargePrime:
         assert ExactMatrix(QQ, rows).rank() == 9
         m = ExactMatrix(ScalarField.prime(self.P), rows)
         assert m.rank() == 8
+        assert exact._rref_mod_p(m.entries, self.P)[0].dtype == object
         (v,) = m.kernel_basis()
         assert all(type(x) is int for x in v)
         assert m.mul_vector(v) == (0,) * 9
@@ -365,10 +367,10 @@ def column_configurations(draw):
 
 @st.composite
 def kernel_cases(draw):
-    """(field, rows) over Q, F_7 or F_10007: fractional entries, zero rows
-    and rows combined from earlier ones; sometimes 8 or 9 x 9, at least
-    ``_NUMPY_MIN_CELLS`` cells."""
-    field = draw(st.sampled_from([QQ, F7, FP]))
+    """(field, rows) over Q, F_7, F_10007 or F_{2^61 - 1}: fractional
+    entries, zero rows and rows combined from earlier ones; sometimes 8 or
+    9 x 9, at least ``_NUMPY_MIN_CELLS`` cells."""
+    field = draw(st.sampled_from([QQ, F7, FP, F61]))
     if draw(st.booleans()):
         nrows, ncols = draw(st.integers(8, 9)), 9
     else:
@@ -396,29 +398,30 @@ def assert_kernel_matches_rref(field, raw):
 
 class TestKernelAgainstGaussJordan:
     """The kernel basis, back-substituted on the fraction-free echelon over
-    Q and read off the reduced form mod p over F_p, is the one Gauss-Jordan
-    elimination on field elements gives, entry for entry."""
+    Q and over F_p, is the one Gauss-Jordan elimination on field elements
+    gives, entry for entry."""
 
     @given(kernel_cases())
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_rref(self, case):
         assert_kernel_matches_rref(*case)
 
-    @pytest.mark.parametrize("field", [F7, FP])
-    def test_numpy_sized_prime_field(self, field):
+    @pytest.mark.parametrize("field", [F7, FP, F61])
+    def test_numpy_sized_prime_field(self, field, monkeypatch):
         rows = low_rank(random.Random(field.p), 9, 9, 5)
         rows[3] = [0] * 9
         rows[6] = [Fraction(x, 3) for x in rows[6]]
         assert len(rows) * len(rows[0]) >= exact._NUMPY_MIN_CELLS
-        # the reduced form mod p comes from numpy's branch
-        reduced, _ = exact._rref_mod_p(ExactMatrix(field, rows).entries, field.p)
-        assert type(reduced).__module__ == "numpy"
+        # the kernel is back-substituted on the fraction-free echelon at
+        # every size, never read off numpy's reduced form
+        monkeypatch.setattr(exact, "_rref_mod_p", refuse("_rref_mod_p"))
         assert_kernel_matches_rref(field, rows)
 
 
 class TestSmallRankRoute:
-    """Below ``_NUMPY_MIN_CELLS`` cells a rank over Q is exact Bareiss
-    elimination, from that size on the modular certificate."""
+    """Below ``_NUMPY_MIN_CELLS`` cells a rank over Q or F_p is
+    fraction-free elimination, from that size on over Q the modular
+    certificate and over F_p numpy's elimination mod p."""
 
     def test_vector_matroid_queries_build_no_matrix_and_reduce_nothing(self, monkeypatch):
         columns = [(1, 0, "1/2"), (2, 0, 1), (0, 1, 0), (1, 1, "1/2"), (0, 0, 0), (3, "1/3", 1)]
@@ -449,6 +452,23 @@ class TestSmallRankRoute:
             no_bareiss(monkeypatch)
         assert ExactMatrix(QQ, rows).rank() == 5
         assert ExactMatrix(QQ, transposed(rows)).rank() == 5
+
+    @pytest.mark.parametrize("field", [F7, FP, F61])
+    @pytest.mark.parametrize("shape", [(7, 9), (9, 7), (8, 8)])
+    def test_prime_field_rank_on_each_side_of_the_split(self, shape, field, monkeypatch):
+        nrows, ncols = shape
+        rows = low_rank(random.Random(nrows * ncols), nrows, ncols, 3)
+        # row 0 is row 1 mod p, but adds a rank over Q
+        rows[0] = [x + field.p * (j == 0) for j, x in enumerate(rows[1])]
+        assert bareiss_rank(rows) == 4
+        expected = len(rref([[field.elem(x) for x in row] for row in rows], field)[1])
+        assert expected == 3
+        if nrows * ncols < exact._NUMPY_MIN_CELLS:
+            monkeypatch.setattr(exact, "_rref_mod_p", refuse("_rref_mod_p"))
+        else:
+            no_bareiss(monkeypatch)
+        assert ExactMatrix(field, rows).rank() == expected
+        assert ExactMatrix(field, transposed(rows)).rank() == expected
 
     @pytest.mark.parametrize("nrows, route", [(9, "bareiss"), (8, "certified")])
     def test_column_subset_on_each_side_of_the_split(self, nrows, route, monkeypatch):
@@ -550,8 +570,7 @@ class TestResidueArrays:
         expected_red, expected_pivots = exact._rref_mod_p(rows, 10007)
         assert pivots == expected_pivots
         assert [list(map(int, row)) for row in red] == [list(row) for row in expected_red]
-        numpy_sized = shape[0] * shape[1] >= exact._NUMPY_MIN_CELLS
-        assert (type(red).__module__ == "numpy") == numpy_sized
+        assert red.dtype == expected_red.dtype == np.int64
 
     @given(stacked_residues())
     @settings(max_examples=150, deadline=None)

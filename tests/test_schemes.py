@@ -334,7 +334,7 @@ class TestFieldAgreement:
     is the reduction of the integer one: points stay distinct mod p, their
     dehomogenizing coordinate is a unit mod p, and p > d."""
 
-    @given(integer_schemes(), st.sampled_from([11, 13, 17, 10007, 2147483629]))
+    @given(integer_schemes(), st.sampled_from([11, 13, 17, 10007, 2147483629, 2**61 - 1]))
     @settings(max_examples=80, deadline=None)
     def test_prime_field_never_exceeds_rational(self, scheme, p):
         n, points = scheme
@@ -653,14 +653,15 @@ class TestBoundarySearch:
         built = count_conditions_matrices(monkeypatch)
         assert regularity_index(x) == 8
         assert built == {"residues": [8, 7], "exact": [7]}
-        # from the floor 6 the climb keeps its reduction at 7 for the certificate
+        # from the floor 6 the climb caches only certified values, so the
+        # deficient degree 7 is reduced again for its certificate
         y = FatPointScheme(QQ, 2, [(p, 3) for p in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]])
         monkeypatch.setattr(schemes, "heaviest_line_weight", lambda z: 0)
         built = count_conditions_matrices(monkeypatch)
         reductions = count_reductions(monkeypatch)
         assert regularity_index(y) == 8
-        assert built == {"residues": [6, 7, 8], "exact": [7]}
-        assert first_prime_rows(reductions) == [28, 36, 45]
+        assert built == {"residues": [6, 7, 8, 7], "exact": [7]}
+        assert first_prime_rows(reductions) == [28, 36, 45, 36]
         assert hilbert_profile(y).values == hilbert_profile_ascending(y)
 
     def test_prime_field_split_needs_no_certificate(self, monkeypatch):
