@@ -132,10 +132,10 @@ def cardinality_estimate_check(z):
     """
     seg, _ = segre_bound(z)
     m = fat_point_vector_matroid(z)
-    copies = [set() for _ in z.points]
-    for e, (i, _) in m.labels.items():
-        copies[i].add(e)
-    for own in map(frozenset, copies):
+    end = 0
+    for mult in z.mults:
+        own = frozenset(range(end, end + mult))   # the copies of one point
+        end += mult
         quotient = elementary_quotient(m, frozenset(m.elements) - own, min(own))
         bad = verify_count_hypothesis(quotient, seg, len(own) - 1)
         if bad is not None:

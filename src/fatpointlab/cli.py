@@ -356,9 +356,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InstanceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -32,7 +32,7 @@ class CountMatroid(RankOracle):
         self.k = k
         self.p = p
         self._indep_cache = {frozenset(): True}
-        super().__init__(base.elements, self._rank_greedy, labels=base.labels)
+        super().__init__(base.elements, self._rank_greedy)
 
     def _is_f_independent(self, fs):
         ok = self._indep_cache.get(fs)
@@ -142,7 +142,7 @@ def elementary_quotient(ambient, ground, pivot):
     def rank_fn(fs):
         return ambient.rank(fs | {pivot}) - 1
 
-    return RankOracle(ground, rank_fn, labels={e: ambient.labels[e] for e in ground if e in ambient.labels})
+    return RankOracle(ground, rank_fn)
 
 
 class ParallelExtension(RankOracle):
@@ -156,7 +156,7 @@ class ParallelExtension(RankOracle):
     def __init__(self, base, copy_of):
         self.base = base
         self.copy_of = copy_of
-        super().__init__(list(base.elements) + list(copy_of), None, labels=base.labels)
+        super().__init__(list(base.elements) + list(copy_of), None)
 
     def _rank(self, fs):
         return self.base._rank(frozenset(map(self.copy_of.get, fs, fs)))

@@ -27,52 +27,50 @@ numpy array of residues as it is, so a caller that builds its matrix mod p
 skips the integer rows.  A reduction mod p of some rows extends to the rank
 of more rows through a Schur complement (``_extend_rank_mod_p``), so a
 caller reads the rank of a block of rows and of the whole from one
-elimination.  The kernel basis is back-substituted on the fraction-free
-echelon over either field.
+elimination.
 
-From ``_NUMPY_MIN_CELLS`` cells on, the rank over Q is certified from
-modular data:
+``_echelon_kernel`` gives the pivot columns and the kernel basis of the
+reduced echelon form, the one ``kernel_basis`` returns at every size: over
+F_p read off ``_rref_mod_p``, over Q certified from modular data.  From
+``_NUMPY_MIN_CELLS`` cells on it is also the one route of the rank over Q,
+on the matrix's tall side, so the kernel to certify has ncols - r vectors:
 
 1. the rank r modulo a 31-bit prime is a lower bound for the rank over Q
    (a nonsingular minor mod p is nonsingular over Q), so a matrix of full
    rank mod p is done;
-2. otherwise the kernel of the matrix on its smaller side (of dimension
-   min(nrows, ncols) - r if r is the rank over Q) is computed modulo a fixed
-   list of primes, combined by the Chinese remainder theorem and lifted to Q
-   by rational reconstruction (Wang 1981; Monagan, ISSAC 2004);
+2. otherwise the kernel is computed modulo the primes below 2^31 in
+   descending order (``certificate_prime``), combined by the Chinese
+   remainder theorem and lifted to Q by rational reconstruction (Wang
+   1981; Monagan, ISSAC 2004);
 3. the lifted vectors are accepted only if each one is annihilated exactly
    over Z.  They carry the unit pattern of the reduced echelon form on the
-   free coordinates, so they are independent, and min(nrows, ncols) - r
-   independent kernel vectors bound the rank over Q above by r.
+   free columns, so they are independent, and ncols - r independent kernel
+   vectors bound the rank over Q above by r.  Each vector is 0 at the
+   pivots after its free column, so that column depends on the earlier
+   ones: the pivots are those over Q, and the vectors the reduced echelon
+   kernel basis.
 
-Only when no certificate comes out of the prime list does the
-fraction-free echelon decide a large rank too.  A caller that has done step
-1 on residues hands its reduction to ``rank``, which starts from it.
-``_rank_of_rows`` picks the route for every rank, also for the column
-subsets a vector matroid asks about.
+The Hadamard bound on the minors gives a count of primes that must
+certify (see ``_echelon_kernel``), so the certificate ends without a
+fallback.  A caller that has done step 1 on residues hands its reduction
+to ``rank``, which starts from it.  ``_rank_of_rows`` picks the route for
+every rank, also for the column subsets a vector matroid asks about.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import isqrt, lcm
 from operator import mul
-
-# Primes of the modular rank and the kernel certificates, largest first.
-# Products of two residues fit in int64, so numpy row operations are exact.
-CERTIFICATE_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-    2147483353, 2147483323, 2147483269, 2147483249,
-)
 
 # The one size split of exact rank, over Q and F_p.  Matrices with fewer
 # cells take the fraction-free echelon; larger ones numpy's elimination mod p
 # (over Q inside the modular certificate).  numpy's per-call overhead
 # dominates below: on a 2-vCPU Xeon VM pure Python mod p was faster up to
 # 6 x 8 (144 vs 181 us), numpy from 8 x 10 (206 vs 297 us).  numpy is
-# imported on the first elimination of this size, so partition commands and
-# small ``verify`` runs never load it.
+# imported on the first elimination of this size or kernel basis, so
+# partition commands and small ``verify`` runs never load it.
 _NUMPY_MIN_CELLS = 64
 
 # The first twelve primes are a deterministic Miller-Rabin base below this
@@ -252,7 +250,7 @@ class ExactMatrix:
     def rank(self, first=None):
         """The rank, computed once.  Over Q the certificate starts from
         ``first``, when given: ``_rref_mod_p`` of ``_tall`` of the rows
-        modulo ``CERTIFICATE_PRIMES[0]``."""
+        modulo ``certificate_prime(0)``."""
         if self._rank is None:
             if not self.nrows or not self.ncols:
                 self._rank = 0
@@ -273,45 +271,31 @@ class ExactMatrix:
         return _rank_of_rows([columns[j] for j in cols], self.field.p)
 
     def kernel_basis(self):
-        """Basis of the right kernel, one vector per free column of the row
-        echelon form: 1 there, 0 at the other free columns.  This is the
-        unique basis read off the reduced row echelon form.
-
-        The pivot entries come from back-substitution on the fraction-free
-        echelon: over Q as ``Fraction``s, over F_p as ``int``s, dividing by
-        a pivot through its inverse mod p."""
-        f = self.field
-        p = f.p
+        """Basis of the right kernel, one vector per free column of the
+        reduced row echelon form: 1 there, 0 at the other free columns and
+        the negated echelon entries at the pivot columns, as ``Fraction``s
+        over Q and ``int``s over F_p.  ``_echelon_kernel`` gives them."""
         if self.ncols == 0:
             return []
-        echelon, pivots = _bareiss_echelon(self._rows, p)
-        pivot_rows = list(zip(echelon, pivots))
-        basis = []
-        for j in range(self.ncols):
-            if j in pivots:
-                continue
-            v = [f.zero()] * self.ncols
-            v[j] = f.one()
-            for row, pc in reversed(pivot_rows):
-                s = -sum(map(mul, row[pc + 1:], v[pc + 1:]))
-                v[pc] = Fraction(s, row[pc]) if p is None else s * pow(row[pc], -1, p) % p
-            basis.append(tuple(v))
-        return basis
+        pivots, basis = _echelon_kernel(self._rows, self.field.p)
+        if self.field.p is not None:
+            return [tuple(v) for v in basis]
+        free = (j for j in range(self.ncols) if j not in pivots)
+        return [tuple(Fraction(x, v[f]) for x in v) for f, v in zip(free, basis)]
 
 
 def _rank_of_rows(rows, p, first=None):
     """Rank of nonempty integer rows by the route the size and field pick:
     the fraction-free echelon below ``_NUMPY_MIN_CELLS`` cells (over F_p,
     ``p`` given, mod p); from there over F_p the rank of ``_rref_mod_p``,
-    over Q the modular certificate, starting from ``first`` (the reduction
-    of ``_tall`` of the rows modulo the first certificate prime) when it is
-    given."""
+    over Q the pivot count of ``_echelon_kernel`` on ``_tall`` of the rows,
+    starting from ``first`` (their reduction modulo ``certificate_prime(0)``)
+    when it is given."""
     if len(rows) * len(rows[0]) < _NUMPY_MIN_CELLS:
         return len(_bareiss_echelon(rows, p)[1])
     if p is not None:
         return len(_rref_mod_p(rows, p)[1])
-    rows = _tall(rows)
-    return _certified_rank(rows, *(first or _rref_mod_p(rows, CERTIFICATE_PRIMES[0])))
+    return len(_echelon_kernel(_tall(rows), None, first)[0])
 
 
 def _tall(rows):
@@ -319,40 +303,74 @@ def _tall(rows):
     return list(zip(*rows)) if len(rows) < len(rows[0]) else rows
 
 
-def _certified_rank(rows, first_red, first_pivots):
-    """Rank over Q of an integer matrix with at least as many rows as
-    columns, certified as the module describes, so the kernel to certify
-    has ncols - r vectors.  ``first_red`` and ``first_pivots`` are its
-    reduction modulo the first certificate prime."""
+_PRIMES = [2**31 - 1]     # the cache of ``certificate_prime``
+
+
+def certificate_prime(k):
+    """The k-th prime below 2^31, largest first (k = 0 gives 2^31 - 1), found
+    by ``is_prime`` on descending odd numbers and cached.  Products of two
+    residues fit in int64, so numpy row operations mod it are exact."""
+    while len(_PRIMES) <= k:
+        _PRIMES.append(next(q for q in range(_PRIMES[-1] - 2, 2, -2) if is_prime(q)))
+    return _PRIMES[k]
+
+
+def _echelon_kernel(rows, p=None, first=None):
+    """(pivots, basis) of nonempty integer rows: the pivot columns of their
+    reduced row echelon form and, for each free column f in order, the
+    vector of ``ExactMatrix.kernel_basis`` times the positive integer at f
+    that makes it integral (1 over F_p, ``p`` given).
+
+    Over F_p both are read off ``_rref_mod_p``.  Over Q the kernel vectors
+    modulo the primes of ``certificate_prime`` in turn (the first reduction
+    is ``first`` when given) are combined, lifted and checked exactly over
+    Z, as the module describes.  The primes of largest rank and, at that
+    rank, earliest pivots are combined; the others are unlucky.  The lift
+    is tried after every combined prime among the first 16, and past them
+    only when the count of combined primes is a power of two or their
+    product is at least 2^(2H + 1), where 2^H bounds every minor (Hadamard).
+    There the primes cannot all be unlucky, since unlucky primes divide one
+    nonzero minor, and every kernel entry, a ratio of two minors, is
+    reconstructed: a failed lift there is an ``InternalError``."""
+    import numpy as np
+
     ncols = len(rows[0])
-    best = None            # pivot columns of the luckiest prime so far
-    modulus = 1
-    lifts = None           # CRT residues of the kernel vectors at the pivots
-    for k, p in enumerate(CERTIFICATE_PRIMES):
-        red, pivots = _rref_mod_p(rows, p) if k else (first_red, first_pivots)
+    best = None
+    for k in count():
+        q = p or certificate_prime(k)
+        if k == 16:
+            # 2^H bounds every minor (Hadamard): it exceeds the product of
+            # the norms of the nonzero rows, and that of the columns
+            hadamard = min(sum(sum(x * x for x in v).bit_length() for v in vs)
+                           for vs in (rows, zip(*rows))) // 2 + 1
+        red, pivots = first if first and not k else _rref_mod_p(rows, q)
         r = len(pivots)
         if r == ncols:
-            return r
-        # every prime gives a lower bound; a prime that loses rank, or at
-        # equal rank has later pivot columns, is unlucky
+            return pivots, []
+        free = sorted(set(range(ncols)).difference(pivots))
+        vectors = np.zeros((len(free), ncols), dtype=red.dtype)
+        vectors[:, pivots] = -red[:r][:, free].T % q
+        vectors[range(len(free)), free] = 1
+        if p is not None:
+            return pivots, vectors.tolist()
         if best is None or (r, best) > (len(best), pivots):
-            best, modulus, lifts = pivots, 1, None
+            best, lifts, modulus, combined = pivots, vectors.tolist(), q, 1
         elif pivots != best:
             continue
-        pivot_set = set(pivots)
-        free = [j for j in range(ncols) if j not in pivot_set]
-        residues = [[-int(red[i][j]) % p for i in range(r)] for j in free]
-        if lifts is None:
-            lifts = residues
         else:
-            # Chinese remaindering: x = a mod modulus and x = b mod p
-            inv = pow(modulus, -1, p)
-            lifts = [[a + modulus * ((b - a) * inv % p) for a, b in zip(la, lb)]
-                     for la, lb in zip(lifts, residues)]
-        modulus *= p
-        if _kernel_certified(rows, pivots, free, lifts, modulus):
-            return r
-    return len(_bareiss_echelon(rows)[1])
+            # Chinese remaindering: x = a mod modulus and x = b mod q
+            inv = pow(modulus, -1, q)
+            lifts = [[a + modulus * ((b - a) * inv % q) for a, b in zip(la, lb)]
+                     for la, lb in zip(lifts, vectors.tolist())]
+            modulus, combined = modulus * q, combined + 1
+        enough = k >= 16 and modulus.bit_length() > 2 * hadamard + 1
+        if k >= 16 and not enough and combined & (combined - 1):
+            continue
+        basis = _lift(rows, lifts, modulus)
+        if basis is not None:
+            return pivots, basis
+        if enough:
+            raise InternalError("no kernel certificate from as many primes as the Hadamard bound needs")
 
 
 def _rational_reconstruction(u, m):
@@ -369,25 +387,25 @@ def _rational_reconstruction(u, m):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _kernel_certified(rows, pivots, free, lifts, modulus):
-    """Lift each kernel vector to Q and check it exactly over Z.
-
-    The vector for free column f is 1 at f, 0 at the other free columns and
-    the lifted values at the pivot columns."""
-    for f, values in zip(free, lifts):
+def _lift(rows, lifts, modulus):
+    """The vectors with these residues modulo ``modulus``, lifted to Q by
+    rational reconstruction and scaled by the lcm of their denominators,
+    or None if one fails to lift or to annihilate the rows exactly."""
+    basis = []
+    for values in lifts:
         fracs = []
         for u in values:
             ab = _rational_reconstruction(u, modulus)
             if ab is None:
-                return False
+                return None
             fracs.append(ab)
         den = lcm(*(b for _, b in fracs))
-        support = [f] + [c for c, (a, _) in zip(pivots, fracs) if a]
-        coeffs = [den] + [a * (den // b) for a, b in fracs if a]
-        for row in rows:
-            if sum(map(mul, [row[j] for j in support], coeffs)):
-                return False
-    return True
+        v = [a * (den // b) for a, b in fracs]
+        support = [x for x in v if x]
+        if any(sum(map(mul, compress(row, v), support)) for row in rows):
+            return None
+        basis.append(v)
+    return basis
 
 
 def _rref_mod_p(rows, p):
@@ -397,8 +415,9 @@ def _rref_mod_p(rows, p):
     array of residues in range(p) is taken as it is and reduced in place;
     other rows are reduced mod p entry by entry first.  Ranks below
     ``_NUMPY_MIN_CELLS`` cells take the fraction-free echelon, so this runs
-    on matrices of that size, and on the blocks of a residue array that
-    ``_extend_rank_mod_p`` and the regularity climb reduce."""
+    on matrices of that size, on the blocks of a residue array that
+    ``_extend_rank_mod_p`` and the regularity climb reduce, and for
+    ``_echelon_kernel`` at every size."""
     import numpy as np
 
     nrows, ncols = len(rows), len(rows[0])

@@ -77,8 +77,11 @@ def random_scheme(rng, n, max_points, max_mult, field=None):
 
 
 def collinear_points(n, s, field=None):
-    """s simple points (1 : t : 0 : ... : 0), t = 0..s-1, on a line."""
+    """s simple points (1 : t : 0 : ... : 0), t = 0..s-1, on a line; over
+    F_p the t are residues, so there are at most p of them."""
     field = field or ScalarField.rational()
+    if field.p is not None and s > field.p:
+        raise ValueError("collinear_points needs s <= p over F_p, got s = %d > p = %d" % (s, field.p))
     pts = []
     for t in range(s):
         coords = [field.elem(1), field.elem(t)] + [field.zero()] * (n - 1)
@@ -113,8 +116,12 @@ def collinear_cluster_points(rng, n, s, extra, field=None):
 
 
 def rational_normal_curve_points(n, s, field=None):
-    """s points (1 : t : ... : t^n), t = 0..s-1, on the rational normal curve."""
+    """s points (1 : t : ... : t^n), t = 0..s-1, on the rational normal
+    curve; over F_p the t are residues, so there are at most p of them."""
     field = field or ScalarField.rational()
+    if field.p is not None and s > field.p:
+        raise ValueError("rational_normal_curve_points needs s <= p over F_p, got s = %d > p = %d"
+                         % (s, field.p))
     pts = []
     for t in range(s):
         pts.append(tuple(field.elem(t ** k) for k in range(n + 1)))
@@ -149,13 +156,9 @@ def generic_line_configuration(t, copies_per_line, seed=0, field=None):
             break
     else:
         raise ValueError("could not certify generic line directions after retries")
-    columns = []
-    labels = {}
-    for i, v in enumerate(dirs):
-        for j in range(copies_per_line):
-            labels[len(columns)] = ("line %d" % i, j)
-            columns.append(tuple(field.elem((j + 1) * c) for c in v))
-    return VectorMatroid(ExactMatrix.from_columns(field, columns), labels=labels)
+    columns = [tuple(field.elem((j + 1) * c) for c in v)
+               for v in dirs for j in range(copies_per_line)]
+    return VectorMatroid(ExactMatrix.from_columns(field, columns))
 
 
 def generic_vectors_matroid(rng, dim, count, field=None, coord_range=50):

@@ -25,11 +25,10 @@ class RankOracle:
     Rank values are memoized; oracles are immutable after construction.
     """
 
-    def __init__(self, elements, rank_fn, labels=None):
+    def __init__(self, elements, rank_fn):
         self.elements = tuple(sorted(elements))
         self._element_set = frozenset(self.elements)
         self._rank_fn = rank_fn
-        self.labels = dict(labels) if labels else {}
         self._cache = {}
 
     def __len__(self):
@@ -66,28 +65,25 @@ class RankOracle:
 
     def restrict(self, subset):
         fs = self._check(subset)
-        return RankOracle(fs, self.rank, labels={e: self.labels[e] for e in fs if e in self.labels})
+        return RankOracle(fs, self.rank)
 
-    def max_independent_subset(self, subset=None):
+    def max_independent_subset(self):
         """Greedy maximal independent subset, processing ids in ascending order."""
-        pool = self.elements if subset is None else sorted(self._check(subset))
         indep = []
         current = frozenset()
-        for e in pool:
+        for e in self.elements:
             if self._rank(current | {e}) == len(indep) + 1:
                 indep.append(e)
                 current = current | {e}
         return frozenset(indep)
 
 
-def circuits(m, max_size=None):
-    """All inclusion-minimal dependent sets of size <= max_size (exhaustive)."""
+def circuits(m):
+    """All inclusion-minimal dependent sets (exhaustive)."""
     if len(m) > CIRCUIT_ENUMERATION_GUARD:
         raise GuardExceeded("ground set too large for exhaustive circuit enumeration")
-    if max_size is None:
-        max_size = len(m)
     found = []
-    for size in range(1, max_size + 1):
+    for size in range(1, len(m) + 1):
         for combo in combinations(m.elements, size):
             fs = frozenset(combo)
             if any(c <= fs for c in found):
@@ -106,9 +102,9 @@ def in_general_position(m, elements, k):
     return all(m.is_independent(c) for c in combinations(elements, size))
 
 
-def independent_sets(m, subset=None):
+def independent_sets(m):
     """All independent subsets, grown depth-first by ascending element id."""
-    pool = m.elements if subset is None else sorted(subset)
+    pool = m.elements
     out = [frozenset()]
     stack = [(frozenset(), 0)]
     while stack:
@@ -176,10 +172,10 @@ class VectorMatroid(RankOracle):
     without elimination.
     """
 
-    def __init__(self, matrix, labels=None):
+    def __init__(self, matrix):
         self.matrix = matrix
         self.field = matrix.field
-        super().__init__(range(matrix.ncols), lambda fs: matrix.rank_of_column_subset(fs), labels=labels)
+        super().__init__(range(matrix.ncols), lambda fs: matrix.rank_of_column_subset(fs))
         for j in self.elements:
             self._cache[frozenset([j])] = int(any(matrix.column(j)))
 
@@ -188,14 +184,9 @@ def fat_point_vector_matroid(x):
     """The vector matroid of a fat point scheme: m_i parallel copies of the
     key of P_i.
 
-    Ground element ids are consecutive; labels record (point index, copy).
+    Ground element ids are consecutive: the copies of P_1 first, then those
+    of P_2, and so on, as many of each as ``x.mults`` says.
     """
-    columns = []
-    labels = {}
-    for i, (key, mult) in enumerate(zip(x.keys, x.mults)):
-        for copy in range(mult):
-            labels[len(columns)] = (i, copy)
-            columns.append(key)
-    matrix = ExactMatrix.from_columns(x.field, columns)
-    return VectorMatroid(matrix, labels=labels)
+    columns = [key for key, mult in zip(x.keys, x.mults) for _ in range(mult)]
+    return VectorMatroid(ExactMatrix.from_columns(x.field, columns))
 

@@ -45,8 +45,8 @@ from functools import lru_cache
 from math import comb, gcd, perm, prod
 from operator import mul
 
-from .exact import (_NUMPY_MIN_CELLS, CERTIFICATE_PRIMES, ExactMatrix, InternalError,
-                    _extend_rank_mod_p, _rref_mod_p, integer_vector)
+from .exact import (_NUMPY_MIN_CELLS, ExactMatrix, InternalError, _extend_rank_mod_p,
+                    _rref_mod_p, certificate_prime, integer_vector)
 
 
 @lru_cache(maxsize=None)
@@ -339,10 +339,11 @@ def hilbert_function(x, d):
 
 def _residue_prime(x, d):
     """The prime q the conditions matrix in degree d is reduced modulo as
-    residues: the first certificate prime over Q, p over F_p.  None where it
+    residues: over Q ``certificate_prime(0)``, the first prime of the
+    certificate, which starts from this reduction; p over F_p.  None where it
     is ranked on exact rows instead: below ``_NUMPY_MIN_CELLS`` cells, for
     q >= 2^31, and at negative degrees, whose exact rows raise the error."""
-    q = CERTIFICATE_PRIMES[0] if x.field.p is None else x.field.p
+    q = certificate_prime(0) if x.field.p is None else x.field.p
     if d < 0 or q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS:
         return None
     return q

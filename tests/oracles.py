@@ -134,10 +134,10 @@ def cardinality_violation_exhaustive(m, seg):
     """The first ground subset S of a fat-point vector matroid m, smallest
     first, with rk(S) >= 2 and |S| > seg*(rk(S)-1) + 1, or None.
 
-    Copies of a point are parallel, so the rank of S is computed once per
-    set of points that S meets (the point index is labels[e][0]).
+    Copies of a point are parallel, equal columns of the matrix, so the
+    rank of S is computed once per set of columns that S meets.
     """
-    point = {e: m.labels[e][0] for e in m.elements}
+    point = {e: m.matrix.column(e) for e in m.elements}
     ranks = {}
     for size in range(2, len(m.elements) + 1):
         for combo in combinations(m.elements, size):

@@ -7,7 +7,7 @@ import pytest
 
 import fatpointlab
 
-from fatpointlab import bounds
+from fatpointlab import bounds, exact
 from fatpointlab.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -217,6 +217,24 @@ class TestGenVerify:
         data = json.loads(open(report).read())
         assert data["failed"] == 0 and data["passed"] == 5
 
+    def test_veronese_on_a_100_digit_coordinate(self, tmp_path, monkeypatch):
+        # every rank over Q from _NUMPY_MIN_CELLS cells on is certified from
+        # modular data, however many primes its kernel entries need
+        bareiss = exact._bareiss_echelon
+
+        def small_only(rows, p=None):
+            if len(rows) * len(rows[0]) >= exact._NUMPY_MIN_CELLS:
+                raise AssertionError("fraction-free echelon of %d x %d" % (len(rows), len(rows[0])))
+            return bareiss(rows, p)
+
+        monkeypatch.setattr(exact, "_bareiss_echelon", small_only)
+        x = FatPointScheme(QQ, 2, [((10**100, 7, 1), 3), ((1, 1, 1), 2)])
+        inst = write_json(tmp_path / "x.json", scheme_to_dict(x))
+        report = str(tmp_path / "r.json")
+        assert main(["verify", inst, "--checks", "veronese", "--out", report]) == EXIT_OK
+        data = json.loads(open(report).read())
+        assert data["checks"]["veronese"] == {"lifted_reg_index": 4, "pass": True, "reg_index": 4}
+
     def test_unknown_check_is_usage_error(self, tmp_path):
         x = FatPointScheme(QQ, 1, [((1, 0), 1), ((0, 1), 1)])
         inst = write_json(tmp_path / "x.json", scheme_to_dict(x))
@@ -393,6 +411,18 @@ class TestGenKinds:
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr == "error: %s\n" % message
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize("kind, function", [
+        ("collinear-cluster", "collinear_points"),
+        ("rational-normal-curve", "rational_normal_curve_points"),
+    ])
+    def test_more_points_than_the_prime_field_has_parameters(self, kind, function):
+        # the parameters t = 0..s-1 repeat modulo p, and so would the points
+        proc = run_python("-m", "fatpointlab.cli", "gen", "--kind", kind, "--n", "2",
+                          "--s", "4", "--field", "prime:3")
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: %s needs s <= p over F_p, got s = 4 > p = 3\n" % function
+        assert proc.stdout == ""
 
     def test_generator_failure_is_usage_error(self):
         # an arc of P^2 over F_7 has at most 8 points, so 9 points are never

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from fatpointlab import exact
 from fatpointlab.exact import (
-    CERTIFICATE_PRIMES,
     PRIMALITY_BOUND,
     ExactMatrix,
+    InternalError,
     ScalarField,
     _bareiss_echelon,
+    certificate_prime,
     is_prime,
 )
 from fatpointlab.instances import InstanceError, field_from_descriptor
@@ -84,10 +85,18 @@ class TestScalarField:
             field_from_descriptor("prime:%d" % PRIMALITY_BOUND)
 
     def test_certificate_primes(self):
-        assert len(set(CERTIFICATE_PRIMES)) == len(CERTIFICATE_PRIMES)
-        for p in CERTIFICATE_PRIMES:
-            # residues multiply exactly in int64
-            assert is_prime(p) and (p - 1) ** 2 < 2**63
+        # the first 16 primes of the stream, in this order, were a literal
+        # table: every certificate still starts with the same eliminations
+        assert [certificate_prime(k) for k in range(16)] == [
+            2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+            2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+            2147483353, 2147483323, 2147483269, 2147483249,
+        ]
+        stream = [certificate_prime(k) for k in range(300)]
+        # every prime below 2^31 in a stretch, largest first, none skipped
+        assert stream == [q for q in range(2**31 - 1, stream[-1] - 1, -2) if is_prime(q)]
+        # residues multiply exactly in int64
+        assert (stream[0] - 1) ** 2 < 2**63
 
     def test_parse_fraction_string(self):
         assert QQ.elem("2/3") == Fraction(2, 3)
@@ -159,12 +168,24 @@ def transposed(rows):
 def certified_rank(rows):
     """The rank over Q of integer rows by the modular certificate, which
     ``rank`` uses only from ``_NUMPY_MIN_CELLS`` cells on."""
-    tall = exact._tall(rows)
-    return exact._certified_rank(tall, *exact._rref_mod_p(tall, CERTIFICATE_PRIMES[0]))
+    return len(exact._echelon_kernel(exact._tall(rows))[0])
+
+
+def count_lifts(monkeypatch):
+    """The moduli of the kernel lifts from now on, in order."""
+    attempts = []
+    lift = exact._lift
+
+    def counted(rows, lifts, modulus):
+        attempts.append(modulus)
+        return lift(rows, lifts, modulus)
+
+    monkeypatch.setattr(exact, "_lift", counted)
+    return attempts
 
 
 def no_bareiss(monkeypatch):
-    def refuse(rows):
+    def refuse(*args):
         raise AssertionError("rank was not certified from modular data")
 
     monkeypatch.setattr(exact, "_bareiss_echelon", refuse)
@@ -181,7 +202,7 @@ class TestCertifiedRank:
         rng = random.Random(seed)
         rows = low_rank(rng, nrows, ncols, min(k, nrows, ncols))
         # rows that are multiples of 2^31 - 1 vanish modulo the first prime
-        rows = [[x * CERTIFICATE_PRIMES[0] for x in row] if i in scaled else row
+        rows = [[x * certificate_prime(0) for x in row] if i in scaled else row
                 for i, row in enumerate(rows)]
         for raw in (rows, transposed(rows)):
             assert certified_rank(raw) == bareiss_rank(raw)
@@ -201,7 +222,7 @@ class TestCertifiedRank:
         rows = low_rank(random.Random(k), nrows, ncols, k)
         assert bareiss_rank(rows) == k
         # only k - 1 rows survive modulo the first prime
-        p = CERTIFICATE_PRIMES[0]
+        p = certificate_prime(0)
         rows = [[x * p for x in row] if i <= nrows - k else row for i, row in enumerate(rows)]
         assert ExactMatrix(ScalarField.prime(p), rows).rank() < k
         no_bareiss(monkeypatch)
@@ -211,22 +232,17 @@ class TestCertifiedRank:
     def test_kernel_lifted_from_several_primes(self, monkeypatch):
         # kernel heights of about 100 bits need several primes by CRT
         rows = low_rank(random.Random(4), 5, 6, 4, bits=12)
-        attempts = []
-        certify = exact._kernel_certified
-
-        def counted(*args):
-            attempts.append(args[-1])
-            return certify(*args)
-
-        monkeypatch.setattr(exact, "_kernel_certified", counted)
+        attempts = count_lifts(monkeypatch)
         no_bareiss(monkeypatch)
         assert certified_rank(rows) == 4
-        assert len(attempts) > 2 and attempts[-1] == prod(CERTIFICATE_PRIMES[:len(attempts)])
+        # one lift after each of the first primes, all of them lucky
+        primes = [certificate_prime(k) for k in range(len(attempts))]
+        assert len(attempts) > 2 and attempts == [prod(primes[:k + 1]) for k in range(len(primes))]
 
     def test_certificate_starts_from_a_given_reduction(self, monkeypatch):
         rows = low_rank(random.Random(5), 12, 15, 5)
         tall = exact._tall(rows)
-        first = exact._rref_mod_p(tall, CERTIFICATE_PRIMES[0])
+        first = exact._rref_mod_p(tall, certificate_prime(0))
         primes = []
         reduce = exact._rref_mod_p
 
@@ -237,22 +253,36 @@ class TestCertifiedRank:
         monkeypatch.setattr(exact, "_rref_mod_p", counted)
         no_bareiss(monkeypatch)
         assert ExactMatrix(QQ, rows).rank(first=first) == 5
-        assert CERTIFICATE_PRIMES[0] not in primes
+        assert certificate_prime(0) not in primes
 
-    def test_tall_kernel_falls_back(self, monkeypatch):
+    def test_tall_kernel_certified_past_16_primes(self, monkeypatch):
         # kernel heights of roughly 4 x 2 x 120 bits exceed what the CRT
-        # modulus of all certificate primes can reconstruct
+        # modulus of the first 16 primes can reconstruct
         rows = low_rank(random.Random(9), 5, 6, 4, bits=120)
-        calls = []
+        expected = bareiss_rank(rows)
+        no_bareiss(monkeypatch)
+        for raw in (rows, transposed(rows)):
+            attempts = count_lifts(monkeypatch)
+            assert certified_rank(raw) == expected == 4
+            first16 = prod(certificate_prime(k) for k in range(16))
+            # a lift after each of the first 16 primes, then at 32 primes
+            assert len(attempts) == 17 and attempts[15] == first16
+            assert attempts[16] == first16 * prod(certificate_prime(k) for k in range(16, 32))
 
-        def counted(int_rows):
-            calls.append(len(int_rows))
-            return _bareiss_echelon(int_rows)
+    def test_hadamard_bound_ends_the_certificate(self, monkeypatch):
+        # the primes the Hadamard bound proves enough reconstruct every
+        # kernel entry, so a lift that still fails there is a bug
+        rows = low_rank(random.Random(3), 8, 8, 5)
+        attempts = []
 
-        monkeypatch.setattr(exact, "_bareiss_echelon", counted)
-        assert certified_rank(rows) == 4
-        assert certified_rank(transposed(rows)) == 4
-        assert len(calls) == 2
+        def refused(rows, lifts, modulus):
+            attempts.append(modulus)
+
+        monkeypatch.setattr(exact, "_lift", refused)
+        with pytest.raises(InternalError, match="Hadamard"):
+            certified_rank(rows)
+        # 16 lifts, then one at the first count past 16 with enough bits
+        assert len(attempts) == 17
 
     def test_collinear_cluster_needs_no_bareiss(self, monkeypatch):
         no_bareiss(monkeypatch)
@@ -397,9 +427,9 @@ def assert_kernel_matches_rref(field, raw):
 
 
 class TestKernelAgainstGaussJordan:
-    """The kernel basis, back-substituted on the fraction-free echelon over
-    Q and over F_p, is the one Gauss-Jordan elimination on field elements
-    gives, entry for entry."""
+    """The kernel basis, read off the reduction mod p over F_p and lifted
+    from reductions modulo the certificate primes over Q, is the one
+    Gauss-Jordan elimination on field elements gives, entry for entry."""
 
     @given(kernel_cases())
     @settings(max_examples=200, deadline=None)
@@ -412,10 +442,38 @@ class TestKernelAgainstGaussJordan:
         rows[3] = [0] * 9
         rows[6] = [Fraction(x, 3) for x in rows[6]]
         assert len(rows) * len(rows[0]) >= exact._NUMPY_MIN_CELLS
-        # the kernel is back-substituted on the fraction-free echelon at
-        # every size, never read off numpy's reduced form
-        monkeypatch.setattr(exact, "_rref_mod_p", refuse("_rref_mod_p"))
+        # the kernel is read off one reduction mod p, never off the
+        # fraction-free echelon
+        primes = []
+        reduce = exact._rref_mod_p
+
+        def counted(rows, p):
+            primes.append(p)
+            return reduce(rows, p)
+
+        monkeypatch.setattr(exact, "_rref_mod_p", counted)
+        no_bareiss(monkeypatch)
         assert_kernel_matches_rref(field, rows)
+        assert primes == [field.p]
+
+    def test_first_prime_with_later_pivots(self, monkeypatch):
+        # column 1 vanishes modulo the first prime, which so sees the
+        # pivots (0, 2, 3) instead of (0, 1, 3) at the same rank; the
+        # kernel is lifted from the primes with the earlier pivots
+        p = certificate_prime(0)
+        rows = [[1, 2 * p, 3] + [k] * 6 for k in range(1, 9)]
+        rows[1][:3] = [1, p, 5]
+        pivots = rref([[QQ.elem(x) for x in row] for row in rows], QQ)[1]
+        unlucky = exact._rref_mod_p(rows, p)[1]
+        assert len(pivots) == len(unlucky) and pivots < unlucky
+        moduli = count_lifts(monkeypatch)
+        no_bareiss(monkeypatch)
+        assert_kernel_matches_rref(QQ, rows)
+        # the lift from the first prime fails; the second prime starts the
+        # combination afresh
+        assert moduli[0] == p and len(moduli) > 1
+        assert moduli[1:] == [prod(certificate_prime(j) for j in range(1, k + 2))
+                              for k in range(len(moduli) - 1)]
 
 
 class TestSmallRankRoute:
@@ -446,7 +504,7 @@ class TestSmallRankRoute:
         assert bareiss_rank(rows) == 5
         assert (nrows * ncols < exact._NUMPY_MIN_CELLS) == (route == "bareiss")
         if route == "bareiss":
-            monkeypatch.setattr(exact, "_certified_rank", refuse("_certified_rank"))
+            monkeypatch.setattr(exact, "_echelon_kernel", refuse("_echelon_kernel"))
             monkeypatch.setattr(exact, "_rref_mod_p", refuse("_rref_mod_p"))
         else:
             no_bareiss(monkeypatch)
@@ -478,7 +536,7 @@ class TestSmallRankRoute:
         m = ExactMatrix(QQ, rows)
         expected = bareiss_rank([row[:ncols] for row in rows])
         if route == "bareiss":
-            monkeypatch.setattr(exact, "_certified_rank", refuse("_certified_rank"))
+            monkeypatch.setattr(exact, "_echelon_kernel", refuse("_echelon_kernel"))
         else:
             no_bareiss(monkeypatch)
         assert m.rank_of_column_subset(range(ncols)) == expected == 6
@@ -544,7 +602,7 @@ def stacked_residues(draw):
     columns copied from others, so the stacked rank may fall short."""
     import numpy as np
 
-    q = draw(st.sampled_from([CERTIFICATE_PRIMES[0], 2147483629, 10007]))
+    q = draw(st.sampled_from([certificate_prime(0), 2147483629, 10007]))
     ncols = draw(st.integers(1, 10))
     entry = st.integers(q - 3, q - 1)
     top = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=14))
@@ -587,4 +645,4 @@ class TestResidueArrays:
 
         rows = np.zeros((1, 2**16), dtype=np.int64)
         with pytest.raises(OverflowError, match="fewer than 2\\^16 columns"):
-            exact._extend_rank_mod_p([[0] * 2**16], [], rows, CERTIFICATE_PRIMES[0])
+            exact._extend_rank_mod_p([[0] * 2**16], [], rows, certificate_prime(0))

@@ -256,7 +256,7 @@ class TestConditionsResidues:
     @settings(max_examples=150, deadline=None)
     def test_equals_exact_rows_mod_q(self, case):
         x, d = case
-        q = exact.CERTIFICATE_PRIMES[0] if x.field.p is None else x.field.p
+        q = exact.certificate_prime(0) if x.field.p is None else x.field.p
         a = schemes._conditions_residues(x, d, q)
         assert str(a.dtype) == "int64"
         rows = exact._tall(conditions_matrix(x, d).entries)
@@ -308,7 +308,7 @@ class TestSplitRanks:
     @given(split_cases())
     @settings(max_examples=120, deadline=None)
     def test_ranks_are_those_of_two_degrees(self, x):
-        q = exact.CERTIFICATE_PRIMES[0] if x.field.p is None else x.field.p
+        q = exact.certificate_prime(0) if x.field.p is None else x.field.p
         floor = next(d for d in range(x.degree()) if comb(x.n + d, x.n) >= x.degree())
         for d in range(floor + 1, floor + 4):
             for j in range(x.n + 1):
@@ -513,7 +513,7 @@ def count_reductions(monkeypatch):
 
 def first_prime_rows(reductions):
     """The row counts of the reductions modulo the first certificate prime."""
-    return [rows for p, rows in reductions if p == exact.CERTIFICATE_PRIMES[0]]
+    return [rows for p, rows in reductions if p == exact.certificate_prime(0)]
 
 
 class TestBoundarySearch:
@@ -609,14 +609,14 @@ class TestBoundarySearch:
         x = FatPointScheme(QQ, 2, [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
         built = count_conditions_matrices(monkeypatch)
         certified = []
-        certify = exact._certified_rank
+        certify = exact._echelon_kernel
 
-        def counted(rows, *first):
-            r = certify(rows, *first)
-            certified.append(r < len(rows[0]))
-            return r
+        def counted(rows, p=None, first=None):
+            pivots, basis = certify(rows, p, first)
+            certified.append(len(pivots) < len(rows[0]))
+            return pivots, basis
 
-        monkeypatch.setattr(exact, "_certified_rank", counted)
+        monkeypatch.setattr(exact, "_echelon_kernel", counted)
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == 14
         # h(13) is certified on the exact x_0-rows of the degree-14 matrix
