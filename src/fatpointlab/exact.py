@@ -24,10 +24,7 @@ on, Gauss-Jordan elimination mod p runs in numpy (``_rref_mod_p``: int64
 below 2^31, Python ints from there).  It gives the rank over F_p, and over
 Q the first step of the certificate below.  ``_rref_mod_p`` also takes a
 numpy array of residues as it is, so a caller that builds its matrix mod p
-skips the integer rows.  A reduction mod p of some rows extends to the rank
-of more rows through a Schur complement (``_extend_rank_mod_p``), so a
-caller reads the rank of a block of rows and of the whole from one
-elimination.
+skips the integer rows.
 
 ``_echelon_kernel`` gives the pivot columns and the kernel basis of the
 reduced echelon form, the one ``kernel_basis`` returns at every size: over
@@ -415,9 +412,8 @@ def _rref_mod_p(rows, p):
     array of residues in range(p) is taken as it is and reduced in place;
     other rows are reduced mod p entry by entry first.  Ranks below
     ``_NUMPY_MIN_CELLS`` cells take the fraction-free echelon, so this runs
-    on matrices of that size, on the blocks of a residue array that
-    ``_extend_rank_mod_p`` and the regularity climb reduce, and for
-    ``_echelon_kernel`` at every size."""
+    on matrices of that size, on the residue arrays of the regularity
+    climb, and for ``_echelon_kernel`` at every size."""
     import numpy as np
 
     nrows, ncols = len(rows), len(rows[0])
@@ -447,35 +443,6 @@ def _rref_mod_p(rows, p):
             a[hit, c:] = block
         pivots.append(c)
     return a, pivots
-
-
-def _extend_rank_mod_p(red, pivots, rows, p):
-    """Rank mod p of a matrix stacked on more rows, from the reduction
-    (red, pivots) of the matrix by ``_rref_mod_p`` and the rows, an int64
-    array of residues in range(p) with p < 2^31.
-
-    The r pivot rows of the reduced form eliminate their pivot columns from
-    the new rows E; what is left is the Schur complement
-    E[:, free] - E[:, pivots] red[:r, free] mod p, and the stacked rank is
-    r plus its rank.  The product runs as int64 matmuls on the 16-bit limbs
-    of red: every term is below 2^31 * 2^16, so a sum of fewer than 2^16
-    terms fits, and more columns than that are refused."""
-    import numpy as np
-
-    ncols = rows.shape[1]
-    if ncols >= 2**16:
-        raise OverflowError("the Schur extension needs fewer than 2^16 columns, got %d" % ncols)
-    r = len(pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    if not free or not len(rows):
-        return r
-    top = np.asarray(red, dtype=np.int64)[:r][:, free]
-    lead = rows[:, pivots]
-    low = lead @ (top & 0xFFFF) % p
-    high = lead @ (top >> 16) % p
-    schur = (rows[:, free] - low - (high << 16) % p) % p
-    return r + len(_rref_mod_p(schur, p)[1])
 
 
 def _bareiss_echelon(int_rows, p=None):

@@ -52,6 +52,8 @@ def generic_points(rng, n, s, coord_range=9, field=None):
     Coordinates are drawn from 0..coord_range.  If no draw certifies after
     ``MAX_RESAMPLE_ATTEMPTS``, or the range has too few points, the range
     grows tenfold (by default 0..9, then 0..99, then 0..999)."""
+    if n < 1:
+        raise ValueError("generic_points needs n >= 1, got n = %d" % n)
     if s < 1:
         raise ValueError("generic_points needs s >= 1 points, got s = %d" % s)
     field = field or ScalarField.rational()

@@ -6,15 +6,14 @@ matrix: one row per vanishing condition (point, derivative multi-index of
 order below the multiplicity), one column per degree-d monomial in a fixed
 degree-lexicographic order.  The regularity index is the least degree at
 which that rank reaches the degree of the scheme.  It is found at its
-boundary (see ``regularity_index``): one rank modulo a prime per degree
-from a lower bound up, then one certified deficiency one degree below.  The
-climb builds its matrices as residues in numpy (``_conditions_residues``),
-exact integer rows (``conditions_matrix``, ``_multiples_matrix``) only
-where a certificate reads them, from the same factor tables
-(``_factor_tables``).  Where a coordinate x_j vanishes at no support point,
-one residue matrix per degree d gives both h_X(d - 1), from its rows at the
-multiples of x_j, and h_X(d) (``_split_ranks``).  The scheme holds only
-certified Hilbert values and r(X).
+boundary (see ``regularity_index``): from a proven lower bound, the
+monomial floor or the heaviest line's weight minus 1 (``heaviest_line``,
+its members re-checked as collinear), one rank modulo a prime per degree
+up to the first full one.  The climb builds its matrices as residues in
+numpy (``_conditions_residues``), exact integer rows
+(``conditions_matrix``) only where a certificate of a deficient rank reads
+them, both from the same factor tables (``_factor_tables``).  The scheme
+holds only certified Hilbert values and r(X).
 
 Each point is cleared to integers once, to its projective normal form
 (``_point_key``): the primitive integer vector with first nonzero entry
@@ -45,8 +44,8 @@ from functools import lru_cache
 from math import comb, gcd, perm, prod
 from operator import mul
 
-from .exact import (_NUMPY_MIN_CELLS, ExactMatrix, InternalError, _extend_rank_mod_p,
-                    _rref_mod_p, certificate_prime, integer_vector)
+from .exact import (_NUMPY_MIN_CELLS, ExactMatrix, InternalError, _rref_mod_p,
+                    certificate_prime, integer_vector)
 
 
 @lru_cache(maxsize=None)
@@ -183,14 +182,8 @@ def conditions_matrix(x, d):
     falling factorial.  Over F_p the same formula is reduced mod p.  The
     factors come from ``_factor_tables``.
     """
-    return ExactMatrix.from_integer_rows(x.field, _integer_rows(x, d, _exponent_columns(x.n, d)))
-
-
-def _integer_rows(x, d, exponents):
-    """The rows of the conditions matrix in degree d restricted to some
-    monomials, as integers (over F_p, residues): ``exponents`` gives, per
-    variable, its exponent in each of them."""
     p = x.field.p
+    exponents = _exponent_columns(x.n, d)
     rows = []
     for orders, factors in _factor_tables(x, d, p):
         for order in orders:
@@ -198,28 +191,7 @@ def _integer_rows(x, d, exponents):
             for j in range(1, x.n + 1):
                 row = list(map(mul, row, map(factors[j][order[j]].__getitem__, exponents[j])))
             rows.append(tuple(v % p for v in row) if p is not None else tuple(row))
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _multiples(n, d, j):
-    """The positions of the degree-d monomials divisible by x_j, in order,
-    and of the others.  x_j m runs through the first list as m runs
-    through ``monomials(n, d - 1)``: the monomial order is multiplicative.
-    For j = 0 the first list is the first binom(n + d - 1, n) positions."""
-    mons = monomials(n, d)
-    return ([i for i, beta in enumerate(mons) if beta[j]],
-            [i for i, beta in enumerate(mons) if not beta[j]])
-
-
-def _multiples_matrix(x, d, j):
-    """The exact rows of the tall conditions matrix in degree d at the
-    multiples of x_j: one row per monomial x_j m, one column per condition.
-    If x_j vanishes at no support point its rank is h_X(d - 1) (see
-    ``_split_ranks``)."""
-    divisible, _ = _multiples(x.n, d, j)
-    exponents = [[e[i] for i in divisible] for e in _exponent_columns(x.n, d)]
-    return ExactMatrix.from_integer_rows(x.field, zip(*_integer_rows(x, d, exponents)))
+    return ExactMatrix.from_integer_rows(x.field, rows)
 
 
 @lru_cache(maxsize=None)
@@ -291,11 +263,13 @@ def _normalized(v, p):
     return tuple(c // g for c in v)
 
 
-def heaviest_line_weight(x):
-    """The largest total multiplicity w_L of the support points on a line L.
+def heaviest_line(x):
+    """The indices, in order, of the support points on a heaviest line L:
+    one whose points have the largest total multiplicity w_L.
 
-    w_L - 1 is a lower bound for r(X), at least max m_i - 1: X meets L in a
-    scheme of degree w_L on a P^1, which needs degree w_L - 1.  The lines
+    w_L - 1 is a lower bound for r(X), at least max m_i - 1, and L's own
+    Segre value: the points on L form a subscheme of X, which meets L in a
+    scheme of degree w_L on a P^1, and that needs degree w_L - 1.  The lines
     through a support point a are told apart by where they meet the
     hyperplane x_t = 0, for a coordinate with a_t != 0: the line through a
     and b meets it at a_t b - b_t a.  So each of the s(s - 1)/2 pairs costs
@@ -304,28 +278,32 @@ def heaviest_line_weight(x):
     """
     mults = x.mults
     if x.n == 1 or len(mults) <= 2:
-        return sum(mults)  # the support lies on one line
+        return list(range(len(mults)))  # the support lies on one line
     p = x.field.p
     keys = x.keys
-    best = 0
+    best, members = 0, None
     for i, a in enumerate(keys[:-1]):
         t = next(k for k, v in enumerate(a) if v)
-        later = {}  # line through a -> weight of its points after a
+        later = {}  # line through a -> its points after a
         for j in range(i + 1, len(keys)):
             b = keys[j]
             key = _normalized([a[t] * bk - b[t] * ak for ak, bk in zip(a, b)], p)
-            later[key] = later.get(key, 0) + mults[j]
-        best = max(best, mults[i] + max(later.values()))
-    return best
+            later.setdefault(key, []).append(j)
+        for line in later.values():
+            weight = mults[i] + sum(map(mults.__getitem__, line))
+            if weight > best:
+                best, members = weight, [i] + line
+    return members
 
 
 def hilbert_function(x, d):
     """h_X(d) = dim [R/I_X]_d = rank of the conditions matrix, and deg X
     from a certified r(X) on.  Only certified values are cached; after
-    ``regularity_index`` they include h_X(r) and h_X(r - 1), which the
-    climb mostly reads off one matrix in degree r.  Other ranks are read off
-    residues (``_rank_bound``); exact rows are built only where a
-    certificate reads them."""
+    ``regularity_index`` they include h_X(r), but h_X(r - 1) only where the
+    climb or its step-down ranked it: below the lower bound the climb starts
+    from, the deficiency is proven and nothing is ranked.  A value that is
+    not cached is read off residues (``_rank_bound``), and a deficient rank
+    over Q is certified on exact rows from that reduction."""
     h = x._hilbert_cache.get(d)
     if h is None:
         if x._reg is not None and d >= x._reg:
@@ -338,11 +316,12 @@ def hilbert_function(x, d):
 
 
 def _residue_prime(x, d):
-    """The prime q the conditions matrix in degree d is reduced modulo as
-    residues: over Q ``certificate_prime(0)``, the first prime of the
-    certificate, which starts from this reduction; p over F_p.  None where it
-    is ranked on exact rows instead: below ``_NUMPY_MIN_CELLS`` cells, for
-    q >= 2^31, and at negative degrees, whose exact rows raise the error."""
+    """The prime q that ``_rank_bound`` reduces the conditions matrix in
+    degree d modulo, as residues: over Q ``certificate_prime(0)``, so a
+    certificate of a deficient rank starts from this reduction; p over F_p.
+    None where the matrix is ranked on exact rows instead: below
+    ``_NUMPY_MIN_CELLS`` cells, for q >= 2^31, and at negative degrees,
+    whose exact rows raise the error."""
     q = certificate_prime(0) if x.field.p is None else x.field.p
     if d < 0 or q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS:
         return None
@@ -364,31 +343,6 @@ def _rank_bound(x, d):
     return len(pivots), (red, pivots)
 
 
-def _unit_coordinate(x):
-    """The first j with x_j nonzero at every support point, or None."""
-    return next((j for j, column in enumerate(zip(*x.keys)) if all(column)), None)
-
-
-def _split_ranks(x, d, j, q):
-    """(h, low, first): the ranks mod q of the tall degree-d residues and of
-    their rows at the multiples of x_j, and the reduction ``first`` of those
-    rows.  The tall orientation has one row per monomial when d is above the
-    monomial floor.
-
-    Multiplying by x_j maps the degree-(d - 1) forms onto the span of those
-    monomials, and a form f x_j is in I_X exactly when f is, if x_j
-    vanishes at no support point: then x_j is a nonzerodivisor on R/I_X.
-    So the rows have rank h_X(d - 1) over the field of X.  They are reduced
-    first; ``_extend_rank_mod_p`` adds the other rows through a Schur
-    complement, for the whole rank.  Over F_p both ranks are exact; over Q
-    they are lower bounds, ``first`` the start of the certificate of
-    ``_multiples_matrix``."""
-    divisible, rest = _multiples(x.n, d, j)
-    a = _conditions_residues(x, d, q)
-    red, pivots = _rref_mod_p(a[divisible], q)
-    return _extend_rank_mod_p(red, pivots, a[rest], q), len(pivots), (red, pivots)
-
-
 def regularity_index(x):
     """Least d with h_X(d) = deg X, by a search at its boundary; memoized.
 
@@ -401,66 +355,46 @@ def regularity_index(x):
     enforces; the ideal of X itself does not depend on the derivative
     encoding.
 
-    The search climbs from the largest of the monomial floor and the lower
-    bound w_L - 1 of ``heaviest_line_weight``, one residue matrix per
-    degree: its rank modulo a prime certifies a full rank over Q and is the
-    rank over F_p (below 64 cells, exact rows give the exact rank).  The
-    line search runs only when the line bound can move the start two
-    degrees or more above the floor (the total multiplicity minus 1 can;
-    one degree up would spare only the floor's matrix, the smallest one)
-    and its s(s - 1)/2 pair keys are at most deg X, the row count of every
-    conditions matrix the search builds, which keeps it a small part of
-    building even one of them.  Otherwise (many light points, generic
-    simple points among them) the climb starts at the floor.
+    The second fact comes from a proven lower bound: the monomial floor,
+    the first degree with at least deg X monomials, or, larger, w_L - 1 for
+    the line L of ``heaviest_line``.  The line is a witness, not a number:
+    its members' keys are ranked exactly, and more than a line
+    (rank above 2) is an ``InternalError``, so the check also runs under
+    ``python -O``.  The line search runs only when its s(s - 1)/2 pair keys
+    are at most deg X, the row count of every conditions matrix the search
+    builds, which keeps it a small part of building even one of them;
+    otherwise (many light points) the bound is the floor.
 
-    At the first full degree d the search certifies h_X(d - 1) (no
-    certificate is needed at or below the monomial floor, where the rank in
-    degree d - 1 cannot be full), and steps down while that is full too:
-    after an unlucky prime took the climb past r, or if the start was above
-    r.  So correctness depends on no bound.  Above the floor, if some
-    coordinate x_j vanishes at no support point (the first such j), each
-    degree d is ranked by ``_split_ranks``: the rows of the degree-d
-    residues at the multiples of x_j first, which have rank h_X(d - 1), then
-    the rest by a Schur extension.  So h_X(d - 1) comes from the same
-    matrix: over F_p as it is, over Q full mod q or certified on the exact
-    rows at the multiples of x_j (``_multiples_matrix``), starting from the
-    reduction of their residues, in the step where h_X(d) is full.  Where
-    every coordinate vanishes at some support point, and at the floor, a
-    degree is ranked whole (``_rank_bound``) and cached only if certified;
-    the step-down certifies h_X(d - 1) through ``hilbert_function``.  Exact
-    rows are built only for these certificates.  A degree already in the
-    scheme's cache of certified values is read from there, not built.
-    Over F_p the start is capped at p - 1, so a field too small for r(X) is
-    reported at the degree where an ascending search meets it first.  The
-    climb must end by d = deg X - 1, the classical bound; exceeding it is
-    an internal error.
+    The search climbs from the bound, one matrix per degree, ranked whole by
+    ``_rank_bound``: a full rank modulo a prime is full over Q, and the rank
+    over F_p is exact.  Only those values are cached.  At the first full
+    degree d, if d is above the bound, ``hilbert_function`` certifies
+    h_X(d - 1), and the search steps down while that is full too, which
+    only an unlucky prime, one that lost rank at r and took the climb past
+    it, can cause.  A degree already in the scheme's cache of certified
+    values is read from there, not built.  Over F_p the start is capped at p - 1, so a
+    field too small for r(X) is reported at the degree where an ascending
+    search meets it first.  The climb must end by d = deg X - 1, the
+    classical bound; exceeding it is an internal error.
     """
     if x._reg is None:
         deg = x.degree()
         floor = 0  # the first degree with at least deg X monomials
         while comb(x.n + floor, x.n) < deg:
             floor += 1
-        d = floor
+        lower = floor
         s = x.support_size
-        if sum(x.mults) - 1 >= floor + 2 and s * (s - 1) // 2 <= deg:
-            d = max(floor, heaviest_line_weight(x) - 1)
+        if s * (s - 1) // 2 <= deg:
+            line = heaviest_line(x)
+            if ExactMatrix.from_integer_rows(x.field, [x.keys[i] for i in line]).rank() > 2:
+                raise InternalError("the heaviest line's points %r span more than a line" % line)
+            lower = max(floor, sum(x.mults[i] for i in line) - 1)
         p = x.field.p
-        if p is not None:
-            d = max(floor, min(d, p - 1))
+        d = lower if p is None else max(floor, min(lower, p - 1))
         cache = x._hilbert_cache
         while True:
-            q = _residue_prime(x, d) if d > floor else None
-            unit = _unit_coordinate(x) if q is not None else None
             if d in cache:
                 h = cache[d]
-            elif unit is not None:
-                h, low, first = _split_ranks(x, d, unit, q)
-                if p is not None:
-                    cache[d], cache[d - 1] = h, low
-                elif h == deg:
-                    cache[d] = h
-                    cache[d - 1] = low if low == deg else (
-                        _multiples_matrix(x, d, unit).rank(first=first))
             else:
                 h, first = _rank_bound(x, d)
                 if first is None:
@@ -470,7 +404,7 @@ def regularity_index(x):
             d += 1
             if d > max(0, deg - 1):
                 raise InternalError("regularity search exceeded deg X - 1")
-        while d > floor and hilbert_function(x, d - 1) == deg:
+        while d > lower and hilbert_function(x, d - 1) == deg:
             d -= 1
         x._reg = d
     return x._reg
@@ -518,10 +452,11 @@ def ctv_decomposition_check(z, p_coords, m):
     h_mP(j) = binom(n + min(j, m-1), n).  The quotient vanishes from some
     degree on (and then forever, since the ideal contains that full graded
     piece), at the latest at r(Z + mP), where h_{Z+mP} reaches
-    deg Z + deg mP.  The Hilbert values come from ``hilbert_function``,
-    mostly from the caches the two regularity searches filled, so this is a
-    consistency check of the ranks of the conditions matrices of Z and
-    Z + mP.
+    deg Z + deg mP.  The Hilbert values come from ``hilbert_function``:
+    from the caches the two regularity searches filled where they ranked a
+    degree, and ranked here, deficient ones certified, below the lower
+    bounds those searches started from.  So this is a consistency check of
+    the ranks of the conditions matrices of Z and Z + mP.
     """
     if z.contains_point(p_coords):
         raise ValueError("point must be disjoint from Z")

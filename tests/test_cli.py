@@ -403,9 +403,12 @@ class TestGenKinds:
         (["--kind", "example-5.6-scaled", "--n", "1"],
          "five_plus_generic_scheme needs n >= 2, got n = 1"),
         (["--kind", "generic", "--s", "0"], "generic_points needs s >= 1 points, got s = 0"),
+        (["--kind", "generic", "--n", "0", "--s", "3"], "generic_points needs n >= 1, got n = 0"),
+        (["--kind", "generic", "--n", "-1", "--s", "1"], "generic_points needs n >= 1, got n = -1"),
         (["--kind", "example-5.6-scaled", "--d", "-1"],
          "five_plus_generic_scheme needs d >= 0, got d = -1"),
-    ], ids=["curve-s0", "cluster-s0", "example-5.6-n1", "generic-s0", "example-5.6-d-1"])
+    ], ids=["curve-s0", "cluster-s0", "example-5.6-n1", "generic-s0", "generic-n0", "generic-n-1",
+            "example-5.6-d-1"])
     def test_unplaceable_parameters_are_usage_errors(self, argv, message):
         proc = run_python("-m", "fatpointlab.cli", "gen", *argv)
         assert proc.returncode == EXIT_USAGE

@@ -73,3 +73,24 @@ def test_numpy_imported_inside_functions_only():
                 (inside if id(node) in nested else top).append("%s:%d" % (path.name, node.lineno))
     assert inside  # the check sees the lazy imports
     assert top == []
+
+
+def test_private_functions_are_used_by_the_library():
+    # a private helper that only tests call is dead code: every private
+    # top-level function and private method is referenced in the library
+    paths = sorted(pathlib.Path(fatpointlab.__file__).parent.rglob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    defined = [
+        (name, fn)
+        for name, tree in trees.items()
+        for scope in [tree] + [c for c in tree.body if isinstance(c, ast.ClassDef)]
+        for fn in scope.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and fn.name.startswith("_") and not fn.name.endswith("__")
+    ]
+    assert len(defined) > 10  # the check sees the private helpers
+    assert ["%s:%d %s" % (name, fn.lineno, fn.name)
+            for name, fn in defined if fn.name not in referenced] == []

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial, gcd
 
@@ -7,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatpointlab import exact, schemes
-from fatpointlab.exact import ExactMatrix, ScalarField
+from fatpointlab.exact import ExactMatrix, InternalError, ScalarField
 from fatpointlab.generators import (
     collinear_points,
     generic_points,
@@ -278,47 +281,6 @@ class TestConditionsResidues:
 
 
 @st.composite
-def split_cases(draw):
-    """X over Q, F_10007 or F_2147483629 (the largest prime under 2^31 the
-    residue route takes) with points as in ``residue_cases`` and
-    multiplicities 1..3, and some coordinate vanishing at no point."""
-    field = draw(st.sampled_from([QQ, ScalarField.prime(10007), ScalarField.prime(2147483629)]))
-    n = draw(st.integers(1, 3))
-    coord = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**4, 10**4))
-    points, keys = [], set()
-    for _ in range(draw(st.integers(1, 4))):
-        pivot = draw(st.integers(0, n))
-        lead = draw(st.integers(1, 10**4)) * draw(st.sampled_from([1, -1]))
-        coords = [0] * pivot + [lead] + draw(st.lists(coord, min_size=n - pivot, max_size=n - pivot))
-        elems = [field.elem(c) for c in coords]
-        if any(elems) and schemes._point_key(field, elems) not in keys:
-            keys.add(schemes._point_key(field, elems))
-            points.append((coords, draw(st.integers(1, 3))))
-    assume(points)
-    x = FatPointScheme(field, n, points)
-    assume(any(all(c[j] for c in x.keys) for j in range(n + 1)))
-    return x
-
-
-class TestSplitRanks:
-    """One residue matrix gives two Hilbert values: its rows at the
-    multiples of a coordinate vanishing at no support point have rank
-    h_X(d - 1), and with the other rows, by the Schur extension, h_X(d)."""
-
-    @given(split_cases())
-    @settings(max_examples=120, deadline=None)
-    def test_ranks_are_those_of_two_degrees(self, x):
-        q = exact.certificate_prime(0) if x.field.p is None else x.field.p
-        floor = next(d for d in range(x.degree()) if comb(x.n + d, x.n) >= x.degree())
-        for d in range(floor + 1, floor + 4):
-            for j in range(x.n + 1):
-                if all(c[j] for c in x.keys):
-                    h, low, _ = schemes._split_ranks(x, d, j, q)
-                    assert low == schemes._rank_bound(x, d - 1)[0]
-                    assert h == schemes._rank_bound(x, d)[0]
-
-
-@st.composite
 def integer_schemes(draw):
     n = draw(st.integers(1, 3))
     points = draw(st.lists(
@@ -470,29 +432,35 @@ def regularity_instances(draw):
 # three points on a line and one or two off it
 LINE = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
 
+# a patched heaviest_line naming points off one line, run under python -O
+NON_COLLINEAR_LINE = """
+import sys
+from fatpointlab import schemes
+from fatpointlab.exact import InternalError, ScalarField
+x = schemes.FatPointScheme(ScalarField.rational(), 2, [(p, 3) for p in %r])
+schemes.heaviest_line = lambda y: [0, 1, 3]
+try:
+    schemes.regularity_index(x)
+except InternalError as exc:
+    print("optimize %%d: InternalError: %%s" %% (sys.flags.optimize, exc))
+"""
+
 
 def count_conditions_matrices(monkeypatch):
     """The degrees of the conditions matrices built from now on, in order:
-    as exact integer rows (all of them, or the rows at the multiples of a
-    coordinate), and as residues modulo a prime."""
+    as exact integer rows and as residues modulo a prime."""
     built = {"exact": [], "residues": []}
     build_rows, build_residues = schemes.conditions_matrix, schemes._conditions_residues
-    build_multiples = schemes._multiples_matrix
 
     def rows(x, d):
         built["exact"].append(d)
         return build_rows(x, d)
-
-    def multiples(x, d, j):
-        built["exact"].append(d)
-        return build_multiples(x, d, j)
 
     def residues(x, d, q):
         built["residues"].append(d)
         return build_residues(x, d, q)
 
     monkeypatch.setattr(schemes, "conditions_matrix", rows)
-    monkeypatch.setattr(schemes, "_multiples_matrix", multiples)
     monkeypatch.setattr(schemes, "_conditions_residues", residues)
     return built
 
@@ -535,12 +503,16 @@ class TestBoundarySearch:
     @given(regularity_instances())
     @settings(max_examples=80, deadline=None)
     def test_heaviest_line_matches_rank_oracle(self, x):
-        assert schemes.heaviest_line_weight(x) == heaviest_line_weight_by_ranks(x)
+        line = schemes.heaviest_line(x)
+        assert line == sorted(set(line))
+        assert sum(x.mults[i] for i in line) == heaviest_line_weight_by_ranks(x)
+        assert ExactMatrix.from_columns(x.field, [x.keys[i] for i in line]).rank() <= 2
 
     def test_heaviest_line_over_a_prime_field(self):
         # the keys of (1, 1, 0) and (1, 2, 0) seen from (1, 0, 0) differ by a unit
         x = FatPointScheme(ScalarField.prime(7), 2, [(p, 2) for p in LINE + [(3, 5, 1)]])
-        assert schemes.heaviest_line_weight(x) == 6 == heaviest_line_weight_by_ranks(x)
+        assert schemes.heaviest_line(x) == [0, 1, 2]
+        assert 6 == heaviest_line_weight_by_ranks(x)
 
     def test_line_search_ranks_nothing(self, monkeypatch):
         def refuse(*args):
@@ -549,44 +521,59 @@ class TestBoundarySearch:
         points = collinear_points(2, 12) + generic_points(rng_from_seed(5), 2, 28, coord_range=1000)
         x = FatPointScheme(QQ, 2, [(p, 1) for p in points])
         monkeypatch.setattr(ExactMatrix, "__init__", refuse)
-        assert schemes.heaviest_line_weight(x) == 12
+        monkeypatch.setattr(ExactMatrix, "from_integer_rows", classmethod(refuse))
+        assert schemes.heaviest_line(x) == list(range(12))
 
     def test_line_search_skipped_where_it_cannot_pay(self, monkeypatch):
         def refuse(y):
             raise AssertionError("line search run")
 
-        monkeypatch.setattr(schemes, "heaviest_line_weight", refuse)
-        # one fat point: its line bound m - 1 never exceeds the floor
-        assert regularity_index(FatPointScheme(QQ, 2, [((1, 0, 0), 4)])) == 3
-        # 8 collinear simple points and one off the line: 36 pairs > deg 9,
-        # so the climb starts at the floor 3
+        monkeypatch.setattr(schemes, "heaviest_line", refuse)
+        # many light points: 8 collinear simple points and one off the
+        # line have 36 pairs > deg 9, so the climb starts at the floor 3
         x = simple(2, collinear_points(2, 8) + [(3, 7, 1)])
         built = count_conditions_matrices(monkeypatch)
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == 7
-        # h(6) is certified on the exact x_0-rows of the degree-7 matrix,
-        # from the climb's reduction of them
-        assert built == {"residues": [3, 4, 5, 6, 7], "exact": [7]}
-        # the floor's 10 x 9 matrix whole; above it per degree the x_0-rows
-        # (as many as the monomials one degree below) and the Schur block
-        # of the other n + d - 1 choose n - 1 rows
-        assert first_prime_rows(reductions) == [10, 10, 5, 15, 6, 21, 7, 28, 8]
+        # every degree from the floor whole; then h(6), deficient mod q and
+        # so not cached, is reduced again and certified on exact rows
+        assert built == {"residues": [3, 4, 5, 6, 7, 6], "exact": [6]}
+        assert first_prime_rows(reductions) == [10, 15, 21, 28, 36, 28]
         assert regularity_index_ascending(x) == 7
 
-    def test_start_above_r_steps_down(self, monkeypatch):
+    def test_non_collinear_line_is_refused(self, monkeypatch):
+        # the line's bound is trusted only once its members rank at most 2,
+        # an explicit check that also runs under python -O
+        x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
+        monkeypatch.setattr(schemes, "heaviest_line", lambda y: [0, 1, 3])
+        with pytest.raises(InternalError, match="span more than a line"):
+            regularity_index(x)
+        src = os.path.dirname(os.path.dirname(schemes.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = NON_COLLINEAR_LINE % (LINE + [(3, 7, 1)])
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("optimize 1: InternalError: the heaviest line's points "
+                               "[0, 1, 3] span more than a line\n")
+
+    def test_lighter_true_line_still_gives_r(self, monkeypatch):
+        # any two points lie on a line; that lighter bound starts the climb
+        # lower, and the climb still meets r
         x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
         r = regularity_index_ascending(x)
-        assert r - 1 >= 6  # above the monomial floor, so r - 1 is certified
-        monkeypatch.setattr(schemes, "heaviest_line_weight", lambda y: r + 3)
+        monkeypatch.setattr(schemes, "heaviest_line", lambda y: [0, 3])
         built = count_conditions_matrices(monkeypatch)
-        assert regularity_index(x) == r
-        # the x_0-rows of the degree-(r + 2) matrix certify h(r + 1) full
-        assert built == {"residues": [r + 2, r, r - 1], "exact": [r - 1]}
+        assert regularity_index(x) == r == 8
+        # from max(floor 6, 3 + 3 - 1): h(7) is deficient mod q, so it is
+        # reduced again and certified for the step-down
+        assert built == {"residues": [6, 7, 8, 7], "exact": [7]}
         assert hilbert_profile(x).values == hilbert_profile_ascending(x)
 
     def test_unlucky_first_prime_at_r(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
         r = regularity_index_ascending(x)
+        assert r == 9 - 1  # the line's bound: r is proven deficient below
         built = count_conditions_matrices(monkeypatch)
         build_residues = schemes._conditions_residues
 
@@ -600,77 +587,26 @@ class TestBoundarySearch:
 
         monkeypatch.setattr(schemes, "_conditions_residues", unlucky)
         assert regularity_index(x) == r
-        # climbed past r, where the x_0-rows of the degree-(r + 1) residues
-        # show h(r) full mod q, so full; then certified h(r - 1) deficient
-        assert built == {"residues": [r, r + 1, r - 1], "exact": [r - 1]}
-        assert hilbert_function(x, r) == x.degree()
+        # climbed past r to the full degree r + 1; the step-down reduces
+        # degree r again, certifies it full on exact rows, and stops at the
+        # line's bound
+        assert built == {"residues": [r, r + 1, r], "exact": [r]}
+        assert x._hilbert_cache == {r: x.degree(), r + 1: x.degree()}
 
     def test_sharp_cluster_builds_one_residue_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a rank was certified on exact rows")
+
         x = FatPointScheme(QQ, 2, [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
         built = count_conditions_matrices(monkeypatch)
-        certified = []
-        certify = exact._echelon_kernel
-
-        def counted(rows, p=None, first=None):
-            pivots, basis = certify(rows, p, first)
-            certified.append(len(pivots) < len(rows[0]))
-            return pivots, basis
-
-        monkeypatch.setattr(exact, "_echelon_kernel", counted)
+        monkeypatch.setattr(exact, "_echelon_kernel", refuse)
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == 14
-        # h(13) is certified on the exact x_0-rows of the degree-14 matrix
-        assert built == {"residues": [14], "exact": [14]}
-        assert certified == [True]  # one certified rank, and it is deficient
-        # one reduction of the 105 x_0-rows, which the certificate starts
-        # from, and the Schur block of the other 15
-        assert first_prime_rows(reductions) == [105, 15]
-        assert x._hilbert_cache == {13: 74, 14: 75}
-
-    def test_unit_coordinate_past_x0(self, monkeypatch):
-        # x_0 vanishes at (0, 1, 0), x_1 at no point
-        x = FatPointScheme(QQ, 2, [(p, 3) for p in [(0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 7, 1)]])
-        built = count_conditions_matrices(monkeypatch)
-        reductions = count_reductions(monkeypatch)
-        units = []
-        split = schemes._split_ranks
-
-        def recorded(y, d, j, q):
-            units.append(j)
-            return split(y, d, j, q)
-
-        monkeypatch.setattr(schemes, "_split_ranks", recorded)
-        assert regularity_index(x) == 8
-        assert units == [1]
-        assert built == {"residues": [8], "exact": [8]}
-        assert first_prime_rows(reductions) == [36, 9]
-        assert regularity_index_ascending(x) == 8
-
-    def test_every_coordinate_vanishing_keeps_the_whole_climb(self, monkeypatch):
-        # each coordinate vanishes at one of the coordinate points, so every
-        # degree is reduced whole and h(r - 1) certified on its own matrix
-        x = FatPointScheme(QQ, 2, [(p, 3) for p in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]])
-        built = count_conditions_matrices(monkeypatch)
-        assert regularity_index(x) == 8
-        assert built == {"residues": [8, 7], "exact": [7]}
-        # from the floor 6 the climb caches only certified values, so the
-        # deficient degree 7 is reduced again for its certificate
-        y = FatPointScheme(QQ, 2, [(p, 3) for p in [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]])
-        monkeypatch.setattr(schemes, "heaviest_line_weight", lambda z: 0)
-        built = count_conditions_matrices(monkeypatch)
-        reductions = count_reductions(monkeypatch)
-        assert regularity_index(y) == 8
-        assert built == {"residues": [6, 7, 8, 7], "exact": [7]}
-        assert first_prime_rows(reductions) == [28, 36, 45, 36]
-        assert hilbert_profile(y).values == hilbert_profile_ascending(y)
-
-    def test_prime_field_split_needs_no_certificate(self, monkeypatch):
-        x = FatPointScheme(ScalarField.prime(10007), 2,
-                           [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
-        built = count_conditions_matrices(monkeypatch)
-        assert regularity_index(x) == 14
+        # the line of weight 15 proves h(13) < 75, so the climb starts at
+        # 14, and one reduction of its 120 tall residue rows shows it full
         assert built == {"residues": [14], "exact": []}
-        assert x._hilbert_cache == {13: 74, 14: 75}
+        assert first_prime_rows(reductions) == [120]
+        assert x._hilbert_cache == {14: 75}
 
     def test_hilbert_values_above_r_build_nothing(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 2) for p in LINE + [(3, 7, 1)]])
