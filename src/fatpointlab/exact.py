@@ -20,11 +20,13 @@ fields, ``_NUMPY_MIN_CELLS``.  Below it, fraction-free (Bareiss 1968)
 elimination, ``_bareiss_echelon``, gives the exact rank: over Q on the
 integer rows, over F_p on their residues.  On matrices this small it costs
 less than numpy's per-call overhead or any modular certificate.  From it
-on, Gauss-Jordan elimination mod p runs in numpy (``_rref_mod_p``: int64
-below 2^31, Python ints from there).  It gives the rank over F_p, and over
-Q the first step of the certificate below.  ``_rref_mod_p`` also takes a
-numpy array of residues as it is, so a caller that builds its matrix mod p
-skips the integer rows.
+on, elimination mod p runs in numpy (``_echelon_mod_p``: int64 below
+2^31, Python ints from there).  It stops at a row echelon form, whose
+pivot count is the rank over F_p and, over Q, the first step of the
+certificate below; only a kernel reads the reduced form, which
+``_rref_mod_p`` back-substitutes on the same array.  ``_echelon_mod_p``
+also takes a numpy array of residues as it is, so a caller that builds its
+matrix mod p skips the integer rows.
 
 ``_echelon_kernel`` gives the pivot columns and the kernel basis of the
 reduced echelon form, the one ``kernel_basis`` returns at every size: over
@@ -49,7 +51,7 @@ on the matrix's tall side, so the kernel to certify has ncols - r vectors:
 
 The Hadamard bound on the minors gives a count of primes that must
 certify (see ``_echelon_kernel``), so the certificate ends without a
-fallback.  A caller that has done step 1 on residues hands its reduction
+fallback.  A caller that has done step 1 on residues hands its echelon
 to ``rank``, which starts from it.  ``_rank_of_rows`` picks the route for
 every rank, also for the column subsets a vector matroid asks about.
 """
@@ -246,8 +248,9 @@ class ExactMatrix:
 
     def rank(self, first=None):
         """The rank, computed once.  Over Q the certificate starts from
-        ``first``, when given: ``_rref_mod_p`` of ``_tall`` of the rows
-        modulo ``certificate_prime(0)``."""
+        ``first``, when given: ``_echelon_mod_p`` of ``_tall`` of the rows
+        modulo ``certificate_prime(0)``, back-substituted in place if the
+        rank is deficient."""
         if self._rank is None:
             if not self.nrows or not self.ncols:
                 self._rank = 0
@@ -284,14 +287,14 @@ class ExactMatrix:
 def _rank_of_rows(rows, p, first=None):
     """Rank of nonempty integer rows by the route the size and field pick:
     the fraction-free echelon below ``_NUMPY_MIN_CELLS`` cells (over F_p,
-    ``p`` given, mod p); from there over F_p the rank of ``_rref_mod_p``,
-    over Q the pivot count of ``_echelon_kernel`` on ``_tall`` of the rows,
-    starting from ``first`` (their reduction modulo ``certificate_prime(0)``)
-    when it is given."""
+    ``p`` given, mod p); from there over F_p the pivot count of
+    ``_echelon_mod_p``, over Q that of ``_echelon_kernel`` on ``_tall`` of
+    the rows, starting from ``first`` (their echelon modulo
+    ``certificate_prime(0)``) when it is given."""
     if len(rows) * len(rows[0]) < _NUMPY_MIN_CELLS:
         return len(_bareiss_echelon(rows, p)[1])
     if p is not None:
-        return len(_rref_mod_p(rows, p)[1])
+        return len(_echelon_mod_p(rows, p)[1])
     return len(_echelon_kernel(_tall(rows), None, first)[0])
 
 
@@ -318,14 +321,18 @@ def _echelon_kernel(rows, p=None, first=None):
     vector of ``ExactMatrix.kernel_basis`` times the positive integer at f
     that makes it integral (1 over F_p, ``p`` given).
 
-    Over F_p both are read off ``_rref_mod_p``.  Over Q the kernel vectors
-    modulo the primes of ``certificate_prime`` in turn (the first reduction
-    is ``first`` when given) are combined, lifted and checked exactly over
-    Z, as the module describes.  The primes of largest rank and, at that
-    rank, earliest pivots are combined; the others are unlucky.  The lift
-    is tried after every combined prime among the first 16, and past them
-    only when the count of combined primes is a power of two or their
-    product is at least 2^(2H + 1), where 2^H bounds every minor (Hadamard).
+    Each prime's ``_echelon_mod_p`` (the first one is ``first`` when
+    given) ends the search where every column is a pivot; otherwise
+    ``_rref_mod_p`` back-substitutes it in place.  Over F_p both are read
+    off that reduced form.  Over Q the kernel vectors modulo the primes of
+    ``certificate_prime`` in turn are combined, lifted and checked exactly
+    over Z, as the module describes.  The primes of largest rank and, at
+    that rank, earliest pivots are combined; the others are unlucky.  The
+    lift is tried after every combined prime among the first 16, and past
+    them only once the count of combined primes has grown by a quarter
+    since the last lift, so the primes eliminated overshoot the count a
+    lift needs by less than a quarter, or once their product is at least
+    2^(2H + 1), where 2^H bounds every minor (Hadamard).
     There the primes cannot all be unlucky, since unlucky primes divide one
     nonzero minor, and every kernel entry, a ratio of two minors, is
     reconstructed: a failed lift there is an ``InternalError``."""
@@ -340,10 +347,11 @@ def _echelon_kernel(rows, p=None, first=None):
             # the norms of the nonzero rows, and that of the columns
             hadamard = min(sum(sum(x * x for x in v).bit_length() for v in vs)
                            for vs in (rows, zip(*rows))) // 2 + 1
-        red, pivots = first if first and not k else _rref_mod_p(rows, q)
+        red, pivots = first if first and not k else _echelon_mod_p(rows, q)
         r = len(pivots)
         if r == ncols:
             return pivots, []
+        _rref_mod_p(red, pivots, q)
         free = sorted(set(range(ncols)).difference(pivots))
         vectors = np.zeros((len(free), ncols), dtype=red.dtype)
         vectors[:, pivots] = -red[:r][:, free].T % q
@@ -351,7 +359,7 @@ def _echelon_kernel(rows, p=None, first=None):
         if p is not None:
             return pivots, vectors.tolist()
         if best is None or (r, best) > (len(best), pivots):
-            best, lifts, modulus, combined = pivots, vectors.tolist(), q, 1
+            best, lifts, modulus, combined, tried = pivots, vectors.tolist(), q, 1, 0
         elif pivots != best:
             continue
         else:
@@ -361,8 +369,9 @@ def _echelon_kernel(rows, p=None, first=None):
                      for la, lb in zip(lifts, vectors.tolist())]
             modulus, combined = modulus * q, combined + 1
         enough = k >= 16 and modulus.bit_length() > 2 * hadamard + 1
-        if k >= 16 and not enough and combined & (combined - 1):
+        if k >= 16 and not enough and 4 * combined < 5 * tried:
             continue
+        tried = combined
         basis = _lift(rows, lifts, modulus)
         if basis is not None:
             return pivots, basis
@@ -405,20 +414,32 @@ def _lift(rows, lifts, modulus):
     return basis
 
 
-def _rref_mod_p(rows, p):
-    """Reduced row echelon form mod p of an integer matrix and its pivot
-    columns, as a numpy array: int64 when p < 2^31, so products of residues
-    fit, Python ints in a ``dtype=object`` array from 2^31 on.  An int64
-    array of residues in range(p) is taken as it is and reduced in place;
+def _echelon_mod_p(rows, p):
+    """Row echelon form mod p of an integer matrix and its pivot columns,
+    the one elimination of numpy size: each pivot row is scaled to 1 at
+    its pivot, and only the rows below it with a nonzero entry in its
+    column are reduced, so every row past the rank ends zero.  The rank is
+    the pivot count, and ``_rref_mod_p`` back-substitutes on the same
+    array where a reduced form is read.
+
+    The array is int64 when p < 2^31, so products of residues fit, Python
+    ints in a ``dtype=object`` array from 2^31 on.  A numpy array of
+    residues in range(p) is taken as it is and reduced in place, an int64
+    one only for p < 2^31 (ValueError otherwise, as it would overflow);
     other rows are reduced mod p entry by entry first.  Ranks below
     ``_NUMPY_MIN_CELLS`` cells take the fraction-free echelon, so this runs
     on matrices of that size, on the residue arrays of the regularity
     climb, and for ``_echelon_kernel`` at every size."""
     import numpy as np
 
-    nrows, ncols = len(rows), len(rows[0])
-    a = rows if isinstance(rows, np.ndarray) else np.array(
-        [[x % p for x in row] for row in rows], dtype=np.int64 if p < 2**31 else object)
+    if not isinstance(rows, np.ndarray):
+        a = np.array([[x % p for x in row] for row in rows],
+                     dtype=np.int64 if p < 2**31 else object)
+    elif rows.dtype == np.int64 and p >= 2**31:
+        raise ValueError("int64 residues overflow modulo p = %d >= 2^31" % p)
+    else:
+        a = rows
+    nrows, ncols = a.shape
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -427,22 +448,37 @@ def _rref_mod_p(rows, p):
         (nz,) = a[r:, c].nonzero()
         if not nz.size:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
         top = a[r, c:]
         top *= pow(int(top[0]), -1, p)
         top %= p
-        factors = a[:, c].copy()
-        factors[r] = 0
-        (hit,) = factors.nonzero()
-        if hit.size:
+        # the row swapped down was zero in column c, so the rows to reduce
+        # are those of the later nonzero entries
+        if nz.size > 1:
+            hit = nz[1:] + r
             block = a[hit, c:]
-            block -= factors[hit, None] * top
+            block -= block[:, :1] * top
             block %= p
             a[hit, c:] = block
         pivots.append(c)
     return a, pivots
+
+
+def _rref_mod_p(a, pivots, p):
+    """The reduced row echelon form mod p of ``_echelon_mod_p``'s echelon
+    ``a`` with these pivots, by back-substitution in place: from the last
+    pivot up, the rows above it with a nonzero entry in its column are
+    reduced by its row, which is zero at every later pivot.  Returns a."""
+    for i in range(len(pivots) - 1, 0, -1):
+        c = pivots[i]
+        (hit,) = a[:i, c].nonzero()
+        if hit.size:
+            block = a[hit, c:]
+            block -= block[:, :1] * a[i, c:]
+            block %= p
+            a[hit, c:] = block
+    return a
 
 
 def _bareiss_echelon(int_rows, p=None):

@@ -10,10 +10,11 @@ boundary (see ``regularity_index``): from a proven lower bound, the
 monomial floor or the heaviest line's weight minus 1 (``heaviest_line``,
 its members re-checked as collinear), one rank modulo a prime per degree
 up to the first full one.  The climb builds its matrices as residues in
-numpy (``_conditions_residues``), exact integer rows
-(``conditions_matrix``) only where a certificate of a deficient rank reads
-them, both from the same factor tables (``_factor_tables``).  The scheme
-holds only certified Hilbert values and r(X).
+numpy (``_conditions_residues``, from one power table per scheme and
+gathers by shape), exact integer rows (``conditions_matrix``, from
+``_factor_tables``) only where a certificate of a deficient rank reads
+them; both give the same entries.  The scheme holds only certified Hilbert
+values and r(X).
 
 Each point is cleared to integers once, to its projective normal form
 (``_point_key``): the primitive integer vector with first nonzero entry
@@ -44,7 +45,7 @@ from functools import lru_cache
 from math import comb, gcd, perm, prod
 from operator import mul
 
-from .exact import (_NUMPY_MIN_CELLS, ExactMatrix, InternalError, _rref_mod_p,
+from .exact import (_NUMPY_MIN_CELLS, ExactMatrix, InternalError, _echelon_mod_p,
                     certificate_prime, integer_vector)
 
 
@@ -64,13 +65,13 @@ def monomials(n, d):
 
 
 @lru_cache(maxsize=None)
-def _derivative_orders(nvars, below):
-    """Multi-indices over nvars variables of total order < below, a fixed
-    deterministic order."""
-    out = []
-    for total in range(below):
-        out.extend(monomials(nvars - 2, total))
-    return tuple(out)
+def _point_orders(n, mult, pivot):
+    """The derivative orders of the rows of a point of multiplicity mult
+    with its first nonzero coordinate at pivot, in a fixed deterministic
+    order: the multi-indices over the n affine variables of total order
+    < mult, each with its total order inserted at the pivot."""
+    return tuple(alpha[:pivot] + (total,) + alpha[pivot:]
+                 for total in range(mult) for alpha in monomials(n - 1, total))
 
 
 class FatPointScheme:
@@ -200,17 +201,23 @@ def _falling_factorials(d, a):
     return tuple(perm(b, a) for b in range(a, d + 1))
 
 
+def _check_degree(x, d):
+    """ValueError for a degree whose conditions are not faithful: d < 0, or
+    over F_p with p <= d."""
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    p = x.field.p
+    if p is not None and p <= d:
+        raise ValueError("prime field too small for derivative conditions at degree %d" % d)
+
+
 def _factor_tables(x, d, q):
     """Per point of X, the factors of its rows of the conditions matrix in
     degree d, reduced mod q (over Z if q is None): (orders, factors), where
     orders[k][j] is the derivative order of the point's k-th row in the
     variable j (the total order at the pivot) and factors[j][a][b] is the
     factor of variable j at exponent b in a row of order a in it."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    p = x.field.p
-    if p is not None and p <= d:
-        raise ValueError("prime field too small for derivative conditions at degree %d" % d)
+    _check_degree(x, d)
     for c, mult in zip(x.keys, x.mults):
         pivot = next(i for i, v in enumerate(c) if v)
         powers = [[pow(v, e, q) for e in range(d + mult)] for v in c]
@@ -222,32 +229,68 @@ def _factor_tables(x, d, q):
         ]
         if q is not None:
             factors = [[[v % q for v in f] for f in fj] for fj in factors]
-        yield [alpha[:pivot] + (sum(alpha),) + alpha[pivot:]
-               for alpha in _derivative_orders(x.n + 1, mult)], factors
+        yield _point_orders(x.n, mult, pivot), factors
+
+
+@lru_cache(maxsize=None)
+def _shift_arrays(n, d, mult, q):
+    """The int64 arrays that turn powers of coordinates into the factors of
+    ``_factor_tables`` for orders a < mult and exponents b <= d, modulo q:
+    the exponent a + b of a pivot's power and b - a of another variable's
+    (0 where b < a), the falling factorials ff(b, a) mod q (0 where b < a),
+    each of shape (mult, d + 1), and per variable its exponent in every
+    degree-d monomial, of shape (n + 1, binom(n + d, n))."""
+    import numpy as np
+
+    a, b = np.arange(mult)[:, None], np.arange(d + 1)
+    ff = np.array([[perm(e, k) % q for e in range(d + 1)] for k in range(mult)], dtype=np.int64)
+    return a + b, np.maximum(b - a, 0), ff, np.array(_exponent_columns(n, d), dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _row_orders(n, mult, pivot):
+    """``_point_orders`` as an int64 array of shape (n + 1, rows): per
+    variable the order of each row in it."""
+    import numpy as np
+
+    return np.array(_point_orders(n, mult, pivot), dtype=np.int64).T.copy()
 
 
 def _conditions_residues(x, d, q):
     """The conditions matrix in degree d modulo a prime q < 2^31 as an
-    int64 numpy array, in the orientation of ``exact._tall``: per variable
-    one gather from every point's factor tables, at each row's order and
-    each column's exponent, multiplied mod q."""
+    int64 numpy array, in the orientation of ``exact._tall``: the entries
+    of ``conditions_matrix`` mod q, from numpy tables instead of
+    ``_factor_tables``.
+
+    One power table holds every coordinate of every point to the exponents
+    0 .. d + max m_i - 1, each exponent one product mod q for all points at
+    once.  The factors gather from it through ``_shift_arrays``, the
+    pivot's and the other variables' apart, and per variable one gather at
+    each row's order (``_row_orders``) and each column's exponent is
+    multiplied in mod q."""
     import numpy as np
 
-    tables = [[] for _ in range(x.n + 1)]  # per variable, every point's factors
-    index = []                             # per row, its factors in each table
-    for orders, factors in _factor_tables(x, d, q):
-        base = [len(t) for t in tables]
-        index.extend([b + o for b, o in zip(base, order)] for order in orders)
-        for t, f in zip(tables, factors):
-            t.extend(f)
-    exponents = _exponent_columns(x.n, d)
-    transpose = len(index) < len(exponents[0])
+    _check_degree(x, d)
+    n, mults = x.n, x.mults
+    width = max(mults)
+    keys = np.array([[v % q for v in c] for c in x.keys], dtype=np.int64)
+    powers = np.empty((d + width,) + keys.shape, dtype=np.int64)
+    powers[0] = 1
+    for e in range(1, d + width):
+        powers[e] = powers[e - 1] * keys % q
+    up, down, ff, exponents = _shift_arrays(n, d, width, q)
+    pivots = [next(j for j, v in enumerate(c) if v) for c in x.keys]
+    at_pivot = np.arange(n + 1) == np.array(pivots)[:, None]
+    # factors[j, i * width + a, b]: variable j of point i, order a, exponent b
+    factors = np.where(at_pivot, powers[up], powers[down] * ff[:, :, None, None] % q)
+    factors = factors.transpose(3, 2, 0, 1).reshape(n + 1, -1, d + 1)
+    index = np.concatenate([_row_orders(n, m, t) + i * width
+                            for i, (m, t) in enumerate(zip(mults, pivots))], axis=1)
     a = None
-    for t, rows, cols in zip(tables, zip(*index), exponents):
-        t = np.array(t, dtype=np.int64)
-        g = t.T[list(cols)][:, rows] if transpose else t[list(rows)][:, cols]
+    for t, rows, cols in zip(factors, index, exponents):
+        g = t.take(rows, axis=0).take(cols, axis=1)
         a = g if a is None else a * g % q
-    return a
+    return a.T.copy() if a.shape[0] < a.shape[1] else a
 
 
 def _normalized(v, p):
@@ -330,17 +373,18 @@ def _residue_prime(x, d):
 
 def _rank_bound(x, d):
     """(r, first) for the conditions matrix in degree d: its rank r, or
-    over Q a deficient rank mod q and ``first``, the reduction a
-    certificate on exact rows starts from.  Where ``_residue_prime`` gives
-    a prime q, the matrix is reduced as residues mod q, and a full rank mod
-    q is full over Q; other matrices are ranked on exact rows."""
+    over Q a deficient rank mod q and ``first``, the echelon a certificate
+    on exact rows starts from.  Where ``_residue_prime`` gives a prime q,
+    the residues mod q are brought to an echelon form and no further: its
+    pivot count is the rank, and a full rank mod q is full over Q.  Other
+    matrices are ranked on exact rows."""
     q = _residue_prime(x, d)
     if q is None:
         return conditions_matrix(x, d).rank(), None
-    red, pivots = _rref_mod_p(_conditions_residues(x, d, q), q)
-    if x.field.p is not None or len(pivots) == red.shape[1]:
+    ech, pivots = _echelon_mod_p(_conditions_residues(x, d, q), q)
+    if x.field.p is not None or len(pivots) == ech.shape[1]:
         return len(pivots), None
-    return len(pivots), (red, pivots)
+    return len(pivots), (ech, pivots)
 
 
 def regularity_index(x):

@@ -19,7 +19,7 @@ from fatpointlab.exact import (
 )
 from fatpointlab.instances import InstanceError, field_from_descriptor
 from fatpointlab.matroid import VectorMatroid
-from fatpointlab.schemes import FatPointScheme, regularity_index
+from fatpointlab.schemes import FatPointScheme, conditions_matrix, regularity_index
 from oracles import rref, rref_kernel_basis
 
 QQ = ScalarField.rational()
@@ -184,6 +184,20 @@ def count_lifts(monkeypatch):
     return attempts
 
 
+def count_eliminations(monkeypatch):
+    """The primes of the eliminations mod p from now on, in order: every
+    one goes through ``_echelon_mod_p``."""
+    primes = []
+    eliminate = exact._echelon_mod_p
+
+    def counted(rows, p):
+        primes.append(p)
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(exact, "_echelon_mod_p", counted)
+    return primes
+
+
 def no_bareiss(monkeypatch):
     def refuse(*args):
         raise AssertionError("rank was not certified from modular data")
@@ -242,15 +256,8 @@ class TestCertifiedRank:
     def test_certificate_starts_from_a_given_reduction(self, monkeypatch):
         rows = low_rank(random.Random(5), 12, 15, 5)
         tall = exact._tall(rows)
-        first = exact._rref_mod_p(tall, certificate_prime(0))
-        primes = []
-        reduce = exact._rref_mod_p
-
-        def counted(rows, p):
-            primes.append(p)
-            return reduce(rows, p)
-
-        monkeypatch.setattr(exact, "_rref_mod_p", counted)
+        first = exact._echelon_mod_p(tall, certificate_prime(0))
+        primes = count_eliminations(monkeypatch)
         no_bareiss(monkeypatch)
         assert ExactMatrix(QQ, rows).rank(first=first) == 5
         assert certificate_prime(0) not in primes
@@ -264,10 +271,26 @@ class TestCertifiedRank:
         for raw in (rows, transposed(rows)):
             attempts = count_lifts(monkeypatch)
             assert certified_rank(raw) == expected == 4
-            first16 = prod(certificate_prime(k) for k in range(16))
-            # a lift after each of the first 16 primes, then at 32 primes
-            assert len(attempts) == 17 and attempts[15] == first16
-            assert attempts[16] == first16 * prod(certificate_prime(k) for k in range(16, 32))
+            # a lift after each of the first 16 primes, then whenever the
+            # count of primes has grown by a quarter: at 20, 25, then 32
+            moduli = [prod(certificate_prime(k) for k in range(count)) for count in (16, 20, 25, 32)]
+            assert len(attempts) == 19 and attempts[15:] == moduli
+
+    @pytest.mark.parametrize("digits, needed, run", [(100, 108, 124), (300, 322, 380)])
+    def test_lift_schedule_past_16_primes(self, digits, needed, run, monkeypatch):
+        # the degree-3 conditions matrix of 3(10^k : 7 : 1) + 2(1 : 1 : 1),
+        # 10 x 9 on its tall side and of rank 8: a lift after every prime
+        # would first succeed at `needed` primes; lifting whenever the count
+        # grows by a quarter overshoots that by less than a quarter, where
+        # lifting at powers of two ran 128 and 512
+        x = FatPointScheme(QQ, 2, [((10**digits, 7, 1), 3), ((1, 1, 1), 2)])
+        m = conditions_matrix(x, 3)
+        primes = count_eliminations(monkeypatch)
+        moduli = count_lifts(monkeypatch)
+        assert m.rank() == 8
+        assert len(primes) == run < 1.25 * needed
+        assert primes == [certificate_prime(k) for k in range(run)]
+        assert moduli[-1] == prod(primes)
 
     def test_hadamard_bound_ends_the_certificate(self, monkeypatch):
         # the primes the Hadamard bound proves enough reconstruct every
@@ -339,7 +362,7 @@ class TestLargePrime:
         assert ExactMatrix(QQ, rows).rank() == 9
         m = ExactMatrix(ScalarField.prime(self.P), rows)
         assert m.rank() == 8
-        assert exact._rref_mod_p(m.entries, self.P)[0].dtype == object
+        assert exact._echelon_mod_p(m.entries, self.P)[0].dtype == object
         (v,) = m.kernel_basis()
         assert all(type(x) is int for x in v)
         assert m.mul_vector(v) == (0,) * 9
@@ -449,14 +472,7 @@ class TestKernelAgainstGaussJordan:
         assert len(rows) * len(rows[0]) >= exact._NUMPY_MIN_CELLS
         # the kernel is read off one reduction mod p, never off the
         # fraction-free echelon
-        primes = []
-        reduce = exact._rref_mod_p
-
-        def counted(rows, p):
-            primes.append(p)
-            return reduce(rows, p)
-
-        monkeypatch.setattr(exact, "_rref_mod_p", counted)
+        primes = count_eliminations(monkeypatch)
         no_bareiss(monkeypatch)
         assert_kernel_matches_rref(field, rows)
         assert primes == [field.p]
@@ -469,7 +485,7 @@ class TestKernelAgainstGaussJordan:
         rows = [[1, 2 * p, 3] + [k] * 6 for k in range(1, 9)]
         rows[1][:3] = [1, p, 5]
         pivots = rref([[QQ.elem(x) for x in row] for row in rows], QQ)[1]
-        unlucky = exact._rref_mod_p(rows, p)[1]
+        unlucky = exact._echelon_mod_p(rows, p)[1]
         assert len(pivots) == len(unlucky) and pivots < unlucky
         moduli = count_lifts(monkeypatch)
         no_bareiss(monkeypatch)
@@ -493,7 +509,7 @@ class TestSmallRankRoute:
             subset: minor_rank(ExactMatrix.from_columns(QQ, [columns[j] for j in subset]))
             for size in range(1, 7) for subset in combinations(m.elements, size)
         }
-        monkeypatch.setattr(exact, "_rref_mod_p", refuse("_rref_mod_p"))
+        monkeypatch.setattr(exact, "_echelon_mod_p", refuse("_echelon_mod_p"))
         monkeypatch.setattr(ExactMatrix, "__init__", refuse("ExactMatrix.__init__"))
         monkeypatch.setattr(ExactMatrix, "from_integer_rows",
                             classmethod(refuse("ExactMatrix.from_integer_rows")))
@@ -510,7 +526,7 @@ class TestSmallRankRoute:
         assert (nrows * ncols < exact._NUMPY_MIN_CELLS) == (route == "bareiss")
         if route == "bareiss":
             monkeypatch.setattr(exact, "_echelon_kernel", refuse("_echelon_kernel"))
-            monkeypatch.setattr(exact, "_rref_mod_p", refuse("_rref_mod_p"))
+            monkeypatch.setattr(exact, "_echelon_mod_p", refuse("_echelon_mod_p"))
         else:
             no_bareiss(monkeypatch)
         assert ExactMatrix(QQ, rows).rank() == 5
@@ -527,7 +543,7 @@ class TestSmallRankRoute:
         expected = len(rref([[field.elem(x) for x in row] for row in rows], field)[1])
         assert expected == 3
         if nrows * ncols < exact._NUMPY_MIN_CELLS:
-            monkeypatch.setattr(exact, "_rref_mod_p", refuse("_rref_mod_p"))
+            monkeypatch.setattr(exact, "_echelon_mod_p", refuse("_echelon_mod_p"))
         else:
             no_bareiss(monkeypatch)
         assert ExactMatrix(field, rows).rank() == expected
@@ -600,9 +616,56 @@ def test_rank_plus_kernel_dimension():
         assert m.rank() + len(m.kernel_basis()) == nc
 
 
+@st.composite
+def echelon_cases(draw):
+    """(rows, p, as_array): integer rows with zero rows, zero columns and
+    rows combined from earlier ones, modulo a prime below 2^31 (int64
+    arrays) or above it (object arrays), given as lists or, for the int64
+    side, as an array of residues; 1 to 12 rows of 1 to 12 columns."""
+    p = draw(st.sampled_from([7, 10007, certificate_prime(0), 2**61 - 1]))
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 2))
+    entry = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-2**70, 2**70))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["random", "random", "zero", "dependent"]))
+        if kind == "zero":
+            row = [0] * ncols
+        elif kind == "dependent" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        rows.append([0 if j in zero_cols else x for j, x in enumerate(row)])
+    return rows, p, p < 2**31 and draw(st.booleans())
+
+
 class TestResidueArrays:
-    """Eliminations of int64 residue arrays on both sides of the numpy
-    split."""
+    """The one elimination mod p, ``_echelon_mod_p``, and the
+    back-substitution ``_rref_mod_p`` on its array, on both dtypes."""
+
+    @given(echelon_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_echelon_then_back_substitution(self, case):
+        import numpy as np
+
+        rows, p, as_array = case
+        field = ScalarField.prime(p)
+        given = np.array([[x % p for x in row] for row in rows], dtype=np.int64) if as_array else rows
+        ech, pivots = exact._echelon_mod_p(given, p)
+        assert ech.dtype == (np.int64 if p < 2**31 else object)
+        assert pivots == _bareiss_echelon(rows, p)[1]
+        # pivot rows are 1 at their pivots, with zeros below each pivot and
+        # in every row past the rank
+        r = len(pivots)
+        assert all(ech[i, c] == 1 and not ech[i + 1:, c].any() for i, c in enumerate(pivots))
+        assert not ech[r:].any()
+        red = exact._rref_mod_p(ech, pivots, p)
+        assert red is ech
+        expected, expected_pivots = rref([[field.elem(x) for x in row] for row in rows], field)
+        assert pivots == expected_pivots
+        assert red.tolist() == expected
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (8, 8), (12, 6)])
     def test_rref_of_an_int64_array(self, shape):
@@ -610,8 +673,21 @@ class TestResidueArrays:
 
         rows = low_rank(random.Random(shape[0]), *shape, 2)
         rows = [[x % 10007 for x in row] for row in rows]
-        red, pivots = exact._rref_mod_p(np.array(rows, dtype=np.int64), 10007)
-        expected_red, expected_pivots = exact._rref_mod_p(rows, 10007)
+        ech, pivots = exact._echelon_mod_p(np.array(rows, dtype=np.int64), 10007)
+        expected_ech, expected_pivots = exact._echelon_mod_p(rows, 10007)
         assert pivots == expected_pivots
-        assert [list(map(int, row)) for row in red] == [list(row) for row in expected_red]
-        assert red.dtype == expected_red.dtype == np.int64
+        assert ech.tolist() == expected_ech.tolist()
+        assert ech.dtype == expected_ech.dtype == np.int64
+        red = exact._rref_mod_p(ech, pivots, 10007)
+        assert red.tolist() == exact._rref_mod_p(expected_ech, pivots, 10007).tolist()
+        assert red.dtype == np.int64
+
+    def test_int64_residues_refused_from_2_31(self):
+        # products of residues from 2^31 on overflow int64 without an error,
+        # so such an array is refused, not reduced
+        import numpy as np
+
+        for p in (2**31 + 11, 2**61 - 1):
+            with pytest.raises(ValueError, match="overflow"):
+                exact._echelon_mod_p(np.eye(8, dtype=np.int64), p)
+        assert exact._echelon_mod_p(np.eye(8, dtype=np.int64), certificate_prime(0))[1] == list(range(8))

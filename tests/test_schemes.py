@@ -225,21 +225,27 @@ def prime_above(d):
 
 
 @st.composite
-def residue_cases(draw):
+def residue_cases(draw, wide=False):
     """(X, d) with X over Q or over F_p, p the least prime above d: points
     of P^n, each with its pivot at a drawn coordinate, zeros before it and
     zeros among the later ones, and multiplicities 1..5.  Half the cases
     have fewer than ``_NUMPY_MIN_CELLS`` cells (n <= 2, d <= 2, at most
-    three points, multiplicities <= 2 off P^1), half at least that many."""
+    three points, multiplicities <= 2 off P^1), half at least that many.
+    With ``wide``, coordinates also come from around +-10^100, so keys are
+    wider than int64."""
     small = draw(st.booleans())
     n = draw(st.integers(1, 2 if small else 3))
     d = draw(st.integers(0, 2) if small else st.integers(3, 9))
     field = draw(st.sampled_from([QQ, ScalarField.prime(prime_above(d))]))
-    coord = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**4, 10**4))
+    magnitude = st.integers(1, 10**4)
+    if wide:
+        magnitude = st.one_of(magnitude, st.integers(10**100 - 10**4, 10**100 + 10**4))
+    coord = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.builds(lambda m, sign: sign * m, magnitude, st.sampled_from([1, -1])))
     points, keys = [], set()
     for _ in range(draw(st.integers(1, 3 if small else 4))):
         pivot = draw(st.integers(0, n))
-        lead = draw(st.integers(1, 10**4)) * draw(st.sampled_from([1, -1]))
+        lead = draw(magnitude) * draw(st.sampled_from([1, -1]))
         coords = [0] * pivot + [lead] + draw(st.lists(coord, min_size=n - pivot, max_size=n - pivot))
         mult = draw(st.integers(1, 5 if n == 1 or not small else 2))
         elems = [field.elem(c) for c in coords]
@@ -255,7 +261,7 @@ def residue_cases(draw):
 class TestConditionsResidues:
     """The climb's residue builder against the exact rows."""
 
-    @given(residue_cases())
+    @given(residue_cases(wide=True))
     @settings(max_examples=150, deadline=None)
     def test_equals_exact_rows_mod_q(self, case):
         x, d = case
@@ -264,6 +270,28 @@ class TestConditionsResidues:
         assert str(a.dtype) == "int64"
         rows = exact._tall(conditions_matrix(x, d).entries)
         assert a.tolist() == [[v % q for v in row] for row in rows]
+
+    def test_unfaithful_degrees_refused(self):
+        x = FatPointScheme(ScalarField.prime(5), 2, [((1, 0, 0), 4), ((0, 1, 0), 4)])
+        for d, message in [(5, "prime field too small"), (-1, "degree must be >= 0")]:
+            for build in (conditions_matrix, lambda y, e: schemes._conditions_residues(y, e, 5)):
+                with pytest.raises(ValueError, match=message):
+                    build(x, d)
+
+    def test_helper_caches_are_keyed_by_shape(self):
+        # the residue build caches per shape, (n, d, max m, q) and
+        # (n, m, pivot), never per scheme: thousands of schemes leave its
+        # caches as small as the shapes they have
+        caches = schemes._shift_arrays, schemes._row_orders
+        for cache in caches:
+            cache.cache_clear()
+        rng = rng_from_seed(11)
+        q = exact.certificate_prime(0)
+        for _ in range(3000):
+            x = random_scheme(rng, rng.randint(1, 3), 5, 3)
+            schemes._conditions_residues(x, rng.randint(0, 6), q)
+        # n <= 3, d <= 6 and m <= 3 make 63 and 27 shapes
+        assert all(cache.cache_info().currsize <= bound for cache, bound in zip(caches, (63, 27)))
 
     @given(residue_cases())
     @settings(max_examples=80, deadline=None)
@@ -466,16 +494,17 @@ def count_conditions_matrices(monkeypatch):
 
 
 def count_reductions(monkeypatch):
-    """The reductions mod p from now on, in order, as (p, row count)."""
+    """The eliminations mod p from now on, in order, as (p, row count):
+    every one goes through ``_echelon_mod_p``."""
     reductions = []
-    reduce = exact._rref_mod_p
+    eliminate = exact._echelon_mod_p
 
     def counted(rows, p):
         reductions.append((p, len(rows)))
-        return reduce(rows, p)
+        return eliminate(rows, p)
 
-    monkeypatch.setattr(exact, "_rref_mod_p", counted)
-    monkeypatch.setattr(schemes, "_rref_mod_p", counted)
+    monkeypatch.setattr(exact, "_echelon_mod_p", counted)
+    monkeypatch.setattr(schemes, "_echelon_mod_p", counted)
     return reductions
 
 
