@@ -6,8 +6,10 @@ multiplicity of support points in L.  Replacing L by the span of the
 support points it contains preserves the weight and cannot increase the
 dimension, so the maximum is attained on spans of support subsets, that
 is, on the flats of the support points' vector matroid.  The flats come
-from ``matroid.flats_spanned_by_subsets``; the brute force over every
-support subset that cross-checks them lives in ``tests/oracles.py``.
+level by level from ``schemes.flat_levels``, which tells them apart by
+projective keys and ranks nothing, for at most ``FLAT_ENUMERATION_GUARD``
+support points; the brute force over every support subset that
+cross-checks them lives in ``tests/oracles.py``.
 
 The cardinality estimate |S| <= seg*(rk S - 1) + 1 is a count-matroid
 condition: a worst-case S holds every copy of each point it meets, so with
@@ -25,22 +27,19 @@ from operator import mul
 
 from .constructions import elementary_quotient, verify_count_hypothesis
 from .exact import ExactMatrix, GuardExceeded, InternalError
-from .matroid import (
-    VectorMatroid,
-    fat_point_vector_matroid,
-    flats_spanned_by_subsets,
-    in_general_position,
-)
+from .matroid import VectorMatroid, fat_point_vector_matroid, in_general_position
 from .partition import InfeasibilityWitness, edmonds_partition
 from .schemes import (
     _ceil_div,
     conditions_matrix,
+    flat_levels,
     hilbert_function,
     monomials,
     regularity_index,
 )
 
 MODIFIED_BOUND_GUARD = 12
+FLAT_ENUMERATION_GUARD = 24
 
 
 @dataclass
@@ -82,9 +81,10 @@ class BoundReport:
 def segre_bound(x):
     """seg(X) and an attaining witness flat, computed once per scheme.
 
-    The candidates are the flats of rank >= 2 of the support points'
-    vector matroid.  Ties are broken by smallest span dimension, then
-    lexicographically smallest point subset, so witnesses are deterministic.
+    The candidates are the flats of rank >= 2 of the support points
+    (``flat_levels``), for at most ``FLAT_ENUMERATION_GUARD`` points.
+    Ties are broken by smallest span dimension, then lexicographically
+    smallest point subset, so witnesses are deterministic.
     """
     if x._segre is None:
         x._segre = _segre_bound(x)
@@ -96,17 +96,18 @@ def _segre_bound(x):
     if x.support_size == 1:
         m = mults[0]
         return m - 1, SegreWitness(frozenset([0]), 0, m, m - 1)
-    support = VectorMatroid(ExactMatrix.from_columns(x.field, x.keys))
+    if x.support_size > FLAT_ENUMERATION_GUARD:
+        raise GuardExceeded("ground set too large for exhaustive flat enumeration")
     best = None
-    for members in flats_spanned_by_subsets(support, min_rank=2):
-        dim = support.rank(members) - 1
-        w = sum(mults[i] for i in members)
-        value = _ceil_div(w - 1, dim)
-        if value != (w + dim - 2) // dim:
-            raise InternalError("floor and ceiling forms of the Segre value disagree")
-        key = (-value, dim, sorted(members))
-        if best is None or key < best[0]:
-            best = (key, SegreWitness(members, dim, w, value))
+    for dim, level in enumerate(flat_levels(x), 1):
+        for members in level:
+            w = sum(mults[i] for i in members)
+            value = _ceil_div(w - 1, dim)
+            if value != (w + dim - 2) // dim:
+                raise InternalError("floor and ceiling forms of the Segre value disagree")
+            key = (-value, dim, sorted(members))
+            if best is None or key < best[0]:
+                best = (key, SegreWitness(members, dim, w, value))
     singleton = max(mults) - 1
     witness = best[1]
     if singleton > witness.value:

@@ -2,9 +2,10 @@
 
 A matroid is represented by a :class:`RankOracle`: a finite ground set of
 integer element ids together with a rank function on subsets.  Derived
-notions (independence, closure, circuits, flats) are computed through the
-rank function only, so quotients, extensions and count matroids all reuse
-the same machinery.
+notions (independence, closure, circuits) are computed through the rank
+function only, so quotients, extensions and count matroids all reuse the
+same machinery.  The flats of a scheme's support points are found without
+rank queries, by projective keys (``schemes.flat_levels``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from itertools import combinations
 
 from .exact import ExactMatrix, GuardExceeded
 
-FLAT_ENUMERATION_GUARD = 24
 CIRCUIT_ENUMERATION_GUARD = 20
 
 
@@ -115,50 +115,6 @@ def independent_sets(m):
                 out.append(cand)
                 stack.append((cand, i + 1))
     return out
-
-
-def flats_spanned_by_subsets(m, min_rank=0):
-    """Every flat cl(S) of rank >= min_rank, sorted by size, then elements.
-
-    Flats are generated rank by rank from cl(empty set): every flat of rank
-    r + 1 covers one of rank r, so the flats of rank r + 1 are the distinct
-    covers cl(F + q) of the rank-r flats F.  Rank queries go through the
-    oracle's memo, so a subset reached from several flats is ranked once.
-    """
-    if len(m) > FLAT_ENUMERATION_GUARD:
-        raise GuardExceeded("ground set too large for exhaustive flat enumeration")
-    full = m.full_rank()
-    level = {m.closure(())}
-    flats = []
-    for r in range(full + 1):
-        if r >= min_rank:
-            flats.extend(level)
-        if r + 1 == full:
-            level = {frozenset(m.elements)}
-        else:
-            level = {cover for flat in level for cover in _covers(m, flat, r)}
-    return sorted(flats, key=lambda f: (len(f), sorted(f)))
-
-
-def _covers(m, flat, r):
-    """The flats of rank r + 1 that contain the rank-r flat ``flat``.
-
-    They are the closures cl(flat + q), and they partition the elements
-    outside ``flat``, so an element already in one cover is neither a new
-    q nor tested for membership again.
-    """
-    rest = [e for e in m.elements if e not in flat]
-    covers = []
-    while rest:
-        q, *others = rest
-        base = flat | {q}
-        inside = {e for e in others if m._rank(base | {e}) == r + 1}
-        cover = base | inside
-        # q lies outside the flat, so flat + q and its closure have rank r + 1
-        m._cache[cover] = r + 1
-        covers.append(cover)
-        rest = [e for e in others if e not in inside]
-    return covers
 
 
 class VectorMatroid(RankOracle):

@@ -21,8 +21,10 @@ Each point is cleared to integers once, to its projective normal form
 positive over Q, the vector scaled to first nonzero entry 1 over F_p.  A
 scheme keeps these keys (``keys``) next to the given coordinates, which
 serve serialization and derived schemes only.  Distinctness, membership,
-the conditions matrices, the line search, the support matroids and the
-generators' resampling all read the keys.
+the conditions matrices, the flats of the support points
+(``flat_levels``: covers told apart by keys of their points' images
+modulo the flat, no rank query), the heaviest line among them, the
+support matroids and the generators' resampling all read the keys.
 
 Vanishing conditions are written after dehomogenizing each point at its
 first nonzero coordinate, which avoids the redundancy among homogeneous
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb, gcd, perm, prod
 from operator import mul
 
@@ -52,16 +55,22 @@ from .exact import (_NUMPY_MIN_CELLS, ExactMatrix, InternalError, _echelon_mod_p
 @lru_cache(maxsize=None)
 def monomials(n, d):
     """Exponent tuples of the degree-d monomials in n+1 variables,
-    in degree-lexicographic order (x0^d first)."""
-    def gen(nvars, total):
-        if nvars == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in gen(nvars - 1, total - first):
-                yield (first,) + rest
+    in degree-lexicographic order (x0^d first).
 
-    return tuple(gen(n + 1, d))
+    A monomial is a placement of n bars among n + d slots, its exponents
+    the runs of free slots between them; placements in reverse
+    lexicographic order give degree-lexicographic order.  No recursion, so
+    any number of variables works."""
+    out = []
+    for bars in combinations(range(n + d), n):
+        exponents, prev = [], -1
+        for b in bars:
+            exponents.append(b - prev - 1)
+            prev = b
+        exponents.append(n + d - 1 - prev)
+        out.append(tuple(exponents))
+    out.reverse()
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -306,37 +315,77 @@ def _normalized(v, p):
     return tuple(c // g for c in v)
 
 
+def _reduced(images, u, p):
+    """The vectors ``images`` (point index -> vector) after one
+    fraction-free step by u, each ``_normalized``, those that vanish
+    dropped: v becomes u_t v - v_t u at the first nonzero coordinate t of
+    u.  That kills u and the coordinate t, so after steps by u_1, u_2, ..
+    a point's image vanishes exactly when it lies in their span.  Over F_p
+    u and v are reduced with leading entry 1, so a step that vanishes
+    mod p gives v = u and vanishes outright."""
+    t = next(k for k, c in enumerate(u) if c)
+    out = {}
+    for b, v in images.items():
+        w = [u[t] * c - v[t] * e for c, e in zip(v, u)]
+        if any(w):
+            out[b] = _normalized(w, p)
+    return out
+
+
+def flat_levels(x):
+    """The flats of rank 2, 3, .. of X's support points, one list per rank
+    up to the full rank; a flat is the set of support points in the span
+    of some of them, given as a frozenset of their indices.  No rank is
+    queried.
+
+    A flat F is kept with the images of the points outside it modulo its
+    span (``_reduced``, starting from the keys): two points q, q' lie in
+    the same cover cl(F + q) exactly when their images are equal, so F's
+    covers are the classes of equal images, and a cover's images are F's
+    reduced by the class's image.  Every flat of rank r + 1 covers one of
+    rank r, so the covers of each level give the next, each flat reached
+    first by some parent keeping that parent's images.  A flat's images are
+    built only when it is expanded.  The full rank is the number of steps
+    that reduce the keys to nothing, and its level is the whole support, so
+    hyperplanes are never expanded.  For a point a, the image of b is
+    a_t b - b_t a, where the line through a and b meets x_t = 0.
+    """
+    p = x.field.p
+    keys = dict(enumerate(x.keys))
+    images, full = keys, 0
+    while images:
+        images = _reduced(images, next(iter(images.values())), p)
+        full += 1
+    level = {frozenset([i]): (keys, key) for i, key in keys.items()}
+    for _ in range(2, full):
+        covers = {}
+        for flat, (parent, key) in level.items():
+            images = _reduced(parent, key, p)
+            classes = {}
+            for b, v in images.items():
+                classes.setdefault(v, []).append(b)
+            for v, members in classes.items():
+                covers.setdefault(flat.union(members), (images, v))
+        yield list(covers)
+        level = covers
+    if full > 1:
+        yield [frozenset(keys)]
+
+
 def heaviest_line(x):
     """The indices, in order, of the support points on a heaviest line L:
-    one whose points have the largest total multiplicity w_L.
+    one whose points have the largest total multiplicity w_L, the first
+    such by its smallest member, then its next one.
 
     w_L - 1 is a lower bound for r(X), at least max m_i - 1, and L's own
     Segre value: the points on L form a subscheme of X, which meets L in a
-    scheme of degree w_L on a P^1, and that needs degree w_L - 1.  The lines
-    through a support point a are told apart by where they meet the
-    hyperplane x_t = 0, for a coordinate with a_t != 0: the line through a
-    and b meets it at a_t b - b_t a.  So each of the s(s - 1)/2 pairs costs
-    O(n) integer steps and no rank; each line is weighed from its first
-    point on.
+    scheme of degree w_L on a P^1, and that needs degree w_L - 1.  The
+    lines are the rank-2 level of ``flat_levels``; a single point is on
+    a line by itself.
     """
     mults = x.mults
-    if x.n == 1 or len(mults) <= 2:
-        return list(range(len(mults)))  # the support lies on one line
-    p = x.field.p
-    keys = x.keys
-    best, members = 0, None
-    for i, a in enumerate(keys[:-1]):
-        t = next(k for k, v in enumerate(a) if v)
-        later = {}  # line through a -> its points after a
-        for j in range(i + 1, len(keys)):
-            b = keys[j]
-            key = _normalized([a[t] * bk - b[t] * ak for ak, bk in zip(a, b)], p)
-            later.setdefault(key, []).append(j)
-        for line in later.values():
-            weight = mults[i] + sum(map(mults.__getitem__, line))
-            if weight > best:
-                best, members = weight, [i] + line
-    return members
+    lines = sorted(map(sorted, next(flat_levels(x), [frozenset([0])])))
+    return max(lines, key=lambda line: sum(mults[i] for i in line))
 
 
 def hilbert_function(x, d):
@@ -404,10 +453,11 @@ def regularity_index(x):
     the line L of ``heaviest_line``.  The line is a witness, not a number:
     its members' keys are ranked exactly, and more than a line
     (rank above 2) is an ``InternalError``, so the check also runs under
-    ``python -O``.  The line search runs only when its s(s - 1)/2 pair keys
-    are at most deg X, the row count of every conditions matrix the search
-    builds, which keeps it a small part of building even one of them;
-    otherwise (many light points) the bound is the floor.
+    ``python -O``.  The line search, O(n) integer steps for each ordered
+    pair of support points, runs only when s(s - 1)/2 is at most deg X,
+    the row count of every conditions matrix the search builds, which
+    keeps it a small part of building even one of them; otherwise (many
+    light points) the bound is the floor.
 
     The search climbs from the bound, one matrix per degree, ranked whole by
     ``_rank_bound``: a full rank modulo a prime is full over Q, and the rank

@@ -166,18 +166,39 @@ class TestGenVerify:
     def test_verify_enumerates_flats_once(self, tmp_path, monkeypatch):
         # main-theorem and cardinality share the scheme's Segre bound
         calls = []
-        enumerate_flats = bounds.flats_spanned_by_subsets
+        enumerate_flats = bounds.flat_levels
 
         def counting(*args, **kwargs):
             calls.append(args)
             return enumerate_flats(*args, **kwargs)
 
-        monkeypatch.setattr(bounds, "flats_spanned_by_subsets", counting)
+        monkeypatch.setattr(bounds, "flat_levels", counting)
         pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
         x = FatPointScheme(QQ, 2, [(p, 2) for p in pts])
         inst = write_json(tmp_path / "x.json", scheme_to_dict(x))
         assert main(["verify", inst, "--out", str(tmp_path / "r.json")]) == EXIT_OK
         assert len(calls) == 1
+
+    def test_main_theorem_past_the_flat_guard_is_skipped(self, tmp_path):
+        x = FatPointScheme(QQ, 2, [(p, 1) for p in collinear_points(2, 25)])
+        inst = write_json(tmp_path / "x.json", scheme_to_dict(x))
+        report = str(tmp_path / "report.json")
+        assert main(["verify", inst, "--checks", "main-theorem", "--out", report]) == EXIT_SKIPPED
+        data = json.loads(open(report).read())
+        assert data["checks"] == {
+            "main-theorem": {"skipped": "ground set too large for exhaustive flat enumeration"}}
+        assert (data["passed"], data["failed"], data["skipped"]) == (0, 0, 1)
+
+    def test_main_theorem_on_a_point_of_p1500(self, tmp_path):
+        # monomials in 1501 variables once recursed once per variable
+        x = FatPointScheme(QQ, 1500, [(range(1, 1502), 1)])
+        inst = write_json(tmp_path / "x.json", scheme_to_dict(x))
+        report = str(tmp_path / "report.json")
+        proc = run_python("-m", "fatpointlab.cli", "verify", inst, "--checks", "main-theorem",
+                          "--out", report)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        data = json.loads(open(report).read())
+        assert data["checks"]["main-theorem"]["reg_index"] == 0
 
     def test_single_point_skips_two_point_checks(self, tmp_path):
         x = FatPointScheme(QQ, 2, [((1, 2, 3), 2)])

@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fatpointlab import exact, schemes
 from fatpointlab.exact import ExactMatrix, GuardExceeded, ScalarField
 from fatpointlab.generators import generic_points, random_vector_matroid, rng_from_seed
 from fatpointlab.matroid import (
@@ -11,11 +12,10 @@ from fatpointlab.matroid import (
     VectorMatroid,
     circuits,
     fat_point_vector_matroid,
-    flats_spanned_by_subsets,
     in_general_position,
     independent_sets,
 )
-from fatpointlab.schemes import FatPointScheme
+from fatpointlab.schemes import FatPointScheme, flat_levels
 from oracles import check_rank_axioms, closures_exhaustive, general_position_exhaustive
 
 QQ = ScalarField.rational()
@@ -24,6 +24,10 @@ FP = ScalarField.prime(10007)
 
 def vm(field, cols):
     return VectorMatroid(ExactMatrix.from_columns(field, cols))
+
+
+def simple(n, coords_list):
+    return FatPointScheme(QQ, n, [(c, 1) for c in coords_list])
 
 
 class TestIndependenceAndClosure:
@@ -82,49 +86,71 @@ class TestCircuits:
             circuits(m)
 
 
+@st.composite
+def support_points(draw):
+    """(field, n, keys): up to seven distinct points of P^n, n <= 4, over
+    Q, F_7 or F_10007, as keys.  A point is free or a combination of two
+    or three base vectors, so clusters on lines and planes occur, and
+    coordinates come from -3..3 or within 10^4 of +-10^100.  Projectively
+    equal and zero vectors are dropped."""
+    field = draw(st.sampled_from([QQ, ScalarField.prime(7), ScalarField.prime(10007)]))
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3), st.builds(lambda m, sign: sign * m,
+                                                    st.integers(10**100 - 10**4, 10**100 + 10**4),
+                                                    st.sampled_from([1, -1])))
+    vector = st.lists(entry, min_size=n + 1, max_size=n + 1)
+    base = draw(st.lists(vector, min_size=3, max_size=3))
+    combination = st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(
+        lambda w: [sum(c * v[j] for c, v in zip(w, base)) for j in range(n + 1)])
+    on_a_line = combination.map(lambda v: v[:2] + [0] * (n - 1))
+    keys = []
+    for coords in draw(st.lists(st.one_of(vector, combination, on_a_line), min_size=1, max_size=7)):
+        elems = [field.elem(c) for c in coords]
+        if any(elems) and schemes._point_key(field, elems) not in keys:
+            keys.append(schemes._point_key(field, elems))
+    assume(keys)
+    return field, n, keys
+
+
 class TestFlats:
+    """The flats of a scheme's support points, found by projective keys
+    (``flat_levels``), against the closures of every subset by ranks."""
+
+    @given(support_points())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_exhaustive_closure(self, case):
+        field, n, keys = case
+        x = FatPointScheme(field, n, [(k, 1) for k in keys])
+        rank = ExactMatrix.from_columns(field, keys).rank_of_column_subset
+        flats = closures_exhaustive(rank, range(len(keys)))
+        levels = list(flat_levels(x))
+        assert len(levels) == max(0, rank(range(len(keys))) - 1)
+        for r, level in enumerate(levels, 2):
+            assert len(level) == len(set(level))
+            assert set(level) == {f for f in flats if rank(f) == r}
+
     def test_three_independent_columns_min_rank_two(self):
-        m = vm(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        flats = flats_spanned_by_subsets(m, min_rank=2)
-        assert flats == [
-            frozenset({0, 1}),
-            frozenset({0, 2}),
-            frozenset({1, 2}),
-            frozenset({0, 1, 2}),
-        ]
+        x = simple(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        lines, plane = flat_levels(x)
+        assert sorted(map(sorted, lines)) == [[0, 1], [0, 2], [1, 2]]
+        assert plane == [frozenset({0, 1, 2})]
 
     def test_rank_one_matroid_has_no_rank_two_flats(self):
-        m = vm(QQ, [(1, 1)] * 5)
-        assert flats_spanned_by_subsets(m, min_rank=2) == []
+        assert list(flat_levels(simple(2, [(1, 2, 3)]))) == []
 
-    def test_min_rank_zero_includes_loops_closure(self):
-        m = vm(QQ, [(1, 0), (0, 1)])
-        flats = flats_spanned_by_subsets(m)
-        assert frozenset() in flats and frozenset({0, 1}) in flats
+    def test_rank_queries_on_twenty_generic_points(self, monkeypatch):
+        # none: the 190 lines and the plane come from keys alone
+        def refuse(*args):
+            raise AssertionError("a rank was queried")
 
-    def test_guard(self):
-        m = RankOracle(range(25), lambda fs: min(len(fs), 2))
-        with pytest.raises(GuardExceeded):
-            flats_spanned_by_subsets(m)
-
-    def test_rank_queries_on_twenty_generic_points(self):
-        # the rank-by-rank enumeration asks 1,351 distinct subset ranks here;
-        # closing every subset of at most three points asked 24,530
-        matrix = ExactMatrix.from_columns(QQ, generic_points(rng_from_seed(12), 2, 20, coord_range=1000))
-        queries = []
-
-        def rank(fs):
-            queries.append(fs)
-            return matrix.rank_of_column_subset(fs)
-
-        m = RankOracle(range(20), rank)
-        flats = flats_spanned_by_subsets(m, min_rank=2)
-        assert len(queries) == len(set(queries)) <= 3000
-        assert len(flats) == 190 + 1 and flats[-1] == frozenset(range(20))
+        x = simple(2, generic_points(rng_from_seed(12), 2, 20, coord_range=1000))
+        monkeypatch.setattr(exact, "_rank_of_rows", refuse)
+        lines, plane = flat_levels(x)
+        assert sorted(map(len, lines)) == [2] * 190 and plane == [frozenset(range(20))]
 
     def test_singleton_ranks_need_no_elimination(self, monkeypatch):
-        # a column is a loop iff it is zero, so cl(empty set) asks no
-        # one-column rank
+        # a column is a loop iff it is zero, so closures ask no one-column
+        # rank
         points = generic_points(rng_from_seed(12), 2, 20, coord_range=1000)
         widths = []
         ranked = ExactMatrix.rank_of_column_subset
@@ -134,25 +160,10 @@ class TestFlats:
             return ranked(matrix, cols)
 
         monkeypatch.setattr(ExactMatrix, "rank_of_column_subset", counted)
-        assert len(flats_spanned_by_subsets(vm(QQ, points), min_rank=2)) == 191
+        assert vm(QQ, points).closure({0, 1}) == {0, 1}
         m = vm(FP, [(0, 0), (1, 2)])
         assert m.closure(()) == {0} and m.rank({1}) == 1
         assert widths and 1 not in widths
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.integers(1, 3).flatmap(lambda dim: st.lists(
-            st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=8)),
-        st.lists(st.integers(0, 7), max_size=3),
-        st.integers(0, 4),
-    )
-    def test_equals_exhaustive_closure(self, cols, repeat, min_rank):
-        # zero columns are loops; repeated columns, negated, are parallel
-        cols = cols + [tuple(-c for c in cols[i % len(cols)]) for i in repeat]
-        m = vm(QQ, cols)
-        expected = sorted((f for f in closures_exhaustive(m.rank, m.elements) if m.rank(f) >= min_rank),
-                          key=lambda f: (len(f), sorted(f)))
-        assert flats_spanned_by_subsets(vm(QQ, cols), min_rank) == expected
 
 
 @st.composite

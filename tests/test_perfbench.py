@@ -34,3 +34,16 @@ def test_every_measured_module_imports(harness):
     assert sorted(vars(package)) == sorted(harness.MODULES)
     for name in harness.MODULES:
         assert getattr(package, name).__name__ == "fatpointlab." + name
+
+
+@pytest.mark.parametrize("name, step", [("small-random", 7), ("special-position", 1), ("partition", 13)])
+def test_results_match_the_reference_digests(harness, tmp_path, name, step):
+    # every step-th catalog instance, run in process: reports stay
+    # byte-identical before the benchmark is run (cli-cold is left out, its
+    # ops start processes)
+    from workloads import WORKLOADS, digest
+
+    w = WORKLOADS[name](harness.load_package(), harness.ROOT, tmp_path)
+    expected = w.reference()
+    got = {i: digest(w.op(w.build(i))) for i in range(0, w.size, step)}
+    assert got == {i: expected[i] for i in got}

@@ -543,6 +543,14 @@ class TestBoundarySearch:
         assert schemes.heaviest_line(x) == [0, 1, 2]
         assert 6 == heaviest_line_weight_by_ranks(x)
 
+    def test_heaviest_line_tie_breaks(self):
+        # equally heavy lines: the first by its next member, {0, 1, 2}
+        # before {0, 3, 4}, or by its smallest, {0, 4, 5} before {1, 2, 3}
+        x = simple(2, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)])
+        assert schemes.heaviest_line(x) == [0, 1, 2]
+        x = simple(2, [(1, 1, 1), (1, 0, 0), (0, 0, 1), (1, 0, 2), (0, 1, 0), (1, 2, 1)])
+        assert schemes.heaviest_line(x) == [0, 4, 5]
+
     def test_line_search_ranks_nothing(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the line search built or ranked a matrix")
