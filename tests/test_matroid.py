@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatpointlab import exact, schemes
+from fatpointlab.bounds import FLAT_ENUMERATION_GUARD, segre_bound
 from fatpointlab.exact import ExactMatrix, GuardExceeded, ScalarField
 from fatpointlab.generators import generic_points, random_vector_matroid, rng_from_seed
 from fatpointlab.matroid import (
@@ -15,7 +16,7 @@ from fatpointlab.matroid import (
     in_general_position,
     independent_sets,
 )
-from fatpointlab.schemes import FatPointScheme, flat_levels
+from fatpointlab.schemes import FatPointScheme, flat_levels, heaviest_line
 from oracles import check_rank_axioms, closures_exhaustive, general_position_exhaustive
 
 QQ = ScalarField.rational()
@@ -137,6 +138,14 @@ class TestFlats:
 
     def test_rank_one_matroid_has_no_rank_two_flats(self):
         assert list(flat_levels(simple(2, [(1, 2, 3)]))) == []
+
+    def test_guard(self):
+        # walking every flat is refused past the guard's support size; the
+        # rank-2 level alone (the heaviest line) is not
+        points = generic_points(rng_from_seed(12), 2, FLAT_ENUMERATION_GUARD + 1, coord_range=1000)
+        with pytest.raises(GuardExceeded, match="flat enumeration"):
+            segre_bound(simple(2, points))
+        assert heaviest_line(simple(2, points)) == [0, 1]
 
     def test_rank_queries_on_twenty_generic_points(self, monkeypatch):
         # none: the 190 lines and the plane come from keys alone
