@@ -84,7 +84,9 @@ def segre_bound(x):
     The candidates are the flats of rank >= 2 of the support points
     (``flat_levels``), for at most ``FLAT_ENUMERATION_GUARD`` points.
     Ties are broken by smallest span dimension, then lexicographically
-    smallest point subset, so witnesses are deterministic.
+    smallest point subset, so witnesses are deterministic.  A heaviest
+    single point, of value max m_i - 1, is the witness only where it beats
+    every flat, and where there is no flat: a one-point scheme.
     """
     if x._segre is None:
         x._segre = _segre_bound(x)
@@ -93,9 +95,6 @@ def segre_bound(x):
 
 def _segre_bound(x):
     mults = x.mults
-    if x.support_size == 1:
-        m = mults[0]
-        return m - 1, SegreWitness(frozenset([0]), 0, m, m - 1)
     if x.support_size > FLAT_ENUMERATION_GUARD:
         raise GuardExceeded("ground set too large for exhaustive flat enumeration")
     best = None
@@ -109,11 +108,10 @@ def _segre_bound(x):
             if best is None or key < best[0]:
                 best = (key, SegreWitness(members, dim, w, value))
     singleton = max(mults) - 1
-    witness = best[1]
-    if singleton > witness.value:
+    if best is None or singleton > best[1].value:
         i = mults.index(singleton + 1)
-        witness = SegreWitness(frozenset([i]), 0, singleton + 1, singleton)
-    return witness.value, witness
+        return singleton, SegreWitness(frozenset([i]), 0, singleton + 1, singleton)
+    return best[1].value, best[1]
 
 
 @dataclass
@@ -187,22 +185,19 @@ def separating_hypersurface(z, p_coords):
     """The add-one-point certificate: B = seg(Z+P) hyperplanes whose product
     vanishes on Z to the required orders but not at P.
 
-    Construction: partition the columns of A_Z plus B copies of P, each
-    point as its key, into B independent sets, then pass a hyperplane
-    through the non-P part of each block, chosen to miss P.
+    Construction: partition the columns of the fat-point vector matroid of
+    Z + B*P (``fat_point_vector_matroid``: Z's copies first, then P's B)
+    into B independent sets, then pass a hyperplane through the non-P part
+    of each block, chosen to miss P.
     """
     field = z.field
     p_coords = tuple(field.elem(c) for c in p_coords)
     if z.contains_point(p_coords):
         raise ValueError("point must be disjoint from Z")
-    extended = z.with_point(p_coords, 1)
-    big_b, _ = segre_bound(extended)
-    columns = []
-    for key, mult in zip(z.keys, z.mults):
-        columns.extend([key] * mult)
-    n_z = len(columns)
-    columns.extend([extended.keys[-1]] * big_b)
-    matroid = VectorMatroid(ExactMatrix.from_columns(field, columns))
+    big_b, _ = segre_bound(z.with_point(p_coords, 1))
+    matroid = fat_point_vector_matroid(z.with_point(p_coords, big_b))
+    matrix = matroid.matrix
+    n_z = matrix.ncols - big_b
     result = edmonds_partition(matroid, big_b)
     if isinstance(result, InfeasibilityWitness):
         raise InternalError(
@@ -213,7 +208,7 @@ def separating_hypersurface(z, p_coords):
     poly = {tuple([0] * (z.n + 1)): field.one()}
     for block in result.blocks:
         # a block holding only P: every hyperplane, the kernel of a zero row
-        vectors = [columns[i] for i in sorted(block) if i < n_z] or [[0] * (z.n + 1)]
+        vectors = [matrix.column(i) for i in sorted(block) if i < n_z] or [[0] * (z.n + 1)]
         kernel = ExactMatrix(field, vectors).kernel_basis()
         lin = None
         for cand in kernel:

@@ -56,6 +56,7 @@ from .schemes import (
     FatPointScheme,
     ctv_decomposition_check,
     regularity_index,
+    subscheme,
     veronese_inequality_check,
 )
 
@@ -97,10 +98,14 @@ def _flatten(data, prefix=""):
 
 
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--field", default="rational", help="rational or prime:p")
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=["json", "csv", "table"], default="json")
+
+
+def _add_seed_and_field(parser):
+    """The options of the commands that draw or build an instance."""
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--field", default="rational", help="rational or prime:p")
 
 
 def cmd_gen(args):
@@ -162,7 +167,7 @@ def _run_checks(x, checks, d):
                 results[name] = {"pass": verdict.ok, "segre": verdict.segre}
             elif name == "ctv":
                 coords, mult = x.points[-1]
-                rest = FatPointScheme(x.field, x.n, list(x.points[:-1]))
+                rest = subscheme(x, x.mults[:-1] + (0,))
                 verdict = ctv_decomposition_check(rest, coords, mult)
                 results[name] = {
                     "pass": verdict.ok,
@@ -325,6 +330,7 @@ def build_parser():
     gen.add_argument("--t", type=int, default=4, help="number of lines (example-2.8)")
     gen.add_argument("--k", type=int, default=3)
     gen.add_argument("--p", type=int, default=1)
+    _add_seed_and_field(gen)
     _add_common(gen)
     gen.set_defaults(func=cmd_gen)
 
@@ -347,6 +353,7 @@ def build_parser():
 
     rep = sub.add_parser("reproduce", help="re-run a documented scenario")
     rep.add_argument("example_id", choices=["2.8", "4.6-sharpness", "5.4-veronese", "5.6-generic"])
+    _add_seed_and_field(rep)
     _add_common(rep)
     rep.set_defaults(func=cmd_reproduce)
     return parser

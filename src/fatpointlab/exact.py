@@ -5,10 +5,16 @@ Two coefficient fields are supported: the rationals (via
 ``range(p)``).  All computations are exact; there is no floating point
 anywhere in this package.
 
-Field elements (``ScalarField.elem``) appear only where input is parsed;
-the library does no arithmetic on them.  Rationals are cleared to integers
-in one place, ``integer_vector``: over Q a vector is scaled by the lcm of
-its denominators, over F_p it becomes its residues.  A matrix keeps integer
+Field elements (``ScalarField.elem``) appear where input is parsed, and
+the library computes with them in two places only:
+``schemes.veronese_lift`` takes powers of a point's coordinates, and
+``bounds.separating_hypersurface``, with its ``_poly_mul_linear`` and
+``_poly_eval``, multiplies kernel vectors of ``kernel_basis``
+(``Fraction``s over Q) by each other and by a point's coordinates; its
+re-check hands the product's coefficients to ``mul_vector``.  Everything
+else is integer arithmetic.  Rationals are cleared to integers in one
+place, ``integer_vector``: over Q a vector is scaled by the lcm of its
+denominators, over F_p it becomes its residues.  A matrix keeps integer
 rows and nothing else.  Its constructor clears each row, which changes
 neither the rank nor the right kernel; ``from_columns`` clears each column,
 which keeps the matroid of the columns.  So every rank works on the integer

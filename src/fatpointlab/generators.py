@@ -81,6 +81,8 @@ def random_scheme(rng, n, max_points, max_mult, field=None):
 def collinear_points(n, s, field=None):
     """s simple points (1 : t : 0 : ... : 0), t = 0..s-1, on a line; over
     F_p the t are residues, so there are at most p of them."""
+    if s < 0:
+        raise ValueError("collinear_points needs s >= 0, got s = %d" % s)
     field = field or ScalarField.rational()
     if field.p is not None and s > field.p:
         raise ValueError("collinear_points needs s <= p over F_p, got s = %d > p = %d" % (s, field.p))
@@ -96,6 +98,8 @@ def collinear_cluster_points(rng, n, s, extra, field=None):
     the first ones of a pool of s + extra random points, then more draws
     only if the pool runs short.  Off the line means a nonzero coordinate
     past index 1, so no extra point is proportional to one on the line."""
+    if extra < 0:
+        raise ValueError("collinear_cluster_points needs extra >= 0, got extra = %d" % extra)
     field = field or ScalarField.rational()
 
     def off_line(p):
@@ -140,8 +144,9 @@ def generic_line_configuration(t, copies_per_line, seed=0, field=None):
     """t generic one-dimensional subspaces of a rank t-1 space, each carrying
     copies_per_line parallel vectors; returns the vector matroid.
 
-    Genericity is certified: every subset of at most t-1 of the line
-    directions is linearly independent.
+    The line directions are ``generic_vectors_matroid``'s t vectors in rank
+    t-1 from ``rng_from_seed(seed)``, so every subset of at most t-1 of them
+    is certified linearly independent.
     """
     if t < 2:
         raise ValueError("generic_line_configuration needs t >= 2 lines, got t = %d" % t)
@@ -149,17 +154,9 @@ def generic_line_configuration(t, copies_per_line, seed=0, field=None):
         raise ValueError("generic_line_configuration needs copies_per_line >= 1, got %d"
                          % copies_per_line)
     field = field or ScalarField.rational()
-    rng = rng_from_seed(seed)
-    dim = t - 1
-    for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        dirs = [tuple(field.elem(rng.randint(1, 50)) for _ in range(dim)) for _ in range(t)]
-        m = VectorMatroid(ExactMatrix.from_columns(field, dirs))
-        if in_general_position(m, m.elements, dim):
-            break
-    else:
-        raise ValueError("could not certify generic line directions after retries")
-    columns = [tuple(field.elem((j + 1) * c) for c in v)
-               for v in dirs for j in range(copies_per_line)]
+    dirs = generic_vectors_matroid(rng_from_seed(seed), t - 1, t, field=field).matrix
+    columns = [tuple(field.elem((j + 1) * c) for c in dirs.column(i))
+               for i in range(t) for j in range(copies_per_line)]
     return VectorMatroid(ExactMatrix.from_columns(field, columns))
 
 

@@ -407,28 +407,18 @@ def hilbert_function(x, d):
     return h
 
 
-def _residue_prime(x, d):
-    """The prime q that ``_rank_bound`` reduces the conditions matrix in
-    degree d modulo, as residues: over Q ``certificate_prime(0)``, so a
-    certificate of a deficient rank starts from this reduction; p over F_p.
-    None where the matrix is ranked on exact rows instead: below
-    ``_NUMPY_MIN_CELLS`` cells, for q >= 2^31, and at negative degrees,
-    whose exact rows raise the error."""
-    q = certificate_prime(0) if x.field.p is None else x.field.p
-    if d < 0 or q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS:
-        return None
-    return q
-
-
 def _rank_bound(x, d):
     """(r, first) for the conditions matrix in degree d: its rank r, or
     over Q a deficient rank mod q and ``first``, the echelon a certificate
-    on exact rows starts from.  Where ``_residue_prime`` gives a prime q,
-    the residues mod q are brought to an echelon form and no further: its
-    pivot count is the rank, and a full rank mod q is full over Q.  Other
-    matrices are ranked on exact rows."""
-    q = _residue_prime(x, d)
-    if q is None:
+    on exact rows starts from.  The residues are taken modulo q =
+    ``certificate_prime(0)`` over Q, so a certificate starts from this
+    reduction, and modulo p over F_p, then brought to an echelon form and
+    no further: its pivot count is the rank, and a full rank mod q is full
+    over Q.  Matrices below ``_NUMPY_MIN_CELLS`` cells, those over F_p with
+    p >= 2^31 and negative degrees, whose exact rows raise the error, are
+    ranked on exact rows instead."""
+    q = certificate_prime(0) if x.field.p is None else x.field.p
+    if d < 0 or q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS:
         return conditions_matrix(x, d).rank(), None
     ech, pivots = _echelon_mod_p(_conditions_residues(x, d, q), q)
     if x.field.p is not None or len(pivots) == ech.shape[1]:

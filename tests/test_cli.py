@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -14,6 +17,7 @@ from fatpointlab.cli import (
     EXIT_OK,
     EXIT_SKIPPED,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from fatpointlab.exact import ExactMatrix, ScalarField
@@ -428,8 +432,12 @@ class TestGenKinds:
         (["--kind", "generic", "--n", "-1", "--s", "1"], "generic_points needs n >= 1, got n = -1"),
         (["--kind", "example-5.6-scaled", "--d", "-1"],
          "five_plus_generic_scheme needs d >= 0, got d = -1"),
+        (["--kind", "collinear-cluster", "--s", "3", "--extra", "-1"],
+         "collinear_cluster_points needs extra >= 0, got extra = -1"),
+        (["--kind", "collinear-cluster", "--s", "-1", "--extra", "2"],
+         "collinear_points needs s >= 0, got s = -1"),
     ], ids=["curve-s0", "cluster-s0", "example-5.6-n1", "generic-s0", "generic-n0", "generic-n-1",
-            "example-5.6-d-1"])
+            "example-5.6-d-1", "cluster-extra-1", "cluster-s-1"])
     def test_unplaceable_parameters_are_usage_errors(self, argv, message):
         proc = run_python("-m", "fatpointlab.cli", "gen", *argv)
         assert proc.returncode == EXIT_USAGE
@@ -509,6 +517,39 @@ class TestGenKinds:
         assert code == EXIT_OK
         data = json.loads(open(out).read())
         assert data["field"] == "prime:10007"
+
+
+class TestOptions:
+    def test_every_option_is_read_by_its_command(self):
+        # an option that its cmd_* handler never reads as args.<dest> is
+        # accepted and silently ignored
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        unread = []
+        for name, sub in commands.choices.items():
+            tree = ast.parse(inspect.getsource(sub.get_default("func")))
+            read = {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"}
+            dests = [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+            unread += ["%s %s" % (name, dest) for dest in dests if dest not in read]
+        assert len(commands.choices) == 4
+        assert unread == []
+
+    @pytest.mark.parametrize("command, option", [
+        ("verify", ["--field", "prime:7"]),
+        ("verify", ["--seed", "3"]),
+        ("partition", ["--k", "2", "--field", "prime:7"]),
+        ("partition", ["--k", "2", "--seed", "3"]),
+    ], ids=["verify-field", "verify-seed", "partition-field", "partition-seed"])
+    def test_instance_commands_refuse_seed_and_field(self, command, option, tmp_path):
+        # the instance file fixes the field, and these commands draw nothing
+        x = FatPointScheme(QQ, 2, [((1, 0, 0), 1), ((0, 1, 0), 1)])
+        path = write_json(tmp_path / "x.json", scheme_to_dict(x, seed=0, generator="test"))
+        proc = run_python("-m", "fatpointlab.cli", command, path, *option)
+        assert proc.returncode == EXIT_USAGE
+        assert "unrecognized arguments: %s" % " ".join(option[-2:]) in proc.stderr
+        assert proc.stdout == ""
 
 
 def run_python(*args):
