@@ -7,17 +7,27 @@ combinatorial quantity: the worst ratio (weight - 1)/dim over linear
 subspaces spanned by support points.
 """
 
-from fatpointlab import FatPointScheme, ScalarField, verify_main_theorem
-from fatpointlab.schemes import hilbert_profile
+from fatpointlab import (
+    FatPointScheme,
+    ScalarField,
+    hilbert_function,
+    regularity_index,
+    verify_main_theorem,
+)
 
 QQ = ScalarField.rational()
 
+
+def hilbert_profile(x):
+    """{d: h_X(d)} for d = 0 .. r(X): the climb to deg X."""
+    return {d: hilbert_function(x, d) for d in range(regularity_index(x) + 1)}
+
+
 # Two fat points: a double point and a triple point on a line.
 x = FatPointScheme(QQ, 2, [((1, 0, 0), 2), ((0, 1, 0), 3)])
-profile = hilbert_profile(x)
 print("scheme:", x)
-print("degree:", profile.degree)
-print("hilbert function:", profile.values)
+print("degree:", x.degree())
+print("hilbert function:", hilbert_profile(x))
 
 report = verify_main_theorem(x)
 print("regularity index r(X) =", report.reg_index)

@@ -6,11 +6,25 @@ count matroid when every nonempty subset A of J satisfies
 inequality while hiding a violating subset.
 """
 
+from itertools import combinations
+
 from fatpointlab import CountMatroid, ExactMatrix, ScalarField, VectorMatroid
 from fatpointlab.constructions import count_matroid_rank_lower_bound_check
-from fatpointlab.matroid import circuits
 
 QQ = ScalarField.rational()
+
+
+def circuits(m):
+    """The inclusion-minimal dependent sets of a small matroid, by trying
+    every subset in order of size."""
+    found = []
+    for size in range(1, len(m) + 1):
+        for combo in combinations(m.elements, size):
+            fs = frozenset(combo)
+            if not any(c <= fs for c in found) and m.rank(fs) < size:
+                found.append(fs)
+    return found
+
 
 # Three vectors on one line plus two off it, with k = 2, p = 1.
 base = VectorMatroid(ExactMatrix.from_columns(

@@ -8,8 +8,10 @@ dimension, so the maximum is attained on spans of support subsets, that
 is, on the flats of the support points' vector matroid.  The flats come
 level by level from ``schemes.flat_levels``, which tells them apart by
 projective keys and ranks nothing, for at most ``FLAT_ENUMERATION_GUARD``
-support points; the brute force over every support subset that
-cross-checks them lives in ``tests/oracles.py``.
+support points; the scheme keeps that walk (``schemes.support_levels``),
+so the lines its regularity search read are not found again.  The brute
+force over every support subset that cross-checks the flats lives in
+``tests/oracles.py``.
 
 The cardinality estimate |S| <= seg*(rk S - 1) + 1 is a count-matroid
 condition: a worst-case S holds every copy of each point it meets, so with
@@ -32,10 +34,10 @@ from .partition import InfeasibilityWitness, edmonds_partition
 from .schemes import (
     _ceil_div,
     conditions_matrix,
-    flat_levels,
     hilbert_function,
     monomials,
     regularity_index,
+    support_levels,
 )
 
 MODIFIED_BOUND_GUARD = 12
@@ -81,12 +83,15 @@ class BoundReport:
 def segre_bound(x):
     """seg(X) and an attaining witness flat, computed once per scheme.
 
-    The candidates are the flats of rank >= 2 of the support points
-    (``flat_levels``), for at most ``FLAT_ENUMERATION_GUARD`` points.
-    Ties are broken by smallest span dimension, then lexicographically
-    smallest point subset, so witnesses are deterministic.  A heaviest
-    single point, of value max m_i - 1, is the witness only where it beats
-    every flat, and where there is no flat: a one-point scheme.
+    The candidates are the flats of rank >= 2 of the support points, for
+    at most ``FLAT_ENUMERATION_GUARD`` points, checked before the walk is
+    read: the levels of the scheme's one walk (``support_levels``), which
+    ``heaviest_line`` may already have taken through the lines, continued
+    from there to the full rank.  Ties are broken by smallest span
+    dimension, then lexicographically smallest point subset, so witnesses
+    are deterministic.  A heaviest single point, of value max m_i - 1, is
+    the witness only where it beats every flat, and where there is no
+    flat: a one-point scheme.
     """
     if x._segre is None:
         x._segre = _segre_bound(x)
@@ -98,7 +103,7 @@ def _segre_bound(x):
     if x.support_size > FLAT_ENUMERATION_GUARD:
         raise GuardExceeded("ground set too large for exhaustive flat enumeration")
     best = None
-    for dim, level in enumerate(flat_levels(x), 1):
+    for dim, level in enumerate(support_levels(x), 1):
         for members in level:
             w = sum(mults[i] for i in members)
             value = _ceil_div(w - 1, dim)

@@ -254,11 +254,24 @@ def cmd_partition(args):
     return EXIT_OK
 
 
+# the options each scenario reads; it refuses the others
+REPRODUCE_OPTIONS = {
+    "2.8": ("seed",),
+    "4.6-sharpness": (),
+    "5.4-veronese": ("field",),
+    "5.6-generic": ("seed",),
+}
+
+
 def cmd_reproduce(args):
+    for option in ("seed", "field"):
+        if getattr(args, option) is not None and option not in REPRODUCE_OPTIONS[args.example_id]:
+            raise InstanceError("reproduce %s does not take --%s" % (args.example_id, option))
+    seed = 0 if args.seed is None else args.seed
     results = {}
     ok = True
     if args.example_id == "2.8":
-        verdict = verify_partition_optimality_example(4, 3, 1, seed=args.seed)
+        verdict = verify_partition_optimality_example(4, 3, 1, seed=seed)
         ok = verdict.confirmed
         results = {
             "hypothesis_holds": verdict.hypothesis_holds,
@@ -280,7 +293,7 @@ def cmd_reproduce(args):
             }
             ok = ok and report.hypothesis_met and report.report.sharp
     elif args.example_id == "5.4-veronese":
-        field = field_from_descriptor(args.field)
+        field = field_from_descriptor(args.field or "rational")
         pts = rational_normal_curve_points(1, 3, field=field)
         x = FatPointScheme(field, 1, [(p, 1) for p in pts])
         verdict = veronese_inequality_check(x, 2)
@@ -291,7 +304,7 @@ def cmd_reproduce(args):
             "equality_case": verdict.equality_case,
         }
     elif args.example_id == "5.6-generic":
-        report = reproduce_generic_example(seed=args.seed)
+        report = reproduce_generic_example(seed=seed)
         ok = report.sound
         results = {
             "reg_index": report.reg_index,
@@ -299,10 +312,8 @@ def cmd_reproduce(args):
             "modified": report.modified,
             "improved": report.improved,
         }
-    else:
-        raise InstanceError("unknown example id %r" % (args.example_id,))
     _write_output(
-        {"tool_version": __version__, "seed": args.seed,
+        {"tool_version": __version__, "seed": seed,
          "example": args.example_id, "pass": ok, "results": results},
         args.out, args.format,
     )
@@ -352,8 +363,10 @@ def build_parser():
     part.set_defaults(func=cmd_partition)
 
     rep = sub.add_parser("reproduce", help="re-run a documented scenario")
-    rep.add_argument("example_id", choices=["2.8", "4.6-sharpness", "5.4-veronese", "5.6-generic"])
+    rep.add_argument("example_id", choices=list(REPRODUCE_OPTIONS))
     _add_seed_and_field(rep)
+    # None marks an option not given, which a scenario that does not read it accepts
+    rep.set_defaults(seed=None, field=None)
     _add_common(rep)
     rep.set_defaults(func=cmd_reproduce)
     return parser

@@ -70,14 +70,6 @@ def generic_points(rng, n, s, coord_range=9, field=None):
     raise ValueError("could not certify linearly general position after retries")
 
 
-def random_scheme(rng, n, max_points, max_mult, field=None):
-    """A random fat point scheme with 1..max_points points, mults 1..max_mult."""
-    field = field or ScalarField.rational()
-    s = rng.randint(1, max_points)
-    pts = random_points(rng, n, s, field=field)
-    return FatPointScheme(field, n, [(p, rng.randint(1, max_mult)) for p in pts])
-
-
 def collinear_points(n, s, field=None):
     """s simple points (1 : t : 0 : ... : 0), t = 0..s-1, on a line; over
     F_p the t are residues, so there are at most p of them."""

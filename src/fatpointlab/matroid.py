@@ -2,7 +2,7 @@
 
 A matroid is represented by a :class:`RankOracle`: a finite ground set of
 integer element ids together with a rank function on subsets.  Derived
-notions (independence, closure, circuits) are computed through the rank
+notions (independence, closure) are computed through the rank
 function only, so quotients, extensions and count matroids all reuse the
 same machinery.  The flats of a scheme's support points are found without
 rank queries, by projective keys (``schemes.flat_levels``).
@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exact import ExactMatrix, GuardExceeded
-
-CIRCUIT_ENUMERATION_GUARD = 20
+from .exact import ExactMatrix
 
 
 class RankOracle:
@@ -76,21 +74,6 @@ class RankOracle:
                 indep.append(e)
                 current = current | {e}
         return frozenset(indep)
-
-
-def circuits(m):
-    """All inclusion-minimal dependent sets (exhaustive)."""
-    if len(m) > CIRCUIT_ENUMERATION_GUARD:
-        raise GuardExceeded("ground set too large for exhaustive circuit enumeration")
-    found = []
-    for size in range(1, len(m) + 1):
-        for combo in combinations(m.elements, size):
-            fs = frozenset(combo)
-            if any(c <= fs for c in found):
-                continue
-            if m.rank(fs) < size:
-                found.append(fs)
-    return found
 
 
 def in_general_position(m, elements, k):

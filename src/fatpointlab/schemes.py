@@ -23,8 +23,9 @@ scheme keeps these keys (``keys``) next to the given coordinates, which
 serve serialization and derived schemes only.  Distinctness, membership,
 the conditions matrices, the flats of the support points
 (``flat_levels``: covers told apart by keys of their points' images
-modulo the flat, no rank query), the heaviest line among them, the
-support matroids and the generators' resampling all read the keys.
+modulo the flat, no rank query, walked once per scheme by
+``support_levels``), the heaviest line among them, the support matroids
+and the generators' resampling all read the keys.
 
 Vanishing conditions are written after dehomogenizing each point at its
 first nonzero coordinate, which avoids the redundancy among homogeneous
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from math import comb, gcd, perm, prod
 from operator import mul
 
@@ -87,7 +88,8 @@ class FatPointScheme:
     """X = sum m_i P_i: distinct projective points with multiplicities.
 
     ``points`` holds the (coordinates, multiplicity) pairs as given, as
-    field elements; ``keys`` the projective normal form of each point.
+    field elements; ``mults`` the multiplicities alone; ``keys`` the
+    projective normal form of each point.
     """
 
     def __init__(self, field, ambient_dim, points):
@@ -112,10 +114,14 @@ class FatPointScheme:
         self.field = field
         self.n = n
         self.points = tuple(points)
+        self.mults = tuple(m for _, m in points)
         self.keys = keys
         self._hilbert_cache = {}  # certified values of h_X
         self._reg = None          # r(X), filled by regularity_index
         self._segre = None        # (seg, witness), filled by bounds.segre_bound
+        self._levels = []         # the levels of flat_levels built so far
+        self._walk = None         # the flat_levels walk that extends them
+        self._pending = None      # (d, h, first): the climb's last deficient reduction
 
     def _part(self, mults):
         """The scheme on these points with new multiplicities, a point
@@ -130,10 +136,6 @@ class FatPointScheme:
     @property
     def support_size(self):
         return len(self.points)
-
-    @property
-    def mults(self):
-        return tuple(m for _, m in self.points)
 
     def degree(self):
         return sum(comb(self.n + m - 1, self.n) for m in self.mults)
@@ -347,20 +349,27 @@ def flat_levels(x):
     first by some parent keeping that parent's images.  A flat's images are
     built only when it is expanded.  The full rank is the number of steps
     that reduce the keys to nothing, and its level is the whole support, so
-    hyperplanes are never expanded.  For a point a, the image of b is
+    hyperplanes are never expanded.  Each of those steps gives a flat with
+    its images, the first flat of its level, and its expansion reads them
+    instead of reducing again.  For a point a, the image of b is
     a_t b - b_t a, where the line through a and b meets x_t = 0.
+
+    Each level is built only when the walk is taken past the previous one.
+    A scheme keeps one walk (``support_levels``), which ``heaviest_line``
+    takes to its first level and ``bounds.segre_bound`` to the end.
     """
     p = x.field.p
     keys = dict(enumerate(x.keys))
-    images, full = keys, 0
+    images, chain = keys, {}  # the flats the full-rank steps pass, and their images
     while images:
         images = _reduced(images, next(iter(images.values())), p)
-        full += 1
+        chain[frozenset(keys).difference(images)] = images
+    full = len(chain)
     level = {frozenset([i]): (keys, key) for i, key in keys.items()}
     for _ in range(2, full):
         covers = {}
         for flat, (parent, key) in level.items():
-            images = _reduced(parent, key, p)
+            images = chain.pop(flat, None) or _reduced(parent, key, p)
             classes = {}
             for b, v in images.items():
                 classes.setdefault(v, []).append(b)
@@ -372,6 +381,22 @@ def flat_levels(x):
         yield [frozenset(keys)]
 
 
+def support_levels(x):
+    """The levels of ``flat_levels(x)`` from the one walk the scheme keeps:
+    the levels built so far are read back, and the walk is started on the
+    first read and taken a level further only when a reader asks for it."""
+    levels = x._levels
+    if x._walk is None:
+        x._walk = flat_levels(x)
+    for k in count():
+        if k == len(levels):
+            level = next(x._walk, None)
+            if level is None:
+                return
+            levels.append(level)
+        yield levels[k]
+
+
 def heaviest_line(x):
     """The indices, in order, of the support points on a heaviest line L:
     one whose points have the largest total multiplicity w_L, the first
@@ -380,27 +405,31 @@ def heaviest_line(x):
     w_L - 1 is a lower bound for r(X), at least max m_i - 1, and L's own
     Segre value: the points on L form a subscheme of X, which meets L in a
     scheme of degree w_L on a P^1, and that needs degree w_L - 1.  The
-    lines are the rank-2 level of ``flat_levels``; a single point is on
-    a line by itself.
+    lines are the rank-2 level of the scheme's walk (``support_levels``),
+    the only level read here, so the walk goes no further and the Segre
+    bound later continues it; a single point is on a line by itself.
     """
     mults = x.mults
-    lines = sorted(map(sorted, next(flat_levels(x), [frozenset([0])])))
+    lines = sorted(map(sorted, next(support_levels(x), [frozenset([0])])))
     return max(lines, key=lambda line: sum(mults[i] for i in line))
 
 
 def hilbert_function(x, d):
     """h_X(d) = dim [R/I_X]_d = rank of the conditions matrix, and deg X
     from a certified r(X) on.  Only certified values are cached; after
-    ``regularity_index`` they include h_X(r), but h_X(r - 1) only where the
-    climb or its step-down ranked it: below the lower bound the climb starts
+    ``regularity_index`` they include h_X(r), and h_X(r - 1) where the climb
+    or its step-down ranked it: below the lower bound the climb starts
     from, the deficiency is proven and nothing is ranked.  A value that is
-    not cached is read off residues (``_rank_bound``), and a deficient rank
-    over Q is certified on exact rows from that reduction."""
+    not cached is read off residues (``_rank_bound``), or during the
+    step-down off the reduction the climb left pending for that degree, and
+    a deficient rank over Q is certified on exact rows from that
+    reduction."""
     h = x._hilbert_cache.get(d)
     if h is None:
         if x._reg is not None and d >= x._reg:
             return x.degree()
-        h, first = _rank_bound(x, d)
+        pending = x._pending
+        h, first = pending[1:] if pending and pending[0] == d else _rank_bound(x, d)
         if first is not None:
             h = conditions_matrix(x, d).rank(first=first)
         x._hilbert_cache[d] = h
@@ -452,14 +481,17 @@ def regularity_index(x):
     The search climbs from the bound, one matrix per degree, ranked whole by
     ``_rank_bound``: a full rank modulo a prime is full over Q, and the rank
     over F_p is exact.  Only those values are cached.  At the first full
-    degree d, if d is above the bound, ``hilbert_function`` certifies
-    h_X(d - 1), and the search steps down while that is full too, which
-    only an unlucky prime, one that lost rank at r and took the climb past
-    it, can cause.  A degree already in the scheme's cache of certified
-    values is read from there, not built.  Over F_p the start is capped at p - 1, so a
-    field too small for r(X) is reported at the degree where an ascending
-    search meets it first.  The climb must end by d = deg X - 1, the
-    classical bound; exceeding it is an internal error.
+    degree d, if d is above the bound, h_X(d - 1) is certified, and the
+    search steps down while that is full too, which only an unlucky prime,
+    one that lost rank at r and took the climb past it, can cause.  The
+    climb leaves its last deficient reduction over Q pending, so the first
+    step down (``hilbert_function``) certifies h_X(d - 1) on exact rows
+    from it, and only a further step builds and reduces its degree again.
+    A degree already in the scheme's cache of certified values is read from
+    there, not built.  Over F_p the start is capped at p - 1, so a field
+    too small for r(X) is reported at the degree where an ascending search
+    meets it first.  The climb must end by d = deg X - 1, the classical bound;
+    exceeding it is an internal error.
     """
     if x._reg is None:
         deg = x.degree()
@@ -483,6 +515,8 @@ def regularity_index(x):
                 h, first = _rank_bound(x, d)
                 if first is None:
                     cache[d] = h
+                else:
+                    x._pending = (d, h, first)
             if h == deg:
                 break
             d += 1
@@ -490,20 +524,9 @@ def regularity_index(x):
                 raise InternalError("regularity search exceeded deg X - 1")
         while d > lower and hilbert_function(x, d - 1) == deg:
             d -= 1
+        x._pending = None
         x._reg = d
     return x._reg
-
-
-@dataclass
-class HilbertProfile:
-    values: dict
-    degree: int
-    reg_index: int
-
-
-def hilbert_profile(x):
-    r = regularity_index(x)
-    return HilbertProfile({d: hilbert_function(x, d) for d in range(r + 1)}, x.degree(), r)
 
 
 def subscheme(x, new_mults):

@@ -1,5 +1,6 @@
-"""Exhaustive and independent test oracles, and the seeded instances they
-are compared on.
+"""Exhaustive and independent test oracles, the seeded instances they are
+compared on, and the helpers only tests need (``random_scheme``,
+``hilbert_profile``, the exhaustive ``circuits``).
 
 The library checks the count-matroid hypothesis and the cardinality
 estimate with the augmenting-path partitioner, finds the Segre bound's
@@ -19,13 +20,54 @@ on a fraction-free integer echelon, is read here off the reduced row
 echelon form of the field elements, by Gauss-Jordan elimination.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from fatpointlab.bounds import SegreWitness
-from fatpointlab.exact import ExactMatrix, GuardExceeded
-from fatpointlab.generators import generic_vectors_matroid, random_vector_matroid
-from fatpointlab.schemes import FatPointScheme, conditions_matrix
+from fatpointlab.exact import ExactMatrix, GuardExceeded, ScalarField
+from fatpointlab.generators import generic_vectors_matroid, random_points, random_vector_matroid
+from fatpointlab.schemes import (FatPointScheme, conditions_matrix, hilbert_function,
+                                 regularity_index)
+
+CIRCUIT_ENUMERATION_GUARD = 20
+
+
+def random_scheme(rng, n, max_points, max_mult, field=None):
+    """A random fat point scheme with 1..max_points points, mults 1..max_mult."""
+    field = field or ScalarField.rational()
+    s = rng.randint(1, max_points)
+    pts = random_points(rng, n, s, field=field)
+    return FatPointScheme(field, n, [(p, rng.randint(1, max_mult)) for p in pts])
+
+
+@dataclass
+class HilbertProfile:
+    values: dict
+    degree: int
+    reg_index: int
+
+
+def hilbert_profile(x):
+    """{d: h_X(d)} for d = 0 .. r(X), deg X and r(X), from the library's
+    boundary search and its ``hilbert_function``."""
+    r = regularity_index(x)
+    return HilbertProfile({d: hilbert_function(x, d) for d in range(r + 1)}, x.degree(), r)
+
+
+def circuits(m):
+    """All inclusion-minimal dependent sets of a rank oracle (exhaustive)."""
+    if len(m) > CIRCUIT_ENUMERATION_GUARD:
+        raise GuardExceeded("ground set too large for exhaustive circuit enumeration")
+    found = []
+    for size in range(1, len(m) + 1):
+        for combo in combinations(m.elements, size):
+            fs = frozenset(combo)
+            if any(c <= fs for c in found):
+                continue
+            if m.rank(fs) < size:
+                found.append(fs)
+    return found
 
 
 def proportional(field, a, b):

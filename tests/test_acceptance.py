@@ -23,11 +23,9 @@ from fatpointlab.exact import ScalarField
 from fatpointlab.generators import (
     collinear_points,
     generic_vectors_matroid,
-    random_scheme,
     random_vector_matroid,
     rng_from_seed,
 )
-from fatpointlab.matroid import circuits
 from fatpointlab.partition import (
     AvoidanceProblem,
     InfeasibilityWitness,
@@ -44,7 +42,13 @@ from fatpointlab.schemes import (
     subscheme,
     veronese_inequality_check,
 )
-from oracles import brute_force_partition_oracle, check_rank_axioms, criterion_5_instances
+from oracles import (
+    brute_force_partition_oracle,
+    check_rank_axioms,
+    circuits,
+    criterion_5_instances,
+    random_scheme,
+)
 
 QQ = ScalarField.rational()
 

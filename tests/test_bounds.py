@@ -19,12 +19,17 @@ from fatpointlab.exact import GuardExceeded, ScalarField
 from fatpointlab.generators import (
     collinear_points,
     generic_points,
-    random_scheme,
     rng_from_seed,
 )
 from fatpointlab.matroid import fat_point_vector_matroid
-from fatpointlab.schemes import FatPointScheme, regularity_index
-from oracles import cardinality_violation_exhaustive, proportional, segre_bound_brute_force
+from fatpointlab.schemes import FatPointScheme, heaviest_line, regularity_index
+from oracles import (
+    cardinality_violation_exhaustive,
+    heaviest_line_weight_by_ranks,
+    proportional,
+    random_scheme,
+    segre_bound_brute_force,
+)
 
 QQ = ScalarField.rational()
 FP = ScalarField.prime(10007)
@@ -130,6 +135,53 @@ class TestSegreBound:
         for k in range(1, 7):
             for w in range(1, 61):
                 assert -(-(w - 1) // k) == (w + k - 2) // k
+
+
+def fresh(x):
+    """The same scheme as a new object, with nothing computed yet."""
+    return FatPointScheme(x.field, x.n, list(x.points))
+
+
+class TestSharedWalk:
+    """One walk of the support flats per scheme (``schemes.support_levels``),
+    read by the regularity search's heaviest line and by the Segre bound."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(segre_schemes(max_copies=12))
+    def test_either_order_gives_the_fresh_values(self, x):
+        expected = (regularity_index(fresh(x)), segre_bound(fresh(x)), heaviest_line(fresh(x)))
+        segre_first, regularity_first = fresh(x), fresh(x)
+        segre_bound(segre_first)
+        regularity_index(regularity_first)
+        for y in (segre_first, regularity_first):
+            assert (regularity_index(y), segre_bound(y), heaviest_line(y)) == expected
+            assert y._levels == list(schemes.flat_levels(fresh(x)))
+        assert expected[1] == segre_bound_brute_force(x)
+        assert sum(x.mults[i] for i in expected[2]) == heaviest_line_weight_by_ranks(x)
+
+    def test_verify_main_theorem_walks_once(self, monkeypatch):
+        # the line search takes the walk through the lines, the Segre bound
+        # goes on from there: one walk started, and no step of it repeated
+        x = FatPointScheme(QQ, 2, [(p, 2) for p in collinear_points(2, 3) + [(3, 7, 1), (5, 2, 1)]])
+        started, steps = [], []
+        walk, step = schemes.flat_levels, schemes._reduced
+
+        def counting_walk(y):
+            started.append(y)
+            return walk(y)
+
+        def counting_step(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(schemes, "flat_levels", counting_walk)
+        monkeypatch.setattr(schemes, "_reduced", counting_step)
+        report = verify_main_theorem(x)
+        assert started == [x]
+        assert (report.reg_index, report.segre, sorted(report.witness.flat)) == (5, 5, [0, 1, 2])
+        walked = len(steps)
+        assert list(walk(fresh(x))) == x._levels
+        assert len(steps) == 2 * walked
 
 
 class TestCardinalityEstimate:

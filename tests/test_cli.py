@@ -10,13 +10,14 @@ import pytest
 
 import fatpointlab
 
-from fatpointlab import bounds, exact
+from fatpointlab import cli, exact, schemes
 from fatpointlab.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_SKIPPED,
     EXIT_USAGE,
+    REPRODUCE_OPTIONS,
     build_parser,
     main,
 )
@@ -168,19 +169,21 @@ class TestGenVerify:
         assert data["checks"]["main-theorem"]["pass"] is True
 
     def test_verify_enumerates_flats_once(self, tmp_path, monkeypatch):
-        # main-theorem and cardinality share the scheme's Segre bound
+        # the regularity search's heaviest line, main-theorem's Segre bound
+        # and cardinality's read one walk of the scheme's flats
         calls = []
-        enumerate_flats = bounds.flat_levels
+        enumerate_flats = schemes.flat_levels
 
         def counting(*args, **kwargs):
             calls.append(args)
             return enumerate_flats(*args, **kwargs)
 
-        monkeypatch.setattr(bounds, "flat_levels", counting)
+        monkeypatch.setattr(schemes, "flat_levels", counting)
         pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
         x = FatPointScheme(QQ, 2, [(p, 2) for p in pts])
         inst = write_json(tmp_path / "x.json", scheme_to_dict(x))
-        assert main(["verify", inst, "--out", str(tmp_path / "r.json")]) == EXIT_OK
+        assert main(["verify", inst, "--checks", "main-theorem,cardinality",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_OK
         assert len(calls) == 1
 
     def test_main_theorem_past_the_flat_guard_is_skipped(self, tmp_path):
@@ -550,6 +553,35 @@ class TestOptions:
         assert proc.returncode == EXIT_USAGE
         assert "unrecognized arguments: %s" % " ".join(option[-2:]) in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("scenario, option", [
+        (scenario, option) for scenario in REPRODUCE_OPTIONS for option in ("seed", "field")])
+    def test_each_scenario_reads_or_refuses_seed_and_field(self, scenario, option,
+                                                           monkeypatch, capsys):
+        # the handler reads both options, but each scenario must read an
+        # option it is given or refuse it, never run as if it were not given
+        seen = []
+        readers = {
+            "verify_partition_optimality_example": lambda *args, seed: seed,
+            "veronese_inequality_check": lambda x, d: x.field.p,
+            "reproduce_generic_example": lambda seed: seed,
+        }
+        for name, read in readers.items():
+            def spy(*args, _run=getattr(cli, name), _read=read, **kwargs):
+                seen.append(_read(*args, **kwargs))
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        value = {"seed": "3", "field": "prime:7"}[option]
+        code = main(["reproduce", scenario, "--" + option, value])
+        out, err = capsys.readouterr()
+        if option in REPRODUCE_OPTIONS[scenario]:
+            assert code == EXIT_OK
+            assert seen == [{"seed": 3, "field": 7}[option]]
+            assert json.loads(out)["seed"] == (3 if option == "seed" else 0)
+        else:
+            assert (code, out, seen) == (EXIT_USAGE, "", [])
+            assert "error: reproduce %s does not take --%s" % (scenario, option) in err
 
 
 def run_python(*args):

@@ -15,9 +15,10 @@ from fatpointlab.generators import (
     random_vector_matroid,
     rng_from_seed,
 )
-from fatpointlab.matroid import VectorMatroid, circuits
+from fatpointlab.matroid import VectorMatroid
 from oracles import (
     check_rank_axioms,
+    circuits,
     count_independent_exhaustive,
     count_violations_exhaustive,
     criterion_5_instances,

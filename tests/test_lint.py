@@ -94,3 +94,25 @@ def test_private_functions_are_used_by_the_library():
     assert len(defined) > 10  # the check sees the private helpers
     assert ["%s:%d %s" % (name, fn.lineno, fn.name)
             for name, fn in defined if fn.name not in referenced] == []
+
+
+def test_public_functions_are_used_outside_the_tests():
+    # a public function that only tests call belongs with them: every
+    # public top-level library function is referenced by library code,
+    # exported by the package's __all__, or referenced by a demo or by the
+    # benchmark, which builds its instances with the package's constructors
+    paths = sorted(pathlib.Path(fatpointlab.__file__).parent.rglob("*.py"))
+    root = pathlib.Path(__file__).parent.parent
+    users = sorted(root.glob("demos/*.py")) + sorted(root.glob("perfbench/*.py"))
+    assert len(users) > 5
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths + users}
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    referenced.update(fatpointlab.__all__)
+    defined = [(path.name, fn) for path in paths for fn in trees[path].body
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not fn.name.startswith("_")]
+    assert len(defined) > 10  # the check sees the public functions
+    assert ["%s:%d %s" % (name, fn.lineno, fn.name)
+            for name, fn in defined if fn.name not in referenced] == []

@@ -11,13 +11,12 @@ from fatpointlab.generators import generic_points, random_vector_matroid, rng_fr
 from fatpointlab.matroid import (
     RankOracle,
     VectorMatroid,
-    circuits,
     fat_point_vector_matroid,
     in_general_position,
     independent_sets,
 )
 from fatpointlab.schemes import FatPointScheme, flat_levels, heaviest_line
-from oracles import check_rank_axioms, closures_exhaustive, general_position_exhaustive
+from oracles import check_rank_axioms, circuits, closures_exhaustive, general_position_exhaustive
 
 QQ = ScalarField.rational()
 FP = ScalarField.prime(10007)

@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatpointlab import exact, schemes
-from fatpointlab.exact import ExactMatrix, InternalError, ScalarField
+from fatpointlab.bounds import segre_bound
+from fatpointlab.exact import ExactMatrix, GuardExceeded, InternalError, ScalarField
 from fatpointlab.generators import (
     collinear_points,
     generic_points,
-    random_scheme,
     rng_from_seed,
 )
 from fatpointlab.schemes import (
@@ -23,7 +23,6 @@ from fatpointlab.schemes import (
     conditions_matrix,
     ctv_decomposition_check,
     hilbert_function,
-    hilbert_profile,
     monomials,
     regularity_index,
     subscheme,
@@ -33,8 +32,10 @@ from fatpointlab.schemes import (
 from oracles import (
     ctv_quotient_term_by_kernels,
     heaviest_line_weight_by_ranks,
+    hilbert_profile,
     hilbert_profile_ascending,
     proportional,
+    random_scheme,
     regularity_index_ascending,
 )
 
@@ -561,6 +562,17 @@ class TestBoundarySearch:
         monkeypatch.setattr(ExactMatrix, "from_integer_rows", classmethod(refuse))
         assert schemes.heaviest_line(x) == list(range(12))
 
+    def test_line_search_builds_one_level(self):
+        # the lines and nothing past them, and the Segre bound's guard is
+        # checked before the walk would go further
+        points = collinear_points(2, 12) + generic_points(rng_from_seed(5), 2, 28, coord_range=1000)
+        x = FatPointScheme(QQ, 2, [(p, 1) for p in points])
+        assert schemes.heaviest_line(x) == list(range(12))
+        assert len(x._levels) == 1
+        with pytest.raises(GuardExceeded, match="flat enumeration"):
+            segre_bound(x)
+        assert len(x._levels) == 1
+
     def test_line_search_skipped_where_it_cannot_pay(self, monkeypatch):
         def refuse(y):
             raise AssertionError("line search run")
@@ -573,9 +585,10 @@ class TestBoundarySearch:
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == 7
         # every degree from the floor whole; then h(6), deficient mod q and
-        # so not cached, is reduced again and certified on exact rows
-        assert built == {"residues": [3, 4, 5, 6, 7, 6], "exact": [6]}
-        assert first_prime_rows(reductions) == [10, 15, 21, 28, 36, 28]
+        # so not cached, is certified on exact rows from the climb's own
+        # reduction, not reduced again
+        assert built == {"residues": [3, 4, 5, 6, 7], "exact": [6]}
+        assert first_prime_rows(reductions) == [10, 15, 21, 28, 36]
         assert regularity_index_ascending(x) == 7
 
     def test_non_collinear_line_is_refused(self, monkeypatch):
@@ -602,9 +615,9 @@ class TestBoundarySearch:
         monkeypatch.setattr(schemes, "heaviest_line", lambda y: [0, 3])
         built = count_conditions_matrices(monkeypatch)
         assert regularity_index(x) == r == 8
-        # from max(floor 6, 3 + 3 - 1): h(7) is deficient mod q, so it is
-        # reduced again and certified for the step-down
-        assert built == {"residues": [6, 7, 8, 7], "exact": [7]}
+        # from max(floor 6, 3 + 3 - 1): h(7) is deficient mod q, and the
+        # step-down certifies it from the climb's reduction
+        assert built == {"residues": [6, 7, 8], "exact": [7]}
         assert hilbert_profile(x).values == hilbert_profile_ascending(x)
 
     def test_unlucky_first_prime_at_r(self, monkeypatch):
@@ -624,10 +637,10 @@ class TestBoundarySearch:
 
         monkeypatch.setattr(schemes, "_conditions_residues", unlucky)
         assert regularity_index(x) == r
-        # climbed past r to the full degree r + 1; the step-down reduces
-        # degree r again, certifies it full on exact rows, and stops at the
-        # line's bound
-        assert built == {"residues": [r, r + 1, r], "exact": [r]}
+        # climbed past r to the full degree r + 1; the step-down certifies
+        # degree r full on exact rows, from the climb's unlucky reduction,
+        # and stops at the line's bound
+        assert built == {"residues": [r, r + 1], "exact": [r]}
         assert x._hilbert_cache == {r: x.degree(), r + 1: x.degree()}
 
     def test_sharp_cluster_builds_one_residue_matrix(self, monkeypatch):
