@@ -29,12 +29,13 @@ from operator import mul
 
 from .constructions import elementary_quotient, verify_count_hypothesis
 from .exact import ExactMatrix, GuardExceeded, InternalError
-from .matroid import VectorMatroid, fat_point_vector_matroid, in_general_position
+from .matroid import fat_point_vector_matroid
 from .partition import InfeasibilityWitness, edmonds_partition
 from .schemes import (
     _ceil_div,
     conditions_matrix,
     hilbert_function,
+    in_general_position,
     monomials,
     regularity_index,
     support_levels,
@@ -250,8 +251,9 @@ def rational_normal_curve_sharpness(mults, n):
 
     The corollary applies when the support points inside an attaining flat
     are in linearly general position there (curve points always are, and
-    then they lie on a rational normal curve of the flat); in that case
-    r(X) = seg(X) is checked, and a violation raises InternalError.
+    then they lie on a rational normal curve of the flat), which
+    ``in_general_position`` decides on their keys, ranking nothing; in that
+    case r(X) = seg(X) is checked, and a violation raises InternalError.
     """
     from .generators import rational_normal_curve_scheme
 
@@ -260,8 +262,7 @@ def rational_normal_curve_sharpness(mults, n):
     witness = report.witness
     if witness.span_dim < 1:
         return SharpnessReport(False, report, "attained only by a single point")
-    support = VectorMatroid(ExactMatrix.from_columns(x.field, x.keys))
-    if not in_general_position(support, sorted(witness.flat), witness.span_dim + 1):
+    if not in_general_position(x.field, [x.keys[i] for i in sorted(witness.flat)], witness.span_dim + 1):
         return SharpnessReport(False, report, "corollary hypothesis not met")
     if report.reg_index != report.segre:
         raise InternalError(

@@ -3,9 +3,11 @@ partition certificates, and example reproduction.
 
 Exit codes: 0 = all checks passed; 1 = a verified failure; 2 = usage or
 parse error; 3 = some checks skipped (none failed): a size guard tripped
-(``GuardExceeded``: the Segre bound's flat enumeration, which main-theorem
-and cardinality need, past 24 support points, or the modified bound past
-12) or a check needs two points and the scheme has one; 4 = partition
+(``GuardExceeded``: ``FLAT_ENUMERATION_GUARD`` on the Segre bound's flat
+enumeration, which main-theorem and cardinality need, past 24 support
+points; ``MODIFIED_BOUND_GUARD`` on the modified bound past 12;
+``CONDITIONS_MATRIX_GUARD`` on any conditions matrix of more than 10^7
+cells) or a check needs two points and the scheme has one; 4 = partition
 infeasible (the witness subset is emitted instead of a certificate).
 """
 

@@ -92,8 +92,9 @@ class InternalError(AssertionError):
 
 
 class GuardExceeded(ValueError):
-    """An input is larger than an exhaustive enumeration's size guard (a
-    ``*_GUARD`` constant): the question was not answered, and nothing failed."""
+    """An input is larger than a size guard (a ``*_GUARD`` constant) of an
+    exhaustive enumeration or a conditions matrix: the question was not
+    answered, and nothing failed."""
 
 
 def is_prime(n):

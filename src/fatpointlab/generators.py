@@ -1,9 +1,10 @@
 """Seeded, reproducible instance generators.
 
 All randomness flows through ``random.Random(seed)``; genericity is never
-assumed, it is certified post hoc by exact rank checks, with a bounded
-number of resampling attempts.  When they run out, ``ValueError`` is raised:
-the parameters ask for more than the sampler can certify.
+assumed, it is certified post hoc by keys (``schemes.in_general_position``,
+no rank queried), with a bounded number of resampling attempts.  When they
+run out, ``ValueError`` is raised: the parameters ask for more than the
+sampler can certify.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import random
 
 from .exact import ExactMatrix, ScalarField
-from .matroid import VectorMatroid, in_general_position
-from .schemes import FatPointScheme, _point_key, monomials
+from .matroid import VectorMatroid
+from .schemes import FatPointScheme, _point_key, in_general_position, monomials
 
 MAX_RESAMPLE_ATTEMPTS = 200
 # Rounds of generic_points after the given coordinate range, each at ten
@@ -63,8 +64,7 @@ def generic_points(rng, n, s, coord_range=9, field=None):
                 pts = random_points(rng, n, s, coord_range=coord_range, field=field)
             except ValueError:  # fewer than s distinct points drawn at this range
                 break
-            m = VectorMatroid(ExactMatrix.from_columns(field, pts))
-            if in_general_position(m, m.elements, n + 1):
+            if in_general_position(field, pts, n + 1):
                 return pts
         coord_range = 10 * (coord_range + 1) - 1
     raise ValueError("could not certify linearly general position after retries")
@@ -157,10 +157,9 @@ def generic_vectors_matroid(rng, dim, count, field=None, coord_range=50):
     vectors is independent."""
     field = field or ScalarField.rational()
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        cols = [tuple(field.elem(rng.randint(1, coord_range)) for _ in range(dim)) for _ in range(count)]
-        m = VectorMatroid(ExactMatrix.from_columns(field, cols))
-        if in_general_position(m, m.elements, dim):
-            return m
+        cols = [tuple(rng.randint(1, coord_range) for _ in range(dim)) for _ in range(count)]
+        if in_general_position(field, cols, dim):
+            return VectorMatroid(ExactMatrix.from_columns(field, cols))
     raise ValueError("could not certify generic vectors after retries")
 
 

@@ -4,13 +4,12 @@ A matroid is represented by a :class:`RankOracle`: a finite ground set of
 integer element ids together with a rank function on subsets.  Derived
 notions (independence, closure) are computed through the rank
 function only, so quotients, extensions and count matroids all reuse the
-same machinery.  The flats of a scheme's support points are found without
-rank queries, by projective keys (``schemes.flat_levels``).
+same machinery.  The flats of a scheme's support points are found, and
+general position is decided, without rank queries, by projective keys
+(``schemes.flat_levels``, ``schemes.in_general_position``).
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .exact import ExactMatrix
 
@@ -74,15 +73,6 @@ class RankOracle:
                 indep.append(e)
                 current = current | {e}
         return frozenset(indep)
-
-
-def in_general_position(m, elements, k):
-    """Whether every subset of at most k of ``elements`` is independent.
-
-    A subset of an independent set is independent, so only the subsets of
-    size min(k, |elements|) are ranked."""
-    size = min(k, len(elements))
-    return all(m.is_independent(c) for c in combinations(elements, size))
 
 
 def independent_sets(m):

@@ -24,8 +24,9 @@ serve serialization and derived schemes only.  Distinctness, membership,
 the conditions matrices, the flats of the support points
 (``flat_levels``: covers told apart by keys of their points' images
 modulo the flat, no rank query, walked once per scheme by
-``support_levels``), the heaviest line among them, the support matroids
-and the generators' resampling all read the keys.
+``support_levels``), the heaviest line among them, general position
+(``in_general_position``, for the generators' resampling and the
+sharpness hypothesis), and the support matroids all read the keys.
 
 Vanishing conditions are written after dehomogenizing each point at its
 first nonzero coordinate, which avoids the redundancy among homogeneous
@@ -49,8 +50,13 @@ from itertools import combinations, count
 from math import comb, gcd, perm, prod
 from operator import mul
 
-from .exact import (_NUMPY_MIN_CELLS, ExactMatrix, InternalError, _echelon_mod_p,
+from .exact import (_NUMPY_MIN_CELLS, ExactMatrix, GuardExceeded, InternalError, _echelon_mod_p,
                     certificate_prime, integer_vector)
+
+# The most cells, deg X rows by binom(n + d, n) columns, of a conditions
+# matrix that is built.  Each takes several int64 arrays of its size as
+# residues, and over Q a big integer per cell as exact rows.
+CONDITIONS_MATRIX_GUARD = 10**7
 
 
 @lru_cache(maxsize=None)
@@ -194,6 +200,7 @@ def conditions_matrix(x, d):
     falling factorial.  Over F_p the same formula is reduced mod p.  The
     factors come from ``_factor_tables``.
     """
+    _check_degree(x, d)
     p = x.field.p
     exponents = _exponent_columns(x.n, d)
     rows = []
@@ -214,12 +221,19 @@ def _falling_factorials(d, a):
 
 def _check_degree(x, d):
     """ValueError for a degree whose conditions are not faithful: d < 0, or
-    over F_p with p <= d."""
+    over F_p with p <= d; ``GuardExceeded`` for a conditions matrix of more
+    than ``CONDITIONS_MATRIX_GUARD`` cells, sized from binomials before any
+    of it is built."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     p = x.field.p
     if p is not None and p <= d:
         raise ValueError("prime field too small for derivative conditions at degree %d" % d)
+    rows, cols = x.degree(), comb(x.n + d, x.n)
+    if rows * cols > CONDITIONS_MATRIX_GUARD:
+        raise GuardExceeded("conditions matrix too large: %d x %d = %d cells in degree %d "
+                            "(CONDITIONS_MATRIX_GUARD = %d)" % (rows, cols, rows * cols, d,
+                                                                CONDITIONS_MATRIX_GUARD))
 
 
 def _factor_tables(x, d, q):
@@ -228,7 +242,6 @@ def _factor_tables(x, d, q):
     orders[k][j] is the derivative order of the point's k-th row in the
     variable j (the total order at the pivot) and factors[j][a][b] is the
     factor of variable j at exponent b in a row of order a in it."""
-    _check_degree(x, d)
     for c, mult in zip(x.keys, x.mults):
         pivot = next(i for i, v in enumerate(c) if v)
         powers = [[pow(v, e, q) for e in range(d + mult)] for v in c]
@@ -332,6 +345,38 @@ def _reduced(images, u, p):
         if any(w):
             out[b] = _normalized(w, p)
     return out
+
+
+def in_general_position(field, vectors, k):
+    """Whether every set of at most k of ``vectors`` is linearly
+    independent, decided by projective keys: no rank is queried.
+
+    A dependent set of at most k vectors holds a circuit, and the last two
+    members of a circuit, in index order, have equal images modulo the span
+    of the others.  So for k >= 1 no vector may be zero, and for k >= 2 the
+    keys, and for each set S of at most k - 2 vectors the images
+    (``_reduced``) modulo span(S) of the vectors after S's last one, must be
+    pairwise distinct (``_distinct_images``)."""
+    vectors = [integer_vector(field, v) for v in vectors]
+    if k < 1 or not all(map(any, vectors)):
+        return k < 1  # only the empty set to check, or a zero vector
+    return _distinct_images(dict(enumerate(_normalized(v, field.p) for v in vectors)), k - 2, field.p)
+
+
+def _distinct_images(images, depth, p):
+    """Whether the images are pairwise distinct (at depth >= 0) and, up to
+    depth pivots deeper, so are those of the later points modulo each one,
+    taken depth-first in index order; it stops at the first repeated image,
+    and reduces nothing at depth 0.  Once a pivot has at most depth + 1
+    later points, its branch has checked every set of them with it, and
+    the later pivots' sets are among those, so they are skipped."""
+    if depth >= 0 and len(set(images.values())) < len(images):
+        return False
+    items = list(images.items())
+    for t, (_, u) in enumerate(items[:max(1, len(items) - depth - 1)] if depth > 0 else ()):
+        if not _distinct_images(_reduced(dict(items[t + 1:]), u, p), depth - 1, p):
+            return False
+    return True
 
 
 def flat_levels(x):

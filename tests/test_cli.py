@@ -3,6 +3,7 @@ import ast
 import inspect
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -36,9 +37,10 @@ from fatpointlab.instances import (
     scheme_to_dict,
     vectors_to_dict,
 )
-from fatpointlab.matroid import VectorMatroid, in_general_position
+from fatpointlab.matroid import VectorMatroid
 from fatpointlab.partition import PartitionCertificate
 from fatpointlab.schemes import FatPointScheme
+from oracles import general_position_exhaustive
 
 QQ = ScalarField.rational()
 
@@ -195,6 +197,25 @@ class TestGenVerify:
         assert data["checks"] == {
             "main-theorem": {"skipped": "ground set too large for exhaustive flat enumeration"}}
         assert (data["passed"], data["failed"], data["skipped"]) == (0, 0, 1)
+
+    @pytest.mark.parametrize("mult, check, size", [
+        (300, "main-theorem", "45150 x 45150 = 2038522500 cells in degree 299"),
+        (3000, "main-theorem", "4501500 x 4501500 = 20263502250000 cells in degree 2999"),
+        (20, "veronese", "42504 x 42504 = 1806590016 cells in degree 19"),
+    ], ids=["m300-main-theorem", "m3000-main-theorem", "m20-veronese"])
+    def test_conditions_matrix_past_its_guard_is_skipped(self, tmp_path, mult, check, size):
+        # one fat point of P^2 whose climb (for veronese: its lift's climb)
+        # would build a matrix of gigabytes: the guard trips before any of
+        # it is built.  The process is capped at 3 GiB, so a missing guard
+        # ends in a MemoryError (exit 1) and not in swapping
+        x = FatPointScheme(QQ, 2, [((1, 2, 3), mult)])
+        inst = write_json(tmp_path / "x.json", scheme_to_dict(x))
+        proc = run_python("-m", "fatpointlab.cli", "verify", inst, "--checks", check, "--d", "2",
+                          address_space=3 * 2**30)
+        assert proc.returncode == EXIT_SKIPPED, proc.stderr
+        assert json.loads(proc.stdout)["checks"] == {check: {"skipped": (
+            "conditions matrix too large: %s (CONDITIONS_MATRIX_GUARD = %d)"
+            % (size, schemes.CONDITIONS_MATRIX_GUARD))}}
 
     def test_main_theorem_on_a_point_of_p1500(self, tmp_path):
         # monomials in 1501 variables once recursed once per variable
@@ -481,7 +502,7 @@ class TestGenKinds:
         assert x.support_size == s
         assert max(max(map(int, key)) for key in x.keys) > 9
         m = VectorMatroid(ExactMatrix.from_columns(x.field, x.keys))
-        assert in_general_position(m, m.elements, n + 1)
+        assert general_position_exhaustive(m, m.elements, n + 1)
 
     def test_collinear_cluster_extras_are_off_the_line(self, tmp_path, capsys):
         # the former rule (the first three pool points that are not equal
@@ -584,13 +605,18 @@ class TestOptions:
             assert "error: reproduce %s does not take --%s" % (scenario, option) in err
 
 
-def run_python(*args):
-    """`python args` in a fresh interpreter that imports this checkout's package."""
+def run_python(*args, address_space=None):
+    """`python args` in a fresh interpreter that imports this checkout's package,
+    its address space capped at ``address_space`` bytes if given."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(fatpointlab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=120)
+                          timeout=120, preexec_fn=cap if address_space else None)
 
 
 def run_cli_plain_and_optimized(argv):

@@ -116,3 +116,23 @@ def test_public_functions_are_used_outside_the_tests():
     assert len(defined) > 10  # the check sees the public functions
     assert ["%s:%d %s" % (name, fn.lineno, fn.name)
             for name, fn in defined if fn.name not in referenced] == []
+
+
+def test_every_guard_is_documented():
+    # a size guard turns an answer into exit 3; each one is named where the
+    # exit codes are explained, in README.md and in the CLI's docstring
+    paths = sorted(pathlib.Path(fatpointlab.__file__).parent.rglob("*.py"))
+    guards = sorted(
+        target.id
+        for path in paths
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_GUARD")
+    )
+    assert len(guards) >= 3  # the check sees the guards
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    cli_path = pathlib.Path(fatpointlab.__file__).parent / "cli.py"
+    cli_doc = ast.get_docstring(ast.parse(cli_path.read_text()))
+    assert [g for g in guards if g not in readme] == []
+    assert [g for g in guards if g not in cli_doc] == []

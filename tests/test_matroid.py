@@ -4,18 +4,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fatpointlab import exact, schemes
-from fatpointlab.bounds import FLAT_ENUMERATION_GUARD, segre_bound
+from fatpointlab import bounds, exact, schemes
+from fatpointlab.bounds import FLAT_ENUMERATION_GUARD, rational_normal_curve_sharpness, segre_bound
 from fatpointlab.exact import ExactMatrix, GuardExceeded, ScalarField
-from fatpointlab.generators import generic_points, random_vector_matroid, rng_from_seed
-from fatpointlab.matroid import (
-    RankOracle,
-    VectorMatroid,
-    fat_point_vector_matroid,
-    in_general_position,
-    independent_sets,
+from fatpointlab.generators import (
+    generic_points,
+    generic_vectors_matroid,
+    random_vector_matroid,
+    rng_from_seed,
 )
-from fatpointlab.schemes import FatPointScheme, flat_levels, heaviest_line
+from fatpointlab.matroid import RankOracle, VectorMatroid, fat_point_vector_matroid, independent_sets
+from fatpointlab.schemes import FatPointScheme, flat_levels, heaviest_line, in_general_position
 from oracles import check_rank_axioms, circuits, closures_exhaustive, general_position_exhaustive
 
 QQ = ScalarField.rational()
@@ -176,28 +175,65 @@ class TestFlats:
 
 @st.composite
 def general_position_instances(draw):
-    """(matroid, elements, k): a vector matroid over Q or F_10007 with
-    loops (zero columns) and parallel classes (scaled copies of a column),
-    a subset of its elements in some order, and k in 1..4."""
-    field = draw(st.sampled_from([QQ, FP]))
+    """(field, columns, elements, k): columns in dimension 1..4 over Q,
+    F_10007 or F_3 with zero columns and parallel classes (scaled copies of
+    a column), where over F_3 a nonzero integer column can vanish mod p, a
+    subset of the column indices in some order, and k in 0..5."""
+    field = draw(st.sampled_from([QQ, FP, ScalarField.prime(3)]))
     dim = draw(st.integers(1, 4))
-    vector = st.tuples(*[st.integers(-2, 2)] * dim)
+    vector = st.tuples(*[st.integers(-3, 3)] * dim)
     columns = []
     for v in draw(st.lists(vector, min_size=1, max_size=6)):
         for scale in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
             columns.append(tuple(scale * c for c in v))
     columns += [(0,) * dim] * draw(st.integers(0, 2))
-    m = vm(field, draw(st.permutations(columns)))
-    elements = draw(st.lists(st.sampled_from(m.elements), unique=True, max_size=7))
-    return m, elements, draw(st.integers(1, 4))
+    columns = draw(st.permutations(columns))
+    elements = draw(st.lists(st.sampled_from(range(len(columns))), unique=True, max_size=7))
+    return field, columns, elements, draw(st.integers(0, 5))
 
 
 class TestGeneralPosition:
     @given(general_position_instances())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_matches_every_subset_size(self, instance):
-        m, elements, k = instance
-        assert in_general_position(m, elements, k) == general_position_exhaustive(m, elements, k)
+        field, columns, elements, k = instance
+        expected = general_position_exhaustive(vm(field, columns), elements, k)
+        assert in_general_position(field, [columns[e] for e in elements], k) == expected
+
+    def test_ranks_nothing(self, monkeypatch):
+        # the generators certify, and the sharpness check reads its
+        # hypothesis, by keys: with every exact rank refused outside the
+        # sharpness check's own regularity search, their results are those
+        # of an unpatched run
+        def run():
+            return (generic_points(rng_from_seed(3), 3, 12),
+                    generic_points(rng_from_seed(4), 2, 6, field=ScalarField.prime(101)),
+                    generic_vectors_matroid(rng_from_seed(5), 4, 9).matrix.entries,
+                    [(r.hypothesis_met, r.reason, r.report.to_dict())
+                     for r in (rational_normal_curve_sharpness(mults, n)
+                               for mults, n in (((3, 3, 2, 2), 2), ((1,) * 8, 3)))])
+
+        expected = run()
+        real_rank, real_verify = exact._rank_of_rows, bounds.verify_main_theorem
+        armed = [True]
+
+        def refuse(*args, **kwargs):
+            if armed[0]:
+                raise AssertionError("a rank was queried")
+            return real_rank(*args, **kwargs)
+
+        def unarmed(x):
+            armed[0] = False
+            try:
+                return real_verify(x)
+            finally:
+                armed[0] = True
+
+        monkeypatch.setattr(exact, "_rank_of_rows", refuse)
+        monkeypatch.setattr(bounds, "verify_main_theorem", unarmed)
+        with pytest.raises(AssertionError, match="a rank was queried"):
+            vm(QQ, [(1, 0), (0, 1)]).is_independent({0, 1})
+        assert run() == expected
 
 
 class TestIndependentSets:

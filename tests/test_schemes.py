@@ -158,6 +158,25 @@ class TestConditionsMatrix:
         with pytest.raises(ValueError):
             conditions_matrix(x, 3)
 
+    def test_guard_trips_before_the_build(self, monkeypatch):
+        # deg X * binom(n + d, n) cells are counted from binomials: the
+        # monomials and the residue table of a matrix past the guard are
+        # never built, over Q and over F_p alike
+        def refuse(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(schemes, "monomials", refuse)
+        monkeypatch.setattr(schemes, "_exponent_columns", refuse)
+        for field in (QQ, ScalarField.prime(2**31 - 1)):
+            x = FatPointScheme(field, 2, [((1, 2, 3), 3)])
+            d = 2000  # 6 * binom(2002, 2) = 12,018,006 cells
+            with pytest.raises(GuardExceeded, match="6 x 2003001 = 12018006 cells in degree 2000"):
+                conditions_matrix(x, d)
+            with pytest.raises(GuardExceeded, match="CONDITIONS_MATRIX_GUARD"):
+                schemes._conditions_residues(x, d, 10007)
+            with pytest.raises(GuardExceeded):
+                hilbert_function(x, d)
+
     def test_prime_field_matches_rational_on_integer_points(self):
         f = ScalarField.prime(10007)
         pts = [(1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 2, 5)]
