@@ -26,5 +26,5 @@ print("certificate re-verifies (vanishes on Z, nonzero at P):", cert.verify(z))
 broken_poly = dict(cert.poly)
 key = (cert.degree, 0, 0)
 broken_poly[key] = broken_poly.get(key, QQ.zero()) + QQ.one()
-cert.poly = broken_poly
-print("tampered certificate rejected:", not cert.verify(z))
+tampered = cert._replace(poly=broken_poly)
+print("tampered certificate rejected:", not tampered.verify(z))

@@ -22,15 +22,12 @@ the exhaustive loop over all subsets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 from itertools import combinations
 from math import prod
 from operator import mul
 
-from .constructions import elementary_quotient, verify_count_hypothesis
 from .exact import ExactMatrix, GuardExceeded, InternalError
-from .matroid import fat_point_vector_matroid
-from .partition import InfeasibilityWitness, edmonds_partition
 from .schemes import (
     _ceil_div,
     conditions_matrix,
@@ -45,25 +42,19 @@ MODIFIED_BOUND_GUARD = 12
 FLAT_ENUMERATION_GUARD = 24
 
 
-@dataclass
-class SegreWitness:
+class SegreWitness(namedtuple("SegreWitness", "flat span_dim weight value")):
     """An attaining linear subspace, recorded by the support points it
-    contains."""
+    contains (a frozenset of point indices), its dimension, their weight
+    and the Segre value."""
 
-    flat: frozenset
-    span_dim: int
-    weight: int
-    value: int
+    __slots__ = ()
 
 
-@dataclass
-class BoundReport:
-    reg_index: int
-    segre: int
-    witness: SegreWitness
-    verdict: bool
-    sharp: bool
-    modified: dict = dataclass_field(default_factory=dict)
+class BoundReport(namedtuple("BoundReport", "reg_index segre witness verdict sharp")):
+    """r(X), seg(X), the attaining ``SegreWitness``, whether r <= seg, and
+    whether r == seg."""
+
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -77,7 +68,7 @@ class BoundReport:
             },
             "verdict": self.verdict,
             "sharp": self.sharp,
-            "modified": {str(d): v for d, v in sorted(self.modified.items())},
+            "modified": {},   # no bound fills it; kept so reports keep their keys
         }
 
 
@@ -120,11 +111,9 @@ def _segre_bound(x):
     return best[1].value, best[1]
 
 
-@dataclass
-class CardinalityVerdict:
-    ok: bool
-    segre: int
-    violating_subset: frozenset = None
+class CardinalityVerdict(namedtuple("CardinalityVerdict", "ok segre violating_subset",
+                                    defaults=(None,))):
+    __slots__ = ()
 
 
 def cardinality_estimate_check(z):
@@ -135,6 +124,9 @@ def cardinality_estimate_check(z):
     p = m_i - 1 on the contraction M/P_i of the other points' copies (see
     the module docstring); a violating T there gives S = T + copies(P_i).
     """
+    from .constructions import elementary_quotient, verify_count_hypothesis
+    from .matroid import fat_point_vector_matroid
+
     seg, _ = segre_bound(z)
     m = fat_point_vector_matroid(z)
     end = 0
@@ -152,14 +144,12 @@ def cardinality_estimate_check(z):
     return CardinalityVerdict(True, seg)
 
 
-@dataclass
-class SeparatingCertificate:
-    """A degree-B product of hyperplanes vanishing on Z but not at P."""
+class SeparatingCertificate(namedtuple("SeparatingCertificate", "degree hyperplanes poly point")):
+    """A degree-B product of hyperplanes vanishing on Z but not at P:
+    ``hyperplanes`` holds each one's covector of linear-form coefficients,
+    ``poly`` maps exponent tuples to the product's coefficients."""
 
-    degree: int
-    hyperplanes: tuple          # each a covector of linear-form coefficients
-    poly: dict                  # exponent tuple -> coefficient
-    point: tuple
+    __slots__ = ()
 
     def verify(self, z):
         coeffs = [self.poly.get(mon, 0) for mon in monomials(z.n, self.degree)]
@@ -196,6 +186,9 @@ def separating_hypersurface(z, p_coords):
     into B independent sets, then pass a hyperplane through the non-P part
     of each block, chosen to miss P.
     """
+    from .matroid import fat_point_vector_matroid
+    from .partition import InfeasibilityWitness, edmonds_partition
+
     field = z.field
     p_coords = tuple(field.elem(c) for c in p_coords)
     if z.contains_point(p_coords):
@@ -238,11 +231,9 @@ def verify_main_theorem(x):
     return BoundReport(r, seg, witness, r <= seg, r == seg)
 
 
-@dataclass
-class SharpnessReport:
-    hypothesis_met: bool
-    report: BoundReport = None
-    reason: str = ""
+class SharpnessReport(namedtuple("SharpnessReport", "hypothesis_met report reason",
+                                 defaults=(None, ""))):
+    __slots__ = ()
 
 
 def rational_normal_curve_sharpness(mults, n):
@@ -269,15 +260,11 @@ def rational_normal_curve_sharpness(mults, n):
             "sharpness violated on a curve configuration: r=%d seg=%d"
             % (report.reg_index, report.segre)
         )
-    report.sharp = True
     return SharpnessReport(True, report)
 
 
-@dataclass
-class ModifiedBoundResult:
-    value: int
-    witness_subset: frozenset
-    degree: int
+class ModifiedBoundResult(namedtuple("ModifiedBoundResult", "value witness_subset degree")):
+    __slots__ = ()
 
 
 def modified_bound(x, d):
@@ -307,14 +294,9 @@ def modified_bound(x, d):
     return best[1].value, best[1]
 
 
-@dataclass
-class GenericExampleReport:
-    reg_index: int
-    segre: int
-    modified: int
-    degree: int
-    sound: bool
-    improved: bool
+class GenericExampleReport(namedtuple("GenericExampleReport",
+                                      "reg_index segre modified degree sound improved")):
+    __slots__ = ()
 
 
 def reproduce_generic_example(n=2, d=2, m=1, seed=0):

@@ -14,28 +14,11 @@ infeasible (the witness subset is emitted instead of a certificate).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
 from . import __version__
-from .bounds import (
-    cardinality_estimate_check,
-    modified_bound,
-    reproduce_generic_example,
-    verify_main_theorem,
-)
 from .exact import GuardExceeded, InternalError
-from .generators import (
-    generic_line_configuration,
-    generic_points,
-    collinear_cluster_points,
-    rational_normal_curve_scheme,
-    rational_normal_curve_points,
-    rng_from_seed,
-    five_plus_generic_scheme,
-)
 from .instances import (
     InstanceError,
     canonical_json,
@@ -45,21 +28,6 @@ from .instances import (
     scheme_to_dict,
     vector_matroid_from_dict,
     vectors_to_dict,
-)
-from .matroid import fat_point_vector_matroid
-from .partition import (
-    AvoidanceProblem,
-    InfeasibilityWitness,
-    avoidance_partition,
-    edmonds_partition,
-    verify_partition_optimality_example,
-)
-from .schemes import (
-    FatPointScheme,
-    ctv_decomposition_check,
-    regularity_index,
-    subscheme,
-    veronese_inequality_check,
 )
 
 EXIT_OK = 0
@@ -73,6 +41,9 @@ def _write_output(data, out, fmt):
     if fmt == "json":
         text = canonical_json(data)
     elif fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
@@ -111,6 +82,16 @@ def _add_seed_and_field(parser):
 
 
 def cmd_gen(args):
+    from .generators import (
+        collinear_cluster_points,
+        five_plus_generic_scheme,
+        generic_line_configuration,
+        generic_points,
+        rational_normal_curve_scheme,
+        rng_from_seed,
+    )
+    from .schemes import FatPointScheme
+
     field = field_from_descriptor(args.field)
     rng = rng_from_seed(args.seed)
     kind = args.kind
@@ -155,6 +136,14 @@ def _run_checks(x, checks, d):
     """Run the named checks; only a size-guard trip (``GuardExceeded``) or a
     single-point scheme for a check that needs two points is reported as
     skipped.  Any other ``ValueError`` propagates (exit 2)."""
+    from .bounds import cardinality_estimate_check, modified_bound, verify_main_theorem
+    from .schemes import (
+        ctv_decomposition_check,
+        regularity_index,
+        subscheme,
+        veronese_inequality_check,
+    )
+
     results = {}
     for name in checks:
         if name in NEEDS_TWO_POINTS and x.support_size < 2:
@@ -226,8 +215,17 @@ def cmd_verify(args):
 
 
 def cmd_partition(args):
+    from .partition import (
+        AvoidanceProblem,
+        InfeasibilityWitness,
+        avoidance_partition,
+        edmonds_partition,
+    )
+
     data = load_instance(args.instance)
     if data.get("kind") == "scheme":
+        from .matroid import fat_point_vector_matroid
+
         matroid = fat_point_vector_matroid(scheme_from_dict(data))
     else:
         matroid = vector_matroid_from_dict(data)
@@ -273,6 +271,8 @@ def cmd_reproduce(args):
     results = {}
     ok = True
     if args.example_id == "2.8":
+        from .partition import verify_partition_optimality_example
+
         verdict = verify_partition_optimality_example(4, 3, 1, seed=seed)
         ok = verdict.confirmed
         results = {
@@ -295,6 +295,9 @@ def cmd_reproduce(args):
             }
             ok = ok and report.hypothesis_met and report.report.sharp
     elif args.example_id == "5.4-veronese":
+        from .generators import rational_normal_curve_points
+        from .schemes import FatPointScheme, veronese_inequality_check
+
         field = field_from_descriptor(args.field or "rational")
         pts = rational_normal_curve_points(1, 3, field=field)
         x = FatPointScheme(field, 1, [(p, 1) for p in pts])
@@ -306,6 +309,8 @@ def cmd_reproduce(args):
             "equality_case": verdict.equality_case,
         }
     elif args.example_id == "5.6-generic":
+        from .bounds import reproduce_generic_example
+
         report = reproduce_generic_example(seed=seed)
         ok = report.sound
         results = {

@@ -16,7 +16,7 @@ A failed augmentation yields a violating subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exact import InternalError
 from .matroid import RankOracle
@@ -55,12 +55,8 @@ class CountMatroid(RankOracle):
         return self._is_f_independent(fs)
 
 
-@dataclass
-class RankBoundVerdict:
-    holds: bool
-    count_rank: int
-    bound: int
-    witness: frozenset
+class RankBoundVerdict(namedtuple("RankBoundVerdict", "holds count_rank bound witness")):
+    __slots__ = ()
 
 
 def verify_count_hypothesis(base, k_plus, p_plus, ground=None):

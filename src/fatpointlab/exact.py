@@ -180,11 +180,12 @@ def integer_vector(field, values):
     """The values cleared to integers, as a tuple.
 
     Over Q they are scaled by the lcm of their denominators, a positive
-    multiple, and ints pass through as they are; over F_p they become their
-    residues in range(p)."""
+    multiple, and ints and Fractions pass through as they are (only other
+    values, such as 'a/b' strings, go through ``field.elem``); over F_p they
+    become their residues in range(p)."""
     if field.p is not None:
         return tuple(map(field.elem, values))
-    vals = [v if type(v) is int else field.elem(v) for v in values]
+    vals = [v if type(v) is int or type(v) is Fraction else field.elem(v) for v in values]
     den = lcm(*(v.denominator for v in vals))
     return tuple(v.numerator * (den // v.denominator) for v in vals)
 

@@ -13,7 +13,6 @@ import json
 
 from .exact import ExactMatrix, ScalarField
 from .matroid import VectorMatroid
-from .schemes import FatPointScheme
 
 
 class InstanceError(ValueError):
@@ -79,6 +78,8 @@ def _coords(field, values, owner):
 
 
 def scheme_from_dict(data):
+    from .schemes import FatPointScheme
+
     try:
         field = field_from_descriptor(data["field"])
         n = int(_number(data["ambient_dim"], "ambient_dim"))

@@ -15,22 +15,22 @@ contract of avoidance partitions testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constructions import CountMatroid, elementary_quotient, verify_count_hypothesis
 from .exact import InternalError
 from .matroid import independent_sets
 
 
-@dataclass
-class PartitionCertificate:
-    """A partition E = I_1 | ... | I_k plus everything needed to re-check it."""
+class PartitionCertificate(namedtuple("PartitionCertificate",
+                                      "blocks matroids ground ambient avoidance",
+                                      defaults=(None, ()))):
+    """A partition E = I_1 | ... | I_k plus everything needed to re-check it:
+    the blocks, one matroid per block, the ground set, and for avoidance
+    partitions the ambient matroid and the (element, block) pairs whose
+    element must stay outside the block's closure."""
 
-    blocks: tuple
-    matroids: list
-    ground: frozenset
-    ambient: object = None
-    avoidance: tuple = ()
+    __slots__ = ()
 
     def verify(self):
         seen = set()
@@ -57,13 +57,10 @@ class PartitionCertificate:
         }
 
 
-@dataclass
-class InfeasibilityWitness:
+class InfeasibilityWitness(namedtuple("InfeasibilityWitness", "subset size rank_sum")):
     """A subset A with |A| > sum_j rk_j(A), certifying no partition exists."""
 
-    subset: frozenset
-    size: int
-    rank_sum: int
+    __slots__ = ()
 
     def verify(self, matroids):
         return self.size == len(self.subset) and self.size > sum(
@@ -188,21 +185,17 @@ def inductive_split(ambient, ground, pivot, k, p, check_hypothesis=True):
     return result.blocks[0], result.blocks[1]
 
 
-@dataclass
-class AvoidanceProblem:
-    ambient: object
-    ground: frozenset
-    k: int
-    p: int
-    pinned: tuple = ()
-    tail: tuple = ()
+class AvoidanceProblem(namedtuple("AvoidanceProblem", "ambient ground k p pinned tail")):
+    """Partition ``ground`` into k blocks independent in ``ambient``, block j
+    avoiding the j-th of ``pinned + tail`` (p targets in all)."""
 
-    def __post_init__(self):
-        self.ground = frozenset(self.ground)
-        self.pinned = tuple(self.pinned)
-        self.tail = tuple(self.tail)
-        if len(self.pinned) + len(self.tail) != self.p:
+    __slots__ = ()
+
+    def __new__(cls, ambient, ground, k, p, pinned=(), tail=()):
+        pinned, tail = tuple(pinned), tuple(tail)
+        if len(pinned) + len(tail) != p:
             raise ValueError("pinned prefix plus tail must have length p")
+        return super().__new__(cls, ambient, frozenset(ground), k, p, pinned, tail)
 
 
 def avoidance_partition(problem):
@@ -247,12 +240,10 @@ def avoidance_partition(problem):
     return cert
 
 
-@dataclass
-class OptimalityExampleVerdict:
-    hypothesis_holds: bool
-    qualifying_set: frozenset = None
-    ground_size: int = 0
-    rank: int = 0
+class OptimalityExampleVerdict(namedtuple("OptimalityExampleVerdict",
+                                          "hypothesis_holds qualifying_set ground_size rank",
+                                          defaults=(None, 0, 0))):
+    __slots__ = ()
 
     @property
     def confirmed(self):

@@ -44,7 +44,7 @@ form h_mP(j) = binom(n + min(j, m-1), n) (see ``ctv_decomposition_check``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, count
 from math import comb, gcd, perm, prod
@@ -585,14 +585,9 @@ def subscheme(x, new_mults):
     return x._part(new_mults)
 
 
-@dataclass
-class CtvVerdict:
-    ok: bool
-    reg_index: int
-    formula_value: int
-    point_term: int
-    subscheme_term: int
-    quotient_term: int
+class CtvVerdict(namedtuple("CtvVerdict",
+                            "ok reg_index formula_value point_term subscheme_term quotient_term")):
+    __slots__ = ()
 
 
 def ctv_decomposition_check(z, p_coords, m):
@@ -649,14 +644,10 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-@dataclass
-class VeroneseVerdict:
-    ok: bool
-    reg_index: int
-    lifted_reg_index: int
-    ratio: int
-    equality_case: bool
-    closed_form: int = None
+class VeroneseVerdict(namedtuple("VeroneseVerdict",
+                                 "ok reg_index lifted_reg_index ratio equality_case closed_form",
+                                 defaults=(None,))):
+    __slots__ = ()
 
 
 def veronese_inequality_check(x, d):

@@ -342,11 +342,11 @@ class TestSeparatingHypersurface:
     def test_tampered_certificate_fails(self):
         z = FatPointScheme(QQ, 2, [((1, 0, 0), 1), ((0, 1, 0), 1)])
         cert = separating_hypersurface(z, (1, 1, 1))
-        cert.poly = dict(cert.poly)
+        poly = dict(cert.poly)
         # add an x0 term: the tampered product no longer vanishes at (1:0:0)
         key = (cert.degree,) + (0,) * z.n
-        cert.poly[key] = cert.poly.get(key, 0) + 1
-        assert not cert.verify(z)
+        poly[key] = poly.get(key, 0) + 1
+        assert not cert._replace(poly=poly).verify(z)
 
 
 class TestModifiedBound:

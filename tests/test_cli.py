@@ -11,7 +11,7 @@ import pytest
 
 import fatpointlab
 
-from fatpointlab import cli, exact, schemes
+from fatpointlab import bounds, cli, exact, partition, schemes
 from fatpointlab.cli import (
     EXIT_FAIL,
     EXIT_INFEASIBLE,
@@ -581,18 +581,20 @@ class TestOptions:
                                                            monkeypatch, capsys):
         # the handler reads both options, but each scenario must read an
         # option it is given or refuse it, never run as if it were not given
+        # the handlers import these at call time, so the spies sit on the
+        # modules that define them
         seen = []
         readers = {
-            "verify_partition_optimality_example": lambda *args, seed: seed,
-            "veronese_inequality_check": lambda x, d: x.field.p,
-            "reproduce_generic_example": lambda seed: seed,
+            (partition, "verify_partition_optimality_example"): lambda *args, seed: seed,
+            (schemes, "veronese_inequality_check"): lambda x, d: x.field.p,
+            (bounds, "reproduce_generic_example"): lambda seed: seed,
         }
-        for name, read in readers.items():
-            def spy(*args, _run=getattr(cli, name), _read=read, **kwargs):
+        for (module, name), read in readers.items():
+            def spy(*args, _run=getattr(module, name), _read=read, **kwargs):
                 seen.append(_read(*args, **kwargs))
                 return _run(*args, **kwargs)
 
-            monkeypatch.setattr(cli, name, spy)
+            monkeypatch.setattr(module, name, spy)
         value = {"seed": "3", "field": "prime:7"}[option]
         code = main(["reproduce", scenario, "--" + option, value])
         out, err = capsys.readouterr()
@@ -741,3 +743,83 @@ class TestNumpyLoadedOnDemand:
             "print(9 * 9 >= _NUMPY_MIN_CELLS, m.rank(), len(_bareiss_echelon(rows)[1]))"
         )
         assert self.run_then_report_numpy(code) == ["True", "8", "8", "True"]
+
+
+class TestCommandsLoadOnlyTheirModules:
+    """A fresh process imports only the modules its subcommand runs: the
+    package namespace is lazy, each handler imports its own dependencies,
+    and no library module imports ``dataclasses``."""
+
+    def added_by(self, argv):
+        """(exit code, modules added) for ``cli.main(argv)`` in a fresh
+        interpreter, counted from before ``fatpointlab.cli`` is imported."""
+        code = (
+            "import contextlib, io, json, sys\n"
+            "before = set(sys.modules)\n"
+            "from fatpointlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(%r)\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))" % (argv,)
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        code, added = json.loads(proc.stdout)
+        return code, set(added)
+
+    def vectors_file(self, tmp_path):
+        d = vectors_to_dict(QQ, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
+                                 (1, 2, 3), (1, 4, 9)])
+        return write_json(tmp_path / "v.json", d)
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "avoidance", "--p", "1", "--tail", "0"]],
+                             ids=["edmonds", "avoidance"])
+    def test_partition(self, mode, tmp_path):
+        code, added = self.added_by(["partition", self.vectors_file(tmp_path), "--k", "3", *mode])
+        assert code == EXIT_OK
+        assert {"fatpointlab.cli", "fatpointlab.partition"} <= added
+        unwanted = {"fatpointlab.schemes", "fatpointlab.bounds", "fatpointlab.generators",
+                    "dataclasses"}
+        assert added & unwanted == set()
+
+    def test_verify_main_theorem(self, tmp_path):
+        x = FatPointScheme(QQ, 2, [((1, 0, 0), 2), ((0, 1, 0), 1), ((1, 1, 1), 1)])
+        path = write_json(tmp_path / "x.json", scheme_to_dict(x))
+        code, added = self.added_by(["verify", path, "--checks", "main-theorem"])
+        assert code == EXIT_OK
+        assert {"fatpointlab.bounds", "fatpointlab.schemes"} <= added
+        unwanted = {"fatpointlab.generators", "fatpointlab.partition",
+                    "fatpointlab.constructions", "dataclasses"}
+        assert added & unwanted == set()
+
+    def test_package_import_loads_no_submodule(self):
+        proc = run_python("-c", "import sys\nbefore = set(sys.modules)\nimport fatpointlab\n"
+                                "print(sorted(set(sys.modules) - before))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["['fatpointlab']"]
+
+    def test_namespace(self):
+        # in a fresh interpreter, so each name goes through the lazy lookup
+        code = (
+            "import json, sys\n"
+            "import fatpointlab\n"
+            "wrong = [name for name in fatpointlab.__all__\n"
+            "         if getattr(sys.modules[getattr(fatpointlab, name).__module__], name)\n"
+            "         is not getattr(fatpointlab, name)\n"
+            "         or not getattr(fatpointlab, name).__module__.startswith('fatpointlab.')]\n"
+            "star = {}\n"
+            "exec('from fatpointlab import *', star)\n"
+            "unbound = [name for name in fatpointlab.__all__\n"
+            "           if star.get(name) is not getattr(fatpointlab, name)]\n"
+            "try:\n"
+            "    fatpointlab.no_such_name\n"
+            "    missing = 'no error'\n"
+            "except AttributeError as exc:\n"
+            "    missing = str(exc)\n"
+            "print(json.dumps([len(fatpointlab.__all__), wrong, unbound, missing]))"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        count, wrong, unbound, missing = json.loads(proc.stdout)
+        assert count == len(set(fatpointlab.__all__)) > 30
+        assert (wrong, unbound) == ([], [])
+        assert "no_such_name" in missing

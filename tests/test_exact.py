@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -606,6 +606,39 @@ class TestIntegerRepresentation:
             for row in values:
                 total = sum(x * y for x, y in zip(row, v))
                 assert (total if field.is_rational else total % field.p) == 0
+
+    @given(st.lists(st.one_of(st.integers(-10**30, 10**30),
+                              st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))),
+                    min_size=1, max_size=6),
+           st.lists(st.sampled_from(["int", "fraction", "string"]), min_size=6, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_vector_over_q_passes_ints_and_fractions_through(self, values, forms):
+        # ints and Fractions are cleared as they are, without a new Fraction
+        # per entry; only other values, such as 'a/b' strings, go through elem
+        given = []
+        for v, form in zip(values, forms):
+            v = Fraction(v)
+            if form == "int" and v.denominator == 1:
+                given.append(int(v))
+            elif form == "string":
+                given.append("%d/%d" % (v.numerator, v.denominator))
+            else:
+                given.append(v)
+        # the clearing with every entry coerced by elem, as it was done before
+        coerced = [QQ.elem(v) for v in given]
+        den = lcm(*(v.denominator for v in coerced))
+        expected = tuple(v.numerator * (den // v.denominator) for v in coerced)
+        calls = []
+        elem = ScalarField.elem
+
+        def spy(field, x):
+            calls.append(x)
+            return elem(field, x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ScalarField, "elem", spy)
+            assert exact.integer_vector(QQ, given) == expected
+        assert calls == [v for v in given if isinstance(v, str)]
 
 
 def test_rank_plus_kernel_dimension():
