@@ -84,9 +84,15 @@ def segre_bound(x):
     are deterministic.  A heaviest single point, of value max m_i - 1, is
     the witness only where it beats every flat, and where there is no
     flat: a one-point scheme.
+
+    Once the bound is known, the scheme keeps the lines of its walk, which
+    ``heaviest_line`` reads, and drops the levels past them, which nothing
+    reads again (``support_levels`` would walk to them afresh).
     """
     if x._segre is None:
         x._segre = _segre_bound(x)
+        del x._levels[1:]
+        x._walk = None
     return x._segre
 
 

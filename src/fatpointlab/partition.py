@@ -187,15 +187,14 @@ def inductive_split(ambient, ground, pivot, k, p, check_hypothesis=True):
 
 class AvoidanceProblem(namedtuple("AvoidanceProblem", "ambient ground k p pinned tail")):
     """Partition ``ground`` into k blocks independent in ``ambient``, block j
-    avoiding the j-th of ``pinned + tail`` (p targets in all)."""
+    avoiding the j-th of ``pinned + tail`` (p targets in all).  The target
+    count is checked where the problem is solved (``avoidance_partition``),
+    since ``_replace`` and ``_make`` do not pass through the constructor."""
 
     __slots__ = ()
 
     def __new__(cls, ambient, ground, k, p, pinned=(), tail=()):
-        pinned, tail = tuple(pinned), tuple(tail)
-        if len(pinned) + len(tail) != p:
-            raise ValueError("pinned prefix plus tail must have length p")
-        return super().__new__(cls, ambient, frozenset(ground), k, p, pinned, tail)
+        return super().__new__(cls, ambient, frozenset(ground), k, p, tuple(pinned), tuple(tail))
 
 
 def avoidance_partition(problem):
@@ -207,7 +206,9 @@ def avoidance_partition(problem):
     inductive split that never looks at later tuple entries.
     """
     ambient, ground, k, p = problem.ambient, problem.ground, problem.k, problem.p
-    targets = problem.pinned + problem.tail
+    targets = tuple(problem.pinned) + tuple(problem.tail)
+    if len(targets) != p:
+        raise ValueError("pinned prefix plus tail must have length p")
     bad = verify_count_hypothesis(ambient, k, p, ground=ground)
     if bad is not None:
         raise ValueError("hypothesis |A| <= k*rk(A)-p fails on %r" % (sorted(bad),))

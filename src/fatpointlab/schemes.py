@@ -16,13 +16,32 @@ gathers by shape), exact integer rows (``conditions_matrix``, from
 them; both give the same entries.  The scheme holds only certified Hilbert
 values and r(X).
 
+Each degree is ranked first in a coordinate frame (``_frame``,
+``_frame_rank``): a maximum-weight independent set of support points,
+independence tested mod q, is sent to the coordinate points e_0, e_1, ..
+by a change of coordinates E, invertible mod q.  A condition d^alpha of a
+frame point e_k is nonzero at one monomial only, alpha + (d - |alpha|)e_k,
+where it is prod_j alpha_j!, a unit mod q > d.  These unit columns of the
+tall matrix sit at distinct monomials when d >= m_k - 1 and
+m_k + m_l <= d + 1 for every pair of frame points (the gate), and then the
+rank is sum deg(m_k P_k) over the frame plus the rank of the other points'
+rows, in the frame, on the monomials with beta_k <= d - m_k for each frame
+index k.  This is the rank mod q of a conditions matrix of EX: the rows
+of the lift of E to the integers applied to the keys, each dehomogenized at
+its first coordinate nonzero mod q.  h_X is invariant under an invertible
+change of coordinates, so over F_p the frame gives h_X(d) itself and over
+Q a lower bound, and a full one certifies h_X(d) = deg X.  A deficient rank
+over Q, a degree the gate refuses, and over Q a degree where the frame
+cannot pay (see ``_rank_bound``) are ranked on the whole matrix as before,
+so a certificate starts from the whole matrix's echelon.
+
 Each point is cleared to integers once, to its projective normal form
 (``_point_key``): the primitive integer vector with first nonzero entry
 positive over Q, the vector scaled to first nonzero entry 1 over F_p.  A
 scheme keeps these keys (``keys``) next to the given coordinates, which
 serve serialization and derived schemes only.  Distinctness, membership,
-the conditions matrices, the flats of the support points
-(``flat_levels``: covers told apart by keys of their points' images
+the conditions matrices, the coordinate frame, the flats of the support
+points (``flat_levels``: covers told apart by keys of their points' images
 modulo the flat, no rank query, walked once per scheme by
 ``support_levels``), the heaviest line among them, general position
 (``in_general_position``, for the generators' resampling and the
@@ -46,7 +65,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, count
+from itertools import combinations, count, islice
 from math import comb, gcd, perm, prod
 from operator import mul
 
@@ -128,6 +147,7 @@ class FatPointScheme:
         self._levels = []         # the levels of flat_levels built so far
         self._walk = None         # the flat_levels walk that extends them
         self._pending = None      # (d, h, first): the climb's last deficient reduction
+        self._frame = None        # X in its coordinate frame mod q, filled by _frame
 
     def _part(self, mults):
         """The scheme on these points with new multiplicities, a point
@@ -280,41 +300,141 @@ def _row_orders(n, mult, pivot):
     return np.array(_point_orders(n, mult, pivot), dtype=np.int64).T.copy()
 
 
-def _conditions_residues(x, d, q):
+def _conditions_residues(x, d, q, keys=None, mults=None, columns=None):
     """The conditions matrix in degree d modulo a prime q < 2^31 as an
     int64 numpy array, in the orientation of ``exact._tall``: the entries
     of ``conditions_matrix`` mod q, from numpy tables instead of
-    ``_factor_tables``.
+    ``_factor_tables``.  The rows are those of X's points, or of the points
+    with these integer ``keys`` and ``mults``, each dehomogenized at its
+    first nonzero entry as a key is; the columns are the degree-d
+    monomials, or those where the boolean mask ``columns`` is set.  The
+    degree is checked against X (``_check_degree``) either way.
 
     One power table holds every coordinate of every point to the exponents
     0 .. d + max m_i - 1, each exponent one product mod q for all points at
     once.  The factors gather from it through ``_shift_arrays``, the
     pivot's and the other variables' apart, and per variable one gather at
     each row's order (``_row_orders``) and each column's exponent is
-    multiplied in mod q."""
+    multiplied in mod q.  The two large products, the factors and the
+    entries, are reduced by ``_reduce``."""
     import numpy as np
 
     _check_degree(x, d)
-    n, mults = x.n, x.mults
+    n = x.n
+    keys = x.keys if keys is None else keys
+    mults = x.mults if mults is None else mults
     width = max(mults)
-    keys = np.array([[v % q for v in c] for c in x.keys], dtype=np.int64)
-    powers = np.empty((d + width,) + keys.shape, dtype=np.int64)
+    table = np.array([[v % q for v in c] for c in keys], dtype=np.int64)
+    powers = np.empty((d + width,) + table.shape, dtype=np.int64)
     powers[0] = 1
     for e in range(1, d + width):
-        powers[e] = powers[e - 1] * keys % q
+        powers[e] = powers[e - 1] * table % q
     up, down, ff, exponents = _shift_arrays(n, d, width, q)
-    pivots = [next(j for j, v in enumerate(c) if v) for c in x.keys]
+    if columns is not None:
+        exponents = exponents[:, columns]
+    pivots = [next(j for j, v in enumerate(c) if v) for c in keys]
     at_pivot = np.arange(n + 1) == np.array(pivots)[:, None]
     # factors[j, i * width + a, b]: variable j of point i, order a, exponent b
-    factors = np.where(at_pivot, powers[up], powers[down] * ff[:, :, None, None] % q)
+    factors = np.where(at_pivot, powers[up], _reduce(powers[down] * ff[:, :, None, None], q))
     factors = factors.transpose(3, 2, 0, 1).reshape(n + 1, -1, d + 1)
     index = np.concatenate([_row_orders(n, m, t) + i * width
                             for i, (m, t) in enumerate(zip(mults, pivots))], axis=1)
     a = None
     for t, rows, cols in zip(factors, index, exponents):
         g = t.take(rows, axis=0).take(cols, axis=1)
-        a = g if a is None else a * g % q
+        a = g if a is None else _reduce(a * g, q)
     return a.T.copy() if a.shape[0] < a.shape[1] else a
+
+
+def _reduce(c, q):
+    """The int64 array c >= 0 reduced mod q in place, as c - c // q * q:
+    the values of c % q, but numpy's floor division by a scalar multiplies
+    where its % divides in hardware, entry by entry."""
+    c -= c // q * q
+    return c
+
+
+class _Frame(namedtuple("_Frame", "heavy units keys mults")):
+    """X in a coordinate frame modulo q: the multiplicities of the frame
+    points, which sit at e_0, e_1, .. in that order, their total degree
+    sum deg(m_k P_k), and the other points' images and multiplicities."""
+
+    __slots__ = ()
+
+
+def _frame(x, q):
+    """X's ``_Frame`` modulo q, taken on the first call and kept on X (q
+    is the same for every degree of a scheme).
+
+    The keys mod q are the columns of a matrix, heaviest point first and
+    then by index, brought to reduced row echelon form mod q.  Its pivot
+    columns are the frame: the greedy, so maximum-weight, independent set
+    of support points weighted by multiplicity, and so by degree.  The row
+    operations are a change of coordinates E, invertible mod q, taking the
+    k-th frame point to e_k, and the other columns are E applied to the
+    other points.  A pivot reduces n + 1 rows on the columns from its own
+    on, so the frame costs O(s (n + 1)) per frame point and E is never
+    inverted.  Each frame point's image is re-checked to be its coordinate
+    vector, explicitly, so the check also runs under ``python -O``."""
+    if x._frame is not None:
+        return x._frame
+    n, mults = x.n, x.mults
+    order = sorted(range(len(mults)), key=lambda i: (-mults[i], i))
+    rows = [[x.keys[i][j] % q for i in order] for j in range(n + 1)]
+    frame = []
+    for c in range(len(order)):
+        r = len(frame)
+        t = next((t for t in range(r, n + 1) if rows[t][c]), None)
+        if t is None:
+            continue
+        rows[r], rows[t] = rows[t], rows[r]
+        inv = pow(rows[r][c], -1, q)
+        top = rows[r][c:] = [v * inv % q for v in rows[r][c:]]
+        for row in rows:
+            f = row[c]
+            if f and row is not rows[r]:
+                row[c:] = [(v - f * w) % q for v, w in zip(row[c:], top)]
+        frame.append(c)
+        if r == n:
+            break
+    for k, c in enumerate(frame):
+        if any(row[c] != (t == k) for t, row in enumerate(rows)):
+            raise InternalError("frame point %d is not sent to e_%d" % (order[c], k))
+    others = [c for c in range(len(order)) if c not in frame]
+    heavy = tuple(mults[order[c]] for c in frame)
+    x._frame = _Frame(heavy, sum(comb(n + m - 1, n) for m in heavy),
+                      [tuple(row[c] for row in rows) for c in others],
+                      [mults[order[c]] for c in others])
+    return x._frame
+
+
+@lru_cache(maxsize=None)
+def _frame_columns(n, d, heavy):
+    """The degree-d monomials with beta_k <= d - m_k for the k-th of the
+    frame multiplicities ``heavy``, as a boolean mask: the columns where no
+    frame point's row is nonzero."""
+    import numpy as np
+
+    exponents = np.array(_exponent_columns(n, d)[:len(heavy)], dtype=np.int64)
+    return (exponents <= d - np.array(heavy)[:, None]).all(axis=0)
+
+
+def _frame_rank(x, d, q):
+    """The rank mod q of the conditions matrix in degree d, taken in the
+    coordinate frame of ``_frame``, or None where the gate refuses d: a
+    frame multiplicity above d + 1, or two summing to more than d + 1.
+    Past the gate each frame point's rows are unit columns of the tall
+    matrix at monomials of their own, so the rank is their count, the
+    frame's ``units``, plus the rank of the other points' rows on the
+    other monomials (``_frame_columns``); the module docstring says why
+    this is the rank of a projectively equivalent scheme."""
+    heavy, units, keys, mults = _frame(x, q)
+    if sum(heavy[:2]) > d + 1:
+        return None
+    if not keys:
+        return units
+    block = _conditions_residues(x, d, q, keys, mults, _frame_columns(x.n, d, heavy))
+    return units + len(_echelon_mod_p(block, q)[1])
 
 
 def _normalized(v, p):
@@ -429,10 +549,12 @@ def flat_levels(x):
 def support_levels(x):
     """The levels of ``flat_levels(x)`` from the one walk the scheme keeps:
     the levels built so far are read back, and the walk is started on the
-    first read and taken a level further only when a reader asks for it."""
+    first read and taken a level further only when a reader asks for it.
+    A walk started with levels kept (``bounds.segre_bound`` keeps only the
+    lines) goes on past them."""
     levels = x._levels
     if x._walk is None:
-        x._walk = flat_levels(x)
+        x._walk = islice(flat_levels(x), len(levels), None)
     for k in count():
         if k == len(levels):
             level = next(x._walk, None)
@@ -484,16 +606,36 @@ def hilbert_function(x, d):
 def _rank_bound(x, d):
     """(r, first) for the conditions matrix in degree d: its rank r, or
     over Q a deficient rank mod q and ``first``, the echelon a certificate
-    on exact rows starts from.  The residues are taken modulo q =
-    ``certificate_prime(0)`` over Q, so a certificate starts from this
-    reduction, and modulo p over F_p, then brought to an echelon form and
-    no further: its pivot count is the rank, and a full rank mod q is full
-    over Q.  Matrices below ``_NUMPY_MIN_CELLS`` cells, those over F_p with
-    p >= 2^31 and negative degrees, whose exact rows raise the error, are
-    ranked on exact rows instead."""
+    on exact rows starts from.  Residues are taken modulo q =
+    ``certificate_prime(0)`` over Q and modulo p over F_p.
+
+    The degree is checked first (``_check_degree``), then ranked in the
+    coordinate frame (``_frame_rank``): over F_p that rank is h_X(d), and
+    over Q a full one is, since the frame ranks a conditions matrix of a
+    projectively equivalent scheme mod q.  Over Q, where a deficient frame
+    rank is followed by the whole matrix, the frame is taken only where it
+    can pay: where a full rank is possible, from the monomial floor on and
+    before r(X) is certified (every degree ranked after lies below it),
+    and where the frame sets aside at least as many conditions as it
+    leaves to eliminate, units >= deg X - units, so that an attempt found
+    deficient costs no more pivots than a full one saves.  Where the frame
+    is not taken, its gate refuses d or its rank over Q is deficient, the
+    whole matrix's residues are brought to an echelon form and no further:
+    its pivot count is the rank, and over Q, if deficient, the echelon is
+    ``first``, so a certificate starts from this reduction.  Matrices below
+    ``_NUMPY_MIN_CELLS`` cells, those over F_p with p >= 2^31 and negative
+    degrees, whose exact rows raise the error, are ranked on exact rows
+    instead."""
     q = certificate_prime(0) if x.field.p is None else x.field.p
-    if d < 0 or q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS:
+    deg = x.degree()
+    if d < 0 or q >= 2**31 or deg * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS:
         return conditions_matrix(x, d).rank(), None
+    _check_degree(x, d)
+    if x.field.p is not None or (x._reg is None and deg <= comb(x.n + d, x.n)
+                                 and 2 * _frame(x, q).units >= deg):
+        r = _frame_rank(x, d, q)
+        if r is not None and (x.field.p is not None or r == deg):
+            return r, None
     ech, pivots = _echelon_mod_p(_conditions_residues(x, d, q), q)
     if x.field.p is not None or len(pivots) == ech.shape[1]:
         return len(pivots), None
@@ -523,9 +665,15 @@ def regularity_index(x):
     keeps it a small part of building even one of them; otherwise (many
     light points) the bound is the floor.
 
-    The search climbs from the bound, one matrix per degree, ranked whole by
-    ``_rank_bound``: a full rank modulo a prime is full over Q, and the rank
-    over F_p is exact.  Only those values are cached.  At the first full
+    The search climbs from the bound, one degree at a time, ranked by
+    ``_rank_bound``: first in the coordinate frame, where heavy independent
+    support points are unit columns and only the other points' rows are
+    eliminated, then, where the frame's gate refuses the degree or its rank
+    over Q is deficient, on the whole matrix.  Both rank a conditions
+    matrix of X or of a projectively equivalent scheme modulo a prime, and
+    h_X does not change under an invertible change of coordinates, so a
+    full rank modulo a prime is full over Q, and the rank over F_p is
+    exact.  Only those values are cached.  At the first full
     degree d, if d is above the bound, h_X(d - 1) is certified, and the
     search steps down while that is full too, which only an unlucky prime,
     one that lost rank at r and took the climb past it, can cause.  The

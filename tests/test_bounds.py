@@ -155,7 +155,10 @@ class TestSharedWalk:
         regularity_index(regularity_first)
         for y in (segre_first, regularity_first):
             assert (regularity_index(y), segre_bound(y), heaviest_line(y)) == expected
-            assert y._levels == list(schemes.flat_levels(fresh(x)))
+            # past the Segre bound only the lines are kept, and a reader
+            # past them walks on to the same levels
+            assert y._levels == list(schemes.flat_levels(fresh(x)))[:1]
+            assert list(schemes.support_levels(y)) == list(schemes.flat_levels(fresh(x)))
         assert expected[1] == segre_bound_brute_force(x)
         assert sum(x.mults[i] for i in expected[2]) == heaviest_line_weight_by_ranks(x)
 
@@ -180,8 +183,20 @@ class TestSharedWalk:
         assert started == [x]
         assert (report.reg_index, report.segre, sorted(report.witness.flat)) == (5, 5, [0, 1, 2])
         walked = len(steps)
-        assert list(walk(fresh(x))) == x._levels
+        assert list(walk(fresh(x)))[:1] == x._levels
         assert len(steps) == 2 * walked
+
+
+    def test_segre_bound_keeps_only_the_lines(self):
+        # ten generic points of P^3: the walk has three levels, and past the
+        # bound only the lines are kept; read again, nothing changes
+        x = FatPointScheme(QQ, 3, [(p, 2) for p in generic_points(rng_from_seed(8), 3, 10)])
+        line = heaviest_line(x)
+        seg = segre_bound(x)
+        assert len(x._levels) == 1 and len(x._levels[0]) == 45
+        assert (heaviest_line(x), segre_bound(x)) == (line, seg)
+        assert seg == segre_bound(fresh(x)) and line == heaviest_line(fresh(x))
+        assert len(x._levels) == 1
 
 
 class TestCardinalityEstimate:

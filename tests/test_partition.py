@@ -174,8 +174,17 @@ class TestAvoidancePartition:
 
     def test_mismatched_targets_rejected(self):
         amb = vm([(1, 0), (0, 1)])
-        with pytest.raises(ValueError):
-            AvoidanceProblem(amb, amb.elements, 3, 2, pinned=(0,), tail=())
+        with pytest.raises(ValueError, match="must have length p"):
+            avoidance_partition(AvoidanceProblem(amb, amb.elements, 3, 2, pinned=(0,), tail=()))
+
+    def test_mismatched_targets_rejected_after_replace(self):
+        # _replace and _make skip the constructor; the count is checked
+        # where the problem is solved, so they get the same ValueError
+        amb = generic_vectors_matroid(rng_from_seed(34), 3, 7)
+        problem = AvoidanceProblem(amb, amb.elements, 3, 1, tail=(0,))
+        for bad in (problem._replace(p=2), AvoidanceProblem._make((amb, problem.ground, 3, 1, (0,), (1,)))):
+            with pytest.raises(ValueError, match="pinned prefix plus tail must have length p"):
+                avoidance_partition(bad)
 
 
 class TestOptimalityExample:

@@ -496,7 +496,8 @@ except InternalError as exc:
 
 def count_conditions_matrices(monkeypatch):
     """The degrees of the conditions matrices built from now on, in order:
-    as exact integer rows and as residues modulo a prime."""
+    as exact integer rows and as residues modulo a prime, whole or of the
+    points outside the coordinate frame."""
     built = {"exact": [], "residues": []}
     build_rows, build_residues = schemes.conditions_matrix, schemes._conditions_residues
 
@@ -504,9 +505,9 @@ def count_conditions_matrices(monkeypatch):
         built["exact"].append(d)
         return build_rows(x, d)
 
-    def residues(x, d, q):
+    def residues(x, d, q, *frame):
         built["residues"].append(d)
-        return build_residues(x, d, q)
+        return build_residues(x, d, q, *frame)
 
     monkeypatch.setattr(schemes, "conditions_matrix", rows)
     monkeypatch.setattr(schemes, "_conditions_residues", residues)
@@ -514,13 +515,14 @@ def count_conditions_matrices(monkeypatch):
 
 
 def count_reductions(monkeypatch):
-    """The eliminations mod p from now on, in order, as (p, row count):
-    every one goes through ``_echelon_mod_p``."""
+    """The eliminations mod p from now on, in order, as (p, rows, cols):
+    every one goes through ``_echelon_mod_p``, and the shape names the
+    route, a frame's block or a whole matrix."""
     reductions = []
     eliminate = exact._echelon_mod_p
 
     def counted(rows, p):
-        reductions.append((p, len(rows)))
+        reductions.append((p, len(rows), len(rows[0])))
         return eliminate(rows, p)
 
     monkeypatch.setattr(exact, "_echelon_mod_p", counted)
@@ -528,9 +530,9 @@ def count_reductions(monkeypatch):
     return reductions
 
 
-def first_prime_rows(reductions):
-    """The row counts of the reductions modulo the first certificate prime."""
-    return [rows for p, rows in reductions if p == exact.certificate_prime(0)]
+def first_prime_shapes(reductions):
+    """The (rows, cols) of the reductions modulo the first certificate prime."""
+    return [(rows, cols) for p, rows, cols in reductions if p == exact.certificate_prime(0)]
 
 
 class TestBoundarySearch:
@@ -603,11 +605,13 @@ class TestBoundarySearch:
         built = count_conditions_matrices(monkeypatch)
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == 7
-        # every degree from the floor whole; then h(6), deficient mod q and
-        # so not cached, is certified on exact rows from the climb's own
-        # reduction, not reduced again
+        # every degree from the floor whole (9 conditions): the frame, two
+        # points of the line and the one off it, would set aside 3 of the 9
+        # conditions, fewer than it leaves, so it is not taken.  Then h(6),
+        # deficient mod q and so not cached, is certified on exact rows from
+        # the climb's own reduction, not reduced again
         assert built == {"residues": [3, 4, 5, 6, 7], "exact": [6]}
-        assert first_prime_rows(reductions) == [10, 15, 21, 28, 36]
+        assert first_prime_shapes(reductions) == [(10, 9), (15, 9), (21, 9), (28, 9), (36, 9)]
         assert regularity_index_ascending(x) == 7
 
     def test_non_collinear_line_is_refused(self, monkeypatch):
@@ -633,10 +637,14 @@ class TestBoundarySearch:
         r = regularity_index_ascending(x)
         monkeypatch.setattr(schemes, "heaviest_line", lambda y: [0, 3])
         built = count_conditions_matrices(monkeypatch)
+        reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == r == 8
-        # from max(floor 6, 3 + 3 - 1): h(7) is deficient mod q, and the
-        # step-down certifies it from the climb's reduction
-        assert built == {"residues": [6, 7, 8], "exact": [7]}
+        # from max(floor 6, 3 + 3 - 1): h(6) and h(7) are deficient in the
+        # frame (the 6 conditions of (1, 2, 0)) and whole (24), h(8) full in
+        # the frame, and the step-down certifies h(7) from the climb's
+        # whole reduction
+        assert built == {"residues": [6, 6, 7, 7, 8], "exact": [7]}
+        assert first_prime_shapes(reductions) == [(10, 6), (28, 24), (18, 6), (36, 24), (27, 6)]
         assert hilbert_profile(x).values == hilbert_profile_ascending(x)
 
     def test_unlucky_first_prime_at_r(self, monkeypatch):
@@ -646,20 +654,24 @@ class TestBoundarySearch:
         built = count_conditions_matrices(monkeypatch)
         build_residues = schemes._conditions_residues
 
-        def unlucky(y, d, q):
-            # the first prime loses one rank on the degree-r matrix: one
-            # condition (a column of the tall residues) vanishes mod q
-            a = build_residues(y, d, q)
+        def unlucky(y, d, q, *frame):
+            # the first prime loses one rank on the degree-r matrices, the
+            # frame's block and the whole one: one condition (a column of
+            # the tall residues) vanishes mod q
+            a = build_residues(y, d, q, *frame)
             if d == r:
                 a[:, 0] = 0
             return a
 
         monkeypatch.setattr(schemes, "_conditions_residues", unlucky)
+        reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == r
-        # climbed past r to the full degree r + 1; the step-down certifies
-        # degree r full on exact rows, from the climb's unlucky reduction,
-        # and stops at the line's bound
-        assert built == {"residues": [r, r + 1], "exact": [r]}
+        # deficient in the frame at r, so ranked whole, deficient again;
+        # climbed past r to r + 1, full in the frame; the step-down
+        # certifies degree r full on exact rows, from the climb's unlucky
+        # whole reduction, and stops at the line's bound
+        assert built == {"residues": [r, r, r + 1], "exact": [r]}
+        assert first_prime_shapes(reductions) == [(27, 6), (45, 24), (37, 6)]
         assert x._hilbert_cache == {r: x.degree(), r + 1: x.degree()}
 
     def test_sharp_cluster_builds_one_residue_matrix(self, monkeypatch):
@@ -672,9 +684,11 @@ class TestBoundarySearch:
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == 14
         # the line of weight 15 proves h(13) < 75, so the climb starts at
-        # 14, and one reduction of its 120 tall residue rows shows it full
+        # 14.  The frame is (1, 0, 0), (1, 1, 0) and (3, 7, 1): their 45
+        # conditions are unit columns, and one reduction of the other two
+        # points' 30 conditions on the other 75 monomials shows it full
         assert built == {"residues": [14], "exact": []}
-        assert first_prime_rows(reductions) == [120]
+        assert first_prime_shapes(reductions) == [(75, 30)]
         assert x._hilbert_cache == {14: 75}
 
     def test_hilbert_values_above_r_build_nothing(self, monkeypatch):
@@ -692,9 +706,9 @@ class TestBoundarySearch:
             built.append((x, d))
             return build_rows(x, d)
 
-        def residues(x, d, q):
+        def residues(x, d, q, *frame):
             built.append((x, d))
-            return build_residues(x, d, q)
+            return build_residues(x, d, q, *frame)
 
         monkeypatch.setattr(schemes, "conditions_matrix", rows)
         monkeypatch.setattr(schemes, "_conditions_residues", residues)
@@ -718,6 +732,165 @@ class TestBoundarySearch:
         with pytest.raises(ValueError, match="^prime field too small for derivative "
                                              "conditions at degree 5$"):
             regularity_index(x)
+
+
+FRAME_FIELDS = [QQ] + [ScalarField.prime(p) for p in (7, 13, 10007, 2147483629)]
+
+
+@st.composite
+def frame_cases(draw):
+    """(X, d) for the coordinate frame: X over Q or F_7 .. F_2147483629 in
+    P^1 .. P^4, its points coordinate points, members of one collinear
+    cluster or free, and with ``flat`` all inside the hyperplane x_n = 0,
+    so the frame has at most n points; multiplicities 1..4 and d up to 8
+    (below p, at most 6000 cells), from just below the gate."""
+    field = draw(st.sampled_from(FRAME_FIELDS))
+    n = draw(st.integers(1, 4))
+    flat = draw(st.booleans())
+    vector = st.lists(st.integers(-4, 4), min_size=n + 1, max_size=n + 1)
+    a, b = draw(vector), draw(vector)
+    on_line = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda w: [w[0] * u + w[1] * v for u, v in zip(a, b)])
+    point = st.one_of(st.integers(0, n).map(lambda i: [int(j == i) for j in range(n + 1)]),
+                      on_line, on_line, vector)
+    if flat:
+        point = point.map(lambda c: c[:-1] + [0])
+    points = {}
+    for coords, mult in draw(st.lists(st.tuples(point, st.integers(1, 4)), min_size=3, max_size=8)):
+        elems = [field.elem(c) for c in coords]
+        if any(elems):
+            points.setdefault(schemes._point_key(field, elems), (coords, mult))
+    assume(points)
+    x = FatPointScheme(field, n, list(points.values()))
+    top = 8 if field.p is None else min(8, field.p - 1)
+    while top >= 0 and x.degree() * comb(n + top, n) > 6000:
+        top -= 1
+    assume(top >= 0)
+    # any two points are independent, so the frame's two heaviest are X's
+    # and the gate opens at d = m_(1) + m_(2) - 1; start just below it
+    gate = sum(sorted(x.mults, reverse=True)[:2]) - 1
+    return x, draw(st.integers(max(0, min(gate - 2, top)), top))
+
+
+class TestFrameRank:
+    """The coordinate frame's rank against the whole matrix's."""
+
+    @given(frame_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_whole_residues_rank(self, case):
+        x, d = case
+        q = exact.certificate_prime(0) if x.field.p is None else x.field.p
+        r = schemes._frame_rank(x, d, q)
+        heavy = x._frame.heavy
+        assert list(heavy) == sorted(heavy, reverse=True)
+        assert len(heavy) == ExactMatrix.from_integer_rows(x.field, x.keys).rank()
+        assert (r is None) == (sum(heavy[:2]) > d + 1)
+        if r is not None:
+            # small coordinates: every key's first entry is a unit mod q,
+            # so the whole residues rank X itself mod q
+            assert r == len(exact._echelon_mod_p(schemes._conditions_residues(x, d, q), q)[1])
+
+    def test_frame_in_a_hyperplane(self):
+        # five points of x_2 = 0 in P^2: a frame of two points, the other
+        # three at their images in its coordinates
+        x = FatPointScheme(ScalarField.prime(13), 2, [((1, t, 0), 3 - t // 2) for t in range(5)])
+        heavy, units, keys, mults = schemes._frame(x, 13)
+        assert heavy == (3, 3) and units == 12 and mults == [2, 2, 1]
+        assert keys == [(12, 2, 0), (11, 3, 0), (10, 4, 0)]
+        for d in range(5, 9):
+            assert schemes._frame_rank(x, d, 13) == hilbert_function(x, d)
+        assert schemes._frame_rank(x, 4, 13) is None  # 3 + 3 > 4 + 1
+
+    def test_share_rule_holds_over_q_only(self, monkeypatch):
+        # two points of the line and the one off it set aside 3 of the 9
+        # conditions of eight collinear simple points and one off the line:
+        # over Q, where a deficient attempt costs a second elimination, the
+        # frame is not taken; over F_p its rank is exact, and it is
+        for field, taken in ((QQ, False), (ScalarField.prime(101), True)):
+            x = FatPointScheme(field, 2, [(p, 1) for p in collinear_points(2, 8) + [(3, 7, 1)]])
+            reductions = count_reductions(monkeypatch)
+            assert regularity_index(x) == 7
+            assert any(cols == 6 for _, _, cols in reductions) == taken
+
+    def test_deficient_rank_over_q_falls_back_to_the_whole_matrix(self, monkeypatch):
+        # the climb from the lighter line's bound 6 meets h(7) deficient in
+        # the frame; the whole matrix is reduced, and the step-down's
+        # certificate starts from that echelon, as the climb left it pending
+        x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
+        monkeypatch.setattr(schemes, "heaviest_line", lambda y: [0, 3])
+        q = exact.certificate_prime(0)
+        whole = exact._echelon_mod_p(schemes._conditions_residues(x, 7, q), q)
+        firsts = []
+        rank = ExactMatrix.rank
+
+        def recording(self, first=None):
+            if first is not None:
+                firsts.append((first[0].copy(), list(first[1]), x._pending[0]))
+            return rank(self, first)
+
+        monkeypatch.setattr(ExactMatrix, "rank", recording)
+        assert regularity_index(x) == 8
+        ((ech, pivots, pending),) = firsts
+        assert pending == 7 and pivots == whole[1]
+        assert ech.tolist() == whole[0].tolist()
+        assert x._pending is None and x._hilbert_cache[7] < x.degree()
+
+    def test_degree_checks_come_before_the_frame(self, monkeypatch):
+        # the prime field's size and the guard are checked before any frame
+        # is taken, so both still refuse as they did
+        def refuse(*args):
+            raise AssertionError("frame work before the degree check")
+
+        monkeypatch.setattr(schemes, "_frame", refuse)
+        monkeypatch.setattr(schemes, "_frame_rank", refuse)
+        x = FatPointScheme(ScalarField.prime(5), 2, [((1, 0, 0), 4), ((0, 1, 0), 4)])
+        with pytest.raises(ValueError, match="prime field too small"):
+            hilbert_function(x, 5)
+        with pytest.raises(ValueError, match="prime field too small"):
+            regularity_index(x)
+        for field in (QQ, ScalarField.prime(2**31 - 1)):
+            y = FatPointScheme(field, 2, [((1, 2, 3), 3)])
+            with pytest.raises(GuardExceeded, match="CONDITIONS_MATRIX_GUARD"):
+                hilbert_function(y, 2000)
+            assert y._frame is None
+
+    def test_frame_taken_once_per_scheme(self, monkeypatch):
+        frames = []
+        take = schemes._frame
+
+        def counted(x, q):
+            if x._frame is None:
+                frames.append(x)
+            return take(x, q)
+
+        monkeypatch.setattr(schemes, "_frame", counted)
+        x = FatPointScheme(QQ, 2, [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
+        assert hilbert_profile(x).values == hilbert_profile_ascending(x)
+        assert frames == [x]
+
+    def test_frame_check_runs_under_optimize(self):
+        # a wrong inverse leaves a frame point off its coordinate vector;
+        # the explicit re-check refuses it also under python -O
+        src = os.path.dirname(os.path.dirname(schemes.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", WRONG_INVERSE], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "optimize 1: InternalError: frame point 0 is not sent to e_0\n"
+
+
+# a frame whose pivots are scaled by a wrong inverse, run under python -O
+WRONG_INVERSE = """
+import sys
+from fatpointlab import schemes
+from fatpointlab.exact import InternalError, ScalarField
+x = schemes.FatPointScheme(ScalarField.prime(13), 2, [((1, 2, 3), 2), ((0, 1, 5), 1)])
+schemes.pow = lambda v, e, q: 2
+try:
+    schemes._frame(x, 13)
+except InternalError as exc:
+    print("optimize %d: InternalError: %s" % (sys.flags.optimize, exc))
+"""
 
 
 class TestSubscheme:
