@@ -4,21 +4,28 @@ All randomness flows through ``random.Random(seed)``; genericity is never
 assumed, it is certified post hoc by keys (``schemes.in_general_position``,
 no rank queried), with a bounded number of resampling attempts.  When they
 run out, ``ValueError`` is raised: the parameters ask for more than the
-sampler can certify.
+sampler can certify.  A draw too large to test in seconds is refused before
+it starts (``MAX_GENERIC_SETS``).
 """
 
 from __future__ import annotations
 
 import random
+from math import comb
 
 from .exact import ExactMatrix, ScalarField
 from .matroid import VectorMatroid
-from .schemes import FatPointScheme, _point_key, in_general_position, monomials
+from .schemes import FatPointScheme, _point_key, in_general_position
 
 MAX_RESAMPLE_ATTEMPTS = 200
 # Rounds of generic_points after the given coordinate range, each at ten
 # times the range of the one before.
 _RANGE_WIDENINGS = 2
+# The most sets of n + 1 points, binom(s, n + 1) for s points of P^n, that
+# five_plus_generic_scheme's draw may leave to the general-position test.
+# The test's work grows with that count, not with s alone: 378 points of
+# P^2, 120 of P^3 and 56 of P^4 (3.4M to 8.2M sets) each took 2-4 s.
+MAX_GENERIC_SETS = 10**7
 
 
 def rng_from_seed(seed):
@@ -176,17 +183,23 @@ def random_vector_matroid(rng, dim, count, field=None, coord_range=4):
 def five_plus_generic_scheme(rng, n, d, m, field=None):
     """Support = five fixed points plus binom(d+n, n) certified-generic
     points, every point with multiplicity m.  The five fixed points lie in
-    P^2, padded with zeros, so n >= 2."""
+    P^2, padded with zeros, so n >= 2.  A draw whose points make more than
+    ``MAX_GENERIC_SETS`` sets of n + 1 is refused (``ValueError``) before
+    it starts."""
     if n < 2:
         raise ValueError("five_plus_generic_scheme needs n >= 2, got n = %d" % n)
     if d < 0:
         raise ValueError("five_plus_generic_scheme needs d >= 0, got d = %d" % d)
+    extra = comb(n + d, n)
+    if extra > MAX_GENERIC_SETS or comb(extra, n + 1) > MAX_GENERIC_SETS:
+        raise ValueError("five_plus_generic_scheme would draw binom(n + d, n) = %d generic points "
+                         "of P^%d, more than MAX_GENERIC_SETS = %d sets of %d of them to test"
+                         % (extra, n, MAX_GENERIC_SETS, n + 1))
     field = field or ScalarField.rational()
     fixed = [
         (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),
     ]
     fixed = [tuple(field.elem(c) for c in p + (0,) * (n - 2)) for p in fixed]
-    extra = len(monomials(n, d))
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
         gen = generic_points(rng, n, extra, field=field)
         all_pts = fixed + gen

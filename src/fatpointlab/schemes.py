@@ -35,6 +35,18 @@ over Q, a degree the gate refuses, and over Q a degree where the frame
 cannot pay (see ``_rank_bound``) are ranked on the whole matrix as before,
 so a certificate starts from the whole matrix's echelon.
 
+Beside a frame of n + 1 points one more point u, the unit point, is sent
+to (1 : .. : 1) where its image under E has every coordinate nonzero mod q:
+every image is scaled by D = diag(u_j^-1), which fixes each e_k
+projectively and is invertible mod q, so the argument above holds for DE
+unchanged.  The unit point's rows on the frame's monomials then depend on
+the shape alone, and their reduced echelon form mod q is computed once per
+shape (``_unit_echelon``).  Each degree reduces the other points' rows
+against it with one int64 product on 16-bit limbs (``_add_product_mod``)
+and eliminates them only on the monomials off its pivots: the rank is the
+frame's units, plus the echelon's pivots, plus the rank of the reduced
+rest.  Without a unit point the echelon is empty.
+
 Each point is cleared to integers once, to its projective normal form
 (``_point_key``): the primitive integer vector with first nonzero entry
 positive over Q, the vector scaled to first nonzero entry 1 over F_p.  A
@@ -70,7 +82,7 @@ from math import comb, gcd, perm, prod
 from operator import mul
 
 from .exact import (_NUMPY_MIN_CELLS, ExactMatrix, GuardExceeded, InternalError, _echelon_mod_p,
-                    certificate_prime, integer_vector)
+                    _rref_mod_p, certificate_prime, integer_vector)
 
 # The most cells, deg X rows by binom(n + d, n) columns, of a conditions
 # matrix that is built.  Each takes several int64 arrays of its size as
@@ -305,10 +317,22 @@ def _conditions_residues(x, d, q, keys=None, mults=None, columns=None):
     int64 numpy array, in the orientation of ``exact._tall``: the entries
     of ``conditions_matrix`` mod q, from numpy tables instead of
     ``_factor_tables``.  The rows are those of X's points, or of the points
-    with these integer ``keys`` and ``mults``, each dehomogenized at its
-    first nonzero entry as a key is; the columns are the degree-d
-    monomials, or those where the boolean mask ``columns`` is set.  The
-    degree is checked against X (``_check_degree``) either way.
+    with these integer ``keys`` and ``mults``; the columns are the degree-d
+    monomials, or those where the boolean mask ``columns`` is set (see
+    ``_residue_rows``).  The degree is checked against X
+    (``_check_degree``) either way."""
+    _check_degree(x, d)
+    a = _residue_rows(x.n, d, q, x.keys if keys is None else keys,
+                      x.mults if mults is None else mults, columns)
+    return a.T.copy() if a.shape[0] < a.shape[1] else a
+
+
+def _residue_rows(n, d, q, keys, mults, columns=None):
+    """The one residue builder: the conditions rows in degree d mod q of
+    the points of P^n with these integer ``keys`` and ``mults``, each
+    dehomogenized at its first nonzero entry as a key is, one row per
+    condition and one column per degree-d monomial (where the mask
+    ``columns`` is set, if given).
 
     One power table holds every coordinate of every point to the exponents
     0 .. d + max m_i - 1, each exponent one product mod q for all points at
@@ -319,10 +343,6 @@ def _conditions_residues(x, d, q, keys=None, mults=None, columns=None):
     entries, are reduced by ``_reduce``."""
     import numpy as np
 
-    _check_degree(x, d)
-    n = x.n
-    keys = x.keys if keys is None else keys
-    mults = x.mults if mults is None else mults
     width = max(mults)
     table = np.array([[v % q for v in c] for c in keys], dtype=np.int64)
     powers = np.empty((d + width,) + table.shape, dtype=np.int64)
@@ -343,7 +363,7 @@ def _conditions_residues(x, d, q, keys=None, mults=None, columns=None):
     for t, rows, cols in zip(factors, index, exponents):
         g = t.take(rows, axis=0).take(cols, axis=1)
         a = g if a is None else _reduce(a * g, q)
-    return a.T.copy() if a.shape[0] < a.shape[1] else a
+    return a
 
 
 def _reduce(c, q):
@@ -354,10 +374,12 @@ def _reduce(c, q):
     return c
 
 
-class _Frame(namedtuple("_Frame", "heavy units keys mults")):
+class _Frame(namedtuple("_Frame", "heavy units unit keys mults")):
     """X in a coordinate frame modulo q: the multiplicities of the frame
     points, which sit at e_0, e_1, .. in that order, their total degree
-    sum deg(m_k P_k), and the other points' images and multiplicities."""
+    sum deg(m_k P_k), the multiplicity of the unit point, which sits at
+    (1 : .. : 1) (0 where there is none), and the other points' images and
+    multiplicities."""
 
     __slots__ = ()
 
@@ -375,7 +397,14 @@ def _frame(x, q):
     other points.  A pivot reduces n + 1 rows on the columns from its own
     on, so the frame costs O(s (n + 1)) per frame point and E is never
     inverted.  Each frame point's image is re-checked to be its coordinate
-    vector, explicitly, so the check also runs under ``python -O``."""
+    vector, explicitly, so the check also runs under ``python -O``.
+
+    The unit point is the first other point, in the same order, whose
+    image u has every coordinate nonzero mod q; only a frame of n + 1
+    points leaves one, since below that every image is zero past the
+    frame's rows.  Every other image is scaled by diag(u_j^-1), which fixes
+    each e_k projectively, is invertible mod q and sends u to
+    (1 : .. : 1)."""
     if x._frame is not None:
         return x._frame
     n, mults = x.n, x.mults
@@ -401,9 +430,15 @@ def _frame(x, q):
         if any(row[c] != (t == k) for t, row in enumerate(rows)):
             raise InternalError("frame point %d is not sent to e_%d" % (order[c], k))
     others = [c for c in range(len(order)) if c not in frame]
+    images = [tuple(row[c] for row in rows) for c in others]
+    u = next((k for k, image in enumerate(images) if all(image)), None)
+    unit = 0
+    if u is not None:
+        unit = mults[order[others.pop(u)]]
+        scale = [pow(v, -1, q) for v in images.pop(u)]
+        images = [tuple(v * w % q for v, w in zip(image, scale)) for image in images]
     heavy = tuple(mults[order[c]] for c in frame)
-    x._frame = _Frame(heavy, sum(comb(n + m - 1, n) for m in heavy),
-                      [tuple(row[c] for row in rows) for c in others],
+    x._frame = _Frame(heavy, sum(comb(n + m - 1, n) for m in heavy), unit, images,
                       [mults[order[c]] for c in others])
     return x._frame
 
@@ -419,6 +454,62 @@ def _frame_columns(n, d, heavy):
     return (exponents <= d - np.array(heavy)[:, None]).all(axis=0)
 
 
+@lru_cache(maxsize=None)
+def _unit_echelon(n, d, unit, heavy, q):
+    """The unit point's rows in degree d on the frame's columns
+    (``_frame_columns``), brought to reduced row echelon form mod q: they
+    depend on the shape alone, n, d, the unit multiplicity and the frame
+    multiplicities ``heavy``, and are reduced once per shape.
+
+    Returns (pivots, off, limbs): the pivot columns and the others, as
+    indices into the frame's columns, and the ``_split_limbs`` of the
+    transpose of minus the echelon's rows on the columns off its pivots,
+    which ``_frame_rank`` multiplies the other points' pivot entries by.
+    With no unit point (``unit`` 0) the echelon is empty: no pivots, every
+    column off them.  The arrays are read-only, as every caller shares
+    them."""
+    import numpy as np
+
+    columns = _frame_columns(n, d, heavy)
+    ech, pivots = np.zeros((0, int(columns.sum())), dtype=np.int64), []
+    if unit:
+        ech, pivots = _echelon_mod_p(_residue_rows(n, d, q, [(1,) * (n + 1)], [unit], columns), q)
+        ech = _rref_mod_p(ech, pivots, q)[:len(pivots)]
+    off = np.array(sorted(set(range(ech.shape[1])).difference(pivots)), dtype=np.int64)
+    out = np.array(pivots, dtype=np.int64), off, _split_limbs(((q - ech[:, off]) % q).T)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _split_limbs(a):
+    """The int64 array a of residues below 2^31 as its 16-bit limbs: the
+    low ones stacked above the high ones, which are below 2^15."""
+    import numpy as np
+
+    return np.concatenate([a & 0xFFFF, a >> 16])
+
+
+def _add_product_mod(c, limbs, b, q):
+    """(c + a b) mod q for int64 arrays of residues mod a prime q < 2^31,
+    a given as its ``_split_limbs``: one int64 product of the limbs by b.
+    A low limb's row times a column of b sums k products below 2^47, and
+    the high limbs' sums are reduced before they are shifted back, so every
+    sum stays below 2^63 while b has k < 2^15 rows; both bounds are
+    checked explicitly, so the check also runs under ``python -O``."""
+    k = b.shape[0]
+    if q >= 2**31 or k >= 2**15:
+        raise ValueError("limb product overflows int64: %d rows modulo q = %d "
+                         "(needs fewer than 2^15 rows and q < 2^31)" % (k, q))
+    t = limbs @ b
+    low, high = t[:len(t) // 2], t[len(t) // 2:]
+    high %= q
+    high <<= 16
+    low += high
+    low += c
+    return _reduce(low, q)
+
+
 def _frame_rank(x, d, q):
     """The rank mod q of the conditions matrix in degree d, taken in the
     coordinate frame of ``_frame``, or None where the gate refuses d: a
@@ -427,13 +518,29 @@ def _frame_rank(x, d, q):
     matrix at monomials of their own, so the rank is their count, the
     frame's ``units``, plus the rank of the other points' rows on the
     other monomials (``_frame_columns``); the module docstring says why
-    this is the rank of a projectively equivalent scheme."""
-    heavy, units, keys, mults = _frame(x, q)
+    this is the rank of a projectively equivalent scheme.
+
+    Of those rows, the unit point's are the same for every scheme of a
+    shape, and their echelon comes from ``_unit_echelon``: the other
+    points' rows are reduced against it by one ``_add_product_mod``, which
+    clears them on its pivot columns, and only the columns off its pivots
+    are eliminated.  The rank adds the echelon's pivot count.  With no unit
+    point the echelon is empty and the reduction changes nothing."""
+    heavy, units, unit, keys, mults = _frame(x, q)
     if sum(heavy[:2]) > d + 1:
         return None
-    if not keys:
+    if not (keys or unit):
+        return units  # a frame of every point needs no array, nor numpy
+    pivots, off, limbs = _unit_echelon(x.n, d, unit, heavy, q)
+    units += len(pivots)
+    if not keys or not len(off):
         return units
-    block = _conditions_residues(x, d, q, keys, mults, _frame_columns(x.n, d, heavy))
+    a = _conditions_residues(x, d, q, keys, mults, _frame_columns(x.n, d, heavy))
+    # one row per frame column, whichever orientation the builder chose
+    rest = a.T if a.shape[1] == len(pivots) + len(off) else a
+    block = _add_product_mod(rest[off], limbs, rest[pivots], q)
+    if block.shape[0] < block.shape[1]:
+        block = block.T.copy()
     return units + len(_echelon_mod_p(block, q)[1])
 
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement, count
 from math import comb, factorial, gcd
 
 import pytest
@@ -300,18 +301,28 @@ class TestConditionsResidues:
 
     def test_helper_caches_are_keyed_by_shape(self):
         # the residue build caches per shape, (n, d, max m, q) and
-        # (n, m, pivot), never per scheme: thousands of schemes leave its
-        # caches as small as the shapes they have
-        caches = schemes._shift_arrays, schemes._row_orders
+        # (n, m, pivot), and the frame's unit echelon per (n, d, unit m,
+        # frame mults, q), never per scheme: thousands of schemes leave
+        # those caches as small as the shapes they have
+        caches = schemes._shift_arrays, schemes._row_orders, schemes._unit_echelon
         for cache in caches:
             cache.cache_clear()
         rng = rng_from_seed(11)
         q = exact.certificate_prime(0)
         for _ in range(3000):
             x = random_scheme(rng, rng.randint(1, 3), 5, 3)
-            schemes._conditions_residues(x, rng.randint(0, 6), q)
-        # n <= 3, d <= 6 and m <= 3 make 63 and 27 shapes
-        assert all(cache.cache_info().currsize <= bound for cache, bound in zip(caches, (63, 27)))
+            d = rng.randint(0, 6)
+            schemes._conditions_residues(x, d, q)
+            schemes._frame_rank(x, d, q)
+        # n <= 3, d <= 6 and m <= 3 make 63 and 27 shapes, and at most
+        # this many frames (nonincreasing mults past the gate) with a unit
+        # point (only beside a frame of n + 1 points) or none
+        frames = sum(1 for n in range(1, 4) for d in range(7) for size in range(1, n + 2)
+                     for heavy in combinations_with_replacement((3, 2, 1), size)
+                     if sum(heavy[:2]) <= d + 1 for _ in range(4 if size == n + 1 else 1))
+        assert schemes._unit_echelon.cache_info().currsize > 0
+        assert all(cache.cache_info().currsize <= bound
+                   for cache, bound in zip(caches, (63, 27, frames)))
 
     @given(residue_cases())
     @settings(max_examples=80, deadline=None)
@@ -679,17 +690,26 @@ class TestBoundarySearch:
             raise AssertionError("a rank was certified on exact rows")
 
         x = FatPointScheme(QQ, 2, [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
+        schemes._unit_echelon.cache_clear()
         built = count_conditions_matrices(monkeypatch)
         monkeypatch.setattr(exact, "_echelon_kernel", refuse)
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == 14
         # the line of weight 15 proves h(13) < 75, so the climb starts at
         # 14.  The frame is (1, 0, 0), (1, 1, 0) and (3, 7, 1): their 45
-        # conditions are unit columns, and one reduction of the other two
-        # points' 30 conditions on the other 75 monomials shows it full
+        # conditions are unit columns.  The line's third point has a zero
+        # coordinate in the frame, so (5, 2, 1) is the unit point: its 15
+        # conditions on the other 75 monomials are reduced once per shape,
+        # and one reduction of the line point's 15 conditions on the 60
+        # monomials off the unit pivots shows the degree full
+        assert x._frame.unit == 5 and x._frame.mults == [5]
         assert built == {"residues": [14], "exact": []}
-        assert first_prime_shapes(reductions) == [(75, 30)]
+        assert first_prime_shapes(reductions) == [(15, 75), (60, 15)]
         assert x._hilbert_cache == {14: 75}
+        # a second scheme of the same shape reads the unit echelon back
+        y = FatPointScheme(QQ, 2, [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
+        assert regularity_index(y) == 14
+        assert first_prime_shapes(reductions) == [(15, 75), (60, 15), (60, 15)]
 
     def test_hilbert_values_above_r_build_nothing(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 2) for p in LINE + [(3, 7, 1)]])
@@ -772,6 +792,37 @@ def frame_cases(draw):
     return x, draw(st.integers(max(0, min(gate - 2, top)), top))
 
 
+@st.composite
+def unit_cases(draw):
+    """(X, d) for the unit point: X over Q, F_10007 or F_2147483629 in
+    P^1 .. P^4 with n + 2 .. n + 5 support points, coordinates in -9..9
+    and zeros (points of the moment curve (1, j, .., j^n) make up for
+    drawn ones that are zero or repeated), multiplicities 1..4 in P^1,
+    1..3 in P^2 and 1..2 above, and d up to 8 (at most 6000 cells) past
+    the gate."""
+    field = draw(st.sampled_from([QQ, ScalarField.prime(10007), ScalarField.prime(2147483629)]))
+    n = draw(st.integers(1, 4))
+    coord = st.one_of(st.integers(-9, 9), st.just(0))
+    point = st.lists(coord, min_size=n + 1, max_size=n + 1)
+    mult = st.integers(1, max(2, 5 - n))
+    drawn = draw(st.lists(st.tuples(point, mult), min_size=n + 2, max_size=n + 5))
+    curve = ([j ** e for e in range(n + 1)] for j in count(1))
+    points = {}
+    for coords, m in drawn:
+        elems = [field.elem(c) for c in coords]
+        while not any(elems) or schemes._point_key(field, elems) in points:
+            coords = next(curve)
+            elems = [field.elem(c) for c in coords]
+        points[schemes._point_key(field, elems)] = (coords, m)
+    x = FatPointScheme(field, n, list(points.values()))
+    top = 8
+    while top >= 0 and x.degree() * comb(n + top, n) > 6000:
+        top -= 1
+    gate = max(0, sum(sorted(x.mults, reverse=True)[:2]) - 1)
+    assume(gate <= top)
+    return x, draw(st.integers(gate, top))
+
+
 class TestFrameRank:
     """The coordinate frame's rank against the whole matrix's."""
 
@@ -794,12 +845,99 @@ class TestFrameRank:
         # five points of x_2 = 0 in P^2: a frame of two points, the other
         # three at their images in its coordinates
         x = FatPointScheme(ScalarField.prime(13), 2, [((1, t, 0), 3 - t // 2) for t in range(5)])
-        heavy, units, keys, mults = schemes._frame(x, 13)
+        heavy, units, unit, keys, mults = schemes._frame(x, 13)
         assert heavy == (3, 3) and units == 12 and mults == [2, 2, 1]
+        # every image is 0 at x_2, so no point is taken to (1 : 1 : 1)
+        assert unit == 0
         assert keys == [(12, 2, 0), (11, 3, 0), (10, 4, 0)]
         for d in range(5, 9):
             assert schemes._frame_rank(x, d, 13) == hilbert_function(x, d)
         assert schemes._frame_rank(x, 4, 13) is None  # 3 + 3 > 4 + 1
+
+    def test_unit_point_route_equals_the_whole_residues_rank(self):
+        # schemes with s >= n + 2 points: mostly a frame of n + 1 points
+        # and a unit point beside it, whose echelon is read per shape
+        taken = []
+
+        @given(unit_cases())
+        @settings(max_examples=150, deadline=None, database=None)
+        def check(case):
+            x, d = case
+            q = exact.certificate_prime(0) if x.field.p is None else x.field.p
+            r = schemes._frame_rank(x, d, q)
+            taken.append(x._frame.unit > 0)
+            assert len(x._frame.keys) == x.support_size - len(x._frame.heavy) - (x._frame.unit > 0)
+            assert r == len(exact._echelon_mod_p(schemes._conditions_residues(x, d, q), q)[1])
+
+        check()
+        assert sum(taken) > len(taken) / 2
+
+    def test_unit_candidate_with_a_zero_residue_is_skipped(self):
+        # the frame is e_0, e_1, e_2; the heaviest other point, (1, q, 1),
+        # is (1 : 0 : 1) mod q, so the next one, (1, 2, 3), is sent to
+        # (1 : 1 : 1), and the skipped point's image is scaled with the rest
+        q = exact.certificate_prime(0)
+        x = FatPointScheme(QQ, 2, [((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3),
+                                   ((1, q, 1), 2), ((1, 2, 3), 1)])
+        heavy, units, unit, keys, mults = schemes._frame(x, q)
+        assert heavy == (3, 3, 3) and units == 18
+        assert unit == 1 and keys == [(1, 0, pow(3, -1, q))] and mults == [2]
+        for d in range(5, 9):
+            r = schemes._frame_rank(x, d, q)
+            assert r == len(exact._echelon_mod_p(schemes._conditions_residues(x, d, q), q)[1])
+            assert r <= hilbert_function(x, d)
+
+    @pytest.mark.parametrize("q", [10007, 2147483629, 2**31 - 1])
+    def test_limb_product_matches_python_ints(self, q):
+        # entries in [q - 3, q), the largest residues, where a product of
+        # whole residues would overflow int64
+        import numpy as np
+
+        rng = random.Random(q)
+        for rows, k, cols in [(1, 1, 1), (3, 7, 2), (40, 15, 60), (5, 300, 4)]:
+            a, b, c = ([[rng.randint(q - 3, q - 1) for _ in range(w)] for _ in range(h)]
+                       for h, w in [(rows, k), (k, cols), (rows, cols)])
+            got = schemes._add_product_mod(np.array(c, dtype=np.int64),
+                                           schemes._split_limbs(np.array(a, dtype=np.int64)),
+                                           np.array(b, dtype=np.int64), q)
+            assert got.tolist() == [[(c[i][j] + sum(a[i][t] * b[t][j] for t in range(k))) % q
+                                     for j in range(cols)] for i in range(rows)]
+
+    def test_limb_product_bound_is_checked(self):
+        # 2^15 rows of b, or q >= 2^31, could overflow: refused explicitly,
+        # also under python -O
+        import numpy as np
+
+        limbs = np.zeros((2, 2**15), dtype=np.int64)
+        with pytest.raises(ValueError, match="32768 rows modulo q = 2147483647"):
+            schemes._add_product_mod(np.zeros((1, 1), dtype=np.int64), limbs,
+                                     np.zeros((2**15, 1), dtype=np.int64), 2**31 - 1)
+        with pytest.raises(ValueError, match="1 rows modulo q = 2147483659"):
+            schemes._add_product_mod(np.zeros((1, 1), dtype=np.int64), limbs[:, :1],
+                                     np.zeros((1, 1), dtype=np.int64), 2147483659)
+        src = os.path.dirname(os.path.dirname(schemes.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", LIMB_BOUND], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("optimize 1: ValueError: limb product overflows int64")
+
+    def test_frame_of_every_point_imports_no_numpy(self):
+        # a scheme whose points are all in its frame is ranked by counting
+        # their conditions: a fresh CLI process on one never pays numpy's
+        # import, with or without a unit echelon to look up
+        script = ("import sys\n"
+                  "from fatpointlab.exact import ScalarField\n"
+                  "from fatpointlab.schemes import FatPointScheme, regularity_index\n"
+                  "x = FatPointScheme(ScalarField.rational(), 2, %r)\n"
+                  "print(regularity_index(x), x._frame.units, 'numpy' in sys.modules)\n"
+                  % [(p, 3) for p in LINE[:2] + [(3, 7, 1)]])
+        src = os.path.dirname(os.path.dirname(schemes.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "5 18 False\n"
 
     def test_share_rule_holds_over_q_only(self, monkeypatch):
         # two points of the line and the one off it set aside 3 of the 9
@@ -878,6 +1016,18 @@ class TestFrameRank:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "optimize 1: InternalError: frame point 0 is not sent to e_0\n"
 
+
+# the limb product's int64 bound, run under python -O
+LIMB_BOUND = """
+import sys
+import numpy as np
+from fatpointlab import schemes
+try:
+    schemes._add_product_mod(np.zeros((1, 1), dtype=np.int64), np.zeros((2, 2**15), dtype=np.int64),
+                             np.zeros((2**15, 1), dtype=np.int64), 2**31 - 1)
+except ValueError as exc:
+    print("optimize %d: ValueError: %s" % (sys.flags.optimize, exc))
+"""
 
 # a frame whose pivots are scaled by a wrong inverse, run under python -O
 WRONG_INVERSE = """
