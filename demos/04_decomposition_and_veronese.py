@@ -21,7 +21,7 @@ from fatpointlab import (
 QQ = ScalarField.rational()
 
 z = FatPointScheme(QQ, 2, [((1, 0, 0), 2), ((0, 1, 0), 1)])
-verdict = ctv_decomposition_check(z, (0, 0, 1), 3)
+verdict = ctv_decomposition_check(z.with_point((0, 0, 1), 3))
 print("r(Z + 3P) =", verdict.reg_index)
 print("max{m-1, r(Z), 1 + reg of the quotient} = max{%d, %d, %d} = %d"
       % (verdict.point_term, verdict.subscheme_term, verdict.quotient_term,

@@ -137,12 +137,7 @@ def _run_checks(x, checks, d):
     single-point scheme for a check that needs two points is reported as
     skipped.  Any other ``ValueError`` propagates (exit 2)."""
     from .bounds import cardinality_estimate_check, modified_bound, verify_main_theorem
-    from .schemes import (
-        ctv_decomposition_check,
-        regularity_index,
-        subscheme,
-        veronese_inequality_check,
-    )
+    from .schemes import ctv_decomposition_check, regularity_index, veronese_inequality_check
 
     results = {}
     for name in checks:
@@ -157,9 +152,7 @@ def _run_checks(x, checks, d):
                 verdict = cardinality_estimate_check(x)
                 results[name] = {"pass": verdict.ok, "segre": verdict.segre}
             elif name == "ctv":
-                coords, mult = x.points[-1]
-                rest = subscheme(x, x.mults[:-1] + (0,))
-                verdict = ctv_decomposition_check(rest, coords, mult)
+                verdict = ctv_decomposition_check(x)
                 results[name] = {
                     "pass": verdict.ok,
                     "reg_index": verdict.reg_index,

@@ -4,8 +4,8 @@ All randomness flows through ``random.Random(seed)``; genericity is never
 assumed, it is certified post hoc by keys (``schemes.in_general_position``,
 no rank queried), with a bounded number of resampling attempts.  When they
 run out, ``ValueError`` is raised: the parameters ask for more than the
-sampler can certify.  A draw too large to test in seconds is refused before
-it starts (``MAX_GENERIC_SETS``).
+sampler can certify.  A draw of generic points too large to test in seconds
+is refused before it starts (``MAX_GENERIC_SETS``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ MAX_RESAMPLE_ATTEMPTS = 200
 # times the range of the one before.
 _RANGE_WIDENINGS = 2
 # The most sets of n + 1 points, binom(s, n + 1) for s points of P^n, that
-# five_plus_generic_scheme's draw may leave to the general-position test.
+# a draw of generic_points may leave to the general-position test.
 # The test's work grows with that count, not with s alone: 378 points of
 # P^2, 120 of P^3 and 56 of P^4 (3.4M to 8.2M sets) each took 2-4 s.
 MAX_GENERIC_SETS = 10**7
@@ -59,11 +59,17 @@ def generic_points(rng, n, s, coord_range=9, field=None):
 
     Coordinates are drawn from 0..coord_range.  If no draw certifies after
     ``MAX_RESAMPLE_ATTEMPTS``, or the range has too few points, the range
-    grows tenfold (by default 0..9, then 0..99, then 0..999)."""
+    grows tenfold (by default 0..9, then 0..99, then 0..999).  A draw of
+    more than ``MAX_GENERIC_SETS`` points, or whose points make more than
+    that many sets of n + 1, is refused (``ValueError``) before it starts."""
     if n < 1:
         raise ValueError("generic_points needs n >= 1, got n = %d" % n)
     if s < 1:
         raise ValueError("generic_points needs s >= 1 points, got s = %d" % s)
+    if s > MAX_GENERIC_SETS or comb(s, n + 1) > MAX_GENERIC_SETS:
+        raise ValueError("generic_points would draw %d points of P^%d, more than "
+                         "MAX_GENERIC_SETS = %d sets of %d of them to test"
+                         % (s, n, MAX_GENERIC_SETS, n + 1))
     field = field or ScalarField.rational()
     for _ in range(_RANGE_WIDENINGS + 1):
         for _ in range(MAX_RESAMPLE_ATTEMPTS):
@@ -183,18 +189,13 @@ def random_vector_matroid(rng, dim, count, field=None, coord_range=4):
 def five_plus_generic_scheme(rng, n, d, m, field=None):
     """Support = five fixed points plus binom(d+n, n) certified-generic
     points, every point with multiplicity m.  The five fixed points lie in
-    P^2, padded with zeros, so n >= 2.  A draw whose points make more than
-    ``MAX_GENERIC_SETS`` sets of n + 1 is refused (``ValueError``) before
-    it starts."""
+    P^2, padded with zeros, so n >= 2.  ``generic_points`` refuses a draw
+    too large to test before it starts."""
     if n < 2:
         raise ValueError("five_plus_generic_scheme needs n >= 2, got n = %d" % n)
     if d < 0:
         raise ValueError("five_plus_generic_scheme needs d >= 0, got d = %d" % d)
     extra = comb(n + d, n)
-    if extra > MAX_GENERIC_SETS or comb(extra, n + 1) > MAX_GENERIC_SETS:
-        raise ValueError("five_plus_generic_scheme would draw binom(n + d, n) = %d generic points "
-                         "of P^%d, more than MAX_GENERIC_SETS = %d sets of %d of them to test"
-                         % (extra, n, MAX_GENERIC_SETS, n + 1))
     field = field or ScalarField.rational()
     fixed = [
         (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3),

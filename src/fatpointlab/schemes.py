@@ -10,8 +10,8 @@ boundary (see ``regularity_index``): from a proven lower bound, the
 monomial floor or the heaviest line's weight minus 1 (``heaviest_line``,
 its members re-checked as collinear), one rank modulo a prime per degree
 up to the first full one.  The climb builds its matrices as residues in
-numpy (``_conditions_residues``, from one power table per scheme and
-gathers by shape), exact integer rows (``conditions_matrix``, from
+numpy (``_residue_rows``, from one power table per scheme and gathers by
+shape), exact integer rows (``conditions_matrix``, from
 ``_factor_tables``) only where a certificate of a deficient rank reads
 them; both give the same entries.  The scheme holds only certified Hilbert
 values and r(X).
@@ -30,10 +30,11 @@ index k.  This is the rank mod q of a conditions matrix of EX: the rows
 of the lift of E to the integers applied to the keys, each dehomogenized at
 its first coordinate nonzero mod q.  h_X is invariant under an invertible
 change of coordinates, so over F_p the frame gives h_X(d) itself and over
-Q a lower bound, and a full one certifies h_X(d) = deg X.  A deficient rank
-over Q, a degree the gate refuses, and over Q a degree where the frame
-cannot pay (see ``_rank_bound``) are ranked on the whole matrix as before,
-so a certificate starts from the whole matrix's echelon.
+Q a lower bound, and a full one certifies h_X(d) = deg X.  A degree the
+gate refuses is ranked on the whole matrix's residues.  Over Q a deficient
+rank mod q only says that the climb goes on: the one certifier of a
+deficient value is ``hilbert_function``, which reduces the whole matrix's
+residues once and starts the certificate on exact rows from that echelon.
 
 Beside a frame of n + 1 points one more point u, the unit point, is sent
 to (1 : .. : 1) where its image under E has every coordinate nonzero mod q:
@@ -158,7 +159,6 @@ class FatPointScheme:
         self._segre = None        # (seg, witness), filled by bounds.segre_bound
         self._levels = []         # the levels of flat_levels built so far
         self._walk = None         # the flat_levels walk that extends them
-        self._pending = None      # (d, h, first): the climb's last deficient reduction
         self._frame = None        # X in its coordinate frame mod q, filled by _frame
 
     def _part(self, mults):
@@ -312,18 +312,13 @@ def _row_orders(n, mult, pivot):
     return np.array(_point_orders(n, mult, pivot), dtype=np.int64).T.copy()
 
 
-def _conditions_residues(x, d, q, keys=None, mults=None, columns=None):
-    """The conditions matrix in degree d modulo a prime q < 2^31 as an
+def _conditions_residues(x, d, q):
+    """The conditions matrix of X in degree d modulo a prime q < 2^31 as an
     int64 numpy array, in the orientation of ``exact._tall``: the entries
-    of ``conditions_matrix`` mod q, from numpy tables instead of
-    ``_factor_tables``.  The rows are those of X's points, or of the points
-    with these integer ``keys`` and ``mults``; the columns are the degree-d
-    monomials, or those where the boolean mask ``columns`` is set (see
-    ``_residue_rows``).  The degree is checked against X
-    (``_check_degree``) either way."""
+    of ``conditions_matrix`` mod q, from ``_residue_rows`` instead of
+    ``_factor_tables``.  The degree is checked first (``_check_degree``)."""
     _check_degree(x, d)
-    a = _residue_rows(x.n, d, q, x.keys if keys is None else keys,
-                      x.mults if mults is None else mults, columns)
+    a = _residue_rows(x.n, d, q, x.keys, x.mults)
     return a.T.copy() if a.shape[0] < a.shape[1] else a
 
 
@@ -535,9 +530,7 @@ def _frame_rank(x, d, q):
     units += len(pivots)
     if not keys or not len(off):
         return units
-    a = _conditions_residues(x, d, q, keys, mults, _frame_columns(x.n, d, heavy))
-    # one row per frame column, whichever orientation the builder chose
-    rest = a.T if a.shape[1] == len(pivots) + len(off) else a
+    rest = _residue_rows(x.n, d, q, keys, mults, _frame_columns(x.n, d, heavy)).T
     block = _add_product_mod(rest[off], limbs, rest[pivots], q)
     if block.shape[0] < block.shape[1]:
         block = block.T.copy()
@@ -691,62 +684,58 @@ def heaviest_line(x):
 def hilbert_function(x, d):
     """h_X(d) = dim [R/I_X]_d = rank of the conditions matrix, and deg X
     from a certified r(X) on.  Only certified values are cached; after
-    ``regularity_index`` they include h_X(r), and h_X(r - 1) where the climb
-    or its step-down ranked it: below the lower bound the climb starts
-    from, the deficiency is proven and nothing is ranked.  A value that is
-    not cached is read off residues (``_rank_bound``), or during the
-    step-down off the reduction the climb left pending for that degree, and
-    a deficient rank over Q is certified on exact rows from that
-    reduction."""
+    ``regularity_index`` they include h_X(r), and h_X(r - 1) where the
+    search's step-down ranked it: below the lower bound the climb starts
+    from, the deficiency is proven and nothing is ranked.
+
+    This is the one certifier of a deficient value over Q.  A value that
+    is not cached is ranked by ``_rank_bound`` over F_p, where that rank is
+    h_X(d), and where the matrix is ranked on exact rows
+    (``_on_exact_rows``).  Otherwise over Q the whole matrix's residues
+    modulo ``certificate_prime(0)`` are reduced once: a full rank is
+    h_X(d), and a deficient one hands its echelon to the certificate on
+    exact rows, which starts from it (``ExactMatrix.rank``)."""
     h = x._hilbert_cache.get(d)
     if h is None:
         if x._reg is not None and d >= x._reg:
             return x.degree()
-        pending = x._pending
-        h, first = pending[1:] if pending and pending[0] == d else _rank_bound(x, d)
-        if first is not None:
-            h = conditions_matrix(x, d).rank(first=first)
+        q = certificate_prime(0)
+        if x.field.p is not None or _on_exact_rows(x, d, q):
+            h = _rank_bound(x, d)
+        else:
+            first = _echelon_mod_p(_conditions_residues(x, d, q), q)
+            h = len(first[1])
+            if h < first[0].shape[1]:
+                h = conditions_matrix(x, d).rank(first=first)
         x._hilbert_cache[d] = h
     return h
 
 
+def _on_exact_rows(x, d, q):
+    """Whether the conditions matrix in degree d is ranked on its exact
+    rows rather than on residues mod q: at negative degrees, whose exact
+    rows raise the error, for q >= 2^31, and below ``_NUMPY_MIN_CELLS``
+    cells."""
+    return d < 0 or q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS
+
+
 def _rank_bound(x, d):
-    """(r, first) for the conditions matrix in degree d: its rank r, or
-    over Q a deficient rank mod q and ``first``, the echelon a certificate
-    on exact rows starts from.  Residues are taken modulo q =
-    ``certificate_prime(0)`` over Q and modulo p over F_p.
+    """The rank modulo q of the conditions matrix in degree d, q =
+    ``certificate_prime(0)`` over Q and p over F_p: over F_p it is h_X(d),
+    over Q a lower bound for h_X(d), and h_X(d) itself when it is full.
 
     The degree is checked first (``_check_degree``), then ranked in the
-    coordinate frame (``_frame_rank``): over F_p that rank is h_X(d), and
-    over Q a full one is, since the frame ranks a conditions matrix of a
-    projectively equivalent scheme mod q.  Over Q, where a deficient frame
-    rank is followed by the whole matrix, the frame is taken only where it
-    can pay: where a full rank is possible, from the monomial floor on and
-    before r(X) is certified (every degree ranked after lies below it),
-    and where the frame sets aside at least as many conditions as it
-    leaves to eliminate, units >= deg X - units, so that an attempt found
-    deficient costs no more pivots than a full one saves.  Where the frame
-    is not taken, its gate refuses d or its rank over Q is deficient, the
-    whole matrix's residues are brought to an echelon form and no further:
-    its pivot count is the rank, and over Q, if deficient, the echelon is
-    ``first``, so a certificate starts from this reduction.  Matrices below
-    ``_NUMPY_MIN_CELLS`` cells, those over F_p with p >= 2^31 and negative
-    degrees, whose exact rows raise the error, are ranked on exact rows
-    instead."""
+    coordinate frame (``_frame_rank``), which ranks a conditions matrix of
+    a projectively equivalent scheme mod q, and where the frame's gate
+    refuses d, on the whole matrix's residues, brought to an echelon form
+    and no further.  Where ``_on_exact_rows`` holds, the exact rows are
+    ranked instead, over Q exactly."""
     q = certificate_prime(0) if x.field.p is None else x.field.p
-    deg = x.degree()
-    if d < 0 or q >= 2**31 or deg * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS:
-        return conditions_matrix(x, d).rank(), None
+    if _on_exact_rows(x, d, q):
+        return conditions_matrix(x, d).rank()
     _check_degree(x, d)
-    if x.field.p is not None or (x._reg is None and deg <= comb(x.n + d, x.n)
-                                 and 2 * _frame(x, q).units >= deg):
-        r = _frame_rank(x, d, q)
-        if r is not None and (x.field.p is not None or r == deg):
-            return r, None
-    ech, pivots = _echelon_mod_p(_conditions_residues(x, d, q), q)
-    if x.field.p is not None or len(pivots) == ech.shape[1]:
-        return len(pivots), None
-    return len(pivots), (ech, pivots)
+    r = _frame_rank(x, d, q)
+    return len(_echelon_mod_p(_conditions_residues(x, d, q), q)[1]) if r is None else r
 
 
 def regularity_index(x):
@@ -773,25 +762,22 @@ def regularity_index(x):
     light points) the bound is the floor.
 
     The search climbs from the bound, one degree at a time, ranked by
-    ``_rank_bound``: first in the coordinate frame, where heavy independent
+    ``_rank_bound``: in the coordinate frame, where heavy independent
     support points are unit columns and only the other points' rows are
-    eliminated, then, where the frame's gate refuses the degree or its rank
-    over Q is deficient, on the whole matrix.  Both rank a conditions
-    matrix of X or of a projectively equivalent scheme modulo a prime, and
-    h_X does not change under an invertible change of coordinates, so a
-    full rank modulo a prime is full over Q, and the rank over F_p is
-    exact.  Only those values are cached.  At the first full
-    degree d, if d is above the bound, h_X(d - 1) is certified, and the
-    search steps down while that is full too, which only an unlucky prime,
-    one that lost rank at r and took the climb past it, can cause.  The
-    climb leaves its last deficient reduction over Q pending, so the first
-    step down (``hilbert_function``) certifies h_X(d - 1) on exact rows
-    from it, and only a further step builds and reduces its degree again.
-    A degree already in the scheme's cache of certified values is read from
-    there, not built.  Over F_p the start is capped at p - 1, so a field
-    too small for r(X) is reported at the degree where an ascending search
-    meets it first.  The climb must end by d = deg X - 1, the classical bound;
-    exceeding it is an internal error.
+    eliminated, and where the frame's gate refuses the degree, on the whole
+    matrix.  Both rank a conditions matrix of X or of a projectively
+    equivalent scheme modulo a prime, and h_X does not change under an
+    invertible change of coordinates, so a full rank modulo a prime is full
+    over Q, and the rank over F_p is exact.  Only those values are cached;
+    over Q a deficient rank only says that the climb goes on.  At the first
+    full degree d, if d is above the bound, h_X(d - 1) is certified by
+    ``hilbert_function``, and the search steps down while that is full too,
+    which only an unlucky prime, one that lost rank at r and took the climb
+    past it, can cause.  A degree already in the scheme's cache of
+    certified values is read from there, not built.  Over F_p the start is
+    capped at p - 1, so a field too small for r(X) is reported at the
+    degree where an ascending search meets it first.  The climb must end by
+    d = deg X - 1, the classical bound; exceeding it is an internal error.
     """
     if x._reg is None:
         deg = x.degree()
@@ -809,14 +795,11 @@ def regularity_index(x):
         d = lower if p is None else max(floor, min(lower, p - 1))
         cache = x._hilbert_cache
         while True:
-            if d in cache:
-                h = cache[d]
-            else:
-                h, first = _rank_bound(x, d)
-                if first is None:
+            h = cache.get(d)
+            if h is None:
+                h = _rank_bound(x, d)
+                if p is not None or h == deg:
                     cache[d] = h
-                else:
-                    x._pending = (d, h, first)
             if h == deg:
                 break
             d += 1
@@ -824,7 +807,6 @@ def regularity_index(x):
                 raise InternalError("regularity search exceeded deg X - 1")
         while d > lower and hilbert_function(x, d - 1) == deg:
             d -= 1
-        x._pending = None
         x._reg = d
     return x._reg
 
@@ -845,8 +827,9 @@ class CtvVerdict(namedtuple("CtvVerdict",
     __slots__ = ()
 
 
-def ctv_decomposition_check(z, p_coords, m):
-    """Check r(Z + mP) = max{m-1, r(Z), 1 + reg(R/(I_Z + I_P^m))}.
+def ctv_decomposition_check(x):
+    """Check r(Z + mP) = max{m-1, r(Z), 1 + reg(R/(I_Z + I_P^m))} for
+    X = Z + mP, with mP the last point of X and Z the others.
 
     Since I_{Z+mP} = I_Z meet I_P^m, the exact sequence
     0 -> R/I_{Z+mP} -> R/I_Z + R/I_P^m -> R/(I_Z + I_P^m) -> 0 gives the
@@ -858,15 +841,19 @@ def ctv_decomposition_check(z, p_coords, m):
     from the caches the two regularity searches filled where they ranked a
     degree, and ranked here, deficient ones certified, below the lower
     bounds those searches started from.  So this is a consistency check of
-    the ranks of the conditions matrices of Z and Z + mP.
+    the ranks of the conditions matrices of Z and Z + mP.  X keeps its
+    r(X) and Hilbert values, so a caller that has found r(X) already does
+    not search again, and Z is split off X (``_part``) without clearing a
+    point again.  ValueError for X of a single point.
     """
-    if z.contains_point(p_coords):
-        raise ValueError("point must be disjoint from Z")
-    total = z.with_point(p_coords, m)
-    r_direct = regularity_index(total)
+    if x.support_size < 2:
+        raise ValueError("ctv check needs at least two points")
+    m = x.mults[-1]
+    z = x._part(x.mults[:-1] + (0,))
+    r_direct = regularity_index(x)
     r_z = regularity_index(z)
     for j in range(r_direct + 1):
-        dim = hilbert_function(z, j) + comb(z.n + min(j, m - 1), z.n) - hilbert_function(total, j)
+        dim = hilbert_function(z, j) + comb(z.n + min(j, m - 1), z.n) - hilbert_function(x, j)
         if dim < 0:
             raise InternalError("negative quotient dimension %d in degree %d" % (dim, j))
         if dim == 0:

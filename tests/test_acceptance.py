@@ -242,7 +242,7 @@ def test_criterion_7_ctv_identity():
         if all(c == 0 for c in cand) or z.contains_point(cand):
             continue
         m = rng.randint(1, 3)
-        verdict = ctv_decomposition_check(z, cand, m)
+        verdict = ctv_decomposition_check(z.with_point(cand, m))
         assert verdict.ok, (z, cand, m, verdict)
         done += 1
     print("PASS criterion 7: decomposition identity on %d instances" % done)

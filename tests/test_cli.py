@@ -457,18 +457,21 @@ class TestGenKinds:
         (["--kind", "example-5.6-scaled", "--d", "-1"],
          "five_plus_generic_scheme needs d >= 0, got d = -1"),
         (["--kind", "example-5.6-scaled", "--n", "2", "--d", "60"],
-         "five_plus_generic_scheme would draw binom(n + d, n) = 1891 generic points of P^2, "
+         "generic_points would draw 1891 points of P^2, "
          "more than MAX_GENERIC_SETS = 10000000 sets of 3 of them to test"),
         (["--kind", "example-5.6-scaled", "--n", "4", "--d", "5"],
-         "five_plus_generic_scheme would draw binom(n + d, n) = 126 generic points of P^4, "
+         "generic_points would draw 126 points of P^4, "
          "more than MAX_GENERIC_SETS = 10000000 sets of 5 of them to test"),
+        (["--kind", "generic", "--n", "5", "--s", "56"],
+         "generic_points would draw 56 points of P^5, "
+         "more than MAX_GENERIC_SETS = 10000000 sets of 6 of them to test"),
         (["--kind", "collinear-cluster", "--s", "3", "--extra", "-1"],
          "collinear_cluster_points needs extra >= 0, got extra = -1"),
         (["--kind", "collinear-cluster", "--s", "-1", "--extra", "2"],
          "collinear_points needs s >= 0, got s = -1"),
     ], ids=["curve-s0", "cluster-s0", "example-5.6-n1", "generic-s0", "generic-n0", "generic-n-1",
-            "example-5.6-d-1", "example-5.6-d60", "example-5.6-p4-d5", "cluster-extra-1",
-            "cluster-s-1"])
+            "example-5.6-d-1", "example-5.6-d60", "example-5.6-p4-d5", "generic-p5-s56",
+            "cluster-extra-1", "cluster-s-1"])
     def test_unplaceable_parameters_are_usage_errors(self, argv, message):
         proc = run_python("-m", "fatpointlab.cli", "gen", *argv)
         assert proc.returncode == EXIT_USAGE

@@ -152,3 +152,23 @@ def test_every_guard_is_documented():
     cli_doc = ast.get_docstring(ast.parse(cli_path.read_text()))
     assert [g for g in guards if g not in readme] == []
     assert [g for g in guards if g not in cli_doc] == []
+
+
+def test_scheme_state_is_read_by_the_library():
+    # every attribute FatPointScheme._init sets is read by library code
+    # outside _init, so state that nothing reads cannot stay unnoticed
+    paths = sorted(pathlib.Path(fatpointlab.__file__).parent.rglob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+    (scheme,) = [c for c in trees["schemes.py"].body
+                 if isinstance(c, ast.ClassDef) and c.name == "FatPointScheme"]
+    (init,) = [f for f in scheme.body if isinstance(f, ast.FunctionDef) and f.name == "_init"]
+    state = sorted({t.attr for node in ast.walk(init) if isinstance(node, ast.Assign)
+                    for t in node.targets
+                    if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                    and t.value.id == "self"})
+    assert len(state) > 5  # the check sees the scheme's state
+    inside = {id(node) for node in ast.walk(init)}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in inside}
+    assert [name for name in state if name not in read] == []

@@ -508,20 +508,23 @@ except InternalError as exc:
 def count_conditions_matrices(monkeypatch):
     """The degrees of the conditions matrices built from now on, in order:
     as exact integer rows and as residues modulo a prime, whole or of the
-    points outside the coordinate frame."""
+    points outside the coordinate frame.  Every residue matrix comes from
+    ``_residue_rows``; the unit point's rows it builds for
+    ``_unit_echelon`` are a shape's, not a scheme's, and are not counted."""
     built = {"exact": [], "residues": []}
-    build_rows, build_residues = schemes.conditions_matrix, schemes._conditions_residues
+    build_rows, build_residues = schemes.conditions_matrix, schemes._residue_rows
 
     def rows(x, d):
         built["exact"].append(d)
         return build_rows(x, d)
 
-    def residues(x, d, q, *frame):
-        built["residues"].append(d)
-        return build_residues(x, d, q, *frame)
+    def residues(n, d, *args):
+        if sys._getframe(1).f_code.co_name != "_unit_echelon":
+            built["residues"].append(d)
+        return build_residues(n, d, *args)
 
     monkeypatch.setattr(schemes, "conditions_matrix", rows)
-    monkeypatch.setattr(schemes, "_conditions_residues", residues)
+    monkeypatch.setattr(schemes, "_residue_rows", residues)
     return built
 
 
@@ -616,13 +619,14 @@ class TestBoundarySearch:
         built = count_conditions_matrices(monkeypatch)
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == 7
-        # every degree from the floor whole (9 conditions): the frame, two
-        # points of the line and the one off it, would set aside 3 of the 9
-        # conditions, fewer than it leaves, so it is not taken.  Then h(6),
-        # deficient mod q and so not cached, is certified on exact rows from
-        # the climb's own reduction, not reduced again
-        assert built == {"residues": [3, 4, 5, 6, 7], "exact": [6]}
-        assert first_prime_shapes(reductions) == [(10, 9), (15, 9), (21, 9), (28, 9), (36, 9)]
+        # every degree from the floor in the frame: two points of the line
+        # and the one off it set aside 3 conditions, and the other 6 are
+        # eliminated on the monomials left.  Then h(6), deficient mod q and
+        # so not cached, is reduced whole once and certified on exact rows
+        # from that reduction
+        assert built == {"residues": [3, 4, 5, 6, 7, 6], "exact": [6]}
+        assert first_prime_shapes(reductions) == [(7, 6), (12, 6), (18, 6), (25, 6), (33, 6),
+                                                  (28, 9)]
         assert regularity_index_ascending(x) == 7
 
     def test_non_collinear_line_is_refused(self, monkeypatch):
@@ -651,11 +655,12 @@ class TestBoundarySearch:
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == r == 8
         # from max(floor 6, 3 + 3 - 1): h(6) and h(7) are deficient in the
-        # frame (the 6 conditions of (1, 2, 0)) and whole (24), h(8) full in
-        # the frame, and the step-down certifies h(7) from the climb's
-        # whole reduction
-        assert built == {"residues": [6, 6, 7, 7, 8], "exact": [7]}
-        assert first_prime_shapes(reductions) == [(10, 6), (28, 24), (18, 6), (36, 24), (27, 6)]
+        # frame (the 6 conditions of (1, 2, 0)), which only says "climb
+        # on", and h(8) full in it; the step-down reduces degree 7 whole
+        # (24 conditions) once and certifies h(7) from that reduction.
+        # Degree 6 is never reduced whole
+        assert built == {"residues": [6, 7, 8, 7], "exact": [7]}
+        assert first_prime_shapes(reductions) == [(10, 6), (18, 6), (27, 6), (36, 24)]
         assert hilbert_profile(x).values == hilbert_profile_ascending(x)
 
     def test_unlucky_first_prime_at_r(self, monkeypatch):
@@ -663,26 +668,26 @@ class TestBoundarySearch:
         r = regularity_index_ascending(x)
         assert r == 9 - 1  # the line's bound: r is proven deficient below
         built = count_conditions_matrices(monkeypatch)
-        build_residues = schemes._conditions_residues
+        build_residues = schemes._residue_rows
 
-        def unlucky(y, d, q, *frame):
+        def unlucky(n, d, q, *args):
             # the first prime loses one rank on the degree-r matrices, the
-            # frame's block and the whole one: one condition (a column of
-            # the tall residues) vanishes mod q
-            a = build_residues(y, d, q, *frame)
+            # frame's block and the whole one: one condition (a row of the
+            # builder's residues) vanishes mod q
+            a = build_residues(n, d, q, *args)
             if d == r:
-                a[:, 0] = 0
+                a[0] = 0
             return a
 
-        monkeypatch.setattr(schemes, "_conditions_residues", unlucky)
+        monkeypatch.setattr(schemes, "_residue_rows", unlucky)
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == r
-        # deficient in the frame at r, so ranked whole, deficient again;
-        # climbed past r to r + 1, full in the frame; the step-down
-        # certifies degree r full on exact rows, from the climb's unlucky
-        # whole reduction, and stops at the line's bound
-        assert built == {"residues": [r, r, r + 1], "exact": [r]}
-        assert first_prime_shapes(reductions) == [(27, 6), (45, 24), (37, 6)]
+        # deficient in the frame at r, so the climb goes on to r + 1, full
+        # in the frame; the step-down reduces degree r whole, deficient
+        # again, certifies it full on exact rows from that unlucky
+        # reduction, and stops at the line's bound
+        assert built == {"residues": [r, r + 1, r], "exact": [r]}
+        assert first_prime_shapes(reductions) == [(27, 6), (37, 6), (45, 24)]
         assert x._hilbert_cache == {r: x.degree(), r + 1: x.degree()}
 
     def test_sharp_cluster_builds_one_residue_matrix(self, monkeypatch):
@@ -726,9 +731,9 @@ class TestBoundarySearch:
             built.append((x, d))
             return build_rows(x, d)
 
-        def residues(x, d, q, *frame):
+        def residues(x, d, q):
             built.append((x, d))
-            return build_residues(x, d, q, *frame)
+            return build_residues(x, d, q)
 
         monkeypatch.setattr(schemes, "conditions_matrix", rows)
         monkeypatch.setattr(schemes, "_conditions_residues", residues)
@@ -739,9 +744,10 @@ class TestBoundarySearch:
             cand = tuple(rng.randint(0, 5) for _ in range(z.n + 1))
             if not any(cand) or z.contains_point(cand):
                 continue
-            ctv_decomposition_check(z, cand, rng.randint(1, 3))
+            ctv_decomposition_check(z.with_point(cand, rng.randint(1, 3)))
             r_z = regularity_index(z)
-            assert all(d <= r_z for y, d in built if y is z)
+            # the check splits its own Z off X: the same points, so the same keys
+            assert all(d <= r_z for y, d in built if y.keys == z.keys)
             built.clear()
             done += 1
 
@@ -939,39 +945,34 @@ class TestFrameRank:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "5 18 False\n"
 
-    def test_share_rule_holds_over_q_only(self, monkeypatch):
-        # two points of the line and the one off it set aside 3 of the 9
-        # conditions of eight collinear simple points and one off the line:
-        # over Q, where a deficient attempt costs a second elimination, the
-        # frame is not taken; over F_p its rank is exact, and it is
-        for field, taken in ((QQ, False), (ScalarField.prime(101), True)):
-            x = FatPointScheme(field, 2, [(p, 1) for p in collinear_points(2, 8) + [(3, 7, 1)]])
-            reductions = count_reductions(monkeypatch)
-            assert regularity_index(x) == 7
-            assert any(cols == 6 for _, _, cols in reductions) == taken
-
-    def test_deficient_rank_over_q_falls_back_to_the_whole_matrix(self, monkeypatch):
-        # the climb from the lighter line's bound 6 meets h(7) deficient in
-        # the frame; the whole matrix is reduced, and the step-down's
-        # certificate starts from that echelon, as the climb left it pending
+    def test_deficient_rank_over_q_is_certified_from_one_whole_echelon(self, monkeypatch):
+        # the climb from the lighter line's bound 6 meets h(6) and h(7)
+        # deficient in the frame and reduces no whole matrix at either;
+        # the step-down builds the one whole residue matrix of degree 7,
+        # and the certificate starts from its echelon
         x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
         monkeypatch.setattr(schemes, "heaviest_line", lambda y: [0, 3])
         q = exact.certificate_prime(0)
         whole = exact._echelon_mod_p(schemes._conditions_residues(x, 7, q), q)
-        firsts = []
-        rank = ExactMatrix.rank
+        wholes, firsts = [], []
+        build_whole, rank = schemes._conditions_residues, ExactMatrix.rank
+
+        def counted(y, d, q):
+            wholes.append(d)
+            return build_whole(y, d, q)
 
         def recording(self, first=None):
             if first is not None:
-                firsts.append((first[0].copy(), list(first[1]), x._pending[0]))
+                firsts.append((first[0].copy(), list(first[1])))
             return rank(self, first)
 
+        monkeypatch.setattr(schemes, "_conditions_residues", counted)
         monkeypatch.setattr(ExactMatrix, "rank", recording)
         assert regularity_index(x) == 8
-        ((ech, pivots, pending),) = firsts
-        assert pending == 7 and pivots == whole[1]
-        assert ech.tolist() == whole[0].tolist()
-        assert x._pending is None and x._hilbert_cache[7] < x.degree()
+        assert wholes == [7]
+        ((ech, pivots),) = firsts
+        assert pivots == whole[1] and ech.tolist() == whole[0].tolist()
+        assert x._hilbert_cache == {7: 23, 8: x.degree()}
 
     def test_degree_checks_come_before_the_frame(self, monkeypatch):
         # the prime field's size and the guard are checked before any frame
@@ -1105,18 +1106,18 @@ class TestCtv:
         q = ctv_quotient_term_by_kernels(z, p, m)
         formula = max(m - 1, r_z, q)
         expected = CtvVerdict(r == formula, r, formula, m - 1, r_z, q)
-        assert ctv_decomposition_check(z, p, m) == expected
+        assert ctv_decomposition_check(z.with_point(p, m)) == expected
 
     def test_rejects_non_points(self):
         z = FatPointScheme(QQ, 2, [((1, 0, 0), 1)])
         with pytest.raises(ValueError, match="invalid projective point"):
-            ctv_decomposition_check(z, (0, 0, 0), 1)
+            ctv_decomposition_check(z.with_point((0, 0, 0), 1))
         with pytest.raises(ValueError, match="wrong number of coordinates"):
-            ctv_decomposition_check(z, (1, 0), 1)
+            ctv_decomposition_check(z.with_point((1, 0), 1))
 
     def test_basic_identity(self):
         z = FatPointScheme(QQ, 2, [((1, 0, 0), 1), ((0, 1, 0), 1)])
-        verdict = ctv_decomposition_check(z, (0, 0, 1), 2)
+        verdict = ctv_decomposition_check(z.with_point((0, 0, 1), 2))
         assert verdict.ok
         assert verdict.reg_index == verdict.formula_value
         assert verdict.point_term == 1
@@ -1124,7 +1125,30 @@ class TestCtv:
     def test_point_must_be_new(self):
         z = FatPointScheme(QQ, 2, [((1, 0, 0), 1)])
         with pytest.raises(ValueError):
-            ctv_decomposition_check(z, (2, 0, 0), 1)
+            ctv_decomposition_check(z.with_point((2, 0, 0), 1))
+
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            ctv_decomposition_check(FatPointScheme(QQ, 2, [((1, 0, 0), 3)]))
+
+    def test_reads_the_regularity_of_x_back(self, monkeypatch):
+        # a caller that has found r(X), as verify's main-theorem check has,
+        # is not made to climb X again: nothing of X is ranked from r on
+        x = FatPointScheme(QQ, 2, [(p, 3) for p in [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                                    (1, 1, 1), (1, 2, 3)]])
+        r = regularity_index(x)
+        ranked = []
+        rank_bound = schemes._rank_bound
+
+        def counted(y, d):
+            ranked.append((y.keys, d))
+            return rank_bound(y, d)
+
+        monkeypatch.setattr(schemes, "_rank_bound", counted)
+        verdict = ctv_decomposition_check(x)
+        assert verdict.ok and verdict.reg_index == r == 7
+        assert not [d for keys, d in ranked if keys == x.keys and d >= r]
+        assert (x.keys[:-1], 6) in ranked  # r(Z) is climbed once
 
     def test_random_instances(self):
         rng = rng_from_seed(45)
@@ -1134,7 +1158,7 @@ class TestCtv:
             cand = tuple(rng.randint(0, 5) for _ in range(z.n + 1))
             if all(c == 0 for c in cand) or z.contains_point(cand):
                 continue
-            verdict = ctv_decomposition_check(z, cand, rng.randint(1, 3))
+            verdict = ctv_decomposition_check(z.with_point(cand, rng.randint(1, 3)))
             assert verdict.ok
             done += 1
 
