@@ -2,8 +2,9 @@
 
 Two coefficient fields are supported: the rationals (via
 ``fractions.Fraction``) and prime fields F_p (elements stored as ints in
-``range(p)``).  All computations are exact; there is no floating point
-anywhere in this package.
+``range(p)``).  All computations are exact.  Floating point appears in
+one place only, ``schemes._add_product_mod``, where float64 carries exact
+integer products below 2^53 and that bound is checked explicitly.
 
 Field elements (``ScalarField.elem``) appear where input is parsed, and
 the library computes with them in two places only:

@@ -43,10 +43,11 @@ projectively and is invertible mod q, so the argument above holds for DE
 unchanged.  The unit point's rows on the frame's monomials then depend on
 the shape alone, and their reduced echelon form mod q is computed once per
 shape (``_unit_echelon``).  Each degree reduces the other points' rows
-against it with one int64 product on 16-bit limbs (``_add_product_mod``)
-and eliminates them only on the monomials off its pivots: the rank is the
-frame's units, plus the echelon's pivots, plus the rank of the reduced
-rest.  Without a unit point the echelon is empty.
+against it with one product on 16-bit limbs (``_add_product_mod``), in
+float64, which carries its sums exactly below 2^53, and eliminates them
+only on the monomials off its pivots, on the block's short side: the rank
+is the frame's units, plus the echelon's pivots, plus the rank of the
+reduced rest.  Without a unit point the echelon is empty.
 
 Each point is cleared to integers once, to its projective normal form
 (``_point_key``): the primitive integer vector with first nonzero entry
@@ -330,20 +331,15 @@ def _residue_rows(n, d, q, keys, mults, columns=None):
     ``columns`` is set, if given).
 
     One power table holds every coordinate of every point to the exponents
-    0 .. d + max m_i - 1, each exponent one product mod q for all points at
-    once.  The factors gather from it through ``_shift_arrays``, the
-    pivot's and the other variables' apart, and per variable one gather at
-    each row's order (``_row_orders``) and each column's exponent is
-    multiplied in mod q.  The two large products, the factors and the
-    entries, are reduced by ``_reduce``."""
+    0 .. d + max m_i - 1 (``_power_table``).  The factors gather from it
+    through ``_shift_arrays``, the pivot's and the other variables' apart,
+    and per variable one gather at each row's order (``_row_orders``) and
+    each column's exponent is multiplied in mod q.  The two large products,
+    the factors and the entries, are reduced by ``_reduce``."""
     import numpy as np
 
     width = max(mults)
-    table = np.array([[v % q for v in c] for c in keys], dtype=np.int64)
-    powers = np.empty((d + width,) + table.shape, dtype=np.int64)
-    powers[0] = 1
-    for e in range(1, d + width):
-        powers[e] = powers[e - 1] * table % q
+    powers = _power_table(keys, d + width, q)
     up, down, ff, exponents = _shift_arrays(n, d, width, q)
     if columns is not None:
         exponents = exponents[:, columns]
@@ -359,6 +355,26 @@ def _residue_rows(n, d, q, keys, mults, columns=None):
         g = t.take(rows, axis=0).take(cols, axis=1)
         a = g if a is None else _reduce(a * g, q)
     return a
+
+
+def _power_table(keys, count, q):
+    """The int64 array P of shape (count, points, coordinates) with
+    P[e] = keys^e mod q entry by entry, for e = 0 .. count - 1, by
+    doubling: from P[0 .. k - 1], the product P[1 .. k - 1] P[k - 1] mod q
+    gives P[k .. 2k - 2], so ceil(log2(count - 1)) products fill the table
+    where one per exponent would take count - 1."""
+    import numpy as np
+
+    table = np.array([[v % q for v in c] for c in keys], dtype=np.int64)
+    powers = np.empty((count,) + table.shape, dtype=np.int64)
+    powers[0] = 1
+    powers[1:2] = table
+    k = 2
+    while k < count:
+        top = min(2 * k - 1, count)
+        powers[k:top] = _reduce(powers[1:top - k + 1] * powers[k - 1], q)
+        k = top
+    return powers
 
 
 def _reduce(c, q):
@@ -478,25 +494,34 @@ def _unit_echelon(n, d, unit, heavy, q):
 
 
 def _split_limbs(a):
-    """The int64 array a of residues below 2^31 as its 16-bit limbs: the
-    low ones stacked above the high ones, which are below 2^15."""
+    """The int64 array a of residues below 2^31 as its 16-bit limbs, in
+    float64: the low ones stacked above the high ones, which are below
+    2^15."""
     import numpy as np
 
-    return np.concatenate([a & 0xFFFF, a >> 16])
+    return np.concatenate([a & 0xFFFF, a >> 16]).astype(np.float64)
 
 
 def _add_product_mod(c, limbs, b, q):
     """(c + a b) mod q for int64 arrays of residues mod a prime q < 2^31,
-    a given as its ``_split_limbs``: one int64 product of the limbs by b.
-    A low limb's row times a column of b sums k products below 2^47, and
-    the high limbs' sums are reduced before they are shifted back, so every
-    sum stays below 2^63 while b has k < 2^15 rows; both bounds are
-    checked explicitly, so the check also runs under ``python -O``."""
-    k = b.shape[0]
-    if q >= 2**31 or k >= 2**15:
-        raise ValueError("limb product overflows int64: %d rows modulo q = %d "
-                         "(needs fewer than 2^15 rows and q < 2^31)" % (k, q))
-    t = limbs @ b
+    a given as its ``_split_limbs``: float64 products of the limbs by b,
+    in chunks of k rows of b with k 2^16 q < 2^53 (64 rows for q near
+    2^31).  Each sum of a chunk is an integer below 2^53, which float64
+    carries exactly; the sums are reduced mod q between chunks, and the
+    high limbs' before they are shifted back.  The bound on q is checked
+    explicitly, so the check also runs under ``python -O``.  This is the
+    one place that computes in floating point."""
+    import numpy as np
+
+    if q >= 2**31:
+        raise ValueError("limb product modulo q = %d is not exact in float64: chunks of "
+                         "k >= 64 rows need k * 2^16 * q < 2^53, so q < 2^31" % q)
+    k = (2**53 - 1) // (q << 16)
+    b = b.astype(np.float64)
+    t = (limbs[:, :k] @ b[:k]).astype(np.int64)
+    for s in range(k, len(b), k):
+        _reduce(t, q)
+        t += (limbs[:, s:s + k] @ b[s:s + k]).astype(np.int64)
     low, high = t[:len(t) // 2], t[len(t) // 2:]
     high %= q
     high <<= 16
@@ -519,8 +544,10 @@ def _frame_rank(x, d, q):
     shape, and their echelon comes from ``_unit_echelon``: the other
     points' rows are reduced against it by one ``_add_product_mod``, which
     clears them on its pivot columns, and only the columns off its pivots
-    are eliminated.  The rank adds the echelon's pivot count.  With no unit
-    point the echelon is empty and the reduction changes nothing."""
+    are eliminated, on the block's short side (only its rank is read), so
+    the elimination stops after as many pivots as that side is long.  The
+    rank adds the echelon's pivot count.  With no unit point the echelon is
+    empty and the reduction changes nothing."""
     heavy, units, unit, keys, mults = _frame(x, q)
     if sum(heavy[:2]) > d + 1:
         return None
@@ -532,38 +559,48 @@ def _frame_rank(x, d, q):
         return units
     rest = _residue_rows(x.n, d, q, keys, mults, _frame_columns(x.n, d, heavy)).T
     block = _add_product_mod(rest[off], limbs, rest[pivots], q)
-    if block.shape[0] < block.shape[1]:
+    if block.shape[0] > block.shape[1]:
         block = block.T.copy()
     return units + len(_echelon_mod_p(block, q)[1])
 
 
 def _normalized(v, p):
-    """The nonzero integer vector v up to scale: primitive with its first
-    nonzero entry positive (over F_p: reduced, with that entry 1)."""
+    """The integer vector v up to scale: primitive with its first nonzero
+    entry positive (over F_p: reduced, with that entry 1), or None where v
+    is zero (mod p), which its gcd tells."""
     if p is not None:
         v = [c % p for c in v]
-        inv = pow(next(c for c in v if c), -1, p)
-        return tuple(c * inv % p for c in v)
     g = gcd(*v)
-    if next(c for c in v if c) < 0:
+    if not g:
+        return None
+    for c in v:
+        if c:
+            break
+    if p is not None:
+        inv = pow(c, -1, p)
+        return tuple([e * inv % p for e in v])
+    if c < 0:
         g = -g
-    return tuple(c // g for c in v)
+    return tuple([e // g for e in v])
 
 
 def _reduced(images, u, p):
     """The vectors ``images`` (point index -> vector) after one
-    fraction-free step by u, each ``_normalized``, those that vanish
-    dropped: v becomes u_t v - v_t u at the first nonzero coordinate t of
-    u.  That kills u and the coordinate t, so after steps by u_1, u_2, ..
-    a point's image vanishes exactly when it lies in their span.  Over F_p
-    u and v are reduced with leading entry 1, so a step that vanishes
-    mod p gives v = u and vanishes outright."""
-    t = next(k for k, c in enumerate(u) if c)
+    fraction-free step by u, each ``_normalized``, those that vanish (mod
+    p over F_p) dropped: v becomes u_t v - v_t u at the first nonzero
+    coordinate t of u.  That kills u and the coordinate t, so after steps
+    by u_1, u_2, .. a point's image vanishes exactly when it lies in their
+    span."""
+    t = 0
+    while not u[t]:
+        t += 1
+    ut = u[t]
     out = {}
     for b, v in images.items():
-        w = [u[t] * c - v[t] * e for c, e in zip(v, u)]
-        if any(w):
-            out[b] = _normalized(w, p)
+        vt = v[t]
+        w = _normalized([ut * c - vt * e for c, e in zip(v, u)], p)
+        if w is not None:
+            out[b] = w
     return out
 
 
@@ -619,6 +656,15 @@ def flat_levels(x):
     instead of reducing again.  For a point a, the image of b is
     a_t b - b_t a, where the line through a and b meets x_t = 0.
 
+    The last level built, the hyperplanes, is never expanded, so no
+    reader needs its flats' images, and there a flat F reduces only the
+    points outside the covers of F already found: such a cover's points
+    outside F are one class of F's images, which would only find that
+    cover again.  So the level keeps its flats and their order, and the
+    points of a hyperplane through F are reduced modulo F once.  In P^2
+    the hyperplanes are the lines, and each pair of points is reduced
+    once.
+
     Each level is built only when the walk is taken past the previous one.
     A scheme keeps one walk (``support_levels``), which ``heaviest_line``
     takes to its first level and ``bounds.segre_bound`` to the end.
@@ -631,15 +677,27 @@ def flat_levels(x):
         chain[frozenset(keys).difference(images)] = images
     full = len(chain)
     level = {frozenset([i]): (keys, key) for i, key in keys.items()}
-    for _ in range(2, full):
-        covers = {}
+    for rank in range(2, full):
+        last = rank == full - 1  # the hyperplanes
+        covers, through = {}, {}  # through: point -> the hyperplanes found on it
         for flat, (parent, key) in level.items():
-            images = chain.pop(flat, None) or _reduced(parent, key, p)
+            images = chain.pop(flat, None)
+            if images is None:
+                if last:
+                    done = set().union(*[c for c in through.get(min(flat), ()) if flat <= c])
+                    if done:
+                        parent = {b: v for b, v in parent.items() if b not in done}
+                images = _reduced(parent, key, p)
             classes = {}
             for b, v in images.items():
                 classes.setdefault(v, []).append(b)
             for v, members in classes.items():
-                covers.setdefault(flat.union(members), (images, v))
+                cover = flat.union(members)
+                if cover not in covers:
+                    covers[cover] = (images, v)
+                    if last:
+                        for b in cover:
+                            through.setdefault(b, []).append(cover)
         yield list(covers)
         level = covers
     if full > 1:

@@ -172,3 +172,30 @@ def test_scheme_state_is_read_by_the_library():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             and id(node) not in inside}
     assert [name for name in state if name not in read] == []
+
+
+def test_floats_only_in_the_limb_product():
+    # float64 carries exact integer products below 2^53 in one place, the
+    # limb product, behind its explicit bound on q: no other library code
+    # names a float type, writes a float literal or multiplies by @
+    paths = sorted(pathlib.Path(fatpointlab.__file__).parent.rglob("*.py"))
+    home = {"_split_limbs", "_add_product_mod"}
+    found, seen = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name in home
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    else "")
+            if (name.startswith("float")
+                    or isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    or isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)):
+                (seen if id(node) in allowed else found).append(
+                    "%s:%d" % (path.name, node.lineno))
+    assert seen  # the check sees the limb product's floats
+    assert found == []

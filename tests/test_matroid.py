@@ -111,6 +111,47 @@ def support_points(draw):
     return field, n, keys
 
 
+@st.composite
+def clustered_points(draw):
+    """(field, n, keys): up to eight distinct points of P^n, n <= 4, over
+    Q, F_7 or F_10007, as keys, in drawn order.  Most come in clusters,
+    each drawn from a random subspace of dimension 1 to n (combinations of
+    its spanning vectors), the rest are free, so that several flats lie in
+    the same hyperplane.  Projectively equal and zero vectors are
+    dropped."""
+    field = draw(st.sampled_from([QQ, ScalarField.prime(7), ScalarField.prime(10007)]))
+    n = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1)
+    coords = []
+    for dim in draw(st.lists(st.integers(1, n), min_size=1, max_size=3)):
+        base = draw(st.lists(vector, min_size=dim + 1, max_size=dim + 1))
+        weights = st.lists(st.integers(-3, 3), min_size=dim + 1, max_size=dim + 1)
+        coords += [[sum(c * v[j] for c, v in zip(w, base)) for j in range(n + 1)]
+                   for w in draw(st.lists(weights, min_size=2, max_size=4))]
+    coords += draw(st.lists(vector, max_size=2))
+    keys = []
+    for v in draw(st.permutations(coords)):
+        elems = [field.elem(c) for c in v]
+        if any(elems) and schemes._point_key(field, elems) not in keys:
+            keys.append(schemes._point_key(field, elems))
+    assume(keys)
+    return field, n, keys[:8]
+
+
+def check_levels(field, n, keys):
+    """``flat_levels`` of the points with these keys against the closures
+    of every subset by ranks: one level per rank from 2 to the full rank,
+    each with every flat of its rank once."""
+    x = FatPointScheme(field, n, [(k, 1) for k in keys])
+    rank = ExactMatrix.from_columns(field, keys).rank_of_column_subset
+    flats = closures_exhaustive(rank, range(len(keys)))
+    levels = list(flat_levels(x))
+    assert len(levels) == max(0, rank(range(len(keys))) - 1)
+    for r, level in enumerate(levels, 2):
+        assert len(level) == len(set(level))
+        assert set(level) == {f for f in flats if rank(f) == r}
+
+
 class TestFlats:
     """The flats of a scheme's support points, found by projective keys
     (``flat_levels``), against the closures of every subset by ranks."""
@@ -118,15 +159,20 @@ class TestFlats:
     @given(support_points())
     @settings(max_examples=200, deadline=None)
     def test_equals_exhaustive_closure(self, case):
+        check_levels(*case)
+
+    @given(clustered_points())
+    @settings(max_examples=200, deadline=None)
+    def test_clusters_equal_exhaustive_closure(self, case):
+        # many flats share a hyperplane, so the last level's walk skips the
+        # points of the hyperplanes already found through a flat; general
+        # position on the same points agrees with its oracle
         field, n, keys = case
-        x = FatPointScheme(field, n, [(k, 1) for k in keys])
-        rank = ExactMatrix.from_columns(field, keys).rank_of_column_subset
-        flats = closures_exhaustive(rank, range(len(keys)))
-        levels = list(flat_levels(x))
-        assert len(levels) == max(0, rank(range(len(keys))) - 1)
-        for r, level in enumerate(levels, 2):
-            assert len(level) == len(set(level))
-            assert set(level) == {f for f in flats if rank(f) == r}
+        check_levels(field, n, keys)
+        m = vm(field, keys)
+        for k in range(n + 3):
+            assert in_general_position(field, keys, k) == general_position_exhaustive(
+                m, m.elements, k)
 
     def test_three_independent_columns_min_rank_two(self):
         x = simple(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])

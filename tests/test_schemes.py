@@ -324,6 +324,16 @@ class TestConditionsResidues:
         assert all(cache.cache_info().currsize <= bound
                    for cache, bound in zip(caches, (63, 27, frames)))
 
+    @pytest.mark.parametrize("q", [10007, 2**31 - 1])
+    def test_doubled_power_table_matches_pow(self, q):
+        # the table is filled by doubling; each entry is still keys^e mod q
+        keys = [(1, 0, -3), (-7, 2, 5), (q - 1, 10**12 + 7, q + 2)]
+        for length in (1, 2, 3, 18, 64):
+            got = schemes._power_table(keys, length, q)
+            assert str(got.dtype) == "int64" and got.shape == (length, 3, 3)
+            assert got.tolist() == [[[pow(v, e, q) for v in key] for key in keys]
+                                    for e in range(length)]
+
     @given(residue_cases())
     @settings(max_examples=80, deadline=None)
     def test_regularity_matches_ascending_oracle(self, case):
@@ -621,11 +631,11 @@ class TestBoundarySearch:
         assert regularity_index(x) == 7
         # every degree from the floor in the frame: two points of the line
         # and the one off it set aside 3 conditions, and the other 6 are
-        # eliminated on the monomials left.  Then h(6), deficient mod q and
-        # so not cached, is reduced whole once and certified on exact rows
-        # from that reduction
+        # eliminated on the monomials left, as 6 rows, the block's short
+        # side.  Then h(6), deficient mod q and so not cached, is reduced
+        # whole once and certified on exact rows from that reduction
         assert built == {"residues": [3, 4, 5, 6, 7, 6], "exact": [6]}
-        assert first_prime_shapes(reductions) == [(7, 6), (12, 6), (18, 6), (25, 6), (33, 6),
+        assert first_prime_shapes(reductions) == [(6, 7), (6, 12), (6, 18), (6, 25), (6, 33),
                                                   (28, 9)]
         assert regularity_index_ascending(x) == 7
 
@@ -656,11 +666,12 @@ class TestBoundarySearch:
         assert regularity_index(x) == r == 8
         # from max(floor 6, 3 + 3 - 1): h(6) and h(7) are deficient in the
         # frame (the 6 conditions of (1, 2, 0)), which only says "climb
-        # on", and h(8) full in it; the step-down reduces degree 7 whole
-        # (24 conditions) once and certifies h(7) from that reduction.
-        # Degree 6 is never reduced whole
+        # on", and h(8) full in it, each block eliminated on its short side;
+        # the step-down reduces degree 7 whole (24 conditions) once and
+        # certifies h(7) from that reduction.  Degree 6 is never reduced
+        # whole
         assert built == {"residues": [6, 7, 8, 7], "exact": [7]}
-        assert first_prime_shapes(reductions) == [(10, 6), (18, 6), (27, 6), (36, 24)]
+        assert first_prime_shapes(reductions) == [(6, 10), (6, 18), (6, 27), (36, 24)]
         assert hilbert_profile(x).values == hilbert_profile_ascending(x)
 
     def test_unlucky_first_prime_at_r(self, monkeypatch):
@@ -682,12 +693,13 @@ class TestBoundarySearch:
         monkeypatch.setattr(schemes, "_residue_rows", unlucky)
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == r
-        # deficient in the frame at r, so the climb goes on to r + 1, full
-        # in the frame; the step-down reduces degree r whole, deficient
-        # again, certifies it full on exact rows from that unlucky
-        # reduction, and stops at the line's bound
+        # deficient in the frame at r (its block on the short side, the 6
+        # conditions of (1, 2, 0)), so the climb goes on to r + 1, full in
+        # the frame; the step-down reduces degree r whole, deficient again,
+        # certifies it full on exact rows from that unlucky reduction, and
+        # stops at the line's bound
         assert built == {"residues": [r, r + 1, r], "exact": [r]}
-        assert first_prime_shapes(reductions) == [(27, 6), (37, 6), (45, 24)]
+        assert first_prime_shapes(reductions) == [(6, 27), (6, 37), (45, 24)]
         assert x._hilbert_cache == {r: x.degree(), r + 1: x.degree()}
 
     def test_sharp_cluster_builds_one_residue_matrix(self, monkeypatch):
@@ -706,15 +718,16 @@ class TestBoundarySearch:
         # coordinate in the frame, so (5, 2, 1) is the unit point: its 15
         # conditions on the other 75 monomials are reduced once per shape,
         # and one reduction of the line point's 15 conditions on the 60
-        # monomials off the unit pivots shows the degree full
+        # monomials off the unit pivots, as 15 rows, the block's short
+        # side, shows the degree full
         assert x._frame.unit == 5 and x._frame.mults == [5]
         assert built == {"residues": [14], "exact": []}
-        assert first_prime_shapes(reductions) == [(15, 75), (60, 15)]
+        assert first_prime_shapes(reductions) == [(15, 75), (15, 60)]
         assert x._hilbert_cache == {14: 75}
         # a second scheme of the same shape reads the unit echelon back
         y = FatPointScheme(QQ, 2, [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
         assert regularity_index(y) == 14
-        assert first_prime_shapes(reductions) == [(15, 75), (60, 15), (60, 15)]
+        assert first_prime_shapes(reductions) == [(15, 75), (15, 60), (15, 60)]
 
     def test_hilbert_values_above_r_build_nothing(self, monkeypatch):
         x = FatPointScheme(QQ, 2, [(p, 2) for p in LINE + [(3, 7, 1)]])
@@ -896,29 +909,35 @@ class TestFrameRank:
     @pytest.mark.parametrize("q", [10007, 2147483629, 2**31 - 1])
     def test_limb_product_matches_python_ints(self, q):
         # entries in [q - 3, q), the largest residues, where a product of
-        # whole residues would overflow int64
+        # whole residues would overflow int64; k rows of b around the chunk
+        # of 64 that float64 carries exactly near q = 2^31, and past two
         import numpy as np
 
         rng = random.Random(q)
-        for rows, k, cols in [(1, 1, 1), (3, 7, 2), (40, 15, 60), (5, 300, 4)]:
+        for rows, k, cols in [(1, 1, 1), (3, 7, 2), (40, 15, 60), (5, 300, 4), (4, 63, 3),
+                              (4, 64, 3), (4, 65, 3), (3, 129, 5)]:
             a, b, c = ([[rng.randint(q - 3, q - 1) for _ in range(w)] for _ in range(h)]
                        for h, w in [(rows, k), (k, cols), (rows, cols)])
-            got = schemes._add_product_mod(np.array(c, dtype=np.int64),
-                                           schemes._split_limbs(np.array(a, dtype=np.int64)),
+            limbs = schemes._split_limbs(np.array(a, dtype=np.int64))
+            assert str(limbs.dtype) == "float64"
+            got = schemes._add_product_mod(np.array(c, dtype=np.int64), limbs,
                                            np.array(b, dtype=np.int64), q)
+            assert str(got.dtype) == "int64"
             assert got.tolist() == [[(c[i][j] + sum(a[i][t] * b[t][j] for t in range(k))) % q
                                      for j in range(cols)] for i in range(rows)]
 
     def test_limb_product_bound_is_checked(self):
-        # 2^15 rows of b, or q >= 2^31, could overflow: refused explicitly,
-        # also under python -O
+        # chunks of 64 rows of b keep every float64 sum below 2^53 while
+        # q < 2^31, so 2^15 rows, which the int64 product refused, pass;
+        # q >= 2^31 is refused explicitly, also under python -O
         import numpy as np
 
-        limbs = np.zeros((2, 2**15), dtype=np.int64)
-        with pytest.raises(ValueError, match="32768 rows modulo q = 2147483647"):
-            schemes._add_product_mod(np.zeros((1, 1), dtype=np.int64), limbs,
-                                     np.zeros((2**15, 1), dtype=np.int64), 2**31 - 1)
-        with pytest.raises(ValueError, match="1 rows modulo q = 2147483659"):
+        q = 2**31 - 1
+        limbs = schemes._split_limbs(np.full((1, 2**15), q - 1, dtype=np.int64))
+        got = schemes._add_product_mod(np.zeros((1, 1), dtype=np.int64), limbs,
+                                       np.full((2**15, 1), q - 1, dtype=np.int64), q)
+        assert got.tolist() == [[2**15]]  # 2^15 (q - 1)^2 = 2^15 mod q
+        with pytest.raises(ValueError, match="modulo q = 2147483659 is not exact"):
             schemes._add_product_mod(np.zeros((1, 1), dtype=np.int64), limbs[:, :1],
                                      np.zeros((1, 1), dtype=np.int64), 2147483659)
         src = os.path.dirname(os.path.dirname(schemes.__file__))
@@ -926,7 +945,7 @@ class TestFrameRank:
         proc = subprocess.run([sys.executable, "-O", "-c", LIMB_BOUND], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("optimize 1: ValueError: limb product overflows int64")
+        assert proc.stdout.startswith("optimize 1: ValueError: limb product modulo q = 2147483659")
 
     def test_frame_of_every_point_imports_no_numpy(self):
         # a scheme whose points are all in its frame is ranked by counting
@@ -1018,14 +1037,14 @@ class TestFrameRank:
         assert proc.stdout == "optimize 1: InternalError: frame point 0 is not sent to e_0\n"
 
 
-# the limb product's int64 bound, run under python -O
+# the limb product's float64 bound, run under python -O
 LIMB_BOUND = """
 import sys
 import numpy as np
 from fatpointlab import schemes
 try:
-    schemes._add_product_mod(np.zeros((1, 1), dtype=np.int64), np.zeros((2, 2**15), dtype=np.int64),
-                             np.zeros((2**15, 1), dtype=np.int64), 2**31 - 1)
+    schemes._add_product_mod(np.zeros((1, 1), dtype=np.int64), np.zeros((2, 1)),
+                             np.zeros((1, 1), dtype=np.int64), 2147483659)
 except ValueError as exc:
     print("optimize %d: ValueError: %s" % (sys.flags.optimize, exc))
 """
