@@ -16,31 +16,33 @@ shape), exact integer rows (``conditions_matrix``, from
 them; both give the same entries.  The scheme holds only certified Hilbert
 values and r(X).
 
-Each degree is ranked first in a coordinate frame (``_frame``,
-``_frame_rank``): a maximum-weight independent set of support points,
-independence tested mod q, is sent to the coordinate points e_0, e_1, ..
-by a change of coordinates E, invertible mod q.  A condition d^alpha of a
-frame point e_k is nonzero at one monomial only, alpha + (d - |alpha|)e_k,
-where it is prod_j alpha_j!, a unit mod q > d.  These unit columns of the
-tall matrix sit at distinct monomials when d >= m_k - 1 and
-m_k + m_l <= d + 1 for every pair of frame points (the gate), and then the
-rank is sum deg(m_k P_k) over the frame plus the rank of the other points'
-rows, in the frame, on the monomials with beta_k <= d - m_k for each frame
-index k.  This is the rank mod q of a conditions matrix of EX: the rows
-of the lift of E to the integers applied to the keys, each dehomogenized at
-its first coordinate nonzero mod q.  h_X is invariant under an invertible
-change of coordinates, so over F_p the frame gives h_X(d) itself and over
-Q a lower bound, and a full one certifies h_X(d) = deg X.  A degree the
-gate refuses is ranked on the whole matrix's residues.  Over Q a deficient
-rank mod q only says that the climb goes on: the one certifier of a
-deficient value is ``hilbert_function``, which reduces the whole matrix's
-residues once and starts the certificate on exact rows from that echelon.
+Each degree is ranked in a coordinate frame (``_frame``, ``_frame_rank``):
+a maximum-weight independent set of support points, independence tested
+mod q, is sent to the coordinate points e_0, e_1, .. by a change of
+coordinates E, invertible mod q.  A condition d^alpha of a frame point e_k
+is nonzero at one monomial at most, alpha + (d - |alpha|)e_k where
+|alpha| <= d, and there it is prod_j alpha_j!, a unit mod q > d.  So the
+rows of e_k are unit vectors, one at each monomial beta with
+beta_k > d - m_k, and the frame's rows span exactly the unit vectors at
+the monomials they reach, whether two frame points reach the same one or
+not.  The rank is the count of those monomials, the frame's units, plus
+the rank of the other points' rows, in the frame, on the monomials with
+beta_k <= d - m_k for each frame index k (``_frame_columns``).  This is
+the rank mod q of a conditions matrix of EX: the rows of the lift of E to
+the integers applied to the keys, each dehomogenized at its first
+coordinate nonzero mod q.  h_X is invariant under an invertible change of
+coordinates, so over F_p the frame gives h_X(d) itself and over Q a lower
+bound, and a full one certifies h_X(d) = deg X.  Over Q a deficient rank
+mod q only says that the climb goes on: the one certifier of a deficient
+value is ``hilbert_function``, the one place that reduces the whole
+matrix's residues, once, and starts the certificate on exact rows from
+that echelon.
 
 Beside a frame of n + 1 points one more point u, the unit point, is sent
 to (1 : .. : 1) where its image under E has every coordinate nonzero mod q:
 every image is scaled by D = diag(u_j^-1), which fixes each e_k
 projectively and is invertible mod q, so the argument above holds for DE
-unchanged.  The unit point's rows on the frame's monomials then depend on
+unchanged.  The unit point's rows on the monomials left then depend on
 the shape alone, and their reduced echelon form mod q is computed once per
 shape (``_unit_echelon``).  Each degree reduces the other points' rows
 against it with one product on 16-bit limbs (``_add_product_mod``), in
@@ -327,8 +329,8 @@ def _residue_rows(n, d, q, keys, mults, columns=None):
     """The one residue builder: the conditions rows in degree d mod q of
     the points of P^n with these integer ``keys`` and ``mults``, each
     dehomogenized at its first nonzero entry as a key is, one row per
-    condition and one column per degree-d monomial (where the mask
-    ``columns`` is set, if given).
+    condition and one column per degree-d monomial (at the indices
+    ``columns`` only, if given).
 
     One power table holds every coordinate of every point to the exponents
     0 .. d + max m_i - 1 (``_power_table``).  The factors gather from it
@@ -385,12 +387,11 @@ def _reduce(c, q):
     return c
 
 
-class _Frame(namedtuple("_Frame", "heavy units unit keys mults")):
+class _Frame(namedtuple("_Frame", "heavy unit keys mults")):
     """X in a coordinate frame modulo q: the multiplicities of the frame
-    points, which sit at e_0, e_1, .. in that order, their total degree
-    sum deg(m_k P_k), the multiplicity of the unit point, which sits at
-    (1 : .. : 1) (0 where there is none), and the other points' images and
-    multiplicities."""
+    points, which sit at e_0, e_1, .. in that order, the multiplicity of
+    the unit point, which sits at (1 : .. : 1) (0 where there is none), and
+    the other points' images and multiplicities."""
 
     __slots__ = ()
 
@@ -448,21 +449,20 @@ def _frame(x, q):
         unit = mults[order[others.pop(u)]]
         scale = [pow(v, -1, q) for v in images.pop(u)]
         images = [tuple(v * w % q for v, w in zip(image, scale)) for image in images]
-    heavy = tuple(mults[order[c]] for c in frame)
-    x._frame = _Frame(heavy, sum(comb(n + m - 1, n) for m in heavy), unit, images,
+    x._frame = _Frame(tuple(mults[order[c]] for c in frame), unit, images,
                       [mults[order[c]] for c in others])
     return x._frame
 
 
 @lru_cache(maxsize=None)
 def _frame_columns(n, d, heavy):
-    """The degree-d monomials with beta_k <= d - m_k for the k-th of the
-    frame multiplicities ``heavy``, as a boolean mask: the columns where no
-    frame point's row is nonzero."""
-    import numpy as np
-
-    exponents = np.array(_exponent_columns(n, d)[:len(heavy)], dtype=np.int64)
-    return (exponents <= d - np.array(heavy)[:, None]).all(axis=0)
+    """The indices of the degree-d monomials with beta_k <= d - m_k for the
+    k-th of the frame multiplicities ``heavy``: the columns where no frame
+    point's row is nonzero.  Each other monomial is the one of a unit row
+    of some frame point, so the frame's units are binom(n + d, n) minus
+    their count.  Pure Python: a frame of every point imports no numpy."""
+    return tuple(i for i, beta in enumerate(monomials(n, d))
+                 if all(b <= d - m for b, m in zip(beta, heavy)))
 
 
 @lru_cache(maxsize=None)
@@ -472,22 +472,23 @@ def _unit_echelon(n, d, unit, heavy, q):
     depend on the shape alone, n, d, the unit multiplicity and the frame
     multiplicities ``heavy``, and are reduced once per shape.
 
-    Returns (pivots, off, limbs): the pivot columns and the others, as
-    indices into the frame's columns, and the ``_split_limbs`` of the
-    transpose of minus the echelon's rows on the columns off its pivots,
-    which ``_frame_rank`` multiplies the other points' pivot entries by.
-    With no unit point (``unit`` 0) the echelon is empty: no pivots, every
-    column off them.  The arrays are read-only, as every caller shares
-    them."""
+    Returns (columns, pivots, off, limbs): the frame's columns as an index
+    array, which gathers faster than a tuple or a mask, the pivot columns
+    and the others, as indices into the frame's columns, and the
+    ``_split_limbs`` of the transpose of minus the echelon's rows on the
+    columns off its pivots, which ``_frame_rank`` multiplies the other
+    points' pivot entries by.  With no unit point (``unit`` 0) the echelon
+    is empty: no pivots, every column off them.  The arrays are read-only,
+    as every caller shares them."""
     import numpy as np
 
-    columns = _frame_columns(n, d, heavy)
-    ech, pivots = np.zeros((0, int(columns.sum())), dtype=np.int64), []
+    columns = np.array(_frame_columns(n, d, heavy), dtype=np.intp)
+    ech, pivots = np.zeros((0, len(columns)), dtype=np.int64), []
     if unit:
         ech, pivots = _echelon_mod_p(_residue_rows(n, d, q, [(1,) * (n + 1)], [unit], columns), q)
         ech = _rref_mod_p(ech, pivots, q)[:len(pivots)]
     off = np.array(sorted(set(range(ech.shape[1])).difference(pivots)), dtype=np.int64)
-    out = np.array(pivots, dtype=np.int64), off, _split_limbs(((q - ech[:, off]) % q).T)
+    out = columns, np.array(pivots, dtype=np.int64), off, _split_limbs(((q - ech[:, off]) % q).T)
     for a in out:
         a.setflags(write=False)
     return out
@@ -532,13 +533,13 @@ def _add_product_mod(c, limbs, b, q):
 
 def _frame_rank(x, d, q):
     """The rank mod q of the conditions matrix in degree d, taken in the
-    coordinate frame of ``_frame``, or None where the gate refuses d: a
-    frame multiplicity above d + 1, or two summing to more than d + 1.
-    Past the gate each frame point's rows are unit columns of the tall
-    matrix at monomials of their own, so the rank is their count, the
-    frame's ``units``, plus the rank of the other points' rows on the
-    other monomials (``_frame_columns``); the module docstring says why
-    this is the rank of a projectively equivalent scheme.
+    coordinate frame of ``_frame``, at every degree d >= 0.  The frame
+    points' rows are unit vectors that span the monomials they reach, so
+    the rank is the count of those, the frame's units, plus the rank of
+    the other points' rows on the monomials left (``_frame_columns``); the
+    module docstring says why this is the rank of a projectively
+    equivalent scheme.  Where the frame reaches every monomial, or no
+    other point is left, the count is the rank, and no numpy is needed.
 
     Of those rows, the unit point's are the same for every scheme of a
     shape, and their echelon comes from ``_unit_echelon``: the other
@@ -548,16 +549,16 @@ def _frame_rank(x, d, q):
     the elimination stops after as many pivots as that side is long.  The
     rank adds the echelon's pivot count.  With no unit point the echelon is
     empty and the reduction changes nothing."""
-    heavy, units, unit, keys, mults = _frame(x, q)
-    if sum(heavy[:2]) > d + 1:
-        return None
-    if not (keys or unit):
-        return units  # a frame of every point needs no array, nor numpy
-    pivots, off, limbs = _unit_echelon(x.n, d, unit, heavy, q)
+    heavy, unit, keys, mults = _frame(x, q)
+    columns = _frame_columns(x.n, d, heavy)
+    units = comb(x.n + d, x.n) - len(columns)
+    if not (columns and (keys or unit)):
+        return units
+    columns, pivots, off, limbs = _unit_echelon(x.n, d, unit, heavy, q)
     units += len(pivots)
     if not keys or not len(off):
         return units
-    rest = _residue_rows(x.n, d, q, keys, mults, _frame_columns(x.n, d, heavy)).T
+    rest = _residue_rows(x.n, d, q, keys, mults, columns).T
     block = _add_product_mod(rest[off], limbs, rest[pivots], q)
     if block.shape[0] > block.shape[1]:
         block = block.T.copy()
@@ -746,17 +747,20 @@ def hilbert_function(x, d):
     search's step-down ranked it: below the lower bound the climb starts
     from, the deficiency is proven and nothing is ranked.
 
-    This is the one certifier of a deficient value over Q.  A value that
-    is not cached is ranked by ``_rank_bound`` over F_p, where that rank is
-    h_X(d), and where the matrix is ranked on exact rows
-    (``_on_exact_rows``).  Otherwise over Q the whole matrix's residues
-    modulo ``certificate_prime(0)`` are reduced once: a full rank is
-    h_X(d), and a deficient one hands its echelon to the certificate on
-    exact rows, which starts from it (``ExactMatrix.rank``)."""
+    This is the one certifier of a deficient value over Q, and the one
+    place that reduces the whole matrix's residues.  A value that is not
+    cached has its degree checked (``_check_degree``) and is ranked by
+    ``_rank_bound`` over F_p, where that rank is h_X(d), and where the
+    matrix is ranked on exact rows (``_on_exact_rows``).  Otherwise over Q
+    the whole matrix's residues modulo ``certificate_prime(0)`` are reduced
+    once: a full rank is h_X(d), and a deficient one hands its echelon to
+    the certificate on exact rows, which starts from it
+    (``ExactMatrix.rank``)."""
     h = x._hilbert_cache.get(d)
     if h is None:
         if x._reg is not None and d >= x._reg:
             return x.degree()
+        _check_degree(x, d)
         q = certificate_prime(0)
         if x.field.p is not None or _on_exact_rows(x, d, q):
             h = _rank_bound(x, d)
@@ -771,10 +775,9 @@ def hilbert_function(x, d):
 
 def _on_exact_rows(x, d, q):
     """Whether the conditions matrix in degree d is ranked on its exact
-    rows rather than on residues mod q: at negative degrees, whose exact
-    rows raise the error, for q >= 2^31, and below ``_NUMPY_MIN_CELLS``
-    cells."""
-    return d < 0 or q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS
+    rows rather than on residues mod q: for q >= 2^31, and below
+    ``_NUMPY_MIN_CELLS`` cells."""
+    return q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS
 
 
 def _rank_bound(x, d):
@@ -782,18 +785,14 @@ def _rank_bound(x, d):
     ``certificate_prime(0)`` over Q and p over F_p: over F_p it is h_X(d),
     over Q a lower bound for h_X(d), and h_X(d) itself when it is full.
 
-    The degree is checked first (``_check_degree``), then ranked in the
-    coordinate frame (``_frame_rank``), which ranks a conditions matrix of
-    a projectively equivalent scheme mod q, and where the frame's gate
-    refuses d, on the whole matrix's residues, brought to an echelon form
-    and no further.  Where ``_on_exact_rows`` holds, the exact rows are
-    ranked instead, over Q exactly."""
-    q = certificate_prime(0) if x.field.p is None else x.field.p
-    if _on_exact_rows(x, d, q):
-        return conditions_matrix(x, d).rank()
+    The degree is checked first (``_check_degree``).  Where
+    ``_on_exact_rows`` holds, the exact rows are ranked, over Q exactly;
+    everywhere else the degree is ranked in the coordinate frame
+    (``_frame_rank``), which ranks a conditions matrix of a projectively
+    equivalent scheme mod q."""
     _check_degree(x, d)
-    r = _frame_rank(x, d, q)
-    return len(_echelon_mod_p(_conditions_residues(x, d, q), q)[1]) if r is None else r
+    q = certificate_prime(0) if x.field.p is None else x.field.p
+    return conditions_matrix(x, d).rank() if _on_exact_rows(x, d, q) else _frame_rank(x, d, q)
 
 
 def regularity_index(x):
@@ -809,11 +808,11 @@ def regularity_index(x):
     encoding.
 
     The second fact comes from a proven lower bound: the monomial floor,
-    the first degree with at least deg X monomials, or, larger, w_L - 1 for
-    the line L of ``heaviest_line``.  The line is a witness, not a number:
-    its members' keys are ranked exactly, and more than a line
-    (rank above 2) is an ``InternalError``, so the check also runs under
-    ``python -O``.  The line search, O(n) integer steps for each ordered
+    the first degree with at least deg X monomials (``_monomial_floor``),
+    or, larger, w_L - 1 for the line L of ``heaviest_line``.  The line is
+    a witness, not a number: its members' keys are ranked exactly, and
+    more than a line (rank above 2) is an ``InternalError``, so the check
+    also runs under ``python -O``.  The line search, O(n) integer steps for each ordered
     pair of support points, runs only when s(s - 1)/2 is at most deg X,
     the row count of every conditions matrix the search builds, which
     keeps it a small part of building even one of them; otherwise (many
@@ -822,12 +821,12 @@ def regularity_index(x):
     The search climbs from the bound, one degree at a time, ranked by
     ``_rank_bound``: in the coordinate frame, where heavy independent
     support points are unit columns and only the other points' rows are
-    eliminated, and where the frame's gate refuses the degree, on the whole
-    matrix.  Both rank a conditions matrix of X or of a projectively
-    equivalent scheme modulo a prime, and h_X does not change under an
-    invertible change of coordinates, so a full rank modulo a prime is full
-    over Q, and the rank over F_p is exact.  Only those values are cached;
-    over Q a deficient rank only says that the climb goes on.  At the first
+    eliminated, or on exact rows where the matrix is small.  Both rank a
+    conditions matrix of X or of a projectively equivalent scheme modulo a
+    prime, or exactly, and h_X does not change under an invertible change
+    of coordinates, so a full rank modulo a prime is full over Q, and the
+    rank over F_p is exact.  Only those values are cached; over Q a
+    deficient rank only says that the climb goes on.  At the first
     full degree d, if d is above the bound, h_X(d - 1) is certified by
     ``hilbert_function``, and the search steps down while that is full too,
     which only an unlucky prime, one that lost rank at r and took the climb
@@ -839,10 +838,7 @@ def regularity_index(x):
     """
     if x._reg is None:
         deg = x.degree()
-        floor = 0  # the first degree with at least deg X monomials
-        while comb(x.n + floor, x.n) < deg:
-            floor += 1
-        lower = floor
+        floor = lower = _monomial_floor(x.n, deg)
         s = x.support_size
         if s * (s - 1) // 2 <= deg:
             line = heaviest_line(x)
@@ -867,6 +863,17 @@ def regularity_index(x):
             d -= 1
         x._reg = d
     return x._reg
+
+
+def _monomial_floor(n, deg):
+    """The first degree with at least deg >= 1 monomials in n + 1
+    variables, by bisection on 0 .. deg, since binom(n + deg, n) >= deg:
+    O(log deg) binomials where a scan would take one per degree."""
+    floor, top = 0, deg
+    while floor < top:
+        mid = (floor + top) // 2
+        floor, top = (floor, mid) if comb(n + mid, n) >= deg else (mid + 1, top)
+    return floor
 
 
 def subscheme(x, new_mults):

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -216,6 +217,24 @@ class TestGenVerify:
         assert json.loads(proc.stdout)["checks"] == {check: {"skipped": (
             "conditions matrix too large: %s (CONDITIONS_MATRIX_GUARD = %d)"
             % (size, schemes.CONDITIONS_MATRIX_GUARD))}}
+
+    def test_huge_multiplicities_reach_the_guard(self, tmp_path):
+        # two points of P^2 of multiplicity 10^12: the monomial floor, about
+        # 1.4 * 10^12, is found by bisection, and the climb's first degree,
+        # the line's 2 * 10^12 - 1, trips the guard before any matrix is
+        # built; a scan for the floor, one binomial per degree, never ends
+        m = 10**12
+        x = FatPointScheme(QQ, 2, [((1, 0, 0), m), ((0, 1, 0), m)])
+        inst = write_json(tmp_path / "x.json", scheme_to_dict(x))
+        proc = run_python("-m", "fatpointlab.cli", "verify", inst, "--checks",
+                          "main-theorem,ctv,veronese")
+        assert proc.returncode == EXIT_SKIPPED, proc.stderr
+        rows, cols, d = x.degree(), comb(2 * m + 1, 2), 2 * m - 1
+        skipped = {"skipped": "conditions matrix too large: %d x %d = %d cells in degree %d "
+                              "(CONDITIONS_MATRIX_GUARD = %d)"
+                              % (rows, cols, rows * cols, d, schemes.CONDITIONS_MATRIX_GUARD)}
+        assert json.loads(proc.stdout)["checks"] == dict.fromkeys(
+            ["main-theorem", "ctv", "veronese"], skipped)
 
     def test_main_theorem_on_a_point_of_p1500(self, tmp_path):
         # monomials in 1501 variables once recursed once per variable

@@ -199,3 +199,22 @@ def test_floats_only_in_the_limb_product():
                     "%s:%d" % (path.name, node.lineno))
     assert seen  # the check sees the limb product's floats
     assert found == []
+
+
+def test_whole_residues_reduced_in_hilbert_function_only():
+    # the climb ranks every degree in the coordinate frame: the whole
+    # matrix's residues are built only for the certificate over Q in
+    # hilbert_function, so a second whole-matrix route cannot come back
+    paths = sorted(pathlib.Path(fatpointlab.__file__).parent.rglob("*.py"))
+    found, seen = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "hilbert_function"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_conditions_residues" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                (seen if id(node) in allowed else found).append("%s:%d" % (path.name, node.lineno))
+    assert seen  # the check sees the certificate's call
+    assert found == []

@@ -315,11 +315,11 @@ class TestConditionsResidues:
             schemes._conditions_residues(x, d, q)
             schemes._frame_rank(x, d, q)
         # n <= 3, d <= 6 and m <= 3 make 63 and 27 shapes, and at most
-        # this many frames (nonincreasing mults past the gate) with a unit
-        # point (only beside a frame of n + 1 points) or none
+        # this many frames (nonincreasing mults, at every degree) with a
+        # unit point (only beside a frame of n + 1 points) or none
         frames = sum(1 for n in range(1, 4) for d in range(7) for size in range(1, n + 2)
                      for heavy in combinations_with_replacement((3, 2, 1), size)
-                     if sum(heavy[:2]) <= d + 1 for _ in range(4 if size == n + 1 else 1))
+                     for _ in range(4 if size == n + 1 else 1))
         assert schemes._unit_echelon.cache_info().currsize > 0
         assert all(cache.cache_info().currsize <= bound
                    for cache, bound in zip(caches, (63, 27, frames)))
@@ -446,6 +446,20 @@ class TestHilbertFunction:
         for d in range(4):
             assert hilbert_function(x, d) == hilbert_function(y, d)
 
+    def test_negative_degree_refused_before_routing(self, monkeypatch):
+        # the degree is checked before either route is chosen: no route
+        # needs to meet a negative degree to raise its error
+        def refuse(*args):
+            raise AssertionError("routed before the degree check")
+
+        for name in ("_on_exact_rows", "conditions_matrix", "_frame_rank", "_conditions_residues"):
+            monkeypatch.setattr(schemes, name, refuse)
+        for field in (QQ, ScalarField.prime(7), ScalarField.prime(10007)):
+            x = FatPointScheme(field, 2, [((1, 0, 0), 3), ((1, 2, 3), 2), ((0, 1, 5), 1)])
+            for rank in (hilbert_function, schemes._rank_bound):
+                with pytest.raises(ValueError, match="^degree must be >= 0$"):
+                    rank(x, -1)
+
 
 def interpolation_oracle(s, d):
     """Independent oracle for s simple points on a line: conditions behave
@@ -454,6 +468,24 @@ def interpolation_oracle(s, d):
 
 
 class TestRegularityIndex:
+    def test_monomial_floor_equals_the_scan(self):
+        # bisection gives the first degree with at least deg monomials,
+        # the degree a scan one degree at a time stops at
+        for n in range(1, 5):
+            floor = 0
+            for deg in range(1, 3001):
+                while comb(n + floor, n) < deg:
+                    floor += 1
+                assert schemes._monomial_floor(n, deg) == floor
+
+    def test_monomial_floor_of_a_huge_degree(self):
+        # two points of multiplicity 10^12 in P^2: deg X is about 10^24,
+        # and the floor, about 1.4 * 10^12, is found in about 80 binomials
+        deg = 2 * comb(10**12 + 1, 2)
+        floor = schemes._monomial_floor(2, deg)
+        assert comb(2 + floor - 1, 2) < deg <= comb(2 + floor, 2)
+        assert floor == 1414213562373
+
     def test_single_fat_point(self):
         for n in (1, 2, 3):
             for m in (1, 2, 3, 4):
@@ -781,8 +813,8 @@ def frame_cases(draw):
     """(X, d) for the coordinate frame: X over Q or F_7 .. F_2147483629 in
     P^1 .. P^4, its points coordinate points, members of one collinear
     cluster or free, and with ``flat`` all inside the hyperplane x_n = 0,
-    so the frame has at most n points; multiplicities 1..4 and d up to 8
-    (below p, at most 6000 cells), from just below the gate."""
+    so the frame has at most n points; multiplicities 1..4 and d from 0
+    up to 8 (below p, at most 6000 cells)."""
     field = draw(st.sampled_from(FRAME_FIELDS))
     n = draw(st.integers(1, 4))
     flat = draw(st.booleans())
@@ -805,21 +837,20 @@ def frame_cases(draw):
     while top >= 0 and x.degree() * comb(n + top, n) > 6000:
         top -= 1
     assume(top >= 0)
-    # any two points are independent, so the frame's two heaviest are X's
-    # and the gate opens at d = m_(1) + m_(2) - 1; start just below it
-    gate = sum(sorted(x.mults, reverse=True)[:2]) - 1
-    return x, draw(st.integers(max(0, min(gate - 2, top)), top))
+    return x, draw(st.integers(0, top))
 
 
 @st.composite
 def unit_cases(draw):
-    """(X, d) for the unit point: X over Q, F_10007 or F_2147483629 in
+    """(X, d) for the unit point: X over Q or F_13 .. F_2147483629 in
     P^1 .. P^4 with n + 2 .. n + 5 support points, coordinates in -9..9
     and zeros (points of the moment curve (1, j, .., j^n) make up for
     drawn ones that are zero or repeated), multiplicities 1..4 in P^1,
-    1..3 in P^2 and 1..2 above, and d up to 8 (at most 6000 cells) past
-    the gate."""
-    field = draw(st.sampled_from([QQ, ScalarField.prime(10007), ScalarField.prime(2147483629)]))
+    1..3 in P^2 and 1..2 above, and d from 0 up to 8 (below p, at most
+    6000 cells)."""
+    # the moment curve has only 7 points over F_7, too few to make up
+    # for n + 5 drawn points in P^3
+    field = draw(st.sampled_from([f for f in FRAME_FIELDS if f.p != 7]))
     n = draw(st.integers(1, 4))
     coord = st.one_of(st.integers(-9, 9), st.just(0))
     point = st.lists(coord, min_size=n + 1, max_size=n + 1)
@@ -834,12 +865,11 @@ def unit_cases(draw):
             elems = [field.elem(c) for c in coords]
         points[schemes._point_key(field, elems)] = (coords, m)
     x = FatPointScheme(field, n, list(points.values()))
-    top = 8
+    top = 8 if field.p is None else min(8, field.p - 1)
     while top >= 0 and x.degree() * comb(n + top, n) > 6000:
         top -= 1
-    gate = max(0, sum(sorted(x.mults, reverse=True)[:2]) - 1)
-    assume(gate <= top)
-    return x, draw(st.integers(gate, top))
+    assume(top >= 0)
+    return x, draw(st.integers(0, top))
 
 
 class TestFrameRank:
@@ -854,24 +884,46 @@ class TestFrameRank:
         heavy = x._frame.heavy
         assert list(heavy) == sorted(heavy, reverse=True)
         assert len(heavy) == ExactMatrix.from_integer_rows(x.field, x.keys).rank()
-        assert (r is None) == (sum(heavy[:2]) > d + 1)
-        if r is not None:
-            # small coordinates: every key's first entry is a unit mod q,
-            # so the whole residues rank X itself mod q
-            assert r == len(exact._echelon_mod_p(schemes._conditions_residues(x, d, q), q)[1])
+        # small coordinates: every key's first entry is a unit mod q, so
+        # the whole residues rank X itself mod q, at every degree
+        assert r == len(exact._echelon_mod_p(schemes._conditions_residues(x, d, q), q)[1])
 
     def test_frame_in_a_hyperplane(self):
         # five points of x_2 = 0 in P^2: a frame of two points, the other
         # three at their images in its coordinates
         x = FatPointScheme(ScalarField.prime(13), 2, [((1, t, 0), 3 - t // 2) for t in range(5)])
-        heavy, units, unit, keys, mults = schemes._frame(x, 13)
-        assert heavy == (3, 3) and units == 12 and mults == [2, 2, 1]
+        heavy, unit, keys, mults = schemes._frame(x, 13)
+        assert heavy == (3, 3) and mults == [2, 2, 1]
         # every image is 0 at x_2, so no point is taken to (1 : 1 : 1)
         assert unit == 0
         assert keys == [(12, 2, 0), (11, 3, 0), (10, 4, 0)]
         for d in range(5, 9):
             assert schemes._frame_rank(x, d, 13) == hilbert_function(x, d)
-        assert schemes._frame_rank(x, 4, 13) is None  # 3 + 3 > 4 + 1
+        # below d = 3 + 3 - 1 the two frame points reach monomials in
+        # common, and at d <= 1 some of their rows are zero: their rows
+        # are still unit vectors, so the count of monomials reached holds
+        whole = [len(exact._echelon_mod_p(schemes._conditions_residues(x, d, 13), 13)[1])
+                 for d in range(5)]
+        assert [schemes._frame_rank(x, d, 13) for d in range(5)] == whole == [1, 3, 6, 9, 11]
+
+    def test_frame_ranks_every_degree_of_the_climb(self, monkeypatch):
+        # the scheme of test_frame_in_a_hyperplane: its climb and every
+        # Hilbert value up to r are ranked in the frame (or on exact rows
+        # below 64 cells), and no whole residue matrix is built, also at
+        # d = 2, 3 and 4, where the two frame points reach monomials in
+        # common
+        x = FatPointScheme(ScalarField.prime(13), 2, [((1, t, 0), 3 - t // 2) for t in range(5)])
+        exact_ranks = [conditions_matrix(x, d).rank() for d in range(11)]
+        built, build = [], schemes._conditions_residues
+
+        def counted(y, d, q):
+            built.append(d)
+            return build(y, d, q)
+
+        monkeypatch.setattr(schemes, "_conditions_residues", counted)
+        assert regularity_index(x) == 10  # five points on a line, of total weight 11
+        assert [hilbert_function(x, d) for d in range(11)] == exact_ranks
+        assert built == []
 
     def test_unit_point_route_equals_the_whole_residues_rank(self):
         # schemes with s >= n + 2 points: mostly a frame of n + 1 points
@@ -898,8 +950,8 @@ class TestFrameRank:
         q = exact.certificate_prime(0)
         x = FatPointScheme(QQ, 2, [((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3),
                                    ((1, q, 1), 2), ((1, 2, 3), 1)])
-        heavy, units, unit, keys, mults = schemes._frame(x, q)
-        assert heavy == (3, 3, 3) and units == 18
+        heavy, unit, keys, mults = schemes._frame(x, q)
+        assert heavy == (3, 3, 3)
         assert unit == 1 and keys == [(1, 0, pow(3, -1, q))] and mults == [2]
         for d in range(5, 9):
             r = schemes._frame_rank(x, d, q)
@@ -955,14 +1007,14 @@ class TestFrameRank:
                   "from fatpointlab.exact import ScalarField\n"
                   "from fatpointlab.schemes import FatPointScheme, regularity_index\n"
                   "x = FatPointScheme(ScalarField.rational(), 2, %r)\n"
-                  "print(regularity_index(x), x._frame.units, 'numpy' in sys.modules)\n"
+                  "print(regularity_index(x), x._frame.heavy, 'numpy' in sys.modules)\n"
                   % [(p, 3) for p in LINE[:2] + [(3, 7, 1)]])
         src = os.path.dirname(os.path.dirname(schemes.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=path), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "5 18 False\n"
+        assert proc.stdout == "5 (3, 3, 3) False\n"
 
     def test_deficient_rank_over_q_is_certified_from_one_whole_echelon(self, monkeypatch):
         # the climb from the lighter line's bound 6 meets h(6) and h(7)
