@@ -58,8 +58,8 @@ on the matrix's tall side, so the kernel to certify has ncols - r vectors:
 
 The Hadamard bound on the minors gives a count of primes that must
 certify (see ``_echelon_kernel``), so the certificate ends without a
-fallback.  A caller that has done step 1 on residues hands its echelon
-to ``rank``, which starts from it.  ``_rank_of_rows`` picks the route for
+fallback.  Every certificate starts from the rows themselves: step 1 is
+its first prime's elimination.  ``_rank_of_rows`` picks the route for
 every rank, also for the column subsets a vector matroid asks about.
 """
 
@@ -255,16 +255,15 @@ class ExactMatrix:
 
     # -- rank ----------------------------------------------------------------
 
-    def rank(self, first=None):
-        """The rank, computed once.  Over Q the certificate starts from
-        ``first``, when given: ``_echelon_mod_p`` of ``_tall`` of the rows
-        modulo ``certificate_prime(0)``, back-substituted in place if the
-        rank is deficient."""
+    def rank(self):
+        """The rank, computed once, by the route ``_rank_of_rows`` picks:
+        over Q from numpy size on, the certificate on ``_tall`` of the
+        rows."""
         if self._rank is None:
             if not self.nrows or not self.ncols:
                 self._rank = 0
             else:
-                self._rank = _rank_of_rows(self._rows, self.field.p, first)
+                self._rank = _rank_of_rows(self._rows, self.field.p)
         return self._rank
 
     def rank_of_column_subset(self, cols):
@@ -293,18 +292,17 @@ class ExactMatrix:
         return [tuple(Fraction(x, v[f]) for x in v) for f, v in zip(free, basis)]
 
 
-def _rank_of_rows(rows, p, first=None):
+def _rank_of_rows(rows, p):
     """Rank of nonempty integer rows by the route the size and field pick:
     the fraction-free echelon below ``_NUMPY_MIN_CELLS`` cells (over F_p,
     ``p`` given, mod p); from there over F_p the pivot count of
     ``_echelon_mod_p``, over Q that of ``_echelon_kernel`` on ``_tall`` of
-    the rows, starting from ``first`` (their echelon modulo
-    ``certificate_prime(0)``) when it is given."""
+    the rows."""
     if len(rows) * len(rows[0]) < _NUMPY_MIN_CELLS:
         return len(_bareiss_echelon(rows, p)[1])
     if p is not None:
         return len(_echelon_mod_p(rows, p)[1])
-    return len(_echelon_kernel(_tall(rows), None, first)[0])
+    return len(_echelon_kernel(_tall(rows))[0])
 
 
 def _tall(rows):
@@ -324,25 +322,24 @@ def certificate_prime(k):
     return _PRIMES[k]
 
 
-def _echelon_kernel(rows, p=None, first=None):
+def _echelon_kernel(rows, p=None):
     """(pivots, basis) of nonempty integer rows: the pivot columns of their
     reduced row echelon form and, for each free column f in order, the
     vector of ``ExactMatrix.kernel_basis`` times the positive integer at f
     that makes it integral (1 over F_p, ``p`` given).
 
-    Each prime's ``_echelon_mod_p`` (the first one is ``first`` when
-    given) ends the search where every column is a pivot; otherwise
-    ``_rref_mod_p`` back-substitutes it in place.  Over F_p both are read
-    off that reduced form.  Over Q the kernel vectors modulo the primes of
-    ``certificate_prime`` in turn are combined, lifted and checked exactly
-    over Z, as the module describes.  The primes of largest rank and, at
-    that rank, earliest pivots are combined; the others are unlucky.  The
-    lift is tried after every combined prime among the first 16, and past
-    them only once the count of combined primes has grown by a quarter
-    since the last lift, so the primes eliminated overshoot the count a
-    lift needs by less than a quarter, or once their product is at least
-    2^(2H + 1), where 2^H bounds every minor (Hadamard).
-    There the primes cannot all be unlucky, since unlucky primes divide one
+    Each prime's ``_echelon_mod_p`` of the rows ends the search where
+    every column is a pivot; otherwise ``_rref_mod_p`` back-substitutes it
+    in place.  Over F_p both are read off that reduced form.  Over Q the
+    kernel vectors modulo the primes of ``certificate_prime`` in turn are
+    combined, lifted and checked exactly over Z, as the module describes.
+    The primes of largest rank and, at that rank, earliest pivots are
+    combined; the others are unlucky.  The lift is tried after every
+    combined prime among the first 16, and past them only once the count
+    of combined primes has grown by a quarter since the last lift, so the
+    primes eliminated overshoot the count a lift needs by less than a
+    quarter, or once their product is at least 2^(2H + 1), where 2^H
+    bounds every minor (Hadamard).  There the primes cannot all be unlucky, since unlucky primes divide one
     nonzero minor, and every kernel entry, a ratio of two minors, is
     reconstructed: a failed lift there is an ``InternalError``."""
     import numpy as np
@@ -356,7 +353,7 @@ def _echelon_kernel(rows, p=None, first=None):
             # the norms of the nonzero rows, and that of the columns
             hadamard = min(sum(sum(x * x for x in v).bit_length() for v in vs)
                            for vs in (rows, zip(*rows))) // 2 + 1
-        red, pivots = first if first and not k else _echelon_mod_p(rows, q)
+        red, pivots = _echelon_mod_p(rows, q)
         r = len(pivots)
         if r == ncols:
             return pivots, []

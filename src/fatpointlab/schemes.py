@@ -12,9 +12,9 @@ its members re-checked as collinear), one rank modulo a prime per degree
 up to the first full one.  The climb builds its matrices as residues in
 numpy (``_residue_rows``, from one power table per scheme and gathers by
 shape), exact integer rows (``conditions_matrix``, from
-``_factor_tables``) only where a certificate of a deficient rank reads
-them; both give the same entries.  The scheme holds only certified Hilbert
-values and r(X).
+``_factor_tables``) only where the matrix is small or a certificate of a
+deficient rank reads them; both give the same entries.  The scheme holds
+only certified Hilbert values and r(X).
 
 Each degree is ranked in a coordinate frame (``_frame``, ``_frame_rank``):
 a maximum-weight independent set of support points, independence tested
@@ -27,16 +27,17 @@ beta_k > d - m_k, and the frame's rows span exactly the unit vectors at
 the monomials they reach, whether two frame points reach the same one or
 not.  The rank is the count of those monomials, the frame's units, plus
 the rank of the other points' rows, in the frame, on the monomials with
-beta_k <= d - m_k for each frame index k (``_frame_columns``).  This is
-the rank mod q of a conditions matrix of EX: the rows of the lift of E to
-the integers applied to the keys, each dehomogenized at its first
-coordinate nonzero mod q.  h_X is invariant under an invertible change of
-coordinates, so over F_p the frame gives h_X(d) itself and over Q a lower
-bound, and a full one certifies h_X(d) = deg X.  Over Q a deficient rank
-mod q only says that the climb goes on: the one certifier of a deficient
-value is ``hilbert_function``, the one place that reduces the whole
-matrix's residues, once, and starts the certificate on exact rows from
-that echelon.
+beta_k <= d - m_k for each frame index k.  The units are counted without
+listing a monomial (``_frame_units``).  This is the rank mod q of a
+conditions matrix of EX: the rows of the lift of E to the integers
+applied to the keys, each dehomogenized at its first coordinate nonzero
+mod q.  h_X is invariant under an invertible change of coordinates, so
+over F_p the frame gives h_X(d) itself and over Q a lower bound, and a
+full one certifies h_X(d).  Over Q a deficient rank mod q only says that
+the climb goes on: the one certifier of a deficient value is
+``hilbert_function``, which ranks the exact rows, certified over Q
+(``ExactMatrix.rank``).  The frame is the one route of a rank mod q of
+numpy size.
 
 Beside a frame of n + 1 points one more point u, the unit point, is sent
 to (1 : .. : 1) where its image under E has every coordinate nonzero mod q:
@@ -315,22 +316,14 @@ def _row_orders(n, mult, pivot):
     return np.array(_point_orders(n, mult, pivot), dtype=np.int64).T.copy()
 
 
-def _conditions_residues(x, d, q):
-    """The conditions matrix of X in degree d modulo a prime q < 2^31 as an
-    int64 numpy array, in the orientation of ``exact._tall``: the entries
-    of ``conditions_matrix`` mod q, from ``_residue_rows`` instead of
-    ``_factor_tables``.  The degree is checked first (``_check_degree``)."""
-    _check_degree(x, d)
-    a = _residue_rows(x.n, d, q, x.keys, x.mults)
-    return a.T.copy() if a.shape[0] < a.shape[1] else a
-
-
-def _residue_rows(n, d, q, keys, mults, columns=None):
+def _residue_rows(n, d, q, keys, mults, columns):
     """The one residue builder: the conditions rows in degree d mod q of
     the points of P^n with these integer ``keys`` and ``mults``, each
     dehomogenized at its first nonzero entry as a key is, one row per
-    condition and one column per degree-d monomial (at the indices
-    ``columns`` only, if given).
+    condition and one column per degree-d monomial at the indices
+    ``columns``, as an int64 numpy array.  Its callers are the coordinate
+    frame's (``_frame_rank`` and ``_unit_echelon``), on the frame's
+    columns; a certificate reads the exact rows (``conditions_matrix``).
 
     One power table holds every coordinate of every point to the exponents
     0 .. d + max m_i - 1 (``_power_table``).  The factors gather from it
@@ -343,8 +336,7 @@ def _residue_rows(n, d, q, keys, mults, columns=None):
     width = max(mults)
     powers = _power_table(keys, d + width, q)
     up, down, ff, exponents = _shift_arrays(n, d, width, q)
-    if columns is not None:
-        exponents = exponents[:, columns]
+    exponents = exponents[:, columns]
     pivots = [next(j for j, v in enumerate(c) if v) for c in keys]
     at_pivot = np.arange(n + 1) == np.array(pivots)[:, None]
     # factors[j, i * width + a, b]: variable j of point i, order a, exponent b
@@ -455,22 +447,33 @@ def _frame(x, q):
 
 
 @lru_cache(maxsize=None)
-def _frame_columns(n, d, heavy):
-    """The indices of the degree-d monomials with beta_k <= d - m_k for the
-    k-th of the frame multiplicities ``heavy``: the columns where no frame
-    point's row is nonzero.  Each other monomial is the one of a unit row
-    of some frame point, so the frame's units are binom(n + d, n) minus
-    their count.  Pure Python: a frame of every point imports no numpy."""
-    return tuple(i for i, beta in enumerate(monomials(n, d))
-                 if all(b <= d - m for b, m in zip(beta, heavy)))
+def _frame_units(n, d, heavy):
+    """The frame's units in degree d: the count of the degree-d monomials
+    with beta_k > d - m_k for some k-th of the frame multiplicities
+    ``heavy``, those where some frame point's row is nonzero.  By
+    inclusion and exclusion over the sets S of frame points: the monomials
+    with beta_k >= t_k = max(0, d - m_k + 1) for each k in S are x^t times
+    those of degree d - sum t_k, binom(n + d - sum t_k, n) of them, none
+    where that degree is negative.  At most 2^(n + 1) binomials and no
+    monomial listed, so a frame of every point is counted at any degree,
+    in pure Python: it imports no numpy."""
+    units = 0
+    for size in range(1, len(heavy) + 1):
+        for s in combinations(heavy, size):
+            rest = d - sum(max(0, d - m + 1) for m in s)
+            if rest >= 0:
+                units += (-1) ** (size + 1) * comb(n + rest, n)
+    return units
 
 
 @lru_cache(maxsize=None)
 def _unit_echelon(n, d, unit, heavy, q):
-    """The unit point's rows in degree d on the frame's columns
-    (``_frame_columns``), brought to reduced row echelon form mod q: they
-    depend on the shape alone, n, d, the unit multiplicity and the frame
-    multiplicities ``heavy``, and are reduced once per shape.
+    """The unit point's rows in degree d on the frame's columns, the
+    degree-d monomials with beta_k <= d - m_k for the k-th of the frame
+    multiplicities ``heavy``, where no frame point's row is nonzero,
+    brought to reduced row echelon form mod q: they depend on the shape
+    alone, n, d, the unit multiplicity and ``heavy``, and are reduced once
+    per shape.
 
     Returns (columns, pivots, off, limbs): the frame's columns as an index
     array, which gathers faster than a tuple or a mask, the pivot columns
@@ -482,7 +485,8 @@ def _unit_echelon(n, d, unit, heavy, q):
     as every caller shares them."""
     import numpy as np
 
-    columns = np.array(_frame_columns(n, d, heavy), dtype=np.intp)
+    columns = np.array([i for i, beta in enumerate(monomials(n, d))
+                        if all(b <= d - m for b, m in zip(beta, heavy))], dtype=np.intp)
     ech, pivots = np.zeros((0, len(columns)), dtype=np.int64), []
     if unit:
         ech, pivots = _echelon_mod_p(_residue_rows(n, d, q, [(1,) * (n + 1)], [unit], columns), q)
@@ -535,11 +539,12 @@ def _frame_rank(x, d, q):
     """The rank mod q of the conditions matrix in degree d, taken in the
     coordinate frame of ``_frame``, at every degree d >= 0.  The frame
     points' rows are unit vectors that span the monomials they reach, so
-    the rank is the count of those, the frame's units, plus the rank of
-    the other points' rows on the monomials left (``_frame_columns``); the
+    the rank is the count of those, the frame's units (``_frame_units``),
+    plus the rank of the other points' rows on the monomials left; the
     module docstring says why this is the rank of a projectively
     equivalent scheme.  Where the frame reaches every monomial, or no
-    other point is left, the count is the rank, and no numpy is needed.
+    other point is left, the count is the rank: no monomial is listed and
+    no numpy is needed.
 
     Of those rows, the unit point's are the same for every scheme of a
     shape, and their echelon comes from ``_unit_echelon``: the other
@@ -550,9 +555,8 @@ def _frame_rank(x, d, q):
     rank adds the echelon's pivot count.  With no unit point the echelon is
     empty and the reduction changes nothing."""
     heavy, unit, keys, mults = _frame(x, q)
-    columns = _frame_columns(x.n, d, heavy)
-    units = comb(x.n + d, x.n) - len(columns)
-    if not (columns and (keys or unit)):
+    units = _frame_units(x.n, d, heavy)
+    if not (keys or unit) or units == comb(x.n + d, x.n):
         return units
     columns, pivots, off, limbs = _unit_echelon(x.n, d, unit, heavy, q)
     units += len(pivots)
@@ -747,28 +751,23 @@ def hilbert_function(x, d):
     search's step-down ranked it: below the lower bound the climb starts
     from, the deficiency is proven and nothing is ranked.
 
-    This is the one certifier of a deficient value over Q, and the one
-    place that reduces the whole matrix's residues.  A value that is not
-    cached has its degree checked (``_check_degree``) and is ranked by
-    ``_rank_bound`` over F_p, where that rank is h_X(d), and where the
-    matrix is ranked on exact rows (``_on_exact_rows``).  Otherwise over Q
-    the whole matrix's residues modulo ``certificate_prime(0)`` are reduced
-    once: a full rank is h_X(d), and a deficient one hands its echelon to
-    the certificate on exact rows, which starts from it
-    (``ExactMatrix.rank``)."""
+    This is the one certifier of a deficient value over Q.  A value that
+    is not cached is ranked by ``_rank_bound``, which checks the degree
+    first: over F_p, and where the matrix is ranked on exact rows
+    (``_on_exact_rows``), that rank is h_X(d).  Otherwise it is a rank in
+    the coordinate frame mod q, and over Q it is h_X(d) where it is full,
+    min(deg X, binom(n + d, n)); a deficient one only bounds h_X(d) below,
+    and the exact rows are ranked, certified over Q (``ExactMatrix.rank``).
+    Below the monomial floor a full rank is binom(n + d, n), so a value
+    there is certified with no exact rows."""
     h = x._hilbert_cache.get(d)
     if h is None:
         if x._reg is not None and d >= x._reg:
             return x.degree()
-        _check_degree(x, d)
-        q = certificate_prime(0)
-        if x.field.p is not None or _on_exact_rows(x, d, q):
-            h = _rank_bound(x, d)
-        else:
-            first = _echelon_mod_p(_conditions_residues(x, d, q), q)
-            h = len(first[1])
-            if h < first[0].shape[1]:
-                h = conditions_matrix(x, d).rank(first=first)
+        h = _rank_bound(x, d)
+        if (x.field.p is None and not _on_exact_rows(x, d, certificate_prime(0))
+                and h < min(x.degree(), comb(x.n + d, x.n))):
+            h = conditions_matrix(x, d).rank()
         x._hilbert_cache[d] = h
     return h
 
@@ -803,7 +802,7 @@ def regularity_index(x):
     over the algebraic closure of the field, and there a linear form
     missing every support point is a nonzerodivisor on R/I_X, so
     multiplying by it embeds degree d into degree d + 1: full at d means
-    full above d.  Over F_p this needs p > d, which ``conditions_matrix``
+    full above d.  Over F_p this needs p > d, which ``_check_degree``
     enforces; the ideal of X itself does not depend on the derivative
     encoding.
 

@@ -253,15 +253,6 @@ class TestCertifiedRank:
         primes = [certificate_prime(k) for k in range(len(attempts))]
         assert len(attempts) > 2 and attempts == [prod(primes[:k + 1]) for k in range(len(primes))]
 
-    def test_certificate_starts_from_a_given_reduction(self, monkeypatch):
-        rows = low_rank(random.Random(5), 12, 15, 5)
-        tall = exact._tall(rows)
-        first = exact._echelon_mod_p(tall, certificate_prime(0))
-        primes = count_eliminations(monkeypatch)
-        no_bareiss(monkeypatch)
-        assert ExactMatrix(QQ, rows).rank(first=first) == 5
-        assert certificate_prime(0) not in primes
-
     def test_tall_kernel_certified_past_16_primes(self, monkeypatch):
         # kernel heights of roughly 4 x 2 x 120 bits exceed what the CRT
         # modulus of the first 16 primes can reconstruct

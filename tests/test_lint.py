@@ -201,20 +201,24 @@ def test_floats_only_in_the_limb_product():
     assert found == []
 
 
-def test_whole_residues_reduced_in_hilbert_function_only():
-    # the climb ranks every degree in the coordinate frame: the whole
-    # matrix's residues are built only for the certificate over Q in
-    # hilbert_function, so a second whole-matrix route cannot come back
+def test_residue_rows_built_in_the_frame_only():
+    # every rank mod q of numpy size is taken in the coordinate frame: the
+    # residue builder is called by the frame's rank and the unit point's
+    # echelon only, so a whole-matrix residue route cannot come back
     paths = sorted(pathlib.Path(fatpointlab.__file__).parent.rglob("*.py"))
-    found, seen = [], []
+    home = {"_frame_rank", "_unit_echelon"}
+    found, seen = [], set()
     for path in paths:
         tree = ast.parse(path.read_text(), str(path))
-        allowed = {id(node) for fn in tree.body
-                   if isinstance(fn, ast.FunctionDef) and fn.name == "hilbert_function"
+        allowed = {id(node): fn.name for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name in home
                    for node in ast.walk(fn)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "_conditions_residues" in (
+            if isinstance(node, ast.Call) and "_residue_rows" in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                (seen if id(node) in allowed else found).append("%s:%d" % (path.name, node.lineno))
-    assert seen  # the check sees the certificate's call
+                if id(node) in allowed:
+                    seen.add(allowed[id(node)])
+                else:
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert seen == home  # the check sees both callers
     assert found == []

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatpointlab import exact, schemes
-from fatpointlab.bounds import segre_bound
+from fatpointlab.bounds import modified_bound, segre_bound
 from fatpointlab.exact import ExactMatrix, GuardExceeded, InternalError, ScalarField
 from fatpointlab.generators import (
     collinear_points,
@@ -174,7 +174,7 @@ class TestConditionsMatrix:
             with pytest.raises(GuardExceeded, match="6 x 2003001 = 12018006 cells in degree 2000"):
                 conditions_matrix(x, d)
             with pytest.raises(GuardExceeded, match="CONDITIONS_MATRIX_GUARD"):
-                schemes._conditions_residues(x, d, 10007)
+                schemes._rank_bound(x, d)
             with pytest.raises(GuardExceeded):
                 hilbert_function(x, d)
 
@@ -238,6 +238,13 @@ class TestIntegerConditionsMatrix:
         assert all(v.denominator == 1 for row in m.entries for v in row)
 
 
+def rank_mod(x, d, q):
+    """Oracle: the rank mod q of the exact rows of the conditions matrix,
+    the whole matrix's residues, by one elimination that shares no code
+    with the residue builder."""
+    return len(exact._echelon_mod_p(exact._tall(conditions_matrix(x, d).entries), q)[1])
+
+
 def prime_above(d):
     p = d + 1
     while not exact.is_prime(p):
@@ -280,31 +287,39 @@ def residue_cases(draw, wide=False):
 
 
 class TestConditionsResidues:
-    """The climb's residue builder against the exact rows."""
+    """The frame's residue builder against the exact rows."""
 
-    @given(residue_cases(wide=True))
+    @given(residue_cases(wide=True), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_equals_exact_rows_mod_q(self, case):
+    def test_equals_exact_rows_mod_q(self, case, data):
+        # on a drawn subset of the columns, as the frame takes them
+        import numpy as np
+
         x, d = case
         q = exact.certificate_prime(0) if x.field.p is None else x.field.p
-        a = schemes._conditions_residues(x, d, q)
+        columns = sorted(data.draw(st.sets(st.integers(0, comb(x.n + d, x.n) - 1), min_size=1)))
+        a = schemes._residue_rows(x.n, d, q, x.keys, x.mults, np.array(columns, dtype=np.intp))
         assert str(a.dtype) == "int64"
-        rows = exact._tall(conditions_matrix(x, d).entries)
-        assert a.tolist() == [[v % q for v in row] for row in rows]
+        rows = conditions_matrix(x, d).entries
+        assert a.tolist() == [[row[j] % q for j in columns] for row in rows]
 
     def test_unfaithful_degrees_refused(self):
         x = FatPointScheme(ScalarField.prime(5), 2, [((1, 0, 0), 4), ((0, 1, 0), 4)])
         for d, message in [(5, "prime field too small"), (-1, "degree must be >= 0")]:
-            for build in (conditions_matrix, lambda y, e: schemes._conditions_residues(y, e, 5)):
+            for build in (conditions_matrix, schemes._rank_bound):
                 with pytest.raises(ValueError, match=message):
                     build(x, d)
 
     def test_helper_caches_are_keyed_by_shape(self):
         # the residue build caches per shape, (n, d, max m, q) and
-        # (n, m, pivot), and the frame's unit echelon per (n, d, unit m,
-        # frame mults, q), never per scheme: thousands of schemes leave
-        # those caches as small as the shapes they have
-        caches = schemes._shift_arrays, schemes._row_orders, schemes._unit_echelon
+        # (n, m, pivot), and the frame's units per (n, d, frame mults) and
+        # unit echelon per (n, d, unit m, frame mults, q), never per
+        # scheme: thousands of schemes leave those caches as small as the
+        # shapes they have
+        import numpy as np
+
+        caches = (schemes._shift_arrays, schemes._row_orders, schemes._frame_units,
+                  schemes._unit_echelon)
         for cache in caches:
             cache.cache_clear()
         rng = rng_from_seed(11)
@@ -312,17 +327,18 @@ class TestConditionsResidues:
         for _ in range(3000):
             x = random_scheme(rng, rng.randint(1, 3), 5, 3)
             d = rng.randint(0, 6)
-            schemes._conditions_residues(x, d, q)
+            columns = np.arange(comb(x.n + d, x.n))
+            schemes._residue_rows(x.n, d, q, x.keys, x.mults, columns)
             schemes._frame_rank(x, d, q)
         # n <= 3, d <= 6 and m <= 3 make 63 and 27 shapes, and at most
-        # this many frames (nonincreasing mults, at every degree) with a
-        # unit point (only beside a frame of n + 1 points) or none
-        frames = sum(1 for n in range(1, 4) for d in range(7) for size in range(1, n + 2)
-                     for heavy in combinations_with_replacement((3, 2, 1), size)
-                     for _ in range(4 if size == n + 1 else 1))
+        # this many frames (nonincreasing mults, at every degree), each
+        # with a unit point (only beside a frame of n + 1 points) or none
+        frames = [(n, size) for n in range(1, 4) for d in range(7) for size in range(1, n + 2)
+                  for heavy in combinations_with_replacement((3, 2, 1), size)]
+        echelons = sum(4 if size == n + 1 else 1 for n, size in frames)
         assert schemes._unit_echelon.cache_info().currsize > 0
         assert all(cache.cache_info().currsize <= bound
-                   for cache, bound in zip(caches, (63, 27, frames)))
+                   for cache, bound in zip(caches, (63, 27, len(frames), echelons)))
 
     @pytest.mark.parametrize("q", [10007, 2**31 - 1])
     def test_doubled_power_table_matches_pow(self, q):
@@ -452,7 +468,7 @@ class TestHilbertFunction:
         def refuse(*args):
             raise AssertionError("routed before the degree check")
 
-        for name in ("_on_exact_rows", "conditions_matrix", "_frame_rank", "_conditions_residues"):
+        for name in ("_on_exact_rows", "conditions_matrix", "_frame_rank", "_residue_rows"):
             monkeypatch.setattr(schemes, name, refuse)
         for field in (QQ, ScalarField.prime(7), ScalarField.prime(10007)):
             x = FatPointScheme(field, 2, [((1, 0, 0), 3), ((1, 2, 3), 2), ((0, 1, 5), 1)])
@@ -664,11 +680,11 @@ class TestBoundarySearch:
         # every degree from the floor in the frame: two points of the line
         # and the one off it set aside 3 conditions, and the other 6 are
         # eliminated on the monomials left, as 6 rows, the block's short
-        # side.  Then h(6), deficient mod q and so not cached, is reduced
-        # whole once and certified on exact rows from that reduction
+        # side.  Then h(6), deficient mod q and so not cached, is ranked in
+        # the frame again, deficient, and certified on its exact rows
         assert built == {"residues": [3, 4, 5, 6, 7, 6], "exact": [6]}
         assert first_prime_shapes(reductions) == [(6, 7), (6, 12), (6, 18), (6, 25), (6, 33),
-                                                  (28, 9)]
+                                                  (6, 25), (28, 9)]
         assert regularity_index_ascending(x) == 7
 
     def test_non_collinear_line_is_refused(self, monkeypatch):
@@ -699,11 +715,11 @@ class TestBoundarySearch:
         # from max(floor 6, 3 + 3 - 1): h(6) and h(7) are deficient in the
         # frame (the 6 conditions of (1, 2, 0)), which only says "climb
         # on", and h(8) full in it, each block eliminated on its short side;
-        # the step-down reduces degree 7 whole (24 conditions) once and
-        # certifies h(7) from that reduction.  Degree 6 is never reduced
-        # whole
+        # the step-down ranks degree 7 in the frame, deficient, and
+        # certifies h(7) on its exact rows (24 conditions).  Degree 6 has
+        # no exact rows built
         assert built == {"residues": [6, 7, 8, 7], "exact": [7]}
-        assert first_prime_shapes(reductions) == [(6, 10), (6, 18), (6, 27), (36, 24)]
+        assert first_prime_shapes(reductions) == [(6, 10), (6, 18), (6, 27), (6, 18), (36, 24)]
         assert hilbert_profile(x).values == hilbert_profile_ascending(x)
 
     def test_unlucky_first_prime_at_r(self, monkeypatch):
@@ -714,9 +730,9 @@ class TestBoundarySearch:
         build_residues = schemes._residue_rows
 
         def unlucky(n, d, q, *args):
-            # the first prime loses one rank on the degree-r matrices, the
-            # frame's block and the whole one: one condition (a row of the
-            # builder's residues) vanishes mod q
+            # the first prime loses one rank on the frame's blocks of degree
+            # r: one condition (a row of the builder's residues) vanishes
+            # mod q
             a = build_residues(n, d, q, *args)
             if d == r:
                 a[0] = 0
@@ -727,11 +743,11 @@ class TestBoundarySearch:
         assert regularity_index(x) == r
         # deficient in the frame at r (its block on the short side, the 6
         # conditions of (1, 2, 0)), so the climb goes on to r + 1, full in
-        # the frame; the step-down reduces degree r whole, deficient again,
-        # certifies it full on exact rows from that unlucky reduction, and
-        # stops at the line's bound
+        # the frame; the step-down ranks degree r in the frame, deficient
+        # again, certifies it full on exact rows, and stops at the line's
+        # bound
         assert built == {"residues": [r, r + 1, r], "exact": [r]}
-        assert first_prime_shapes(reductions) == [(6, 27), (6, 37), (45, 24)]
+        assert first_prime_shapes(reductions) == [(6, 27), (6, 37), (6, 27), (45, 24)]
         assert x._hilbert_cache == {r: x.degree(), r + 1: x.degree()}
 
     def test_sharp_cluster_builds_one_residue_matrix(self, monkeypatch):
@@ -769,19 +785,21 @@ class TestBoundarySearch:
         assert built == {"residues": [], "exact": []}
 
     def test_ctv_builds_no_matrix_of_z_above_r(self, monkeypatch):
+        # every rank of a degree goes through _rank_bound, and every exact
+        # row through conditions_matrix
         built = []
-        build_rows, build_residues = schemes.conditions_matrix, schemes._conditions_residues
+        build_rows, rank = schemes.conditions_matrix, schemes._rank_bound
 
         def rows(x, d):
             built.append((x, d))
             return build_rows(x, d)
 
-        def residues(x, d, q):
+        def ranked(x, d):
             built.append((x, d))
-            return build_residues(x, d, q)
+            return rank(x, d)
 
         monkeypatch.setattr(schemes, "conditions_matrix", rows)
-        monkeypatch.setattr(schemes, "_conditions_residues", residues)
+        monkeypatch.setattr(schemes, "_rank_bound", ranked)
         rng = rng_from_seed(7)
         done = 0
         while done < 20:
@@ -873,7 +891,8 @@ def unit_cases(draw):
 
 
 class TestFrameRank:
-    """The coordinate frame's rank against the whole matrix's."""
+    """The coordinate frame's rank against the whole matrix's, ranked mod q
+    on its exact rows (``rank_mod``)."""
 
     @given(frame_cases())
     @settings(max_examples=200, deadline=None)
@@ -886,7 +905,7 @@ class TestFrameRank:
         assert len(heavy) == ExactMatrix.from_integer_rows(x.field, x.keys).rank()
         # small coordinates: every key's first entry is a unit mod q, so
         # the whole residues rank X itself mod q, at every degree
-        assert r == len(exact._echelon_mod_p(schemes._conditions_residues(x, d, q), q)[1])
+        assert r == rank_mod(x, d, q)
 
     def test_frame_in_a_hyperplane(self):
         # five points of x_2 = 0 in P^2: a frame of two points, the other
@@ -902,28 +921,27 @@ class TestFrameRank:
         # below d = 3 + 3 - 1 the two frame points reach monomials in
         # common, and at d <= 1 some of their rows are zero: their rows
         # are still unit vectors, so the count of monomials reached holds
-        whole = [len(exact._echelon_mod_p(schemes._conditions_residues(x, d, 13), 13)[1])
-                 for d in range(5)]
+        whole = [rank_mod(x, d, 13) for d in range(5)]
         assert [schemes._frame_rank(x, d, 13) for d in range(5)] == whole == [1, 3, 6, 9, 11]
 
     def test_frame_ranks_every_degree_of_the_climb(self, monkeypatch):
         # the scheme of test_frame_in_a_hyperplane: its climb and every
         # Hilbert value up to r are ranked in the frame (or on exact rows
-        # below 64 cells), and no whole residue matrix is built, also at
-        # d = 2, 3 and 4, where the two frame points reach monomials in
-        # common
+        # below 64 cells), and no residue matrix on every monomial is
+        # built, also at d = 2, 3 and 4, where the two frame points reach
+        # monomials in common
         x = FatPointScheme(ScalarField.prime(13), 2, [((1, t, 0), 3 - t // 2) for t in range(5)])
         exact_ranks = [conditions_matrix(x, d).rank() for d in range(11)]
-        built, build = [], schemes._conditions_residues
+        built, build = [], schemes._residue_rows
 
-        def counted(y, d, q):
-            built.append(d)
-            return build(y, d, q)
+        def counted(n, d, q, keys, mults, columns):
+            built.append((d, len(columns)))
+            return build(n, d, q, keys, mults, columns)
 
-        monkeypatch.setattr(schemes, "_conditions_residues", counted)
+        monkeypatch.setattr(schemes, "_residue_rows", counted)
         assert regularity_index(x) == 10  # five points on a line, of total weight 11
         assert [hilbert_function(x, d) for d in range(11)] == exact_ranks
-        assert built == []
+        assert built and all(cols < comb(2 + d, 2) for d, cols in built)
 
     def test_unit_point_route_equals_the_whole_residues_rank(self):
         # schemes with s >= n + 2 points: mostly a frame of n + 1 points
@@ -938,7 +956,7 @@ class TestFrameRank:
             r = schemes._frame_rank(x, d, q)
             taken.append(x._frame.unit > 0)
             assert len(x._frame.keys) == x.support_size - len(x._frame.heavy) - (x._frame.unit > 0)
-            assert r == len(exact._echelon_mod_p(schemes._conditions_residues(x, d, q), q)[1])
+            assert r == rank_mod(x, d, q)
 
         check()
         assert sum(taken) > len(taken) / 2
@@ -955,7 +973,7 @@ class TestFrameRank:
         assert unit == 1 and keys == [(1, 0, pow(3, -1, q))] and mults == [2]
         for d in range(5, 9):
             r = schemes._frame_rank(x, d, q)
-            assert r == len(exact._echelon_mod_p(schemes._conditions_residues(x, d, q), q)[1])
+            assert r == rank_mod(x, d, q)
             assert r <= hilbert_function(x, d)
 
     @pytest.mark.parametrize("q", [10007, 2147483629, 2**31 - 1])
@@ -1016,34 +1034,89 @@ class TestFrameRank:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "5 (3, 3, 3) False\n"
 
-    def test_deficient_rank_over_q_is_certified_from_one_whole_echelon(self, monkeypatch):
+    def test_frame_units_count_the_monomials_reached(self):
+        # inclusion and exclusion over the frame points counts the
+        # monomials with beta_k > d - m_k for some k, those a frame point's
+        # row reaches, as listing them does: P^1 .. P^4, d <= 12, frames of
+        # 1 .. n + 1 points with nonincreasing multiplicities up to 8
+        import numpy as np
+
+        for n in range(1, 5):
+            for d in range(13):
+                exponents = np.array(monomials(n, d)).T
+                for size in range(1, n + 2):
+                    for heavy in combinations_with_replacement(range(8, 0, -1), size):
+                        reached = (exponents[:size] > d - np.array(heavy)[:, None]).any(axis=0)
+                        assert schemes._frame_units(n, d, heavy) == reached.sum()
+
+    def test_frame_of_every_point_lists_no_monomial(self, monkeypatch):
+        # the three coordinate points of P^2 are their own frame: h_X(1000)
+        # and the modified bound at d = 1000, over Q and over F_10007, are
+        # counts of the frame's units, with no monomial listed
+        def refuse(*args):
+            raise AssertionError("monomials listed")
+
+        monkeypatch.setattr(schemes, "monomials", refuse)
+        monkeypatch.setattr(schemes, "_exponent_columns", refuse)
+        for field in (QQ, ScalarField.prime(10007)):
+            x = FatPointScheme(field, 2, [((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1)])
+            assert hilbert_function(x, 1000) == 3
+            assert modified_bound(x, 1000)[0] == 1000
+
+    def test_deficient_rank_over_q_is_certified_on_exact_rows_once(self, monkeypatch):
         # the climb from the lighter line's bound 6 meets h(6) and h(7)
-        # deficient in the frame and reduces no whole matrix at either;
-        # the step-down builds the one whole residue matrix of degree 7,
-        # and the certificate starts from its echelon
+        # deficient in the frame; the step-down ranks degree 7 in the frame
+        # again and certifies it on its exact rows, one certificate, on
+        # their tall side, and no residue matrix on every monomial is built
         x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
         monkeypatch.setattr(schemes, "heaviest_line", lambda y: [0, 3])
-        q = exact.certificate_prime(0)
-        whole = exact._echelon_mod_p(schemes._conditions_residues(x, 7, q), q)
-        wholes, firsts = [], []
-        build_whole, rank = schemes._conditions_residues, ExactMatrix.rank
+        residues, kernels = [], []
+        build, kernel = schemes._residue_rows, exact._echelon_kernel
 
-        def counted(y, d, q):
-            wholes.append(d)
-            return build_whole(y, d, q)
+        def counted(n, d, q, keys, mults, columns):
+            residues.append(len(columns) == comb(n + d, n))
+            return build(n, d, q, keys, mults, columns)
 
-        def recording(self, first=None):
-            if first is not None:
-                firsts.append((first[0].copy(), list(first[1])))
-            return rank(self, first)
+        def certified(rows, p=None):
+            kernels.append((len(rows), len(rows[0])))
+            return kernel(rows, p)
 
-        monkeypatch.setattr(schemes, "_conditions_residues", counted)
-        monkeypatch.setattr(ExactMatrix, "rank", recording)
+        monkeypatch.setattr(schemes, "_residue_rows", counted)
+        monkeypatch.setattr(exact, "_echelon_kernel", certified)
+        built = count_conditions_matrices(monkeypatch)
         assert regularity_index(x) == 8
-        assert wholes == [7]
-        ((ech, pivots),) = firsts
-        assert pivots == whole[1] and ech.tolist() == whole[0].tolist()
+        assert residues and not any(residues)
+        assert built["exact"] == [7]
+        assert kernels == [(comb(2 + 7, 2), x.degree())]
         assert x._hilbert_cache == {7: 23, 8: x.degree()}
+
+    def test_full_value_over_q_certifies_nothing(self, monkeypatch):
+        # a full rank in the frame is h_X(d) over Q: below the monomial
+        # floor, where it is binom(n + d, n), and above r, on a fresh
+        # scheme that has no r(X) yet, hilbert_function reduces only the
+        # frame's blocks and builds no exact rows
+        def refuse(*args):
+            raise AssertionError("a full value was certified on exact rows")
+
+        points = [(p, 3) for p in LINE + [(3, 7, 1), (5, 2, 1)]]
+        x = FatPointScheme(QQ, 2, points)
+        deg, degrees = x.degree(), (4, 5, 9, 12)
+        assert schemes._monomial_floor(2, deg) == 7 and regularity_index(x) == 8
+        assert [conditions_matrix(x, d).rank() for d in degrees] == [15, 21, deg, deg]
+        y = FatPointScheme(QQ, 2, points)
+        built = count_conditions_matrices(monkeypatch)
+        reductions = count_reductions(monkeypatch)
+        monkeypatch.setattr(exact, "_echelon_kernel", refuse)
+        for d in degrees:
+            assert deg * comb(2 + d, 2) >= exact._NUMPY_MIN_CELLS
+            assert hilbert_function(y, d) == min(deg, comb(2 + d, 2))
+        # the frame of (1, 0, 0), (1, 1, 0) and (3, 7, 1) and the unit point
+        # (5, 2, 1) leave the other point's rows nothing to add at d <= 5,
+        # and its block is built at 9 and 12
+        assert built == {"residues": [9, 12], "exact": []}
+        # each reduction is a frame's: the 6 rows of the unit point or of
+        # the other point
+        assert reductions and all(6 in shape[1:] for shape in reductions)
 
     def test_degree_checks_come_before_the_frame(self, monkeypatch):
         # the prime field's size and the guard are checked before any frame
