@@ -35,8 +35,8 @@ mod q.  h_X is invariant under an invertible change of coordinates, so
 over F_p the frame gives h_X(d) itself and over Q a lower bound, and a
 full one certifies h_X(d).  Over Q a deficient rank mod q only says that
 the climb goes on: the one certifier of a deficient value is
-``hilbert_function``, which ranks the exact rows, certified over Q
-(``ExactMatrix.rank``).  The frame is the one route of a rank mod q of
+``_certified``, for ``hilbert_function`` and the climb's step-down, which
+ranks the exact rows, certified over Q (``ExactMatrix.rank``).  The frame is the one route of a rank mod q of
 numpy size.
 
 Beside a frame of n + 1 points one more point u, the unit point, is sent
@@ -46,9 +46,9 @@ projectively and is invertible mod q, so the argument above holds for DE
 unchanged.  The unit point's rows on the monomials left then depend on
 the shape alone, and their reduced echelon form mod q is computed once per
 shape (``_unit_echelon``).  Each degree reduces the other points' rows
-against it with one product on 16-bit limbs (``_add_product_mod``), in
-float64, which carries its sums exactly below 2^53, and eliminates them
-only on the monomials off its pivots, on the block's short side: the rank
+against it with one exact matrix product mod q
+(``modular._add_product_mod``), and eliminates them only on the monomials
+off its pivots, on the block's short side: the rank
 is the frame's units, plus the echelon's pivots, plus the rank of the
 reduced rest.  Without a unit point the echelon is empty.
 
@@ -86,8 +86,9 @@ from itertools import combinations, count, islice
 from math import comb, gcd, perm, prod
 from operator import mul
 
-from .exact import (_NUMPY_MIN_CELLS, ExactMatrix, GuardExceeded, InternalError, _echelon_mod_p,
-                    _rref_mod_p, certificate_prime, integer_vector)
+from .exact import _NUMPY_MIN_CELLS, ExactMatrix, GuardExceeded, InternalError, integer_vector
+from .modular import (_INT64_BOUND, _add_product_mod, _echelon_mod_p, _reduce, _rref_mod_p,
+                      _split_limbs, certificate_prime)
 
 # The most cells, deg X rows by binom(n + d, n) columns, of a conditions
 # matrix that is built.  Each takes several int64 arrays of its size as
@@ -371,14 +372,6 @@ def _power_table(keys, count, q):
     return powers
 
 
-def _reduce(c, q):
-    """The int64 array c >= 0 reduced mod q in place, as c - c // q * q:
-    the values of c % q, but numpy's floor division by a scalar multiplies
-    where its % divides in hardware, entry by entry."""
-    c -= c // q * q
-    return c
-
-
 class _Frame(namedtuple("_Frame", "heavy unit keys mults")):
     """X in a coordinate frame modulo q: the multiplicities of the frame
     points, which sit at e_0, e_1, .. in that order, the multiplicity of
@@ -496,43 +489,6 @@ def _unit_echelon(n, d, unit, heavy, q):
     for a in out:
         a.setflags(write=False)
     return out
-
-
-def _split_limbs(a):
-    """The int64 array a of residues below 2^31 as its 16-bit limbs, in
-    float64: the low ones stacked above the high ones, which are below
-    2^15."""
-    import numpy as np
-
-    return np.concatenate([a & 0xFFFF, a >> 16]).astype(np.float64)
-
-
-def _add_product_mod(c, limbs, b, q):
-    """(c + a b) mod q for int64 arrays of residues mod a prime q < 2^31,
-    a given as its ``_split_limbs``: float64 products of the limbs by b,
-    in chunks of k rows of b with k 2^16 q < 2^53 (64 rows for q near
-    2^31).  Each sum of a chunk is an integer below 2^53, which float64
-    carries exactly; the sums are reduced mod q between chunks, and the
-    high limbs' before they are shifted back.  The bound on q is checked
-    explicitly, so the check also runs under ``python -O``.  This is the
-    one place that computes in floating point."""
-    import numpy as np
-
-    if q >= 2**31:
-        raise ValueError("limb product modulo q = %d is not exact in float64: chunks of "
-                         "k >= 64 rows need k * 2^16 * q < 2^53, so q < 2^31" % q)
-    k = (2**53 - 1) // (q << 16)
-    b = b.astype(np.float64)
-    t = (limbs[:, :k] @ b[:k]).astype(np.int64)
-    for s in range(k, len(b), k):
-        _reduce(t, q)
-        t += (limbs[:, s:s + k] @ b[s:s + k]).astype(np.int64)
-    low, high = t[:len(t) // 2], t[len(t) // 2:]
-    high %= q
-    high <<= 16
-    low += high
-    low += c
-    return _reduce(low, q)
 
 
 def _frame_rank(x, d, q):
@@ -748,27 +704,35 @@ def hilbert_function(x, d):
     """h_X(d) = dim [R/I_X]_d = rank of the conditions matrix, and deg X
     from a certified r(X) on.  Only certified values are cached; after
     ``regularity_index`` they include h_X(r), and h_X(r - 1) where the
-    search's step-down ranked it: below the lower bound the climb starts
-    from, the deficiency is proven and nothing is ranked.
-
-    This is the one certifier of a deficient value over Q.  A value that
-    is not cached is ranked by ``_rank_bound``, which checks the degree
-    first: over F_p, and where the matrix is ranked on exact rows
-    (``_on_exact_rows``), that rank is h_X(d).  Otherwise it is a rank in
-    the coordinate frame mod q, and over Q it is h_X(d) where it is full,
-    min(deg X, binom(n + d, n)); a deficient one only bounds h_X(d) below,
-    and the exact rows are ranked, certified over Q (``ExactMatrix.rank``).
-    Below the monomial floor a full rank is binom(n + d, n), so a value
-    there is certified with no exact rows."""
+    search's step-down certified it: below the lower bound the climb
+    starts from, the deficiency is proven and nothing is ranked.  A value
+    that is not cached is ranked by ``_rank_bound``, which checks the
+    degree first, and certified by ``_certified``."""
     h = x._hilbert_cache.get(d)
     if h is None:
         if x._reg is not None and d >= x._reg:
             return x.degree()
-        h = _rank_bound(x, d)
-        if (x.field.p is None and not _on_exact_rows(x, d, certificate_prime(0))
-                and h < min(x.degree(), comb(x.n + d, x.n))):
-            h = conditions_matrix(x, d).rank()
-        x._hilbert_cache[d] = h
+        h = _certified(x, d, _rank_bound(x, d))
+    return h
+
+
+def _certified(x, d, h):
+    """h_X(d) from h = ``_rank_bound(x, d)``, cached on X: the one
+    certifier of a deficient value over Q, called by ``hilbert_function``
+    and by the step-down of ``regularity_index`` with the climb's rank, so
+    no degree is ranked in the frame twice.
+
+    Over F_p, and where the matrix is ranked on exact rows
+    (``_on_exact_rows``), h is h_X(d).  Otherwise it is a rank in the
+    coordinate frame mod q, and over Q it is h_X(d) where it is full,
+    min(deg X, binom(n + d, n)); a deficient one only bounds h_X(d) below,
+    and the exact rows are ranked, certified over Q (``ExactMatrix.rank``).
+    Below the monomial floor a full rank is binom(n + d, n), so a value
+    there is certified with no exact rows."""
+    if (x.field.p is None and not _on_exact_rows(x, d, certificate_prime(0))
+            and h < min(x.degree(), comb(x.n + d, x.n))):
+        h = conditions_matrix(x, d).rank()
+    x._hilbert_cache[d] = h
     return h
 
 
@@ -776,7 +740,7 @@ def _on_exact_rows(x, d, q):
     """Whether the conditions matrix in degree d is ranked on its exact
     rows rather than on residues mod q: for q >= 2^31, and below
     ``_NUMPY_MIN_CELLS`` cells."""
-    return q >= 2**31 or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS
+    return q >= _INT64_BOUND or x.degree() * comb(x.n + d, x.n) < _NUMPY_MIN_CELLS
 
 
 def _rank_bound(x, d):
@@ -825,9 +789,10 @@ def regularity_index(x):
     prime, or exactly, and h_X does not change under an invertible change
     of coordinates, so a full rank modulo a prime is full over Q, and the
     rank over F_p is exact.  Only those values are cached; over Q a
-    deficient rank only says that the climb goes on.  At the first
-    full degree d, if d is above the bound, h_X(d - 1) is certified by
-    ``hilbert_function``, and the search steps down while that is full too,
+    deficient rank only says that the climb goes on, and is kept for the
+    step-down.  At the first full degree d, if d is above the bound,
+    h_X(d - 1) is certified from the climb's rank there (``_certified``),
+    and the search steps down while that is full too,
     which only an unlucky prime, one that lost rank at r and took the climb
     past it, can cause.  A degree already in the scheme's cache of
     certified values is read from there, not built.  Over F_p the start is
@@ -846,19 +811,22 @@ def regularity_index(x):
             lower = max(floor, sum(x.mults[i] for i in line) - 1)
         p = x.field.p
         d = lower if p is None else max(floor, min(lower, p - 1))
-        cache = x._hilbert_cache
+        cache, bounds = x._hilbert_cache, {}  # bounds: the climb's deficient ranks over Q
         while True:
             h = cache.get(d)
             if h is None:
                 h = _rank_bound(x, d)
                 if p is not None or h == deg:
                     cache[d] = h
+                else:
+                    bounds[d] = h
             if h == deg:
                 break
             d += 1
             if d > max(0, deg - 1):
                 raise InternalError("regularity search exceeded deg X - 1")
-        while d > lower and hilbert_function(x, d - 1) == deg:
+        while d > lower and (cache[d - 1] if d - 1 in cache
+                             else _certified(x, d - 1, bounds[d - 1])) == deg:
             d -= 1
         x._reg = d
     return x._reg

@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatpointlab import exact
+from fatpointlab import exact, modular
 from fatpointlab.exact import (
     PRIMALITY_BOUND,
     ExactMatrix,
     InternalError,
     ScalarField,
     _bareiss_echelon,
-    certificate_prime,
     is_prime,
 )
 from fatpointlab.instances import InstanceError, field_from_descriptor
 from fatpointlab.matroid import VectorMatroid
+from fatpointlab.modular import certificate_prime
 from fatpointlab.schemes import FatPointScheme, conditions_matrix, regularity_index
 from oracles import rref, rref_kernel_basis
 
@@ -168,19 +168,19 @@ def transposed(rows):
 def certified_rank(rows):
     """The rank over Q of integer rows by the modular certificate, which
     ``rank`` uses only from ``_NUMPY_MIN_CELLS`` cells on."""
-    return len(exact._echelon_kernel(exact._tall(rows))[0])
+    return len(modular._echelon_kernel(exact._tall(rows))[0])
 
 
 def count_lifts(monkeypatch):
     """The moduli of the kernel lifts from now on, in order."""
     attempts = []
-    lift = exact._lift
+    lift = modular._lift
 
     def counted(rows, lifts, modulus):
         attempts.append(modulus)
         return lift(rows, lifts, modulus)
 
-    monkeypatch.setattr(exact, "_lift", counted)
+    monkeypatch.setattr(modular, "_lift", counted)
     return attempts
 
 
@@ -188,13 +188,13 @@ def count_eliminations(monkeypatch):
     """The primes of the eliminations mod p from now on, in order: every
     one goes through ``_echelon_mod_p``."""
     primes = []
-    eliminate = exact._echelon_mod_p
+    eliminate = modular._echelon_mod_p
 
     def counted(rows, p):
         primes.append(p)
         return eliminate(rows, p)
 
-    monkeypatch.setattr(exact, "_echelon_mod_p", counted)
+    monkeypatch.setattr(modular, "_echelon_mod_p", counted)
     return primes
 
 
@@ -292,7 +292,7 @@ class TestCertifiedRank:
         def refused(rows, lifts, modulus):
             attempts.append(modulus)
 
-        monkeypatch.setattr(exact, "_lift", refused)
+        monkeypatch.setattr(modular, "_lift", refused)
         with pytest.raises(InternalError, match="Hadamard"):
             certified_rank(rows)
         # 16 lifts, then one at the first count past 16 with enough bits
@@ -304,7 +304,7 @@ class TestCertifiedRank:
         def refuse(*args):
             raise AssertionError("a rank was certified from a kernel")
 
-        monkeypatch.setattr(exact, "_echelon_kernel", refuse)
+        monkeypatch.setattr(modular, "_echelon_kernel", refuse)
         line = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
         x = FatPointScheme(QQ, 2, [(p, 5) for p in line + [(3, 7, 1), (5, 2, 1)]])
         assert regularity_index(x) == 14
@@ -353,7 +353,7 @@ class TestLargePrime:
         assert ExactMatrix(QQ, rows).rank() == 9
         m = ExactMatrix(ScalarField.prime(self.P), rows)
         assert m.rank() == 8
-        assert exact._echelon_mod_p(m.entries, self.P)[0].dtype == object
+        assert modular._echelon_mod_p(m.entries, self.P)[0].dtype == object
         (v,) = m.kernel_basis()
         assert all(type(x) is int for x in v)
         assert m.mul_vector(v) == (0,) * 9
@@ -476,7 +476,7 @@ class TestKernelAgainstGaussJordan:
         rows = [[1, 2 * p, 3] + [k] * 6 for k in range(1, 9)]
         rows[1][:3] = [1, p, 5]
         pivots = rref([[QQ.elem(x) for x in row] for row in rows], QQ)[1]
-        unlucky = exact._echelon_mod_p(rows, p)[1]
+        unlucky = modular._echelon_mod_p(rows, p)[1]
         assert len(pivots) == len(unlucky) and pivots < unlucky
         moduli = count_lifts(monkeypatch)
         no_bareiss(monkeypatch)
@@ -500,7 +500,7 @@ class TestSmallRankRoute:
             subset: minor_rank(ExactMatrix.from_columns(QQ, [columns[j] for j in subset]))
             for size in range(1, 7) for subset in combinations(m.elements, size)
         }
-        monkeypatch.setattr(exact, "_echelon_mod_p", refuse("_echelon_mod_p"))
+        monkeypatch.setattr(modular, "_echelon_mod_p", refuse("_echelon_mod_p"))
         monkeypatch.setattr(ExactMatrix, "__init__", refuse("ExactMatrix.__init__"))
         monkeypatch.setattr(ExactMatrix, "from_integer_rows",
                             classmethod(refuse("ExactMatrix.from_integer_rows")))
@@ -516,8 +516,8 @@ class TestSmallRankRoute:
         assert bareiss_rank(rows) == 5
         assert (nrows * ncols < exact._NUMPY_MIN_CELLS) == (route == "bareiss")
         if route == "bareiss":
-            monkeypatch.setattr(exact, "_echelon_kernel", refuse("_echelon_kernel"))
-            monkeypatch.setattr(exact, "_echelon_mod_p", refuse("_echelon_mod_p"))
+            monkeypatch.setattr(modular, "_echelon_kernel", refuse("_echelon_kernel"))
+            monkeypatch.setattr(modular, "_echelon_mod_p", refuse("_echelon_mod_p"))
         else:
             no_bareiss(monkeypatch)
         assert ExactMatrix(QQ, rows).rank() == 5
@@ -534,7 +534,7 @@ class TestSmallRankRoute:
         expected = len(rref([[field.elem(x) for x in row] for row in rows], field)[1])
         assert expected == 3
         if nrows * ncols < exact._NUMPY_MIN_CELLS:
-            monkeypatch.setattr(exact, "_echelon_mod_p", refuse("_echelon_mod_p"))
+            monkeypatch.setattr(modular, "_echelon_mod_p", refuse("_echelon_mod_p"))
         else:
             no_bareiss(monkeypatch)
         assert ExactMatrix(field, rows).rank() == expected
@@ -548,7 +548,7 @@ class TestSmallRankRoute:
         m = ExactMatrix(QQ, rows)
         expected = bareiss_rank([row[:ncols] for row in rows])
         if route == "bareiss":
-            monkeypatch.setattr(exact, "_echelon_kernel", refuse("_echelon_kernel"))
+            monkeypatch.setattr(modular, "_echelon_kernel", refuse("_echelon_kernel"))
         else:
             no_bareiss(monkeypatch)
         assert m.rank_of_column_subset(range(ncols)) == expected == 6
@@ -677,7 +677,7 @@ class TestResidueArrays:
         rows, p, as_array = case
         field = ScalarField.prime(p)
         given = np.array([[x % p for x in row] for row in rows], dtype=np.int64) if as_array else rows
-        ech, pivots = exact._echelon_mod_p(given, p)
+        ech, pivots = modular._echelon_mod_p(given, p)
         assert ech.dtype == (np.int64 if p < 2**31 else object)
         assert pivots == _bareiss_echelon(rows, p)[1]
         # pivot rows are 1 at their pivots, with zeros below each pivot and
@@ -685,7 +685,7 @@ class TestResidueArrays:
         r = len(pivots)
         assert all(ech[i, c] == 1 and not ech[i + 1:, c].any() for i, c in enumerate(pivots))
         assert not ech[r:].any()
-        red = exact._rref_mod_p(ech, pivots, p)
+        red = modular._rref_mod_p(ech, pivots, p)
         assert red is ech
         expected, expected_pivots = rref([[field.elem(x) for x in row] for row in rows], field)
         assert pivots == expected_pivots
@@ -697,13 +697,13 @@ class TestResidueArrays:
 
         rows = low_rank(random.Random(shape[0]), *shape, 2)
         rows = [[x % 10007 for x in row] for row in rows]
-        ech, pivots = exact._echelon_mod_p(np.array(rows, dtype=np.int64), 10007)
-        expected_ech, expected_pivots = exact._echelon_mod_p(rows, 10007)
+        ech, pivots = modular._echelon_mod_p(np.array(rows, dtype=np.int64), 10007)
+        expected_ech, expected_pivots = modular._echelon_mod_p(rows, 10007)
         assert pivots == expected_pivots
         assert ech.tolist() == expected_ech.tolist()
         assert ech.dtype == expected_ech.dtype == np.int64
-        red = exact._rref_mod_p(ech, pivots, 10007)
-        assert red.tolist() == exact._rref_mod_p(expected_ech, pivots, 10007).tolist()
+        red = modular._rref_mod_p(ech, pivots, 10007)
+        assert red.tolist() == modular._rref_mod_p(expected_ech, pivots, 10007).tolist()
         assert red.dtype == np.int64
 
     def test_int64_residues_refused_from_2_31(self):
@@ -713,5 +713,5 @@ class TestResidueArrays:
 
         for p in (2**31 + 11, 2**61 - 1):
             with pytest.raises(ValueError, match="overflow"):
-                exact._echelon_mod_p(np.eye(8, dtype=np.int64), p)
-        assert exact._echelon_mod_p(np.eye(8, dtype=np.int64), certificate_prime(0))[1] == list(range(8))
+                modular._echelon_mod_p(np.eye(8, dtype=np.int64), p)
+        assert modular._echelon_mod_p(np.eye(8, dtype=np.int64), certificate_prime(0))[1] == list(range(8))

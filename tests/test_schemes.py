@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fatpointlab import exact, schemes
+from fatpointlab import exact, modular, schemes
 from fatpointlab.bounds import modified_bound, segre_bound
 from fatpointlab.exact import ExactMatrix, GuardExceeded, InternalError, ScalarField
 from fatpointlab.generators import (
@@ -242,7 +242,7 @@ def rank_mod(x, d, q):
     """Oracle: the rank mod q of the exact rows of the conditions matrix,
     the whole matrix's residues, by one elimination that shares no code
     with the residue builder."""
-    return len(exact._echelon_mod_p(exact._tall(conditions_matrix(x, d).entries), q)[1])
+    return len(modular._echelon_mod_p(exact._tall(conditions_matrix(x, d).entries), q)[1])
 
 
 def prime_above(d):
@@ -296,7 +296,7 @@ class TestConditionsResidues:
         import numpy as np
 
         x, d = case
-        q = exact.certificate_prime(0) if x.field.p is None else x.field.p
+        q = modular.certificate_prime(0) if x.field.p is None else x.field.p
         columns = sorted(data.draw(st.sets(st.integers(0, comb(x.n + d, x.n) - 1), min_size=1)))
         a = schemes._residue_rows(x.n, d, q, x.keys, x.mults, np.array(columns, dtype=np.intp))
         assert str(a.dtype) == "int64"
@@ -323,7 +323,7 @@ class TestConditionsResidues:
         for cache in caches:
             cache.cache_clear()
         rng = rng_from_seed(11)
-        q = exact.certificate_prime(0)
+        q = modular.certificate_prime(0)
         for _ in range(3000):
             x = random_scheme(rng, rng.randint(1, 3), 5, 3)
             d = rng.randint(0, 6)
@@ -591,20 +591,20 @@ def count_reductions(monkeypatch):
     every one goes through ``_echelon_mod_p``, and the shape names the
     route, a frame's block or a whole matrix."""
     reductions = []
-    eliminate = exact._echelon_mod_p
+    eliminate = modular._echelon_mod_p
 
     def counted(rows, p):
         reductions.append((p, len(rows), len(rows[0])))
         return eliminate(rows, p)
 
-    monkeypatch.setattr(exact, "_echelon_mod_p", counted)
+    monkeypatch.setattr(modular, "_echelon_mod_p", counted)
     monkeypatch.setattr(schemes, "_echelon_mod_p", counted)
     return reductions
 
 
 def first_prime_shapes(reductions):
     """The (rows, cols) of the reductions modulo the first certificate prime."""
-    return [(rows, cols) for p, rows, cols in reductions if p == exact.certificate_prime(0)]
+    return [(rows, cols) for p, rows, cols in reductions if p == modular.certificate_prime(0)]
 
 
 class TestBoundarySearch:
@@ -680,11 +680,12 @@ class TestBoundarySearch:
         # every degree from the floor in the frame: two points of the line
         # and the one off it set aside 3 conditions, and the other 6 are
         # eliminated on the monomials left, as 6 rows, the block's short
-        # side.  Then h(6), deficient mod q and so not cached, is ranked in
-        # the frame again, deficient, and certified on its exact rows
-        assert built == {"residues": [3, 4, 5, 6, 7, 6], "exact": [6]}
+        # side.  Then h(6), deficient mod q and so not cached, is certified
+        # on its exact rows from the climb's rank, not ranked in the frame
+        # again
+        assert built == {"residues": [3, 4, 5, 6, 7], "exact": [6]}
         assert first_prime_shapes(reductions) == [(6, 7), (6, 12), (6, 18), (6, 25), (6, 33),
-                                                  (6, 25), (28, 9)]
+                                                  (28, 9)]
         assert regularity_index_ascending(x) == 7
 
     def test_non_collinear_line_is_refused(self, monkeypatch):
@@ -715,11 +716,11 @@ class TestBoundarySearch:
         # from max(floor 6, 3 + 3 - 1): h(6) and h(7) are deficient in the
         # frame (the 6 conditions of (1, 2, 0)), which only says "climb
         # on", and h(8) full in it, each block eliminated on its short side;
-        # the step-down ranks degree 7 in the frame, deficient, and
-        # certifies h(7) on its exact rows (24 conditions).  Degree 6 has
-        # no exact rows built
-        assert built == {"residues": [6, 7, 8, 7], "exact": [7]}
-        assert first_prime_shapes(reductions) == [(6, 10), (6, 18), (6, 27), (6, 18), (36, 24)]
+        # the step-down certifies h(7) on its exact rows (24 conditions)
+        # from the climb's deficient rank there.  Degree 6 has no exact
+        # rows built
+        assert built == {"residues": [6, 7, 8], "exact": [7]}
+        assert first_prime_shapes(reductions) == [(6, 10), (6, 18), (6, 27), (36, 24)]
         assert hilbert_profile(x).values == hilbert_profile_ascending(x)
 
     def test_unlucky_first_prime_at_r(self, monkeypatch):
@@ -743,11 +744,11 @@ class TestBoundarySearch:
         assert regularity_index(x) == r
         # deficient in the frame at r (its block on the short side, the 6
         # conditions of (1, 2, 0)), so the climb goes on to r + 1, full in
-        # the frame; the step-down ranks degree r in the frame, deficient
-        # again, certifies it full on exact rows, and stops at the line's
+        # the frame; the step-down certifies degree r full on exact rows
+        # from the climb's deficient rank there, and stops at the line's
         # bound
-        assert built == {"residues": [r, r + 1, r], "exact": [r]}
-        assert first_prime_shapes(reductions) == [(6, 27), (6, 37), (6, 27), (45, 24)]
+        assert built == {"residues": [r, r + 1], "exact": [r]}
+        assert first_prime_shapes(reductions) == [(6, 27), (6, 37), (45, 24)]
         assert x._hilbert_cache == {r: x.degree(), r + 1: x.degree()}
 
     def test_sharp_cluster_builds_one_residue_matrix(self, monkeypatch):
@@ -757,7 +758,7 @@ class TestBoundarySearch:
         x = FatPointScheme(QQ, 2, [(p, 5) for p in LINE + [(3, 7, 1), (5, 2, 1)]])
         schemes._unit_echelon.cache_clear()
         built = count_conditions_matrices(monkeypatch)
-        monkeypatch.setattr(exact, "_echelon_kernel", refuse)
+        monkeypatch.setattr(modular, "_echelon_kernel", refuse)
         reductions = count_reductions(monkeypatch)
         assert regularity_index(x) == 14
         # the line of weight 15 proves h(13) < 75, so the climb starts at
@@ -898,7 +899,7 @@ class TestFrameRank:
     @settings(max_examples=200, deadline=None)
     def test_equals_the_whole_residues_rank(self, case):
         x, d = case
-        q = exact.certificate_prime(0) if x.field.p is None else x.field.p
+        q = modular.certificate_prime(0) if x.field.p is None else x.field.p
         r = schemes._frame_rank(x, d, q)
         heavy = x._frame.heavy
         assert list(heavy) == sorted(heavy, reverse=True)
@@ -952,7 +953,7 @@ class TestFrameRank:
         @settings(max_examples=150, deadline=None, database=None)
         def check(case):
             x, d = case
-            q = exact.certificate_prime(0) if x.field.p is None else x.field.p
+            q = modular.certificate_prime(0) if x.field.p is None else x.field.p
             r = schemes._frame_rank(x, d, q)
             taken.append(x._frame.unit > 0)
             assert len(x._frame.keys) == x.support_size - len(x._frame.heavy) - (x._frame.unit > 0)
@@ -965,7 +966,7 @@ class TestFrameRank:
         # the frame is e_0, e_1, e_2; the heaviest other point, (1, q, 1),
         # is (1 : 0 : 1) mod q, so the next one, (1, 2, 3), is sent to
         # (1 : 1 : 1), and the skipped point's image is scaled with the rest
-        q = exact.certificate_prime(0)
+        q = modular.certificate_prime(0)
         x = FatPointScheme(QQ, 2, [((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3),
                                    ((1, q, 1), 2), ((1, 2, 3), 1)])
         heavy, unit, keys, mults = schemes._frame(x, q)
@@ -988,9 +989,9 @@ class TestFrameRank:
                               (4, 64, 3), (4, 65, 3), (3, 129, 5)]:
             a, b, c = ([[rng.randint(q - 3, q - 1) for _ in range(w)] for _ in range(h)]
                        for h, w in [(rows, k), (k, cols), (rows, cols)])
-            limbs = schemes._split_limbs(np.array(a, dtype=np.int64))
+            limbs = modular._split_limbs(np.array(a, dtype=np.int64))
             assert str(limbs.dtype) == "float64"
-            got = schemes._add_product_mod(np.array(c, dtype=np.int64), limbs,
+            got = modular._add_product_mod(np.array(c, dtype=np.int64), limbs,
                                            np.array(b, dtype=np.int64), q)
             assert str(got.dtype) == "int64"
             assert got.tolist() == [[(c[i][j] + sum(a[i][t] * b[t][j] for t in range(k))) % q
@@ -1003,12 +1004,12 @@ class TestFrameRank:
         import numpy as np
 
         q = 2**31 - 1
-        limbs = schemes._split_limbs(np.full((1, 2**15), q - 1, dtype=np.int64))
-        got = schemes._add_product_mod(np.zeros((1, 1), dtype=np.int64), limbs,
+        limbs = modular._split_limbs(np.full((1, 2**15), q - 1, dtype=np.int64))
+        got = modular._add_product_mod(np.zeros((1, 1), dtype=np.int64), limbs,
                                        np.full((2**15, 1), q - 1, dtype=np.int64), q)
         assert got.tolist() == [[2**15]]  # 2^15 (q - 1)^2 = 2^15 mod q
         with pytest.raises(ValueError, match="modulo q = 2147483659 is not exact"):
-            schemes._add_product_mod(np.zeros((1, 1), dtype=np.int64), limbs[:, :1],
+            modular._add_product_mod(np.zeros((1, 1), dtype=np.int64), limbs[:, :1],
                                      np.zeros((1, 1), dtype=np.int64), 2147483659)
         src = os.path.dirname(os.path.dirname(schemes.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -1065,13 +1066,18 @@ class TestFrameRank:
 
     def test_deficient_rank_over_q_is_certified_on_exact_rows_once(self, monkeypatch):
         # the climb from the lighter line's bound 6 meets h(6) and h(7)
-        # deficient in the frame; the step-down ranks degree 7 in the frame
-        # again and certifies it on its exact rows, one certificate, on
-        # their tall side, and no residue matrix on every monomial is built
+        # deficient in the frame; the step-down certifies degree 7 on its
+        # exact rows from the climb's rank there, without ranking it in the
+        # frame again, one certificate, on their tall side, and no residue
+        # matrix on every monomial is built
         x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
         monkeypatch.setattr(schemes, "heaviest_line", lambda y: [0, 3])
-        residues, kernels = [], []
-        build, kernel = schemes._residue_rows, exact._echelon_kernel
+        residues, kernels, framed = [], [], []
+        build, kernel, frame_rank = schemes._residue_rows, modular._echelon_kernel, schemes._frame_rank
+
+        def ranked(y, d, q):
+            framed.append(d)
+            return frame_rank(y, d, q)
 
         def counted(n, d, q, keys, mults, columns):
             residues.append(len(columns) == comb(n + d, n))
@@ -1082,9 +1088,11 @@ class TestFrameRank:
             return kernel(rows, p)
 
         monkeypatch.setattr(schemes, "_residue_rows", counted)
-        monkeypatch.setattr(exact, "_echelon_kernel", certified)
+        monkeypatch.setattr(modular, "_echelon_kernel", certified)
+        monkeypatch.setattr(schemes, "_frame_rank", ranked)
         built = count_conditions_matrices(monkeypatch)
         assert regularity_index(x) == 8
+        assert framed == [6, 7, 8]
         assert residues and not any(residues)
         assert built["exact"] == [7]
         assert kernels == [(comb(2 + 7, 2), x.degree())]
@@ -1106,7 +1114,7 @@ class TestFrameRank:
         y = FatPointScheme(QQ, 2, points)
         built = count_conditions_matrices(monkeypatch)
         reductions = count_reductions(monkeypatch)
-        monkeypatch.setattr(exact, "_echelon_kernel", refuse)
+        monkeypatch.setattr(modular, "_echelon_kernel", refuse)
         for d in degrees:
             assert deg * comb(2 + d, 2) >= exact._NUMPY_MIN_CELLS
             assert hilbert_function(y, d) == min(deg, comb(2 + d, 2))
@@ -1166,9 +1174,9 @@ class TestFrameRank:
 LIMB_BOUND = """
 import sys
 import numpy as np
-from fatpointlab import schemes
+from fatpointlab import modular
 try:
-    schemes._add_product_mod(np.zeros((1, 1), dtype=np.int64), np.zeros((2, 1)),
+    modular._add_product_mod(np.zeros((1, 1), dtype=np.int64), np.zeros((2, 1)),
                              np.zeros((1, 1), dtype=np.int64), 2147483659)
 except ValueError as exc:
     print("optimize %d: ValueError: %s" % (sys.flags.optimize, exc))
