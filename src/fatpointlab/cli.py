@@ -7,8 +7,9 @@ parse error; 3 = some checks skipped (none failed): a size guard tripped
 enumeration, which main-theorem and cardinality need, past 24 support
 points; ``MODIFIED_BOUND_GUARD`` on the modified bound past 12;
 ``CONDITIONS_MATRIX_GUARD`` on any conditions matrix of more than 10^7
-cells) or a check needs two points and the scheme has one; 4 = partition
-infeasible (the witness subset is emitted instead of a certificate).
+cells, and on a Veronese lift of more than 10^7 coordinates) or a check
+needs two points and the scheme has one; 4 = partition infeasible (the
+witness subset is emitted instead of a certificate).
 """
 
 from __future__ import annotations

@@ -83,7 +83,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, count, islice
-from math import comb, gcd, perm, prod
+from math import comb, gcd, perm
 from operator import mul
 
 from .exact import _NUMPY_MIN_CELLS, ExactMatrix, GuardExceeded, InternalError, integer_vector
@@ -528,7 +528,9 @@ def _frame_rank(x, d, q):
 def _normalized(v, p):
     """The integer vector v up to scale: primitive with its first nonzero
     entry positive (over F_p: reduced, with that entry 1), or None where v
-    is zero (mod p), which its gcd tells."""
+    is zero (mod p), which its gcd tells.  A primitive vector is not
+    divided, which spares a pass over long vectors of big integers such as
+    a Veronese image."""
     if p is not None:
         v = [c % p for c in v]
     g = gcd(*v)
@@ -542,7 +544,7 @@ def _normalized(v, p):
         return tuple([e * inv % p for e in v])
     if c < 0:
         g = -g
-    return tuple([e // g for e in v])
+    return tuple(v) if g == 1 else tuple([e // g for e in v])
 
 
 def _reduced(images, u, p):
@@ -899,19 +901,35 @@ def ctv_decomposition_check(x):
 
 def veronese_lift(x, d):
     """The image of X under the degree-d Veronese embedding; coordinates are
-    the degree-d monomials (degree-lexicographic order), multiplicities kept."""
+    the degree-d monomials (degree-lexicographic order), multiplicities kept.
+
+    Each image is that of the point's key, in integers (mod p over F_p):
+    a key is a multiple of the point, and its image the d-th power of that
+    multiple times the point's.  Its coordinates are products of one power
+    table per key, per variable gathered at each monomial's exponent.  The
+    lift has s binom(n + d, n) coordinates, the cells of the support's
+    degree-d evaluation matrix; past ``CONDITIONS_MATRIX_GUARD`` it is
+    refused with ``GuardExceeded``, counted from binomials before any
+    coordinate is built."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    field = x.field
-    mons = monomials(x.n, d)
-    big_n = len(mons) - 1
+    s, cols = x.support_size, comb(x.n + d, x.n)
+    if s * cols > CONDITIONS_MATRIX_GUARD:
+        raise GuardExceeded("Veronese lift too large: %d points x %d coordinates = %d in degree %d "
+                            "(CONDITIONS_MATRIX_GUARD = %d)" % (s, cols, s * cols, d,
+                                                                CONDITIONS_MATRIX_GUARD))
+    p = x.field.p
+    exponents = _exponent_columns(x.n, d)
     pts = []
-    for coords, mult in x.points:
-        image = tuple(field.elem(prod(map(pow, coords, beta))) for beta in mons)
-        pts.append((image, mult))
+    for key, mult in zip(x.keys, x.mults):
+        powers = [[pow(v, e, p) for e in range(d + 1)] for v in key]
+        image = list(map(powers[0].__getitem__, exponents[0]))
+        for j in range(1, x.n + 1):
+            image = list(map(mul, image, map(powers[j].__getitem__, exponents[j])))
+        pts.append((image if p is None else [v % p for v in image], mult))
     # the Veronese map is injective, so the constructor's distinctness
     # check doubles as the injectivity assertion
-    return FatPointScheme(field, big_n, pts)
+    return FatPointScheme(x.field, cols - 1, pts)
 
 
 def _ceil_div(a, b):

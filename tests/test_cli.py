@@ -218,6 +218,28 @@ class TestGenVerify:
             "conditions matrix too large: %s (CONDITIONS_MATRIX_GUARD = %d)"
             % (size, schemes.CONDITIONS_MATRIX_GUARD))}}
 
+    def test_veronese_lift_past_the_guard_is_skipped(self, tmp_path, monkeypatch):
+        # two simple points of P^2 lifted in degree 3200 have
+        # 2 binom(3202, 2) > 10^7 coordinates: the lift is refused, counted
+        # from binomials before any monomial of that degree is listed
+        monomials = schemes.monomials
+
+        def small_only(n, d):
+            if d > 2:
+                raise AssertionError("monomials of degree %d listed" % d)
+            return monomials(n, d)
+
+        monkeypatch.setattr(schemes, "monomials", small_only)
+        x = FatPointScheme(QQ, 2, [((1, 0, 0), 1), ((0, 1, 0), 1)])
+        inst = write_json(tmp_path / "x.json", scheme_to_dict(x))
+        report = str(tmp_path / "r.json")
+        assert main(["verify", inst, "--checks", "veronese", "--d", "3200",
+                     "--out", report]) == EXIT_SKIPPED
+        cols = comb(3202, 2)
+        assert json.loads(open(report).read())["checks"] == {"veronese": {"skipped": (
+            "Veronese lift too large: 2 points x %d coordinates = %d in degree 3200 "
+            "(CONDITIONS_MATRIX_GUARD = %d)" % (cols, 2 * cols, schemes.CONDITIONS_MATRIX_GUARD))}}
+
     def test_huge_multiplicities_reach_the_guard(self, tmp_path):
         # two points of P^2 of multiplicity 10^12: the monomial floor, about
         # 1.4 * 10^12, is found by bisection, and the climb's first degree,

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, count
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -1357,3 +1357,23 @@ class TestVeronese:
         x = FatPointScheme(QQ, 1, [((1, 0), 1)])
         with pytest.raises(ValueError):
             veronese_lift(x, 0)
+
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 9), st.integers(-9, 9)),
+                    min_size=1, max_size=4),
+           st.sampled_from([QQ, ScalarField.prime(13), ScalarField.prime(2**61 - 1)]),
+           st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_lift_of_the_keys_is_the_lift_of_the_points(self, coords, field, d):
+        # the images of the integer keys are the same points of P^N as the
+        # images of the given coordinates, rational ones included: the
+        # lifted keys agree with those of a lift by field-element powers
+        points = [((Fraction(a, b), 1, c), 1) for a, b, c in coords]
+        try:
+            x = FatPointScheme(field, 2, points)
+        except ValueError:
+            assume(False)
+        images = [(tuple(field.elem(prod(map(pow, point, beta))) for beta in monomials(2, d)), 1)
+                  for point, _ in points]
+        lifted = veronese_lift(x, d)
+        assert lifted.n == comb(2 + d, 2) - 1 and lifted.mults == x.mults
+        assert lifted.keys == FatPointScheme(field, lifted.n, images).keys
