@@ -1,14 +1,19 @@
 import argparse
 import ast
+import contextlib
 import inspect
+import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import fatpointlab
 
@@ -429,6 +434,109 @@ class TestPartitionCommand:
         assert "hypothesis" in capsys.readouterr().err
 
 
+FUZZ_FIELDS = ["rational", "prime:2", "prime:7", "prime:10007", "prime:%d" % (2**31 - 1),
+               "prime:%d" % (2**61 - 1)]
+
+# JSON values of every type, for a field or an entry drawn malformed
+JSON_JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.integers(-3, 3),
+                      st.text(max_size=3), st.just([]), st.just({}), st.just(float("inf")))
+
+
+@st.composite
+def scheme_files(draw):
+    """A scheme instance dict: n <= 3, s <= 5 distinct points of
+    multiplicity <= 4, or one point of multiplicity up to 1000, with
+    coordinates as JSON integers or strings, integers or ratios, small or
+    up to 10^300 in size; possibly made malformed."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        mults = [draw(st.integers(1, 1000))]
+    else:
+        mults = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    size = draw(st.sampled_from([3, 10**300]))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-size, size)] * (n + 1)).filter(any),
+                            min_size=len(mults), max_size=len(mults), unique=True))
+    den = draw(st.sampled_from([1, 1, 2, 3, 10**300]))
+    points = [{"coords": [draw(st.sampled_from([v, str(v), "%d/%d" % (v, den)])) for v in vector],
+               "mult": m} for vector, m in zip(vectors, mults)]
+    data = {"kind": "scheme", "field": draw(st.sampled_from(FUZZ_FIELDS)), "ambient_dim": n,
+            "points": points}
+    flaw = draw(st.sampled_from(["none", "none", "file", "junk", "missing", "no points",
+                                 "duplicate", "zero point"]))
+    if flaw == "file":
+        data = draw(JSON_JUNK)
+    elif flaw == "junk":
+        where = draw(st.sampled_from(["top", "point", "coordinate"]))
+        if where == "top":
+            data[draw(st.sampled_from(sorted(data)))] = draw(JSON_JUNK)
+        elif where == "point":
+            points[0][draw(st.sampled_from(["coords", "mult"]))] = draw(JSON_JUNK)
+        else:
+            points[0]["coords"][draw(st.integers(0, n))] = draw(JSON_JUNK)
+    elif flaw == "missing":
+        owner = draw(st.sampled_from([data, points[0]]))
+        del owner[draw(st.sampled_from(sorted(owner)))]
+    elif flaw == "no points":
+        points.clear()
+    elif flaw == "duplicate":
+        points.append(dict(points[0], coords=list(points[0]["coords"])))
+    elif flaw == "zero point":
+        points[0]["coords"] = ["0"] * (n + 1)
+    return data
+
+
+@st.composite
+def commands(draw):
+    """The argv after the instance path: a ``verify`` of some checks at
+    ``--d`` 1 to 3, or a ``partition``, Edmonds or avoidance."""
+    if draw(st.booleans()):
+        checks = draw(st.lists(st.sampled_from(cli.CHECK_NAMES), min_size=1, unique=True))
+        return ["verify", "--checks", ",".join(checks), "--d", str(draw(st.integers(1, 3)))]
+    k = str(draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        return ["partition", "--k", k]
+    tail = draw(st.lists(st.integers(0, 6), max_size=2, unique=True))
+    return ["partition", "--mode", "avoidance", "--k", k, "--p", str(len(tail)),
+            "--tail", ",".join(map(str, tail))]
+
+
+class _OverBudget(BaseException):
+    """An example ran past its time budget; a BaseException, so no handler
+    in the library catches it."""
+
+
+class TestEveryInputEnds:
+    """Every instance file and command ends in an exit code: no exception
+    escapes ``cli.main``, and the code is 0, 2, 3 or 4, since no checked
+    theorem fails on correct code (exit 1)."""
+
+    BUDGET_S = 0.2  # per example; an example past it is abandoned, not judged
+
+    @given(scheme_files(), commands())
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code(self, tmp_path, data, argv):
+        inst = tmp_path / "x.json"
+        inst.write_text(json.dumps(data))
+
+        def over_budget(signum, frame):
+            raise _OverBudget
+
+        previous = signal.signal(signal.SIGALRM, over_budget)
+        signal.setitimer(signal.ITIMER_REAL, self.BUDGET_S)
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main([argv[0], str(inst), *argv[1:], "--out", str(tmp_path / "out")])
+        except _OverBudget:
+            event("over budget")
+            return
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        event("exit %d" % code)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_SKIPPED, EXIT_INFEASIBLE)
+
+
 class TestReproduce:
     def test_example_28(self, tmp_path):
         out = str(tmp_path / "r.json")
@@ -829,7 +937,7 @@ class TestCommandsLoadOnlyTheirModules:
         assert code == EXIT_OK
         assert {"fatpointlab.cli", "fatpointlab.partition"} <= added
         unwanted = {"fatpointlab.schemes", "fatpointlab.bounds", "fatpointlab.generators",
-                    "dataclasses"}
+                    "fatpointlab.modular", "dataclasses"}
         assert added & unwanted == set()
 
     def test_verify_main_theorem(self, tmp_path):

@@ -222,3 +222,32 @@ def test_residue_rows_built_in_the_frame_only():
                     found.append("%s:%d" % (path.name, node.lineno))
     assert seen == home  # the check sees both callers
     assert found == []
+
+
+def test_int64_bound_written_in_modular_only():
+    # which residues int64 and float64 carry exactly is decided in one
+    # place: modular.py names the bound 2^31 once, and every other module
+    # reads that constant
+    paths = sorted(pathlib.Path(fatpointlab.__file__).parent.rglob("*.py"))
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                    and isinstance(node.left, ast.Constant) and node.left.value == 2
+                    and isinstance(node.right, ast.Constant) and node.right.value == 31
+                    or isinstance(node, ast.Constant) and type(node.value) is int
+                    and node.value in (2**31, 2**31 - 1)):
+                found.append(path.name)
+    assert found == ["modular.py"]
+
+
+def test_exact_imports_no_numpy():
+    # exact.py ranks small matrices in pure Python and leaves numpy to
+    # modular.py, which it imports only on the numpy-sized route
+    path = pathlib.Path(fatpointlab.__file__).parent / "exact.py"
+    tree = ast.parse(path.read_text(), str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "modular" in modules  # the check sees the lazy imports
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
