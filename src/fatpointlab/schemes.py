@@ -35,9 +35,9 @@ mod q.  h_X is invariant under an invertible change of coordinates, so
 over F_p the frame gives h_X(d) itself and over Q a lower bound, and a
 full one certifies h_X(d).  Over Q a deficient rank mod q only says that
 the climb goes on: the one certifier of a deficient value is
-``_certified``, for ``hilbert_function`` and the climb's step-down, which
-ranks the exact rows, certified over Q (``ExactMatrix.rank``).  The frame is the one route of a rank mod q of
-numpy size.
+``_certified``, for ``hilbert_function`` and the regularity climb, which
+ranks the exact rows, certified over Q (``ExactMatrix.rank``).  The frame
+is the one route of a rank mod q of numpy size.
 
 Beside a frame of n + 1 points one more point u, the unit point, is sent
 to (1 : .. : 1) where its image under E has every coordinate nonzero mod q:
@@ -706,10 +706,10 @@ def hilbert_function(x, d):
     """h_X(d) = dim [R/I_X]_d = rank of the conditions matrix, and deg X
     from a certified r(X) on.  Only certified values are cached; after
     ``regularity_index`` they include h_X(r), and h_X(r - 1) where the
-    search's step-down certified it: below the lower bound the climb
-    starts from, the deficiency is proven and nothing is ranked.  A value
-    that is not cached is ranked by ``_rank_bound``, which checks the
-    degree first, and certified by ``_certified``."""
+    search certified it: below the lower bound the climb starts from, the
+    deficiency is proven and nothing is ranked.  A value that is not
+    cached is ranked by ``_rank_bound``, which checks the degree first, and
+    certified by ``_certified``."""
     h = x._hilbert_cache.get(d)
     if h is None:
         if x._reg is not None and d >= x._reg:
@@ -721,8 +721,8 @@ def hilbert_function(x, d):
 def _certified(x, d, h):
     """h_X(d) from h = ``_rank_bound(x, d)``, cached on X: the one
     certifier of a deficient value over Q, called by ``hilbert_function``
-    and by the step-down of ``regularity_index`` with the climb's rank, so
-    no degree is ranked in the frame twice.
+    and by ``regularity_index`` with the climb's rank at the degree below
+    its first full one, so that degree is not ranked in the frame twice.
 
     Over F_p, and where the matrix is ranked on exact rows
     (``_on_exact_rows``), h is h_X(d).  Otherwise it is a rank in the
@@ -791,10 +791,11 @@ def regularity_index(x):
     prime, or exactly, and h_X does not change under an invertible change
     of coordinates, so a full rank modulo a prime is full over Q, and the
     rank over F_p is exact.  Only those values are cached; over Q a
-    deficient rank only says that the climb goes on, and is kept for the
-    step-down.  At the first full degree d, if d is above the bound,
-    h_X(d - 1) is certified from the climb's rank there (``_certified``),
-    and the search steps down while that is full too,
+    deficient rank only says that the climb goes on.  At the first full
+    degree d, if d is above the bound, h_X(d - 1) is certified from the
+    climb's rank there (``_certified``), so that degree is not ranked
+    again, and the search steps down while ``hilbert_function`` finds the
+    degree below full too,
     which only an unlucky prime, one that lost rank at r and took the climb
     past it, can cause.  A degree already in the scheme's cache of
     certified values is read from there, not built.  Over F_p the start is
@@ -813,22 +814,22 @@ def regularity_index(x):
             lower = max(floor, sum(x.mults[i] for i in line) - 1)
         p = x.field.p
         d = lower if p is None else max(floor, min(lower, p - 1))
-        cache, bounds = x._hilbert_cache, {}  # bounds: the climb's deficient ranks over Q
+        cache = x._hilbert_cache
         while True:
             h = cache.get(d)
             if h is None:
                 h = _rank_bound(x, d)
                 if p is not None or h == deg:
                     cache[d] = h
-                else:
-                    bounds[d] = h
             if h == deg:
                 break
+            below = h  # the climb's rank at d, read as d - 1 once it steps up
             d += 1
             if d > max(0, deg - 1):
                 raise InternalError("regularity search exceeded deg X - 1")
-        while d > lower and (cache[d - 1] if d - 1 in cache
-                             else _certified(x, d - 1, bounds[d - 1])) == deg:
+        if d > lower and d - 1 not in cache:
+            _certified(x, d - 1, below)
+        while d > lower and hilbert_function(x, d - 1) == deg:
             d -= 1
         x._reg = d
     return x._reg

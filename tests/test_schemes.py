@@ -716,8 +716,8 @@ class TestBoundarySearch:
         # from max(floor 6, 3 + 3 - 1): h(6) and h(7) are deficient in the
         # frame (the 6 conditions of (1, 2, 0)), which only says "climb
         # on", and h(8) full in it, each block eliminated on its short side;
-        # the step-down certifies h(7) on its exact rows (24 conditions)
-        # from the climb's deficient rank there.  Degree 6 has no exact
+        # h(7) is certified on its exact rows (24 conditions) from the
+        # climb's deficient rank there.  Degree 6 has no exact
         # rows built
         assert built == {"residues": [6, 7, 8], "exact": [7]}
         assert first_prime_shapes(reductions) == [(6, 10), (6, 18), (6, 27), (36, 24)]
@@ -744,9 +744,9 @@ class TestBoundarySearch:
         assert regularity_index(x) == r
         # deficient in the frame at r (its block on the short side, the 6
         # conditions of (1, 2, 0)), so the climb goes on to r + 1, full in
-        # the frame; the step-down certifies degree r full on exact rows
-        # from the climb's deficient rank there, and stops at the line's
-        # bound
+        # the frame; degree r is certified full on exact rows from the
+        # climb's deficient rank there, and the step-down stops at the
+        # line's bound
         assert built == {"residues": [r, r + 1], "exact": [r]}
         assert first_prime_shapes(reductions) == [(6, 27), (6, 37), (45, 24)]
         assert x._hilbert_cache == {r: x.degree(), r + 1: x.degree()}
@@ -1066,10 +1066,10 @@ class TestFrameRank:
 
     def test_deficient_rank_over_q_is_certified_on_exact_rows_once(self, monkeypatch):
         # the climb from the lighter line's bound 6 meets h(6) and h(7)
-        # deficient in the frame; the step-down certifies degree 7 on its
-        # exact rows from the climb's rank there, without ranking it in the
-        # frame again, one certificate, on their tall side, and no residue
-        # matrix on every monomial is built
+        # deficient in the frame; degree 7 is certified on its exact rows
+        # from the climb's rank there, without ranking it in the frame
+        # again, one certificate, on their tall side, and no residue matrix
+        # on every monomial is built
         x = FatPointScheme(QQ, 2, [(p, 3) for p in LINE + [(3, 7, 1)]])
         monkeypatch.setattr(schemes, "heaviest_line", lambda y: [0, 3])
         residues, kernels, framed = [], [], []
