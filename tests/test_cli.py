@@ -523,15 +523,19 @@ class TestEveryInputEnds:
             raise _OverBudget
 
         previous = signal.signal(signal.SIGALRM, over_budget)
-        signal.setitimer(signal.ITIMER_REAL, self.BUDGET_S)
         try:
-            with contextlib.redirect_stderr(io.StringIO()):
-                code = main([argv[0], str(inst), *argv[1:], "--out", str(tmp_path / "out")])
+            # the timer is stopped inside the outer try, so an alarm that
+            # lands as main returns is still caught below
+            try:
+                signal.setitimer(signal.ITIMER_REAL, self.BUDGET_S)
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = main([argv[0], str(inst), *argv[1:], "--out", str(tmp_path / "out")])
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
         except _OverBudget:
             event("over budget")
             return
         finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         event("exit %d" % code)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_SKIPPED, EXIT_INFEASIBLE)
